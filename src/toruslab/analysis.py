@@ -14,10 +14,10 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     ConvergenceFailure,
@@ -34,6 +34,7 @@ from .errors import (
 from .integrators import (
     IntegratorConfig,
     Trajectory,
+    _march,
     _rk4_step,
     integrate,
     integrate_batch,
@@ -69,7 +70,7 @@ def _report_json(claim, parameters, verdict, metrics, seed=None) -> str:
     return json.dumps(
         {"claim": claim, "parameters": parameters, "verdict": verdict,
          "metrics": metrics, "seed": seed},
-        sort_keys=True, default=float)
+        sort_keys=True, default=float, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +350,11 @@ def poincare_map(sys: System, section: Section, p0: MixedPoint,
     if not sys.layout.is_angle(section.slot):
         raise InvalidValue(
             f"slot {section.slot} is not angular in this layout")
+    if not horizon > 0:
+        raise InvalidValue("horizon must be positive")
     cfg = config or IntegratorConfig(h=1e-2)
-    f = sys.field
-    h = cfg.h
     sgn = float(section.direction)
-
-    s = np.array(p0.coords, dtype=float)
-    theta0 = wrap_angle(float(s[section.slot]) - section.value)
+    theta0 = wrap_angle(float(p0.coords[section.slot]) - section.value)
     # offset coordinate relative to the unwrapped running angle; the next
     # directed crossing sits at a fixed multiple of 2*pi
     if abs(theta0) <= 1e-12:
@@ -364,51 +363,42 @@ def poincare_map(sys: System, section: Section, p0: MixedPoint,
         target = TWO_PI if theta0 > 0 else 0.0
     else:
         target = -TWO_PI if theta0 < 0 else 0.0
-    base = float(s[section.slot])
+    base = float(p0.coords[section.slot])
+    s_old, t_old, th_old = p0.coords, 0.0, theta0
+    bracket = None
 
-    def offset(state):
-        return theta0 + (float(state[section.slot]) - base)
+    def at_crossing(k, t, h_k, state, escaped):
+        nonlocal s_old, t_old, th_old, bracket
+        th_new = theta0 + (float(state[section.slot]) - base)
+        if (th_old < target <= th_new) if sgn > 0 \
+                else (th_old > target >= th_new):
+            bracket = (s_old, state, t_old, h_k)
+            return True
+        s_old, t_old, th_old = state, t, th_new
+        return False
 
-    t = 0.0
-    max_steps = int(horizon / h) + 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_steps):
-            if t >= horizon:
-                break
-            s_new = _rk4_step(f, s, h)
-            if not np.all(np.isfinite(s_new)) \
-                    or np.max(np.abs(s_new)) > cfg.escape_norm:
-                raise NumericalBlowup(
-                    f"orbit escaped near t={t + h:.6g} before crossing",
-                    time=t + h)
-            th_old = offset(s)
-            th_new = offset(s_new)
-            crossed = (th_old < target <= th_new) if sgn > 0 \
-                else (th_old > target >= th_new)
-            if crossed:
-                return _polish_crossing(sys, section, s, t, h, target,
-                                        theta0, base)
-            s = s_new
-            t += h
+    _, escaped, escape_time, _ = _march(partial(_rk4_step, sys.field),
+                                        p0.coords, horizon, cfg, at_crossing)
+    if bracket is not None:
+        return _polish_crossing(sys, section, *bracket, target, theta0, base)
+    if escaped:
+        raise NumericalBlowup(
+            f"orbit escaped near t={escape_time:.6g} before crossing",
+            time=float(escape_time))
     raise NoReturn(f"no crossing of the section within horizon {horizon}")
 
 
-def _polish_crossing(sys, section, s_bracket, t_bracket, h, target,
+def _polish_crossing(sys, section, s_bracket, s_end, t_bracket, h, target,
                      theta0, base):
     f = sys.field
     slot = section.slot
 
-    def value_at(tau, substeps=2):
-        out = s_bracket
-        step = tau / substeps
-        for _ in range(substeps):
-            out = _rk4_step(f, out, step)
-        return out
+    def value_at(tau):  # two rk4 half steps from the bracket start
+        return _rk4_step(f, _rk4_step(f, s_bracket, 0.5 * tau), 0.5 * tau)
 
     # Hermite model of the offset over the bracketing step
     g0 = theta0 + float(s_bracket[slot]) - base - target
     r0 = float(f(s_bracket)[slot])
-    s_end = _rk4_step(f, s_bracket, h)
     g1 = theta0 + float(s_end[slot]) - base - target
     r1 = float(f(s_end)[slot])
     tau = h * g0 / (g0 - g1) if g0 != g1 else 0.5 * h
@@ -425,18 +415,13 @@ def _polish_crossing(sys, section, s_bracket, t_bracket, h, target,
     for _ in range(16):
         s_tau = value_at(tau)
         err = theta0 + float(s_tau[slot]) - base - target
+        rate = float(f(s_tau)[slot])
+        if abs(rate) < 1e-8:
+            raise TangentCrossing(f"angular rate {rate:.3g} at the crossing")
         if abs(err) <= 1e-10:
-            rate = float(f(s_tau)[slot])
-            if abs(rate) < 1e-8:
-                raise TangentCrossing(
-                    f"angular rate {rate:.3g} at the located crossing")
             return PoincareResult(
                 point=MixedPoint.of(sys.layout, s_tau),
                 time=t_bracket + tau, rate=rate)
-        rate = float(f(s_tau)[slot])
-        if abs(rate) < 1e-8:
-            raise TangentCrossing(
-                f"angular rate {rate:.3g} while refining the crossing")
         tau = min(max(tau - err / rate, -0.1 * h), 1.1 * h)
     raise ConvergenceFailure(  # pragma: no cover - guarded by bracketing
         "crossing refinement did not converge")
@@ -740,19 +725,26 @@ def measure_frequencies(traj: Trajectory,
 def circulation_period(zeta: float) -> float:
     """Period of dy/dt = zeta + sin(y)^2 around one full turn.
 
-    Computed by adaptive quadrature of the time integral, independent of
-    any closed form; the closed form 2*pi/sqrt(zeta*(zeta+1)) is what the
+    Computed by quadrature of the time integral, independent of any
+    closed form; the closed form 2*pi/sqrt(zeta*(zeta+1)) is what the
     tests compare against.
     """
     if not math.isfinite(zeta):
         raise InvalidValue("zeta must be finite")
     if zeta <= 0.0:
         raise DegenerateOffset("circulation needs zeta > 0")
-    val, err = quad(lambda y: 1.0 / (zeta + math.sin(y) ** 2),
-                    0.0, TWO_PI, epsabs=1e-12, epsrel=1e-12, limit=200)
-    if err > 1e-10:
-        raise InvalidValue(f"quadrature error estimate {err:g} too large")
-    return float(val)
+    # the periodic trapezoid rule converges geometrically on an analytic
+    # periodic integrand (Trefethen & Weideman, SIAM Review 56(3), 2014),
+    # so doubling n until two sums agree bounds the error
+    n, prev = 16, math.nan
+    while n <= 2 ** 20:
+        y = np.linspace(0.0, TWO_PI, n, endpoint=False)
+        val = TWO_PI / n * float(np.sum(1.0 / (zeta + np.sin(y) ** 2)))
+        if abs(val - prev) <= 1e-13 * val:
+            return val
+        n, prev = 2 * n, val
+    raise InvalidValue(f"trapezoid sums for zeta={zeta:g} did not settle "
+                       f"by n = {n // 2}")
 
 
 # ---------------------------------------------------------------------------
@@ -902,8 +894,8 @@ def _sample_box(layout: CoordinateLayout, domain: ModularDomain,
 
 
 def _survey_block(params_json: str, intervals, seed: int, start: int,
-                  stop: int, horizon: float, dt: float, t_min: float,
-                  skip_tol: float, escape_norm: float):
+                  stop: int, horizon: float, cfg: IntegratorConfig,
+                  t_min: float, skip_tol: float):
     sys = build_system(params_from_json(params_json))
     domain = ModularDomain(intervals=intervals)
     layout = sys.layout
@@ -911,7 +903,6 @@ def _survey_block(params_json: str, intervals, seed: int, start: int,
     nb = stop - start
     states = np.stack([_sample_box(layout, domain, seed, i)
                        for i in range(start, stop)])
-    starts = states.copy()
 
     off_slots = [s for s in range(dim)
                  if not (sys.slots.phi.start <= s < sys.slots.phi.stop)]
@@ -932,29 +923,18 @@ def _survey_block(params_json: str, intervals, seed: int, start: int,
         return np.concatenate([r, rate[..., None]], axis=-1)
 
     z = np.concatenate([states, np.zeros((nb, 1))], axis=1)
-    alive = ~skipped
+    run = np.flatnonzero(~skipped)
     escaped = np.zeros(nb, dtype=bool)
     gaps = np.full(nb, math.inf)
-    n_steps = int(round(horizon / dt))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            idx = np.flatnonzero(alive)
-            if len(idx) == 0:
-                break
-            znew = _rk4_step(aug, z[idx], dt)
-            bad = ~np.all(np.isfinite(znew), axis=1)
-            bad |= np.nanmax(np.abs(np.where(np.isfinite(znew), znew,
-                                             0.0)), axis=1) > escape_norm
-            newly = idx[bad]
-            escaped[newly] = True
-            alive[newly] = False
-            good = idx[~bad]
-            z[good] = znew[~bad]
-            t_k = (k + 1) * dt
-            if t_k >= t_min and len(good):
-                d = torus_distance_batch(layout, z[good, :dim],
-                                         starts[good])
-                gaps[good] = np.minimum(gaps[good], d)
+
+    def track_gaps(k, t, h_k, zk, esc):
+        if t >= t_min:
+            good = run[~esc]
+            d = torus_distance_batch(layout, zk[~esc, :dim], states[good])
+            gaps[good] = np.minimum(gaps[good], d)
+
+    z[run], escaped[run], _, _ = _march(partial(_rk4_step, aug), z[run],
+                                        horizon, cfg, track_gaps)
     gains = z[:, dim].copy()
     gains[escaped] = math.inf
     gains[skipped] = np.nan
@@ -988,6 +968,8 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
         raise InvalidParams("the control fixture makes no uniqueness claim")
     if samples < 1:
         raise InvalidValue("need at least one sample")
+    if not horizon > 0:
+        raise InvalidValue("horizon must be positive")
     if sys.is_compact:
         if not subdomain_of(domain, isolation_domain(sys), sys.layout):
             raise DomainNotCertified(
@@ -996,19 +978,18 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
         raise InvalidValue("domain dimension does not match the system")
 
     pj = params_to_json(sys.params)
+    cfg = IntegratorConfig(h=dt, escape_norm=escape_norm)
     blocks = []
     if jobs <= 1:
         blocks.append(_survey_block(pj, domain.intervals, seed, 0, samples,
-                                    horizon, dt, t_min, skip_tol,
-                                    escape_norm))
+                                    horizon, cfg, t_min, skip_tol))
     else:
         chunk = max(1, math.ceil(samples / jobs))
         spans = [(a, min(a + chunk, samples))
                  for a in range(0, samples, chunk)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futs = [pool.submit(_survey_block, pj, domain.intervals, seed,
-                                a, b, horizon, dt, t_min, skip_tol,
-                                escape_norm)
+                                a, b, horizon, cfg, t_min, skip_tol)
                     for a, b in spans]
             blocks = [f.result() for f in futs]
 

@@ -18,6 +18,7 @@ import re
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     Section,
+    _report_json as _doc,
     bracket_matrix,
     circulation_period,
     find_fixed_point,
@@ -115,13 +117,6 @@ class _Run:
         self.outputs[name] = hashlib.sha256(text.encode()).hexdigest()
 
 
-def _doc(claim, parameters, verdict, metrics, seed=None) -> str:
-    return json.dumps(
-        {"claim": claim, "parameters": parameters, "verdict": verdict,
-         "metrics": metrics, "seed": seed},
-        sort_keys=True, default=float, indent=2) + "\n"
-
-
 def _need(cfg, key):
     if cfg.get(key) is None:
         raise InvalidValue(f"--{key.replace('_', '-')} is required here")
@@ -174,11 +169,11 @@ def _cmd_systems(cfg, run):
 def _cmd_simulate(cfg, run):
     sys_ = _system_from(cfg)
     t = cfg["t"]
+    ic = IntegratorConfig(method=cfg["method"], h=cfg["h"])
     store = cfg.get("store_every")
-    if store is None:
-        store = max(1, int(abs(t) / cfg["h"]) // 2000)
-    ic = IntegratorConfig(method=cfg["method"], h=cfg["h"],
-                          store_every=store)
+    if store is None:  # about 2000 rows; the cap keeps int() off inf
+        store = max(1, int(min(abs(t) / ic.h, ic.max_steps)) // 2000)
+    ic = replace(ic, store_every=store)
     p0 = _initial_point(sys_, cfg)
     escaped = False
     escape_time = None
@@ -423,7 +418,7 @@ def _cmd_survey(cfg, run):
         intervals = tuple(None if phi.start <= s < phi.stop
                           else (-1.0, 1.0) for s in range(sys_.dim))
         domain = ModularDomain(intervals=intervals)
-    jobs = cfg.get("jobs") or os.cpu_count() or 1
+    jobs = cfg.get("jobs") or len(os.sched_getaffinity(0))
     rep = survey_uniqueness(sys_, domain, samples=cfg["samples"],
                             seed=cfg["seed"], horizon=cfg["horizon"],
                             jobs=jobs)
@@ -659,14 +654,18 @@ def _resolve(args, key):
     file_cfg = {}
     if args.config:
         file_cfg = json.loads(Path(args.config).read_text())
+    if not isinstance(file_cfg, dict):
+        raise InvalidValue(f"{args.config} does not hold a JSON object")
     cfg = {}
     for name, (default, conv) in spec.items():
+        flag = "--" + name.replace("_", "-")
         value = getattr(args, name, None)
         if value is None:
-            value = file_cfg.get(name, file_cfg.get(
-                name.replace("_", "-"), default))
+            value = file_cfg.get(name, file_cfg.get(flag[2:], default))
         if value is not None and conv is not None:
             value = conv(value)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidValue(f"{flag} must be finite, got {value}")
         cfg[name] = value
     return cfg
 
@@ -706,6 +705,9 @@ def _write_manifest(run, key, cfg, verdicts, t0):
 
 def _replay(path: str) -> int:
     doc = json.loads(Path(path).read_text())
+    if not (isinstance(doc, dict)
+            and {"argv", "verdicts", "outputs"} <= doc.keys()):
+        raise InvalidValue(f"{path} is not a toruslab manifest")
     with tempfile.TemporaryDirectory() as td:
         code = main(list(doc["argv"]) + ["--out", td])
         fresh = json.loads((Path(td) / "manifest.json").read_text())
@@ -733,14 +735,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else int(e.code)
-    if args.replay:
-        return _replay(args.replay)
-    if not args.cmd:
+    if not (args.replay or args.cmd):
         parser.print_usage(sys.stderr)
         return 2
     key = _key_of(args)
     t0 = time.perf_counter()
     try:
+        if args.replay:
+            return _replay(args.replay)
         cfg = _resolve(args, key)
         out = Path(args.out) if args.out else Path(".")
         out.mkdir(parents=True, exist_ok=True)

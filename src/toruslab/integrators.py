@@ -1,10 +1,11 @@
 """Fixed-step, adaptive, and symplectic integrators plus variational flow.
 
 All steppers work on raw arrays of shape (..., dim) so a batch of states
-integrates at numpy speed; the public `integrate` wraps a single
-trajectory with storage, escape detection, and exact landing on the end
-time, while `integrate_batch` advances many states under one shared step
-controller and freezes escaping rows instead of raising.
+integrates at numpy speed. One stepping loop, `_march`, serves every
+fixed-step path: it lands exactly on the end time, freezes escaping rows
+instead of raising, and hands each step to an observer that stores,
+measures or stops. A single trajectory steps as a 1-D state, never as a
+one-row batch, and a diverging midpoint iteration is reported as an escape.
 
 Angular slots are wrapped only when states are stored, never inside a
 step, so the running state keeps a continuous (unwrapped) angle history.
@@ -13,7 +14,8 @@ step, so the running state keeps a continuous (unwrapped) angle history.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -146,21 +148,6 @@ def _dp54_step(f, s, h):
     return y5, err
 
 
-def _midpoint_step(f, s, h, tol, max_iter):
-    # solve m = s + (h/2) f(m) by fixed-point iteration, then reflect
-    m = s + 0.5 * h * f(s)
-    for _ in range(max_iter):
-        m_next = s + 0.5 * h * f(m)
-        delta = np.max(np.abs(m_next - m))
-        m = m_next
-        if delta <= tol:
-            return 2.0 * m - s
-        if not np.isfinite(delta):
-            break
-    raise ConvergenceFailure(
-        f"midpoint iteration did not reach {tol:g} in {max_iter} steps")
-
-
 def step_rk4(field: FieldLike, p: MixedPoint, h: float) -> MixedPoint:
     """One classical Runge-Kutta step from p; result has wrapped angles."""
     if not (math.isfinite(h) and h != 0.0):
@@ -173,19 +160,85 @@ def step_rk4(field: FieldLike, p: MixedPoint, h: float) -> MixedPoint:
     return MixedPoint.of(p.layout, out)
 
 
-def _escaped(state, escape_norm):
-    return (not np.all(np.isfinite(state))) \
-        or float(np.max(np.abs(state))) > escape_norm
+def _escaping(trial, escape_norm):
+    # one test per row: inf, nan and |x| > escape_norm all fail the <=
+    return ~(np.abs(trial).max(axis=-1) <= escape_norm)
 
 
-def _err_norm(err, s_old, s_new, cfg):
-    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(s_old),
-                                                   np.abs(s_new))
-    r = err / scale
-    if r.ndim <= 1:
-        return float(np.sqrt(np.mean(r * r)))
-    # batch: the worst row governs the shared step
-    return float(np.max(np.sqrt(np.mean(r * r, axis=-1))))
+def _batch_midpoint(f, s, h, cfg):
+    # solve m = s + (h/2) f(m) by fixed-point iteration, then reflect; rows
+    # that refuse to converge turn non-finite, which the escape test catches
+    m = s + 0.5 * h * f(s)
+    for _ in range(cfg.midpoint_max_iter):
+        m_next = s + 0.5 * h * f(m)
+        delta = np.abs(m_next - m).max(axis=-1)
+        m = m_next
+        # only finite rows above the tolerance keep iterating
+        if not ((delta > cfg.midpoint_tol) & (delta < np.inf)).any():
+            break
+    else:
+        stuck = np.max(np.abs(s + 0.5 * h * f(m) - m), axis=-1) \
+            > cfg.midpoint_tol
+        m = np.array(m)
+        m[stuck] = np.nan
+    return 2.0 * m - s
+
+
+def _fixed_step(f, cfg):
+    """The rk4 or midpoint step of cfg as a function of (state, h)."""
+    if cfg.method == MIDPOINT:
+        return lambda s, h: _batch_midpoint(f, s, h, cfg)
+    return partial(_rk4_step, f)
+
+
+def _march(step, state, t_end, cfg, observe=None):
+    """Advance state, shape (dim,) or (rows, dim), to t_end in fixed steps.
+
+    int(|t_end| / h) whole steps, then a remainder step if one is left;
+    the last step ends exactly at t_end. An escaping row is frozen at its
+    last finite state. The march ends when no row is left or when
+    observe(k, t, h_k, state, escaped), called after each step, returns
+    true. Returns (state, escaped, escape_times, steps taken).
+    """
+    if not (math.isfinite(t_end) and t_end != 0.0):
+        raise InvalidValue("t_end must be finite and nonzero")
+    direction = 1.0 if t_end > 0 else -1.0
+    span = abs(t_end)
+    h = min(cfg.h, cfg.max_step)
+    n_whole = int(span / h + 1e-9)
+    remainder = span - n_whole * h
+    total = n_whole + (1 if remainder > 1e-12 else 0)
+    if total > cfg.max_steps:
+        raise StepBudgetExceeded(
+            f"{total} steps needed, cap is {cfg.max_steps}")
+
+    state = np.array(state, dtype=float)
+    escaped = np.zeros(state.shape[:-1], dtype=bool)
+    escape_times = np.full(state.shape[:-1], np.nan)
+    live = None  # indices of the rows still marching, once one escaped
+    k = -1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(total):
+            h_k = direction * (h if k < n_whole else remainder)
+            t = t_end if k == total - 1 else direction * ((k + 1) * h)
+            rows = live
+            cur = state if rows is None else state[rows]
+            trial = step(cur, h_k)
+            bad = _escaping(trial, cfg.escape_norm)
+            if bad.any():
+                trial[bad] = cur[bad]  # freeze at the last finite state
+                hit = np.flatnonzero(~escaped)[bad.reshape(-1)]
+                escaped.flat[hit] = True
+                escape_times.flat[hit] = t
+                live = np.flatnonzero(~escaped)
+            if rows is None:
+                state = trial
+            else:
+                state[rows] = trial
+            stop = observe is not None and observe(k, t, h_k, state, escaped)
+            if stop or (live is not None and len(live) == 0):
+                break
+    return state, escaped, escape_times, k + 1
 
 
 def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
@@ -193,8 +246,9 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
     """Advance p0 to time t_end (either sign) and record the trajectory.
 
     Raises NumericalBlowup when the state exceeds the escape norm or goes
-    non-finite (the exception carries the escape time and the partial
-    trajectory as attributes) and StepBudgetExceeded past max_steps.
+    non-finite, a diverging midpoint iteration included (the exception
+    carries the escape time and the partial trajectory as attributes),
+    and StepBudgetExceeded past max_steps.
 
     Examples
     --------
@@ -202,70 +256,37 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
     y' = y^2, y(0) = 1 reaches 1/(1 - t).
     """
     cfg = config or IntegratorConfig()
-    if not (math.isfinite(t_end) and t_end != 0.0):
-        raise InvalidValue("t_end must be finite and nonzero")
     f = _as_field_fn(field)
     layout = p0.layout
-    direction = 1.0 if t_end > 0 else -1.0
-    span = abs(t_end)
-
     times = [0.0]
     stored = [wrap_angles(p0.coords, layout.angle_mask)]
-    state = np.array(p0.coords, dtype=float)
-    t = 0.0
-    n_steps = 0
     n_rejected = 0
+    t_escape = None
 
-    def store(tv, sv):
-        times.append(tv)
-        stored.append(wrap_angles(sv, layout.angle_mask))
+    def store(t, state):
+        times.append(t)
+        stored.append(wrap_angles(state, layout.angle_mask))
 
-    def partial() -> Trajectory:
-        return Trajectory(layout=layout, times=np.array(times),
-                          states=np.array(stored), config=cfg,
-                          n_steps=n_steps, n_rejected=n_rejected)
+    if cfg.method != ADAPTIVE:
+        def observe(k, t, h_k, state, escaped):
+            if not escaped and ((k + 1) % cfg.store_every == 0
+                                or t == t_end):
+                store(t, state)
 
-    def check_escape(tv, sv):
-        if _escaped(sv, cfg.escape_norm):
-            exc = NumericalBlowup(
-                f"trajectory escaped near t={tv:.6g}", time=tv)
-            exc.trajectory = partial()
-            raise exc
-
-    h_signed = direction * min(cfg.h, cfg.max_step)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.method in (RK4, MIDPOINT):
-            h_abs = abs(h_signed)
-            n_whole = int(span / h_abs + 1e-9)
-            remainder = span - n_whole * h_abs
-            total = n_whole + (1 if remainder > 1e-12 else 0)
-            if total > cfg.max_steps:
-                raise StepBudgetExceeded(
-                    f"{total} steps needed, cap is {cfg.max_steps}")
-            for k in range(total):
-                h_k = h_signed if k < n_whole \
-                    else direction * remainder
-                if cfg.method == RK4:
-                    state = _rk4_step(f, state, h_k)
-                else:
-                    try:
-                        state = _midpoint_step(f, state, h_k,
-                                               cfg.midpoint_tol,
-                                               cfg.midpoint_max_iter)
-                    except ConvergenceFailure as exc:
-                        exc.time = t
-                        exc.trajectory = partial()
-                        raise
-                n_steps += 1
-                t = direction * ((k + 1) * h_abs) if k + 1 <= n_whole \
-                    else t_end
-                if k == total - 1:
-                    t = t_end
-                check_escape(t, state)
-                if n_steps % cfg.store_every == 0 or k == total - 1:
-                    store(t, state)
-        else:  # adaptive
-            h = abs(h_signed)
+        state, escaped, escape_time, n_steps = _march(
+            _fixed_step(f, cfg), p0.coords, t_end, cfg, observe)
+        if escaped:
+            t_escape = float(escape_time)
+    else:
+        if not (math.isfinite(t_end) and t_end != 0.0):
+            raise InvalidValue("t_end must be finite and nonzero")
+        direction = 1.0 if t_end > 0 else -1.0
+        span = abs(t_end)
+        state = np.array(p0.coords, dtype=float)
+        t = 0.0
+        n_steps = 0
+        h = min(cfg.h, cfg.max_step)
+        with np.errstate(over="ignore", invalid="ignore"):
             while abs(t) < span - 1e-12:
                 if n_steps + n_rejected > cfg.max_steps:
                     raise StepBudgetExceeded(
@@ -278,13 +299,17 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
                 if not np.all(np.isfinite(trial)):
                     norm = math.inf
                 else:
-                    norm = _err_norm(err, state, trial, cfg)
+                    r = err / (cfg.abs_tol + cfg.rel_tol * np.maximum(
+                        np.abs(state), np.abs(trial)))
+                    norm = float(np.sqrt(np.mean(r * r)))
                 if norm <= 1.0:
                     t = t_end if abs(t) + h >= span - 1e-12 \
                         else t + direction * h
-                    state = trial
                     n_steps += 1
-                    check_escape(t, state)
+                    if _escaping(trial, cfg.escape_norm):
+                        t_escape = t
+                        break
+                    state = trial
                     if n_steps % cfg.store_every == 0 \
                             or abs(t) >= span - 1e-12:
                         store(t, state)
@@ -295,9 +320,17 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
                     n_rejected += 1
                     h *= max(0.2, 0.9 * norm ** -0.2)
 
-    if times[-1] != t_end:  # zero-length span edge; keep endpoint exact
-        store(t_end, state)
-    return partial()
+    if t_escape is None and times[-1] != t_end:
+        store(t_end, state)  # zero-length span edge; keep endpoint exact
+    traj = Trajectory(layout=layout, times=np.array(times),
+                      states=np.array(stored), config=cfg,
+                      n_steps=n_steps, n_rejected=n_rejected)
+    if t_escape is not None:
+        exc = NumericalBlowup(
+            f"trajectory escaped near t={t_escape:.6g}", time=t_escape)
+        exc.trajectory = traj
+        raise exc
+    return traj
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,7 +340,8 @@ class BatchResult:
     escaped marks rows frozen after leaving the finite range (their final
     state is the last finite one, escape_times the detection time).
     stored_times/stored_states are present only when store_every is given;
-    stored states hold wrapped angles.
+    stored states hold wrapped angles. n_steps counts the steps taken,
+    which stop early once every row has escaped.
     """
 
     final: np.ndarray
@@ -332,80 +366,28 @@ def integrate_batch(field: FieldLike, states0: np.ndarray, t_end: float,
     cfg = config or IntegratorConfig()
     if cfg.method == ADAPTIVE:
         raise InvalidValue("integrate_batch supports rk4 and midpoint")
-    if not (math.isfinite(t_end) and t_end != 0.0):
-        raise InvalidValue("t_end must be finite and nonzero")
-    f = _as_field_fn(field)
     states = np.array(states0, dtype=float)
     if states.ndim != 2:
         raise InvalidValue("states0 must have shape (batch, dim)")
-    nb = len(states)
-    direction = 1.0 if t_end > 0 else -1.0
-    span = abs(t_end)
-    h_abs = min(cfg.h, cfg.max_step)
-    n_whole = int(span / h_abs + 1e-9)
-    remainder = span - n_whole * h_abs
-    total = n_whole + (1 if remainder > 1e-12 else 0)
-    if total > cfg.max_steps:
-        raise StepBudgetExceeded(
-            f"{total} steps needed, cap is {cfg.max_steps}")
-
-    escaped = np.zeros(nb, dtype=bool)
-    escape_times = np.full(nb, np.nan)
     mask = layout.angle_mask if layout is not None \
         else np.zeros(states.shape[1], dtype=bool)
-    do_store = store_every is not None
-    stored_times = [0.0] if do_store else None
-    stored = [wrap_angles(states, mask)] if do_store else None
+    stored_times = stored = observe = None
+    if store_every is not None:
+        stored_times = [0.0]
+        stored = [wrap_angles(states, mask)]
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(total):
-            h_k = direction * (h_abs if k < n_whole else remainder)
-            t_next = direction * min((k + 1) * h_abs, span)
-            active = ~escaped
-            if not active.any():
-                break
-            sub = states[active]
-            if cfg.method == RK4:
-                trial = _rk4_step(f, sub, h_k)
-            else:
-                trial = _batch_midpoint(f, sub, h_k, cfg)
-            bad = ~np.all(np.isfinite(trial), axis=-1)
-            with np.errstate(invalid="ignore"):
-                bad |= np.nanmax(np.abs(np.where(np.isfinite(trial),
-                                                 trial, 0.0)),
-                                 axis=-1) > cfg.escape_norm
-            trial[bad] = sub[bad]  # freeze at last finite state
-            states[active] = trial
-            idx = np.flatnonzero(active)[bad]
-            escaped[idx] = True
-            escape_times[idx] = t_next
-            if do_store and ((k + 1) % store_every == 0 or k == total - 1):
-                stored_times.append(t_end if k == total - 1 else t_next)
-                stored.append(wrap_angles(states, mask))
+        def observe(k, t, h_k, state, escaped):
+            if (k + 1) % store_every == 0 or t == t_end:
+                stored_times.append(t)
+                stored.append(wrap_angles(state, mask))
 
+    final, escaped, escape_times, n_steps = _march(
+        _fixed_step(_as_field_fn(field), cfg), states, t_end, cfg, observe)
     return BatchResult(
-        final=states, escaped=escaped, escape_times=escape_times,
-        n_steps=total,
-        stored_times=np.array(stored_times) if do_store else None,
-        stored_states=np.array(stored) if do_store else None)
-
-
-def _batch_midpoint(f, s, h, cfg):
-    # rows that refuse to converge are sent non-finite so the caller's
-    # escape logic picks them up
-    m = s + 0.5 * h * f(s)
-    for _ in range(cfg.midpoint_max_iter):
-        m_next = s + 0.5 * h * f(m)
-        delta = np.max(np.abs(m_next - m), axis=-1)
-        m = m_next
-        if np.all((delta <= cfg.midpoint_tol) | ~np.isfinite(delta)):
-            break
-    else:
-        stuck = np.max(np.abs(s + 0.5 * h * f(m) - m), axis=-1) \
-            > cfg.midpoint_tol
-        m = np.array(m)
-        m[stuck] = np.nan
-    return 2.0 * m - s
+        final=final, escaped=escaped, escape_times=escape_times,
+        n_steps=n_steps,
+        stored_times=None if stored is None else np.array(stored_times),
+        stored_states=None if stored is None else np.array(stored))
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +448,11 @@ def integrate_variational(sys, p0: MixedPoint, t_end: float,
             raise InvalidValue("scheme 'exact' needs a system jacobian")
         jac = sys.jacobian
     elif scheme == "fd":
-        def jac(s):
-            return field_jacobian(f, MixedPoint.of(p0.layout, _wrapped(s)),
+        def jac(s):  # MixedPoint.of wraps the angle slots
+            return field_jacobian(f, MixedPoint.of(p0.layout, s),
                                   scheme="fd")
     else:
         raise InvalidValue(f"unknown scheme {scheme!r}")
-
-    def _wrapped(s):
-        return wrap_angles(s, p0.layout.angle_mask)
 
     def aug_field(z):
         s = z[:dim]
@@ -481,18 +460,15 @@ def integrate_variational(sys, p0: MixedPoint, t_end: float,
         J = jac(s)
         return np.concatenate([f(s), (J @ M).ravel()])
 
-    z = np.concatenate([p0.coords, np.eye(dim).ravel()])
-    h = cfg.h
-    n_whole = int(t_end / h + 1e-9)
-    remainder = t_end - n_whole * h
-    steps = 0
-    for k in range(n_whole + (1 if remainder > 1e-12 else 0)):
-        hk = h if k < n_whole else remainder
-        z = _rk4_step(aug_field, z, hk)
-        steps += 1
-        if not np.all(np.isfinite(z)):
-            raise NumericalBlowup("variational state left the finite range",
-                                  time=(k + 1) * h)
+    z0 = np.concatenate([p0.coords, np.eye(dim).ravel()])
+    # only a non-finite state is a blowup; the bound is the largest float
+    # and not inf, because inf <= inf would let an infinity through
+    z, escaped, escape_time, steps = _march(
+        partial(_rk4_step, aug_field), z0, t_end,
+        replace(cfg, escape_norm=np.finfo(float).max))
+    if escaped:
+        raise NumericalBlowup("variational state left the finite range",
+                              time=float(escape_time))
     return VariationalResult(
         end_point=MixedPoint.of(p0.layout, z[:dim]),
         matrix=z[dim:].reshape(dim, dim), n_steps=steps)

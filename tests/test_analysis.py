@@ -432,7 +432,7 @@ class TestFrequencies:
 
 class TestCirculationOracle:
     def test_matches_closed_form(self):
-        for zeta in (0.1, 0.25, 1.0, 4.0, 100.0):
+        for zeta in (1e-4, 0.1, 0.25, 1.0, 4.0, 100.0):
             period = circulation_period(zeta)
             closed = 2 * math.pi / math.sqrt(zeta * (zeta + 1.0))
             assert abs(period - closed) < 1e-8

@@ -38,6 +38,25 @@ class TestFlagParsing:
         assert main(["verify", "torus"]) == 2
         assert "--system is required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["simulate", "--system", "ham-unique", "--h", "0",
+          "--out", "{tmp}"], "h must be positive"),
+        (["simulate", "--system", "ham-unique", "--t", "nan",
+          "--out", "{tmp}"], "--t"),
+        (["--replay", "{tmp}/missing.json"], "missing.json"),
+        (["verify", "torus", "--config", "{tmp}/array.json",
+          "--out", "{tmp}"], "array.json"),
+    ], ids=["h-zero", "t-nan", "replay-missing-file", "config-array"])
+    def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys,
+                                                   argv, named):
+        (tmp_path / "array.json").write_text("[1, 2]")
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert named in lines[0]
+        assert "Traceback" not in captured.err + captured.out
+
 
 class TestSystemsList:
     def test_lists_all_families(self, tmp_path, capsys):
@@ -50,10 +69,12 @@ class TestSystemsList:
 
 
 class TestSimulate:
-    def test_escaping_run_still_writes_artifacts(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["rk4", "midpoint"])
+    def test_escaping_run_still_writes_artifacts(self, tmp_path, capsys,
+                                                 method):
         rc = main(["simulate", "--system", "ham-unique", "--n", "1",
                    "--point", "0.4,0,0.1,0.1", "--t", "5",
-                   "--out", str(tmp_path)])
+                   "--method", method, "--out", str(tmp_path)])
         assert rc == 0
         assert "escaped" in capsys.readouterr().out
         csv = (tmp_path / "trajectory.csv").read_text()
