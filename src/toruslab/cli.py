@@ -44,7 +44,13 @@ from .dsl import (
     hamiltonian_vector_field,
     parse_hamiltonian_file,
 )
-from .errors import DslError, InvalidValue, NumericalBlowup, ToruslabError
+from .errors import (
+    DslError,
+    InvalidValue,
+    NotHamiltonian,
+    NumericalBlowup,
+    ToruslabError,
+)
 from .integrators import IntegratorConfig, integrate, integrate_batch
 from .phase import MixedPoint, ModularDomain
 from .svgplot import PlotStyle, plot_svg, trajectory_series
@@ -70,21 +76,7 @@ _OMEGA_TOKENS = {
 _PI_RE = re.compile(r"^([+-]?)pi(?:/(\d+))?$")
 
 
-def _parse_omega(value):
-    if not isinstance(value, str):
-        return tuple(float(v) for v in value)
-    parts = []
-    for tok in value.split(","):
-        tok = tok.strip()
-        if tok in _OMEGA_TOKENS:
-            parts.append(_OMEGA_TOKENS[tok])
-        else:
-            parts.append(float(tok))
-    return tuple(parts)
-
-
 def _parse_angle(tok: str) -> float:
-    tok = tok.strip()
     m = _PI_RE.match(tok)
     if m:
         sign = -1.0 if m.group(1) == "-" else 1.0
@@ -93,16 +85,25 @@ def _parse_angle(tok: str) -> float:
     return float(tok)
 
 
-def _parse_angles(value):
-    if not isinstance(value, str):
-        return tuple(float(v) for v in value)
-    return tuple(_parse_angle(t) for t in value.split(","))
+def _list_of(parse_token):
+    """Converter for a comma-separated flag value or a JSON list."""
+    def parse(value):
+        if not isinstance(value, str):
+            return tuple(float(v) for v in value)
+        return tuple(parse_token(tok.strip()) for tok in value.split(","))
+    return parse
 
 
-def _parse_floats(value):
-    if not isinstance(value, str):
-        return tuple(float(v) for v in value)
-    return tuple(float(t) for t in value.split(","))
+_parse_omega = _list_of(lambda tok: _OMEGA_TOKENS.get(tok) or float(tok))
+_parse_angles = _list_of(_parse_angle)
+_parse_floats = _list_of(float)
+
+
+def _parse_count(value):
+    count = int(value)
+    if count < 1:
+        raise ValueError("must be at least 1")
+    return count
 
 
 class _Run:
@@ -230,6 +231,9 @@ def _cmd_verify_torus(cfg, run):
 
 def _cmd_verify_invariants(cfg, run):
     sys_ = _system_from(cfg)
+    if not sys_.is_hamiltonian:
+        raise NotHamiltonian(f"--system {sys_.family} is reversible; verify "
+                             f"invariants needs a Hamiltonian family")
     rng = np.random.default_rng(cfg["seed"])
     pts = cfg["scale"] * rng.uniform(-1.0, 1.0, (cfg["points"], sys_.dim))
     ic = IntegratorConfig(method=cfg["method"], h=cfg["h"])
@@ -534,20 +538,20 @@ _SPECS = {
     ("verify", "invariants"): {
         **_COMMON_SYSTEM,
         "t": (1000.0, float), "h": (1e-2, float),
-        "method": ("midpoint", str), "points": (3, int),
+        "method": ("midpoint", str), "points": (3, _parse_count),
         "scale": (1e-3, float), "tol_h": (1e-8, float),
         "tol_i": (1e-6, float),
     },
     ("verify", "brackets"): {
-        **_COMMON_SYSTEM, "points": (1000, int), "tol": (1e-8, float),
-        "scheme": ("exact", str),
+        **_COMMON_SYSTEM, "points": (1000, _parse_count),
+        "tol": (1e-8, float), "scheme": ("exact", str),
     },
     ("verify", "reversibility"): {
-        **_COMMON_SYSTEM, "points": (100, int), "t": (5.0, float),
+        **_COMMON_SYSTEM, "points": (100, _parse_count), "t": (5.0, float),
         "scale": (0.05, float), "tol": (1e-6, float),
     },
     ("verify", "rank"): {
-        **_COMMON_SYSTEM, "points": (100, int),
+        **_COMMON_SYSTEM, "points": (100, _parse_count),
     },
     ("monodromy",): {
         **_COMMON_SYSTEM, "tol": (1e-6, float),
@@ -663,7 +667,10 @@ def _resolve(args, key):
         if value is None:
             value = file_cfg.get(name, file_cfg.get(flag[2:], default))
         if value is not None and conv is not None:
-            value = conv(value)
+            try:
+                value = conv(value)
+            except (TypeError, ValueError) as exc:
+                raise InvalidValue(f"{flag} {value!r}: {exc}") from None
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidValue(f"{flag} must be finite, got {value}")
         cfg[name] = value

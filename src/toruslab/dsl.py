@@ -38,10 +38,7 @@ from .errors import (
     UnboundVar,
 )
 from .phase import CoordinateLayout
-
-# family names duplicated from systems to keep this module import-light
-_HAM_FAMILIES = ("ham-unique", "ham-compact")
-_REV_FAMILIES = ("rev-unique", "rev-compact")
+from .systems import HAM_COMPACT, HAM_UNIQUE, REV_COMPACT, REV_UNIQUE
 
 
 # ---------------------------------------------------------------------------
@@ -688,16 +685,16 @@ def hamiltonian_text(family: str, n: int, m: int, omega) -> str:
     Reversible family names raise NotHamiltonian; they have no energy
     function at all.
     """
-    if family in _REV_FAMILIES:
+    if family in (REV_UNIQUE, REV_COMPACT):
         raise NotHamiltonian(
             f"family {family!r} is reversible, not Hamiltonian")
-    if family not in _HAM_FAMILIES:
+    if family not in (HAM_UNIQUE, HAM_COMPACT):
         raise InvalidValue(f"unknown family {family!r}")
     if n < 1 or m < 0 or len(tuple(omega)) != n:
         raise InvalidValue("need n >= 1, m >= 0, len(omega) == n")
 
     def var(name):  # compact variant reads every slot through sin
-        return f"sin({name})" if family == "ham-compact" else name
+        return f"sin({name})" if family == HAM_COMPACT else name
 
     terms = []
     for i in range(n):

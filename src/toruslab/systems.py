@@ -19,9 +19,9 @@ Four families are shipped, in two mirrored pairs:
     the involution negating (phi, y, q).
 
 All evaluators are vectorized: they accept a state of shape (dim,) or a
-batch (..., dim) and return matching shapes. Hand-written derivatives
-(integral gradients, field Jacobians) mirror the field expressions term by
-term so that conserved quantities cancel to machine precision.
+batch (..., dim) and return matching shapes. The compact families are the
+unique ones read through sin: their evaluators call the unique family's at
+sin(s), and the chain rule supplies the derivatives.
 """
 
 from __future__ import annotations
@@ -237,14 +237,13 @@ class NearbyTorusSpec:
 # family constructors
 
 
-def _ham_layout(n: int, m: int, compact: bool):
+def _ham_layout(n: int, m: int):
     labels = tuple([f"u_{i + 1}" for i in range(n)]
                    + [f"phi_{i + 1}" for i in range(n)]
                    + ["x", "y"]
                    + [f"p_{j + 1}" for j in range(m)]
                    + [f"q_{j + 1}" for j in range(m)])
-    dim = 2 * n + 2 * m + 2
-    angle = frozenset(range(dim)) if compact else frozenset(range(n, 2 * n))
+    angle = frozenset(range(n, 2 * n))
     slots = _Slots(phi=slice(n, 2 * n), y=2 * n + 1,
                    u=slice(0, n), x=2 * n,
                    p=slice(2 * n + 2, 2 * n + 2 + m),
@@ -252,13 +251,12 @@ def _ham_layout(n: int, m: int, compact: bool):
     return CoordinateLayout(labels=labels, angle_slots=angle), slots
 
 
-def _rev_layout(n: int, l: int, m: int, compact: bool):
+def _rev_layout(n: int, l: int, m: int):
     labels = tuple([f"phi_{i + 1}" for i in range(n)]
                    + [f"v_{k + 1}" for k in range(l)]
                    + ["y"]
                    + [f"q_{j + 1}" for j in range(m)])
-    dim = n + l + m + 1
-    angle = frozenset(range(dim)) if compact else frozenset(range(n))
+    angle = frozenset(range(n))
     slots = _Slots(phi=slice(0, n), y=n + l,
                    v=slice(n, n + l),
                    q=slice(n + l + 1, n + l + 1 + m))
@@ -278,7 +276,7 @@ def _signs_for(layout, slots) -> np.ndarray:
 def _build_ham_unique(par: SystemParams) -> System:
     n, m = par.n, par.m
     omega = np.array(par.omega)
-    layout, sl = _ham_layout(n, m, compact=False)
+    layout, sl = _ham_layout(n, m)
     dim = layout.dim
     iu, iphi, ix, iy, ip, iq = sl.u, sl.phi, sl.x, sl.y, sl.p, sl.q
 
@@ -371,120 +369,10 @@ def _build_ham_unique(par: SystemParams) -> System:
                   _integral_gradients=gradients, _jacobian=jac)
 
 
-def _build_ham_compact(par: SystemParams) -> System:
-    n, m = par.n, par.m
-    omega = np.array(par.omega)
-    layout, sl = _ham_layout(n, m, compact=True)
-    dim = layout.dim
-    iu, iphi, ix, iy, ip, iq = sl.u, sl.phi, sl.x, sl.y, sl.p, sl.q
-
-    def rhs(s):
-        u = s[..., iu]
-        x = s[..., ix]
-        y = s[..., iy]
-        p = s[..., ip]
-        q = s[..., iq]
-        su, sx, sy = np.sin(u), np.sin(x), np.sin(y)
-        sp = np.sin(p)
-        r = np.zeros_like(s)
-        r[..., iphi] = omega * np.cos(u) + sx[..., None] * np.sin(2.0 * u)
-        r[..., ix] = -sx * np.sin(2.0 * y)
-        r[..., iy] = ((su * su).sum(-1) + sx * sx + sy * sy) * np.cos(x)
-        r[..., ip] = -sp * np.sin(2.0 * q)
-        r[..., iq] = (sp * sp + np.sin(q) ** 2) * np.cos(p)
-        return r
-
-    def ham(s):
-        su = np.sin(s[..., iu])
-        sx = np.sin(s[..., ix])
-        sy = np.sin(s[..., iy])
-        sp = np.sin(s[..., ip])
-        sq = np.sin(s[..., iq])
-        return ((omega * su).sum(-1) + sx * (su * su).sum(-1)
-                + sx ** 3 / 3.0 + sx * sy * sy
-                + (sp ** 3 / 3.0 + sp * sq * sq).sum(-1))
-
-    def integrals(s):
-        sp = np.sin(s[..., ip])
-        sq = np.sin(s[..., iq])
-        return np.concatenate(
-            [ham(s)[..., None], np.sin(s[..., iu]),
-             sp ** 3 / 3.0 + sp * sq * sq],
-            axis=-1)
-
-    def gradients(s):
-        u = s[..., iu]
-        x = s[..., ix]
-        y = s[..., iy]
-        p = s[..., ip]
-        q = s[..., iq]
-        su, sx, sy = np.sin(u), np.sin(x), np.sin(y)
-        sp = np.sin(p)
-        G = np.zeros(s.shape[:-1] + (1 + n + m, dim))
-        G[..., 0, iu] = omega * np.cos(u) + sx[..., None] * np.sin(2.0 * u)
-        G[..., 0, ix] = ((su * su).sum(-1) + sx * sx + sy * sy) * np.cos(x)
-        G[..., 0, iy] = sx * np.sin(2.0 * y)
-        G[..., 0, ip] = (sp * sp + np.sin(q) ** 2) * np.cos(p)
-        G[..., 0, iq] = sp * np.sin(2.0 * q)
-        for i in range(n):
-            G[..., 1 + i, iu.start + i] = np.cos(u[..., i])
-        for j in range(m):
-            spj = sp[..., j]
-            sqj = np.sin(q[..., j])
-            G[..., 1 + n + j, ip.start + j] = \
-                (spj * spj + sqj * sqj) * np.cos(p[..., j])
-            G[..., 1 + n + j, iq.start + j] = \
-                spj * np.sin(2.0 * q[..., j])
-        return G
-
-    def jac(s):
-        u = s[iu]
-        x = s[ix]
-        y = s[iy]
-        p = s[ip]
-        q = s[iq]
-        su, sx, sy = np.sin(u), np.sin(x), np.sin(y)
-        sp, sq = np.sin(p), np.sin(q)
-        sum_sq = (su * su).sum() + sx * sx + sy * sy
-        J = np.zeros((dim, dim))
-        for i in range(n):
-            J[iphi.start + i, iu.start + i] = \
-                -omega[i] * su[i] + 2.0 * sx * np.cos(2.0 * u[i])
-            J[iphi.start + i, ix] = np.cos(x) * np.sin(2.0 * u[i])
-        J[ix, ix] = -np.cos(x) * np.sin(2.0 * y)
-        J[ix, iy] = -2.0 * sx * np.cos(2.0 * y)
-        J[iy, iu] = np.sin(2.0 * u) * np.cos(x)
-        J[iy, ix] = np.sin(2.0 * x) * np.cos(x) - sum_sq * sx
-        J[iy, iy] = np.sin(2.0 * y) * np.cos(x)
-        for j in range(m):
-            J[ip.start + j, ip.start + j] = \
-                -np.cos(p[j]) * np.sin(2.0 * q[j])
-            J[ip.start + j, iq.start + j] = -2.0 * sp[j] * np.cos(2.0 * q[j])
-            J[iq.start + j, ip.start + j] = \
-                np.sin(2.0 * p[j]) * np.cos(p[j]) \
-                - (sp[j] ** 2 + sq[j] ** 2) * sp[j]
-            J[iq.start + j, iq.start + j] = \
-                np.sin(2.0 * q[j]) * np.cos(p[j])
-        return J
-
-    names = (("H",) + tuple(f"u_{i + 1}" for i in range(n))
-             + tuple(f"cubic_{j + 1}" for j in range(m)))
-    pairing = (tuple((iphi.start + i, iu.start + i) for i in range(n))
-               + ((iy, ix),)
-               + tuple((iq.start + j, ip.start + j) for j in range(m)))
-    return System(params=par, layout=layout, slots=sl,
-                  canonical_pairing=pairing,
-                  involution_signs=_signs_for(layout, sl),
-                  integral_names=names,
-                  _field=rhs, _hamiltonian=ham, _integrals=integrals,
-                  _integral_gradients=gradients, _jacobian=jac)
-
-
 def _build_rev(par: SystemParams) -> System:
     n, l, m = par.n, par.l, par.m
     omega = np.array(par.omega)
-    compact = par.family == REV_COMPACT
-    layout, sl = _rev_layout(n, l, m, compact)
+    layout, sl = _rev_layout(n, l, m)
     dim = layout.dim
     iphi, iv, iy, iq = sl.phi, sl.v, sl.y, sl.q
 
@@ -494,30 +382,20 @@ def _build_rev(par: SystemParams) -> System:
         v = s[..., iv]
         y = s[..., iy]
         q = s[..., iq]
-        if compact:
-            sv, sy, sq = np.sin(v), np.sin(y), np.sin(q)
-            r[..., iy] = (sv * sv).sum(-1) + sy * sy + (sq * sq).sum(-1)
-        else:
-            r[..., iy] = (v * v).sum(-1) + y * y + (q * q).sum(-1)
+        r[..., iy] = (v * v).sum(-1) + y * y + (q * q).sum(-1)
         return r
 
-    # v_k and q_j are conserved (their rates vanish identically); in the
-    # compact variant the conserved forms are their sines
+    # v_k and q_j are conserved (their rates vanish identically)
     def integrals(s):
-        if compact:
-            return np.concatenate(
-                [np.sin(s[..., iv]), np.sin(s[..., iq])], axis=-1)
         return np.concatenate([s[..., iv], s[..., iq]], axis=-1)
 
     def gradients(s):
         K = l + m
         G = np.zeros(s.shape[:-1] + (K, dim))
         for k in range(l):
-            G[..., k, iv.start + k] = \
-                np.cos(s[..., iv.start + k]) if compact else 1.0
+            G[..., k, iv.start + k] = 1.0
         for j in range(m):
-            G[..., l + j, iq.start + j] = \
-                np.cos(s[..., iq.start + j]) if compact else 1.0
+            G[..., l + j, iq.start + j] = 1.0
         return G
 
     def jac(s):
@@ -525,14 +403,9 @@ def _build_rev(par: SystemParams) -> System:
         v = s[iv]
         y = s[iy]
         q = s[iq]
-        if compact:
-            J[iy, iv] = np.sin(2.0 * v)
-            J[iy, iy] = np.sin(2.0 * y)
-            J[iy, iq] = np.sin(2.0 * q)
-        else:
-            J[iy, iv] = 2.0 * v
-            J[iy, iy] = 2.0 * y
-            J[iy, iq] = 2.0 * q
+        J[iy, iv] = 2.0 * v
+        J[iy, iy] = 2.0 * y
+        J[iy, iq] = 2.0 * q
         return J
 
     names = (tuple(f"v_{k + 1}" for k in range(l))
@@ -542,6 +415,61 @@ def _build_rev(par: SystemParams) -> System:
                   involution_signs=_signs_for(layout, sl),
                   integral_names=names,
                   _field=rhs, _hamiltonian=None, _integrals=integrals,
+                  _integral_gradients=gradients, _jacobian=jac)
+
+
+def _compactify(base: System, par: SystemParams) -> System:
+    """The compact family of `base`: every slot z is read through sin(z).
+
+    With S = sin(s) and C = cos(s), the Hamiltonian and the integrals are
+    the base ones at S, and the chain rule gives their gradients as the
+    base ones at S times C. A Hamiltonian rate is the derivative of H along
+    the partner of its slot (the other member of its canonical pair), so it
+    picks up C at that partner; a reversible field is the base one at S.
+    The paper substitutes only the non-angle coordinates; no unique family
+    depends on its angles, so reading them through sin as well changes
+    nothing.
+    """
+    slots = np.arange(base.dim)
+    partner = slots.copy()
+    for a, b in base.canonical_pairing:
+        partner[a], partner[b] = b, a
+
+    if base._hamiltonian is None:
+        ham = None
+
+        def rhs(s):
+            return base._field(np.sin(s))
+
+        def jac(s):
+            return base._jacobian(np.sin(s)) * np.cos(s)
+    else:
+        def ham(s):
+            return base._hamiltonian(np.sin(s))
+
+        def rhs(s):
+            return np.cos(s[..., partner]) * base._field(np.sin(s))
+
+        def jac(s):
+            S, C = np.sin(s), np.cos(s)
+            J = C[partner, None] * base._jacobian(S) * C
+            # the factor C[partner[k]] of rate k differentiates too
+            J[slots, partner] -= S[partner] * base._field(S)
+            return J
+
+    def integrals(s):
+        return base._integrals(np.sin(s))
+
+    def gradients(s):
+        return base._integral_gradients(np.sin(s)) * np.cos(s)[..., None, :]
+
+    layout = CoordinateLayout(labels=base.layout.labels,
+                              angle_slots=frozenset(range(base.dim)))
+    return System(params=par, layout=layout, slots=base.slots,
+                  canonical_pairing=base.canonical_pairing,
+                  involution_signs=base.involution_signs,
+                  integral_names=base.integral_names,
+                  _field=rhs, _hamiltonian=ham, _integrals=integrals,
                   _integral_gradients=gradients, _jacobian=jac)
 
 
@@ -557,9 +485,11 @@ def build_system(params: SystemParams) -> System:
     if params.family == HAM_UNIQUE:
         return _build_ham_unique(params)
     if params.family == HAM_COMPACT:
-        return _build_ham_compact(params)
-    if params.family in (REV_UNIQUE, REV_COMPACT):
+        return _compactify(_build_ham_unique(params), params)
+    if params.family == REV_UNIQUE:
         return _build_rev(params)
+    if params.family == REV_COMPACT:
+        return _compactify(_build_rev(params), params)
     raise InvalidParams(
         f"build_system only handles {FAMILIES}; "
         f"use build_control_system for the control fixture")
@@ -573,7 +503,7 @@ def build_control_system(omega: float = 1.0, nu: float = 0.3) -> System:
     control against which degenerate monodromy output is compared.
     """
     par = SystemParams(CONTROL, n=1, m=0, omega=(float(omega),))
-    layout, sl = _ham_layout(1, 0, compact=False)
+    layout, sl = _ham_layout(1, 0)
     iu, iphi, ix, iy = sl.u, sl.phi, sl.x, sl.y
     w = float(omega)
     nu = float(nu)

@@ -46,10 +46,22 @@ class TestFlagParsing:
         (["--replay", "{tmp}/missing.json"], "missing.json"),
         (["verify", "torus", "--config", "{tmp}/array.json",
           "--out", "{tmp}"], "array.json"),
-    ], ids=["h-zero", "t-nan", "replay-missing-file", "config-array"])
+        (["verify", "torus", "--system", "ham-unique", "--config",
+          "{tmp}/omega.json", "--out", "{tmp}"], "--omega"),
+        (["verify", "torus", "--system", "ham-unique", "--config",
+          "{tmp}/n.json", "--out", "{tmp}"], "--n"),
+        (["verify", "rank", "--system", "ham-unique", "--points", "0",
+          "--out", "{tmp}"], "--points"),
+        (["verify", "invariants", "--system", "rev-unique", "--l", "1",
+          "--out", "{tmp}"], "--system"),
+    ], ids=["h-zero", "t-nan", "replay-missing-file", "config-array",
+            "config-omega-number", "config-n-list", "points-zero",
+            "invariants-reversible"])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                    argv, named):
         (tmp_path / "array.json").write_text("[1, 2]")
+        (tmp_path / "omega.json").write_text('{"omega": 5}')
+        (tmp_path / "n.json").write_text('{"n": [1]}')
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()

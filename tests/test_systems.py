@@ -172,7 +172,9 @@ def test_hamiltonian_field_matches_canonical_gradient():
     # pos-rate = +dH/dmom, mom-rate = -dH/dpos, checked by finite differences
     for sys in [make(HAM_UNIQUE, n=1, m=1), make(HAM_UNIQUE, n=2, m=0,
                                                  omega=(1, SQRT2)),
-                make(HAM_COMPACT, n=1, m=1), build_control_system()]:
+                make(HAM_COMPACT, n=1, m=1),
+                make(HAM_COMPACT, n=2, m=1, omega=(1, SQRT2)),
+                build_control_system()]:
         states = rand_states(sys, 250, seed=2)
         worst = 0.0
         for s in states:
