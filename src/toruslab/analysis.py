@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
-    ConvergenceFailure,
     DegenerateOffset,
     DomainNotCertified,
     InsufficientData,
@@ -36,6 +35,7 @@ from .integrators import (
     Trajectory,
     _march,
     _rk4_step,
+    _variational_field,
     integrate,
     integrate_batch,
     integrate_variational,
@@ -334,7 +334,59 @@ class PoincareResult:
 
     point: MixedPoint
     time: float
-    rate: float
+
+
+def _first_return(sys, field, section, state, config, horizon):
+    """Flow state to its next directed crossing of the section.
+
+    The leading slots of state are the system state; field advances all
+    of it, so the same routine carries a tangent matrix along. Returns the
+    raw state on the section and the crossing time.
+    """
+    if not sys.layout.is_angle(section.slot):
+        raise InvalidValue(
+            f"slot {section.slot} is not angular in this layout")
+    if not horizon > 0:
+        raise InvalidValue("horizon must be positive")
+    cfg = config or IntegratorConfig(h=1e-2)
+    slot = section.slot
+    sgn = float(section.direction)
+    theta0 = wrap_angle(float(state[slot]) - section.value)
+    # the unwrapped angle of the next directed crossing; an orbit that
+    # starts on the section goes a full turn
+    goal = float(state[slot]) - theta0 \
+        + (0.0 if sgn * theta0 < -1e-12 else sgn * TWO_PI)
+    last = (state, 0.0)
+
+    def at_crossing(k, t, h_k, w, escaped):
+        nonlocal last
+        if sgn * (w[slot] - goal) >= 0.0:
+            return True
+        last = (w, t)
+        return False
+
+    w, escaped, escape_time, _ = _march(partial(_rk4_step, field), state,
+                                        horizon, cfg, at_crossing)
+    if sgn * (w[slot] - goal) < 0.0:
+        if escaped:
+            raise NumericalBlowup(
+                f"orbit escaped near t={escape_time:.6g} before crossing",
+                time=float(escape_time))
+        raise NoReturn(f"no crossing of the section within horizon {horizon}")
+
+    def per_angle(v):  # d(w, t)/d(angle) = (field, 1) / angular rate
+        r = field(v[:-1])
+        if abs(r[slot]) < 1e-8:
+            raise TangentCrossing(
+                f"angular rate {r[slot]:.3g} at the crossing")
+        return np.append(r, 1.0) / r[slot]
+
+    # one rk4 step in the angle from the last state before the crossing
+    # lands on the section (Henon, Physica D 5 (1982) 412-414)
+    w, t = last
+    v = _rk4_step(per_angle, np.append(w, t), goal - w[slot])
+    v[slot] = section.value
+    return v[:-1], float(v[-1])
 
 
 def poincare_map(sys: System, section: Section, p0: MixedPoint,
@@ -343,113 +395,40 @@ def poincare_map(sys: System, section: Section, p0: MixedPoint,
     """Flow p0 to its next directed crossing of the section.
 
     An orbit starting on the section is advanced a full turn, not
-    reported at time zero. The crossing is bracketed by fixed steps,
-    seeded by a cubic Hermite model of the bracketing step, then polished
-    by Newton iterations on the actual flow to |angle - value| <= 1e-10.
+    reported at time zero. Fixed steps scan past the crossing; from the
+    last state before it, one rk4 step of the flow reparametrized by the
+    section angle, d(x, t)/d(angle) = (f, 1) / f_angle, lands on the
+    section (Henon's method), and the section slot is set to its value
+    exactly. A crossing with angular rate below 1e-8 is TangentCrossing.
     """
-    if not sys.layout.is_angle(section.slot):
-        raise InvalidValue(
-            f"slot {section.slot} is not angular in this layout")
-    if not horizon > 0:
-        raise InvalidValue("horizon must be positive")
-    cfg = config or IntegratorConfig(h=1e-2)
-    sgn = float(section.direction)
-    theta0 = wrap_angle(float(p0.coords[section.slot]) - section.value)
-    # offset coordinate relative to the unwrapped running angle; the next
-    # directed crossing sits at a fixed multiple of 2*pi
-    if abs(theta0) <= 1e-12:
-        target = sgn * TWO_PI
-    elif sgn > 0:
-        target = TWO_PI if theta0 > 0 else 0.0
-    else:
-        target = -TWO_PI if theta0 < 0 else 0.0
-    base = float(p0.coords[section.slot])
-    s_old, t_old, th_old = p0.coords, 0.0, theta0
-    bracket = None
-
-    def at_crossing(k, t, h_k, state, escaped):
-        nonlocal s_old, t_old, th_old, bracket
-        th_new = theta0 + (float(state[section.slot]) - base)
-        if (th_old < target <= th_new) if sgn > 0 \
-                else (th_old > target >= th_new):
-            bracket = (s_old, state, t_old, h_k)
-            return True
-        s_old, t_old, th_old = state, t, th_new
-        return False
-
-    _, escaped, escape_time, _ = _march(partial(_rk4_step, sys.field),
-                                        p0.coords, horizon, cfg, at_crossing)
-    if bracket is not None:
-        return _polish_crossing(sys, section, *bracket, target, theta0, base)
-    if escaped:
-        raise NumericalBlowup(
-            f"orbit escaped near t={escape_time:.6g} before crossing",
-            time=float(escape_time))
-    raise NoReturn(f"no crossing of the section within horizon {horizon}")
+    s, t = _first_return(sys, sys.field, section, p0.coords, config, horizon)
+    return PoincareResult(point=MixedPoint.of(sys.layout, s), time=t)
 
 
-def _polish_crossing(sys, section, s_bracket, s_end, t_bracket, h, target,
-                     theta0, base):
-    f = sys.field
-    slot = section.slot
-
-    def value_at(tau):  # two rk4 half steps from the bracket start
-        return _rk4_step(f, _rk4_step(f, s_bracket, 0.5 * tau), 0.5 * tau)
-
-    # Hermite model of the offset over the bracketing step
-    g0 = theta0 + float(s_bracket[slot]) - base - target
-    r0 = float(f(s_bracket)[slot])
-    g1 = theta0 + float(s_end[slot]) - base - target
-    r1 = float(f(s_end)[slot])
-    tau = h * g0 / (g0 - g1) if g0 != g1 else 0.5 * h
-    for _ in range(8):
-        u = tau / h
-        herm = (g0 * (1 + 2 * u) * (1 - u) ** 2 + g1 * u * u * (3 - 2 * u)
-                + h * u * (1 - u) * (r0 * (1 - u) - r1 * u))
-        dherm = ((6 * u * u - 6 * u) * (g0 - g1) / h
-                 + r0 * (1 - 4 * u + 3 * u * u) + r1 * (3 * u * u - 2 * u))
-        if dherm == 0.0:
-            break
-        tau = min(max(tau - herm / dherm, 0.0), h)
-
-    for _ in range(16):
-        s_tau = value_at(tau)
-        err = theta0 + float(s_tau[slot]) - base - target
-        rate = float(f(s_tau)[slot])
-        if abs(rate) < 1e-8:
-            raise TangentCrossing(f"angular rate {rate:.3g} at the crossing")
-        if abs(err) <= 1e-10:
-            return PoincareResult(
-                point=MixedPoint.of(sys.layout, s_tau),
-                time=t_bracket + tau, rate=rate)
-        tau = min(max(tau - err / rate, -0.1 * h), 1.1 * h)
-    raise ConvergenceFailure(  # pragma: no cover - guarded by bracketing
-        "crossing refinement did not converge")
+def _return_jacobian(sys, section, s, config, horizon):
+    # one tangent run gives x_T and DP = M - f(x_T) M[sigma, :] / f_sigma,
+    # whose second term moves the perturbed orbit back onto the section;
+    # entries of M past the escape norm count as an escape, like the state's
+    dim = len(s)
+    w, _ = _first_return(
+        sys, _variational_field(sys.field, sys.jacobian, dim), section,
+        np.concatenate([s, np.eye(dim).ravel()]), config, horizon)
+    x, M = w[:dim], w[dim:].reshape(dim, dim)
+    f = sys.field(x)
+    return x, M - np.outer(f, M[section.slot] / f[section.slot])
 
 
 def poincare_linearization(sys: System, section: Section, p: MixedPoint,
-                           delta: float = 1e-5,
                            config: Optional[IntegratorConfig] = None,
                            horizon: float = 100.0) -> np.ndarray:
-    """Finite-difference Jacobian of the return map at p.
+    """Jacobian of the return map at p, from the tangent flow.
 
     Rows and columns run over every slot except the section angle, in
     layout order. p should be (numerically) a fixed point of the map.
     """
     slots = [i for i in range(sys.layout.dim) if i != section.slot]
-    J = np.empty((len(slots), len(slots)))
-    for j, slot in enumerate(slots):
-        up = p.replace(slot, p.coords[slot] + delta)
-        dn = p.replace(slot, p.coords[slot] - delta)
-        r_up = poincare_map(sys, section, up, config, horizon).point.coords
-        r_dn = poincare_map(sys, section, dn, config, horizon).point.coords
-        diff = r_up[slots] - r_dn[slots]
-        ang = [k for k, sl in enumerate(slots)
-               if sys.layout.is_angle(sl)]
-        for k in ang:
-            diff[k] = wrap_angle(diff[k])
-        J[:, j] = diff / (2.0 * delta)
-    return J
+    _, DP = _return_jacobian(sys, section, p.coords, config, horizon)
+    return DP[np.ix_(slots, slots)]
 
 
 # ---------------------------------------------------------------------------
@@ -482,27 +461,6 @@ class FixedPointResult:
              "message": self.message})
 
 
-def _solve_energy_slot(sys, z_slots, z, phi_slot, phi_val, u_slot, energy):
-    # fill a full state and pick u so that H = energy; dH/du equals the
-    # phi component of the field, so the 1D Newton needs no extra code
-    s = np.zeros(sys.dim)
-    s[phi_slot] = phi_val
-    s[z_slots] = z
-    u = 0.0
-    for _ in range(40):
-        s[u_slot] = u
-        g = float(sys.hamiltonian(s)) - energy
-        dg = float(sys.field(s)[phi_slot])
-        if abs(g) <= 1e-13 * max(1.0, abs(energy)):
-            return s
-        if abs(dg) < 1e-10:
-            return None
-        u = u - g / dg
-        if not math.isfinite(u):
-            return None
-    return None
-
-
 def find_fixed_point(sys: System, section: Section, guess: MixedPoint,
                      energy: float = 0.0, tol: float = 1e-9,
                      max_iter: int = 50,
@@ -511,13 +469,15 @@ def find_fixed_point(sys: System, section: Section, guess: MixedPoint,
     """Newton search for a fixed point of the return map at one energy.
 
     Works in the reduced variables z = every slot except the section
-    angle and the first action, whose value is recovered from the energy
-    constraint at each evaluation. The Newton matrix is declared singular
-    when its smallest singular value drops below 1e-12 times the largest
-    or below 1e-8 outright; the absolute floor covers matrices whose
-    exact value is zero but whose central-difference estimate picks up
-    pure curvature noise of order step^2. Stagnation under step halving
-    or an escaping orbit gives 'not-found'.
+    angle and the first action u, whose value is recovered from the
+    energy constraint at each evaluation. Each iteration takes the
+    residual and the Newton matrix from one tangent run of the return
+    map, with u following z through du/dz = -H_z / H_u. The Newton
+    matrix is declared singular when its smallest singular value drops
+    below 1e-12 times the largest or below 1e-8 outright; the absolute
+    floor covers matrices whose exact value is zero but whose tangent
+    flow carries the rk4 truncation error of the step. Stagnation under
+    step halving or an escaping orbit gives 'not-found'.
     """
     if not sys.is_hamiltonian:
         raise NotHamiltonian("fixed-point search needs an energy level")
@@ -529,56 +489,68 @@ def find_fixed_point(sys: System, section: Section, guess: MixedPoint,
         raise InvalidValue("the section must sit on the phi angle")
     z_slots = [i for i in range(sys.dim) if i not in (u_slot, phi_slot)]
     z = np.array(guess.coords[z_slots], dtype=float)
+    escapes = (NoReturn, NumericalBlowup, TangentCrossing)
+
+    def lift(zv):
+        # the full state on the section with u chosen so that H = energy;
+        # dH/du equals the phi component of the field
+        s = np.zeros(sys.dim)
+        s[phi_slot] = section.value
+        s[z_slots] = zv
+        for _ in range(40):
+            g = float(sys.hamiltonian(s)) - energy
+            dg = float(sys.field(s)[phi_slot])
+            if abs(g) <= 1e-13 * max(1.0, abs(energy)):
+                return s
+            if abs(dg) < 1e-10:
+                return None
+            s[u_slot] -= g / dg
+            if not math.isfinite(s[u_slot]):
+                return None
+        return None
 
     def reduced_map(zv):
-        s = _solve_energy_slot(sys, z_slots, zv, phi_slot, section.value,
-                               u_slot, energy)
+        s = lift(zv)
         if s is None:
-            return None, None
+            return None
         try:
             res = poincare_map(sys, section, MixedPoint.of(sys.layout, s),
                                config, horizon)
-        except (NoReturn, NumericalBlowup, TangentCrossing):
-            return None, None
-        return res.point.coords[z_slots] - zv, s
+        except escapes:
+            return None
+        return res.point.coords[z_slots] - zv
 
-    def fd_jacobian(zv):
-        k = len(zv)
-        J = np.empty((k, k))
-        for i in range(k):
-            d = 1e-6 * (1.0 + abs(float(zv[i])))
-            e = np.zeros(k)
-            e[i] = d
-            up, _ = reduced_map(zv + e)
-            dn, _ = reduced_map(zv - e)
-            if up is None or dn is None:
-                return None
-            J[:, i] = (up - dn) / (2.0 * d)
-        return J
+    def newton_system(zv):
+        s = lift(zv)
+        if s is None:
+            return None, None, None
+        try:
+            x, DP = _return_jacobian(sys, section, s, config, horizon)
+        except escapes:
+            return None, None, None
+        grad = sys.integral_gradients(s)[sys.integral_names.index("H")]
+        J = DP[np.ix_(z_slots, z_slots)] - np.eye(len(zv)) - np.outer(
+            DP[z_slots, u_slot], grad[z_slots] / grad[u_slot])
+        F = MixedPoint.of(sys.layout, x).coords[z_slots] - zv
+        return F, J, s
 
-    F, lifted = reduced_map(z)
-    if F is None:
-        return FixedPointResult("not-found", None, math.inf, 0, False,
-                                "orbit from the guess left the section "
-                                "machinery (escape or no return)")
+    r = math.inf
     for it in range(max_iter):
+        F, J, lifted = newton_system(z)
+        if F is None:
+            return FixedPointResult("not-found", None, r, it, False,
+                                    "orbit left the section machinery "
+                                    "(escape or no return)")
         r = float(np.max(np.abs(F)))
-        J = fd_jacobian(z)
-        singular = False
-        if J is not None:
-            sigma = np.linalg.svd(J, compute_uv=False)
-            floor = max(1e-12 * float(sigma[0]), 1e-8)
-            singular = bool(sigma[-1] < floor)
+        sigma = np.linalg.svd(J, compute_uv=False)
+        floor = max(1e-12 * float(sigma[0]), 1e-8)
+        singular = bool(sigma[-1] < floor)
         if r <= tol:
             return FixedPointResult(
                 "found", MixedPoint.of(sys.layout, lifted), r, it,
                 singular,
                 "linearization is degenerate at the solution"
                 if singular else "")
-        if J is None:
-            return FixedPointResult("not-found", None, r, it, False,
-                                    "Jacobian evaluation left the "
-                                    "domain of the return map")
         if singular:
             return FixedPointResult(
                 "singular-linearization", None, r, it, True,
@@ -587,21 +559,19 @@ def find_fixed_point(sys: System, section: Section, guess: MixedPoint,
         big = np.max(np.abs(step))
         if big > 0.5:  # trust region: the families blow up fast
             step *= 0.5 / big
-        improved = False
         for _ in range(8):
-            F_new, lifted_new = reduced_map(z + step)
+            F_new = reduced_map(z + step)
             if F_new is not None and np.max(np.abs(F_new)) < r:
-                z = z + step
-                F, lifted = F_new, lifted_new
-                improved = True
                 break
             step *= 0.5
-        if not improved:
+        else:
             return FixedPointResult("not-found", None, r, it + 1, False,
                                     "trust-region steps stopped "
                                     "improving the residual")
-    return FixedPointResult("not-found", None, float(np.max(np.abs(F))),
-                            max_iter, False, "iteration cap reached")
+        z = z + step
+        r = float(np.max(np.abs(F_new)))
+    return FixedPointResult("not-found", None, r, max_iter, False,
+                            "iteration cap reached")
 
 
 # ---------------------------------------------------------------------------
@@ -970,6 +940,9 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
         raise InvalidValue("need at least one sample")
     if not horizon > 0:
         raise InvalidValue("horizon must be positive")
+    if horizon < t_min:
+        raise InvalidValue(f"horizon {horizon:g} is shorter than t_min "
+                           f"{t_min:g}, so no return gap is measured")
     if sys.is_compact:
         if not subdomain_of(domain, isolation_domain(sys), sys.layout):
             raise DomainNotCertified(

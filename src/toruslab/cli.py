@@ -99,8 +99,16 @@ _parse_angles = _list_of(_parse_angle)
 _parse_floats = _list_of(float)
 
 
+def _parse_int(value):
+    # int() would turn 1.5 into 1 and true into 1 without a word
+    if isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ValueError("must be a whole number")
+    return int(value)
+
+
 def _parse_count(value):
-    count = int(value)
+    count = _parse_int(value)
     if count < 1:
         raise ValueError("must be at least 1")
     return count
@@ -513,12 +521,12 @@ def _cmd_oracle(cfg, run):
 
 _COMMON_SYSTEM = {
     "system": (None, str),
-    "n": (1, int),
-    "m": (0, int),
-    "l": (None, int),
+    "n": (1, _parse_int),
+    "m": (0, _parse_int),
+    "l": (None, _parse_int),
     "omega": (None, _parse_omega),
     "nu": (0.3, float),
-    "seed": (0, int),
+    "seed": (0, _parse_int),
 }
 
 _SPECS = {
@@ -527,7 +535,7 @@ _SPECS = {
         **_COMMON_SYSTEM,
         "t": (10.0, float), "method": ("rk4", str), "h": (1e-2, float),
         "point": (None, _parse_floats), "angles": (None, _parse_angles),
-        "store_every": (None, int),
+        "store_every": (None, _parse_int),
     },
     ("verify", "torus"): {
         **_COMMON_SYSTEM, "t": (100.0, float), "tol": (1e-8, float),
@@ -563,11 +571,12 @@ _SPECS = {
     ("freq",): {
         **_COMMON_SYSTEM, "offset": (None, _parse_angles),
         "t": (800.0, float), "h": (1e-2, float),
-        "store_every": (10, int), "tol": (1e-4, float),
+        "store_every": (10, _parse_int), "tol": (1e-4, float),
     },
     ("survey",): {
-        **_COMMON_SYSTEM, "samples": (10000, int), "box": (None, float),
-        "horizon": (20.0, float), "jobs": (None, int),
+        **_COMMON_SYSTEM, "samples": (10000, _parse_int),
+        "box": (None, float), "horizon": (20.0, float),
+        "jobs": (None, _parse_int),
     },
     ("dsl", "check"): {"file": (None, str)},
     ("oracle", "period"): {"zeta": (None, float), "tol": (1e-8, float)},

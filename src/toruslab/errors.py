@@ -100,7 +100,7 @@ class StepBudgetExceeded(IntegrationError):
 
 
 class ConvergenceFailure(IntegrationError):
-    """An adaptive step or a crossing refinement failed to converge."""
+    """An adaptive step failed to converge."""
 
 
 # ---------------------------------------------------------------------------

@@ -420,6 +420,16 @@ def field_jacobian(target, p: MixedPoint, scheme: str = "fd") -> np.ndarray:
     return J
 
 
+def _variational_field(f, jac, dim):
+    """Field of z = (state, M flattened): (f(state), J(state) M)."""
+    def aug_field(z):
+        s = z[:dim]
+        M = z[dim:].reshape(dim, dim)
+        J = jac(s)
+        return np.concatenate([f(s), (J @ M).ravel()])
+    return aug_field
+
+
 @dataclass(frozen=True, eq=False)
 class VariationalResult:
     """End state of the flow plus the propagated tangent matrix."""
@@ -454,17 +464,11 @@ def integrate_variational(sys, p0: MixedPoint, t_end: float,
     else:
         raise InvalidValue(f"unknown scheme {scheme!r}")
 
-    def aug_field(z):
-        s = z[:dim]
-        M = z[dim:].reshape(dim, dim)
-        J = jac(s)
-        return np.concatenate([f(s), (J @ M).ravel()])
-
     z0 = np.concatenate([p0.coords, np.eye(dim).ravel()])
     # only a non-finite state is a blowup; the bound is the largest float
     # and not inf, because inf <= inf would let an infinity through
     z, escaped, escape_time, steps = _march(
-        partial(_rk4_step, aug_field), z0, t_end,
+        partial(_rk4_step, _variational_field(f, jac, dim)), z0, t_end,
         replace(cfg, escape_norm=np.finfo(float).max))
     if escaped:
         raise NumericalBlowup("variational state left the finite range",

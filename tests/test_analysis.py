@@ -261,7 +261,7 @@ class TestPoincare:
         p0 = torus_point(canonical_torus(sys), [0.0])
         res = poincare_map(sys, sec, p0)
         assert abs(res.time - 2 * math.pi) < 1e-8
-        assert abs(res.point["phi_1"]) < 1e-10
+        assert res.point["phi_1"] == 0.0
         for lab in ("u_1", "x", "y"):
             assert res.point[lab] == 0.0
 
@@ -303,13 +303,33 @@ class TestPoincare:
 
     def test_linearization_matches_variational_matrix(self):
         # on the canonical orbit the tangent flow is the identity, so the
-        # finite-difference return-map Jacobian must be too
+        # return-map Jacobian must be too
         sys = make(HAM_UNIQUE, n=1, m=0)
         sec = Section(slot=sys.layout.slot_of("phi_1"), value=0.0)
         p0 = torus_point(canonical_torus(sys), [0.0])
         J = poincare_linearization(sys, sec, p0)
         assert J.shape == (3, 3)
         assert np.max(np.abs(J - np.eye(3))) < 1e-4
+
+    @pytest.mark.parametrize("sys, coords", [
+        (build_control_system(omega=1.0, nu=0.3), [0.7, 0.2, 0.3, -0.2]),
+        (make(HAM_COMPACT, n=1, m=1), [0.2, 0.3, 0.1, -0.1, 0.1, 0.05]),
+    ], ids=["control", "ham-compact"])
+    def test_return_jacobian_matches_central_differences(self, sys, coords):
+        sec = Section(slot=sys.layout.slot_of("phi_1"), value=0.0)
+        p = MixedPoint.of(sys.layout, coords)
+        J = poincare_linearization(sys, sec, p)
+        slots = [i for i in range(sys.dim) if i != sec.slot]
+        step = 1e-6
+        fd = np.empty_like(J)
+        for j, slot in enumerate(slots):
+            up = poincare_map(sys, sec, p.replace(slot, p.coords[slot] + step))
+            dn = poincare_map(sys, sec, p.replace(slot, p.coords[slot] - step))
+            # ham-compact wraps every slot, so wrap the differences too
+            diff = up.point.coords[slots] - dn.point.coords[slots]
+            fd[:, j] = (diff + math.pi) % (2 * math.pi) - math.pi
+        fd /= 2 * step
+        assert np.max(np.abs(J - fd)) < 1e-6
 
 
 class TestFixedPoint:

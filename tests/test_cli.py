@@ -54,14 +54,23 @@ class TestFlagParsing:
           "--out", "{tmp}"], "--points"),
         (["verify", "invariants", "--system", "rev-unique", "--l", "1",
           "--out", "{tmp}"], "--system"),
+        (["verify", "rank", "--system", "ham-unique", "--config",
+          "{tmp}/fraction.json", "--out", "{tmp}"], "--n"),
+        (["verify", "rank", "--system", "ham-unique", "--config",
+          "{tmp}/bool.json", "--out", "{tmp}"], "--n"),
+        (["survey", "--system", "ham-unique", "--samples", "50",
+          "--horizon", "0.5", "--jobs", "1", "--out", "{tmp}"], "t_min"),
     ], ids=["h-zero", "t-nan", "replay-missing-file", "config-array",
             "config-omega-number", "config-n-list", "points-zero",
-            "invariants-reversible"])
+            "invariants-reversible", "config-n-fraction", "config-n-bool",
+            "survey-horizon-below-t-min"])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                    argv, named):
         (tmp_path / "array.json").write_text("[1, 2]")
         (tmp_path / "omega.json").write_text('{"omega": 5}')
         (tmp_path / "n.json").write_text('{"n": [1]}')
+        (tmp_path / "fraction.json").write_text('{"n": 1.5, "points": 2.9}')
+        (tmp_path / "bool.json").write_text('{"n": true}')
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
