@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional, Sequence
 
@@ -31,8 +31,11 @@ from .errors import (
     TangentCrossing,
 )
 from .integrators import (
+    RK4,
     IntegratorConfig,
     Trajectory,
+    _as_field_fn,
+    _fixed_step,
     _march,
     _rk4_step,
     _variational_field,
@@ -211,47 +214,56 @@ class KroneckerReport:
             self.seed)
 
 
-def verify_kronecker(sys: System, spec: TorusSpec, horizon: float = 100.0,
+def verify_kronecker(sys: System, spec, horizon: float = 100.0,
                      tol: float = 1e-8, n_starts: int = 3, seed: int = 0,
-                     config: Optional[IntegratorConfig] = None
-                     ) -> KroneckerReport:
+                     config: Optional[IntegratorConfig] = None):
     """Integrate from several starts on the torus and measure two deviations.
 
     Pinned slots must hold their values and each free angle must follow
     wrap(phi0 + freq * t), both within tol over the whole horizon. The
     stored frequency is the signed per-slot rate, so flipped-sign tori
-    are checked against their actual drift direction.
+    are checked against their actual drift direction. spec may also be a
+    list or tuple of TorusSpecs: the starts of all of them then march as
+    one batch, and one report per spec comes back, in order.
     """
-    if not isinstance(spec, TorusSpec):
+    single = not isinstance(spec, (list, tuple))
+    specs = [spec] if single else list(spec)
+    if not all(isinstance(s, TorusSpec) for s in specs):
         raise InvalidValue("verify_kronecker takes a TorusSpec; "
                            "nearby tori drift nonuniformly and are "
                            "checked through measure_frequencies")
     cfg = config or IntegratorConfig(h=1e-2)
-    rng = np.random.default_rng(seed)
-    starts = rng.uniform(-math.pi, math.pi, (n_starts, len(spec.free_angles)))
-    states0 = np.stack([torus_point(spec, a).coords for a in starts])
-    res = integrate_batch(sys, states0, horizon, cfg, layout=sys.layout,
-                          store_every=10)
+    # every spec draws its starts from a fresh generator, as it would alone
+    starts = [np.stack([torus_point(s, a).coords for a in
+                        np.random.default_rng(seed).uniform(
+                            -math.pi, math.pi,
+                            (n_starts, len(s.free_angles)))])
+              for s in specs]
+    res = integrate_batch(sys, np.concatenate(starts), horizon, cfg,
+                          layout=sys.layout, store_every=10)
     if res.escaped.any():
         raise NumericalBlowup("a torus start escaped; the spec is not "
                               "invariant", time=float(horizon))
     times = res.stored_times
-    stored = res.stored_states  # (T, n_starts, dim)
-
-    predicted = np.tile(states0, (len(times), 1, 1))
-    for slot, val in spec.pinned:
-        predicted[..., slot] = val
-    for slot, rate in zip(spec.free_angles, spec.frequency):
-        predicted[..., slot] = states0[None, :, slot] \
-            + rate * times[:, None]
-    dev = component_distances(sys.layout, stored, predicted)
-
-    pinned_slots = [slot for slot, _ in spec.pinned]
-    free_slots = list(spec.free_angles)
-    return KroneckerReport(
-        max_pinned_dev=float(np.max(dev[..., pinned_slots], initial=0.0)),
-        max_angle_dev=float(np.max(dev[..., free_slots], initial=0.0)),
-        tol=tol, horizon=horizon, n_starts=n_starts, seed=seed)
+    reports = []
+    for i, (s, states0) in enumerate(zip(specs, starts)):
+        # (T, n_starts, dim)
+        stored = res.stored_states[:, i * n_starts:(i + 1) * n_starts]
+        predicted = np.tile(states0, (len(times), 1, 1))
+        for slot, val in s.pinned:
+            predicted[..., slot] = val
+        for slot, rate in zip(s.free_angles, s.frequency):
+            predicted[..., slot] = states0[None, :, slot] \
+                + rate * times[:, None]
+        dev = component_distances(sys.layout, stored, predicted)
+        pinned_slots = [slot for slot, _ in s.pinned]
+        reports.append(KroneckerReport(
+            max_pinned_dev=float(np.max(dev[..., pinned_slots],
+                                        initial=0.0)),
+            max_angle_dev=float(np.max(dev[..., list(s.free_angles)],
+                                       initial=0.0)),
+            tol=tol, horizon=horizon, n_starts=n_starts, seed=seed))
+    return reports[0] if single else reports
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +298,17 @@ def recurrence_gap(sys: System, p0: MixedPoint, t_min: float,
     # wrapped stored state is legitimate because every field is periodic
     # in its angle slots
     lo_i = max(k - 1, 0)
-    s_lo = traj.states[lo_i]
+    step, s_lo = _fixed_step(sys, replace(cfg, method=RK4),
+                             traj.states[lo_i])
     t_lo = traj.times[lo_i]
     width = traj.times[min(k + 1, len(traj) - 1)] - t_lo
     if width <= 0:
         return best
 
     def dist_at(tau):
-        s = _rk4_step(sys.field, s_lo, 0.5 * tau)
-        s = _rk4_step(sys.field, s, 0.5 * tau)
-        return float(torus_distance_batch(sys.layout, s, p0.coords))
+        s = step(step(s_lo, 0.5 * tau), 0.5 * tau)
+        return float(torus_distance_batch(sys.layout, np.asarray(s),
+                                          p0.coords))
 
     a = max(0.0, t_min - t_lo)
     b = min(width, horizon - t_lo)
@@ -339,9 +352,10 @@ class PoincareResult:
 def _first_return(sys, field, section, state, config, horizon):
     """Flow state to its next directed crossing of the section.
 
-    The leading slots of state are the system state; field advances all
-    of it, so the same routine carries a tangent matrix along. Returns the
-    raw state on the section and the crossing time.
+    The leading slots of state are the system state; field (a System or a
+    callable) advances all of it, so the same routine carries a tangent
+    matrix along. Returns the raw state on the section and the crossing
+    time.
     """
     if not sys.layout.is_angle(section.slot):
         raise InvalidValue(
@@ -365,8 +379,9 @@ def _first_return(sys, field, section, state, config, horizon):
         last = (w, t)
         return False
 
-    w, escaped, escape_time, _ = _march(partial(_rk4_step, field), state,
-                                        horizon, cfg, at_crossing)
+    w, escaped, escape_time, _ = _march(
+        *_fixed_step(field, replace(cfg, method=RK4), state), horizon, cfg,
+        at_crossing)
     if sgn * (w[slot] - goal) < 0.0:
         if escaped:
             raise NumericalBlowup(
@@ -374,8 +389,10 @@ def _first_return(sys, field, section, state, config, horizon):
                 time=float(escape_time))
         raise NoReturn(f"no crossing of the section within horizon {horizon}")
 
+    rates = _as_field_fn(field)
+
     def per_angle(v):  # d(w, t)/d(angle) = (field, 1) / angular rate
-        r = field(v[:-1])
+        r = rates(v[:-1])
         if abs(r[slot]) < 1e-8:
             raise TangentCrossing(
                 f"angular rate {r[slot]:.3g} at the crossing")
@@ -401,7 +418,7 @@ def poincare_map(sys: System, section: Section, p0: MixedPoint,
     section (Henon's method), and the section slot is set to its value
     exactly. A crossing with angular rate below 1e-8 is TangentCrossing.
     """
-    s, t = _first_return(sys, sys.field, section, p0.coords, config, horizon)
+    s, t = _first_return(sys, sys, section, p0.coords, config, horizon)
     return PoincareResult(point=MixedPoint.of(sys.layout, s), time=t)
 
 

@@ -107,6 +107,15 @@ def _parse_int(value):
     return int(value)
 
 
+def _parse_switch(value):
+    # int() would read 0.5 as 0 and quietly drop what the switch adds
+    word = str(value).lower()
+    if type(value) not in (bool, int, str) \
+            or word not in ("true", "false", "1", "0"):
+        raise ValueError("must be true, false, 1 or 0")
+    return word in ("true", "1")
+
+
 def _parse_count(value):
     count = _parse_int(value)
     if count < 1:
@@ -224,12 +233,13 @@ def _cmd_verify_torus(cfg, run):
             if all(v == 0.0 for _, v in spec.pinned):
                 continue  # same torus as the canonical one
             specs.append((_delta_label(sys_, spec), spec))
+    reports = verify_kronecker(sys_, [spec for _, spec in specs],
+                               horizon=cfg["t"], tol=cfg["tol"],
+                               seed=cfg["seed"],
+                               config=IntegratorConfig(h=cfg["h"]))
     verdicts = {}
     docs = []
-    for label, spec in specs:
-        rep = verify_kronecker(sys_, spec, horizon=cfg["t"],
-                               tol=cfg["tol"], seed=cfg["seed"],
-                               config=IntegratorConfig(h=cfg["h"]))
+    for (label, _), rep in zip(specs, reports):
         verdicts[f"torus[{label}]"] = "PASS" if rep.passed else "FAIL"
         docs.append(json.loads(rep.to_json()))
     run.write("report.json",
@@ -541,7 +551,7 @@ _SPECS = {
         **_COMMON_SYSTEM, "t": (100.0, float), "tol": (1e-8, float),
         # on the torus every stage derivative is exact, so the step only
         # paces the sampling grid; 0.05 keeps the sweep cheap
-        "h": (0.05, float), "deltas": (None, int),
+        "h": (0.05, float), "deltas": (None, _parse_switch),
     },
     ("verify", "invariants"): {
         **_COMMON_SYSTEM,
@@ -610,7 +620,7 @@ _FLAG_HELP = {
     "point": dict(metavar="X1,X2,...", help="full initial state"),
     "guess": dict(metavar="X1,X2,...", help="full starting guess"),
     "file": dict(metavar="PATH", help="hamiltonian text file"),
-    "deltas": dict(action="store_const", const=1,
+    "deltas": dict(action="store_const", const=True,
                    help="also verify every sign-flipped torus"),
 }
 
@@ -697,7 +707,9 @@ def _argv_from(key, cfg):
         if value is None:
             continue
         flag = "--" + name.replace("_", "-")
-        if isinstance(value, (tuple, list)):
+        if isinstance(value, bool):  # a switch takes no value
+            argv += [flag] if value else []
+        elif isinstance(value, (tuple, list)):
             argv += [flag, ",".join(repr(float(v)) for v in value)]
         else:
             argv += [flag, str(value)]

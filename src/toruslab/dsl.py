@@ -18,11 +18,12 @@ mom' = -dH/dpos.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,14 +32,14 @@ from .errors import (
     InvalidValue,
     LayoutMismatch,
     LexError,
-    NotHamiltonian,
     PairingError,
     ParseError,
     SimplifyError,
     UnboundVar,
 )
 from .phase import CoordinateLayout
-from .systems import HAM_COMPACT, HAM_UNIQUE, REV_COMPACT, REV_UNIQUE
+# the energy texts belong to the family catalog; re-exported here
+from .systems import hamiltonian_text  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +221,11 @@ class _Parser:
     def atom(self) -> Expr:
         t = self.take()
         if t.kind == "number":
-            return Const(float(t.text))
+            value = float(t.text)
+            if not math.isfinite(value):  # 1e400 reads as inf
+                raise ParseError(f"number {t.text} is out of range",
+                                 position=t.position)
+            return Const(value)
         if t.kind == "ident":
             if t.text in ("sin", "cos"):
                 self.expect("lparen", "'(' after function name")
@@ -599,6 +604,215 @@ def hamiltonian_vector_field(energy: Expr,
 
 
 # ---------------------------------------------------------------------------
+# compilation to straight-line code over Python floats
+
+
+_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
+class _Dag:
+    """Value numbering: each distinct subexpression becomes one node.
+
+    A node is ("in", slot), ("const", index into consts) or an operation
+    on earlier nodes, so the nodes are in dependency order and a
+    subexpression shared by several rates is computed once.
+    """
+
+    def __init__(self, names: Sequence[str]):
+        self.slot = {name: i for i, name in enumerate(names)}
+        self.consts: list[float] = []
+        self.nodes: list[tuple] = []
+        self._number: dict[tuple, int] = {}
+
+    def add(self, e: Expr) -> int:
+        if isinstance(e, Var):
+            if e.name not in self.slot:
+                raise UnboundVar(f"no slot for variable {e.name!r}")
+            key = node = ("in", self.slot[e.name])
+        elif isinstance(e, Const):
+            key = ("const", e.value.hex())  # hex tells 0.0 from -0.0
+            node = ("const", len(self.consts))
+        elif type(e) in _BINARY:
+            key = node = (_BINARY[type(e)], self.add(e.left),
+                          self.add(e.right))
+        elif isinstance(e, PowInt):
+            key = node = ("^", self.add(e.base), e.exponent)
+        elif isinstance(e, (Neg, Sin, Cos)):
+            key = node = (type(e).__name__, self.add(e.child))
+        else:
+            raise InvalidValue(f"not an expression node: {e!r}")
+        if key not in self._number:
+            if node[0] == "const":
+                self.consts.append(e.value)
+            self._number[key] = len(self.nodes)
+            self.nodes.append(node)
+        return self._number[key]
+
+    def emit(self, inputs, fresh, lines, indent) -> list[str]:
+        """Append one assignment per operation, evaluated at `inputs`
+        (one code name per slot); return every node's code name."""
+        names: list[str] = []
+        for node in self.nodes:
+            op = node[0]
+            if op == "in":
+                names.append(inputs[node[1]])
+                continue
+            if op == "const":  # bound by value, never printed
+                names.append(f"c{node[1]}")
+                continue
+            a = names[node[1]]
+            if op in ("+", "-", "*", "/"):
+                code = f"{a} {op} {names[node[2]]}"
+            elif op == "^":  # a*a is the square numpy's ** 2 computes
+                code = f"{a} * {a}" if node[2] == 2 else f"{a} ** {node[2]}"
+            elif op == "Neg":
+                code = f"-{a}"
+            else:
+                code = f"_{op.lower()}({a})"
+            names.append(f"v{next(fresh)}")
+            lines.append(f"{indent}{names[-1]} = {code}")
+        return names
+
+
+def _tuple(items) -> str:
+    return "(" + "".join(f"{x}, " for x in items) + ")"
+
+
+def _largest(items) -> str:
+    return items[0] if len(items) == 1 else f"max({', '.join(items)})"
+
+
+def _generate(dag: _Dag, rates: list[int], dim: int) -> str:
+    """Source of field, rk4_step and midpoint_step over one state tuple.
+
+    The steps repeat the arithmetic of integrators._rk4_step and
+    _batch_midpoint on a single state, operation for operation.
+    """
+    fresh = itertools.count()
+    s = [f"s{i}" for i in range(dim)]
+
+    def field_at(inputs, lines, indent):
+        names = dag.emit(inputs, fresh, lines, indent)
+        return [names[r] for r in rates]
+
+    def shifted(out, k, scale, lines, indent):  # out = s + scale * k
+        lines += [f"{indent}{o} = {a} + {scale} * {b}"
+                  for o, a, b in zip(out, s, k)]
+        return out
+
+    def temps():
+        return [f"v{next(fresh)}" for _ in range(dim)]
+
+    head = [f"    {_tuple(s)} = s", "    try:"]
+    tail = ["    except _FAILS:", "        return _NAN", ""]
+    body = "        "
+    field = ["def field(s):"] + head
+    k = field_at(s, field, body)
+    field += [f"{body}return {_tuple(k)}"] + tail
+
+    rk4 = ["def rk4_step(s, h):"] + head + [f"{body}hh = 0.5 * h"]
+    k1 = field_at(s, rk4, body)
+    k2 = field_at(shifted(temps(), k1, "hh", rk4, body), rk4, body)
+    k3 = field_at(shifted(temps(), k2, "hh", rk4, body), rk4, body)
+    k4 = field_at(shifted(temps(), k3, "h", rk4, body), rk4, body)
+    # divide the stage sum, not h, so a constant rate advances by exactly h
+    rk4 += [f"{body}return " + _tuple(
+        f"{x} + h * (({a} + 2.0 * {b} + 2.0 * {c} + {d}) / 6.0)"
+        for x, a, b, c, d in zip(s, k1, k2, k3, k4))] + tail
+
+    m = [f"m{i}" for i in range(dim)]
+    loop = body + "    "
+    mid = ["def midpoint_step(s, h, tol, max_iter):"] + head
+    mid.append(f"{body}hh = 0.5 * h")
+    k = field_at(s, mid, body)
+    shifted(m, k, "hh", mid, body)
+    mid.append(f"{body}for _ in range(max_iter):")
+    k = field_at(m, mid, loop)
+    n = [f"n{i}" for i in range(dim)]
+    e = [f"e{i}" for i in range(dim)]
+    shifted(n, k, "hh", mid, loop)
+    mid += [f"{loop}{a} = abs({b} - {c})" for a, b, c in zip(e, n, m)]
+    mid += [f"{loop}{a} = {b}" for a, b in zip(m, n)]
+    # numpy's max over the row is nan when any entry is; the sum stands in
+    # for that test, and only finite rows above tol keep iterating
+    mid += [f"{loop}total = {' + '.join(e)}",
+            f"{loop}if not (tol < {_largest(e)} < _INF and total == total):",
+            f"{loop}    break",
+            f"{body}else:"]
+    k = field_at(m, mid, loop)
+    stuck = [f"abs({a} + hh * {b} - {c})" for a, b, c in zip(s, k, m)]
+    mid += [f"{loop}if {_largest(stuck)} > tol:",
+            f"{loop}    {' = '.join(m)} = _NAN[0]",
+            f"{body}return {_tuple(f'2.0 * {a} - {b}' for a, b in zip(m, s))}"]
+    mid += tail
+    return "\n".join(field + rk4 + mid)
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledRates:
+    """Rate expressions compiled to straight-line code over Python floats.
+
+    Every function takes the state as a tuple of floats, one per name, and
+    returns a tuple. field(s) gives the rates; rk4_step(s, h) and
+    midpoint_step(s, h, tol, max_iter) repeat the arithmetic of the numpy
+    steps in `integrators` on one state, rates inlined. Where that
+    arithmetic raises (sin of inf, a division by zero, an overflowing
+    power) every slot comes back NaN, as numpy would give inf or nan, so
+    the integrators' escape test sees it either way.
+    """
+
+    names: tuple[str, ...]
+    source: str
+    field: Callable[[tuple], tuple]
+    rk4_step: Callable[[tuple, float], tuple]
+    midpoint_step: Callable[[tuple, float, float, int], tuple]
+
+
+def compile_rates(rates: Sequence[Expr],
+                  names: Sequence[str]) -> CompiledRates:
+    """Compile one rate expression per name, in the order of `names`.
+
+    The generated code names slots s0, s1, ... and constants c0, c1, ...,
+    and binds the constants by value, so no identifier or number of the
+    source text reaches it. Raises UnboundVar for a variable outside
+    `names`.
+    """
+    names = tuple(names)
+    if len(rates) != len(names):
+        raise InvalidValue(f"{len(rates)} rates for {len(names)} names")
+    dag = _Dag(names)
+    outs = [dag.add(e) for e in rates]
+    source = _generate(dag, outs, len(names))
+    namespace = {f"c{j}": v for j, v in enumerate(dag.consts)}
+    namespace.update(_sin=math.sin, _cos=math.cos, _INF=math.inf,
+                     _NAN=(math.nan,) * len(names),
+                     _FAILS=(ArithmeticError, ValueError))
+    exec(compile(source, "<compiled rates>", "exec"), namespace)
+    return CompiledRates(names=names, source=source,
+                         field=namespace["field"],
+                         rk4_step=namespace["rk4_step"],
+                         midpoint_step=namespace["midpoint_step"])
+
+
+def compile_source(source, labels: Sequence[str]) -> CompiledRates:
+    """Compile a system's rate source for the slots named by `labels`.
+
+    source is an energy text with a pairs: header, whose canonical rates
+    are derived, or one rate expression text per label.
+    """
+    if isinstance(source, str):
+        derived = hamiltonian_vector_field(*parse_hamiltonian_file(source))
+        missing = [lab for lab in labels if lab not in derived.rate_exprs]
+        if missing:
+            raise PairingError(
+                f"pairing does not cover layout labels {missing}")
+        rates = [derived.rate_exprs[lab] for lab in labels]
+    else:
+        rates = [simplify(parse(text)) for text in source]
+    return compile_rates(rates, labels)
+
+
+# ---------------------------------------------------------------------------
 # field cross-checking
 
 
@@ -677,39 +891,6 @@ def parse_hamiltonian_file(text: str) -> tuple[Expr, CanonicalPairing]:
         raise ParseError("malformed pairing header", position=0)
     expr = parse(" ".join(lines[1:]))
     return expr, CanonicalPairing(pairs=pairs)
-
-
-def hamiltonian_text(family: str, n: int, m: int, omega) -> str:
-    """The energy text of a Hamiltonian family member, ready to parse.
-
-    Reversible family names raise NotHamiltonian; they have no energy
-    function at all.
-    """
-    if family in (REV_UNIQUE, REV_COMPACT):
-        raise NotHamiltonian(
-            f"family {family!r} is reversible, not Hamiltonian")
-    if family not in (HAM_UNIQUE, HAM_COMPACT):
-        raise InvalidValue(f"unknown family {family!r}")
-    if n < 1 or m < 0 or len(tuple(omega)) != n:
-        raise InvalidValue("need n >= 1, m >= 0, len(omega) == n")
-
-    def var(name):  # compact variant reads every slot through sin
-        return f"sin({name})" if family == HAM_COMPACT else name
-
-    terms = []
-    for i in range(n):
-        w = float(tuple(omega)[i])
-        terms.append(f"{w!r}*{var(f'u_{i + 1}')}")
-        terms.append(f"{var('x')}*{var(f'u_{i + 1}')}^2")
-    terms.append(f"{var('x')}^3/3")
-    terms.append(f"{var('x')}*{var('y')}^2")
-    for j in range(m):
-        terms.append(f"{var(f'p_{j + 1}')}^3/3")
-        terms.append(f"{var(f'p_{j + 1}')}*{var(f'q_{j + 1}')}^2")
-    pair_bits = "".join(f"(phi_{i + 1},u_{i + 1})" for i in range(n))
-    pair_bits += "(y,x)"
-    pair_bits += "".join(f"(q_{j + 1},p_{j + 1})" for j in range(m))
-    return f"pairs: {pair_bits}\n{' + '.join(terms)}\n"
 
 
 def shipped_hamiltonians() -> dict[str, str]:

@@ -4,8 +4,10 @@ All steppers work on raw arrays of shape (..., dim) so a batch of states
 integrates at numpy speed. One stepping loop, `_march`, serves every
 fixed-step path: it lands exactly on the end time, freezes escaping rows
 instead of raising, and hands each step to an observer that stores,
-measures or stops. A single trajectory steps as a 1-D state, never as a
-one-row batch, and a diverging midpoint iteration is reported as an escape.
+measures or stops. A single state of a System steps on Python floats,
+through the fused rk4 and midpoint steps compiled from the system's rates,
+because numpy's per-call cost dwarfs the arithmetic of one 4-8 slot
+state. A diverging midpoint iteration is reported as an escape.
 
 Angular slots are wrapped only when states are stored, never inside a
 step, so the running state keeps a continuous (unwrapped) angle history.
@@ -27,6 +29,7 @@ from .errors import (
     StepBudgetExceeded,
 )
 from .phase import CoordinateLayout, MixedPoint, wrap_angles
+from .systems import System
 
 RK4 = "rk4"
 ADAPTIVE = "adaptive"
@@ -165,6 +168,13 @@ def _escaping(trial, escape_norm):
     return ~(np.abs(trial).max(axis=-1) <= escape_norm)
 
 
+def _escaping_floats(trial, escape_norm):
+    # the same test on a tuple of floats; max() skips a nan that is not
+    # first, but the sum is nan whenever an entry is
+    total = sum(trial)
+    return not (max(map(abs, trial)) <= escape_norm and total == total)
+
+
 def _batch_midpoint(f, s, h, cfg):
     # solve m = s + (h/2) f(m) by fixed-point iteration, then reflect; rows
     # that refuse to converge turn non-finite, which the escape test catches
@@ -184,11 +194,25 @@ def _batch_midpoint(f, s, h, cfg):
     return 2.0 * m - s
 
 
-def _fixed_step(f, cfg):
-    """The rk4 or midpoint step of cfg as a function of (state, h)."""
+def _fixed_step(field, cfg, state):
+    """The rk4 or midpoint step of cfg, as a function of (state, h), and
+    the state for _march to start from.
+
+    One state of a System steps on Python floats, through the system's
+    compiled rates, and starts as a tuple; a batch, or any other field,
+    steps numpy arrays.
+    """
+    if isinstance(field, System) and np.ndim(state) == 1:
+        rates = field.compiled()
+        start = tuple(np.asarray(state, dtype=float).tolist())
+        if cfg.method == MIDPOINT:
+            return partial(rates.midpoint_step, tol=cfg.midpoint_tol,
+                           max_iter=cfg.midpoint_max_iter), start
+        return rates.rk4_step, start
+    f = _as_field_fn(field)
     if cfg.method == MIDPOINT:
-        return lambda s, h: _batch_midpoint(f, s, h, cfg)
-    return partial(_rk4_step, f)
+        return (lambda s, h: _batch_midpoint(f, s, h, cfg)), state
+    return partial(_rk4_step, f), state
 
 
 def _march(step, state, t_end, cfg, observe=None):
@@ -198,7 +222,9 @@ def _march(step, state, t_end, cfg, observe=None):
     the last step ends exactly at t_end. An escaping row is frozen at its
     last finite state. The march ends when no row is left or when
     observe(k, t, h_k, state, escaped), called after each step, returns
-    true. Returns (state, escaped, escape_times, steps taken).
+    true. Returns (state, escaped, escape_times, steps taken). A state
+    given as a tuple of floats is one row for a step compiled to Python
+    floats (see _fixed_step), and stays a tuple.
     """
     if not (math.isfinite(t_end) and t_end != 0.0):
         raise InvalidValue("t_end must be finite and nonzero")
@@ -212,9 +238,11 @@ def _march(step, state, t_end, cfg, observe=None):
         raise StepBudgetExceeded(
             f"{total} steps needed, cap is {cfg.max_steps}")
 
-    state = np.array(state, dtype=float)
-    escaped = np.zeros(state.shape[:-1], dtype=bool)
-    escape_times = np.full(state.shape[:-1], np.nan)
+    floats = isinstance(state, tuple)
+    if not floats:
+        state = np.array(state, dtype=float)
+    escaped = np.zeros(() if floats else state.shape[:-1], dtype=bool)
+    escape_times = np.full(escaped.shape, np.nan)
     live = None  # indices of the rows still marching, once one escaped
     k = -1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -224,10 +252,18 @@ def _march(step, state, t_end, cfg, observe=None):
             rows = live
             cur = state if rows is None else state[rows]
             trial = step(cur, h_k)
-            bad = _escaping(trial, cfg.escape_norm)
-            if bad.any():
-                trial[bad] = cur[bad]  # freeze at the last finite state
-                hit = np.flatnonzero(~escaped)[bad.reshape(-1)]
+            if floats:
+                bad = _escaping_floats(trial, cfg.escape_norm)
+                if bad:
+                    trial = cur  # freeze at the last finite state
+            else:
+                bad = _escaping(trial, cfg.escape_norm)
+                if bad.any():
+                    trial[bad] = cur[bad]  # the same, row by row
+                else:
+                    bad = False
+            if bad is not False:
+                hit = np.flatnonzero(~escaped)[np.reshape(bad, -1)]
                 escaped.flat[hit] = True
                 escape_times.flat[hit] = t
                 live = np.flatnonzero(~escaped)
@@ -256,16 +292,15 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
     y' = y^2, y(0) = 1 reaches 1/(1 - t).
     """
     cfg = config or IntegratorConfig()
-    f = _as_field_fn(field)
     layout = p0.layout
     times = [0.0]
-    stored = [wrap_angles(p0.coords, layout.angle_mask)]
+    stored = [p0.coords]  # raw states, wrapped together at the end
     n_rejected = 0
     t_escape = None
 
     def store(t, state):
         times.append(t)
-        stored.append(wrap_angles(state, layout.angle_mask))
+        stored.append(state)
 
     if cfg.method != ADAPTIVE:
         def observe(k, t, h_k, state, escaped):
@@ -274,10 +309,11 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
                 store(t, state)
 
         state, escaped, escape_time, n_steps = _march(
-            _fixed_step(f, cfg), p0.coords, t_end, cfg, observe)
+            *_fixed_step(field, cfg, p0.coords), t_end, cfg, observe)
         if escaped:
             t_escape = float(escape_time)
     else:
+        f = _as_field_fn(field)
         if not (math.isfinite(t_end) and t_end != 0.0):
             raise InvalidValue("t_end must be finite and nonzero")
         direction = 1.0 if t_end > 0 else -1.0
@@ -323,7 +359,8 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
     if t_escape is None and times[-1] != t_end:
         store(t_end, state)  # zero-length span edge; keep endpoint exact
     traj = Trajectory(layout=layout, times=np.array(times),
-                      states=np.array(stored), config=cfg,
+                      states=wrap_angles(np.array(stored, dtype=float),
+                                         layout.angle_mask), config=cfg,
                       n_steps=n_steps, n_rejected=n_rejected)
     if t_escape is not None:
         exc = NumericalBlowup(
@@ -382,7 +419,7 @@ def integrate_batch(field: FieldLike, states0: np.ndarray, t_end: float,
                 stored.append(wrap_angles(state, mask))
 
     final, escaped, escape_times, n_steps = _march(
-        _fixed_step(_as_field_fn(field), cfg), states, t_end, cfg, observe)
+        *_fixed_step(field, cfg, states), t_end, cfg, observe)
     return BatchResult(
         final=final, escaped=escaped, escape_times=escape_times,
         n_steps=n_steps,

@@ -26,11 +26,12 @@ sin(s), and the chain rule supplies the derivatives.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -124,7 +125,9 @@ class System:
 
     The callables all take raw arrays of shape (..., dim). Point-level
     wrappers with layout checking live at module level (eval_field and
-    friends).
+    friends). rates_source is the text the rates are compiled from for
+    single-state stepping (see `compiled`): an energy text with a pairs:
+    header, or one rate expression per slot in layout order.
     """
 
     params: SystemParams
@@ -138,6 +141,7 @@ class System:
     _integrals: Callable[[np.ndarray], np.ndarray]
     _integral_gradients: Callable[[np.ndarray], np.ndarray]
     _jacobian: Callable[[np.ndarray], np.ndarray]
+    rates_source: Union[str, tuple[str, ...]]
 
     @property
     def family(self) -> str:
@@ -183,6 +187,14 @@ class System:
         if state.shape != (self.dim,):
             raise InvalidValue("jacobian takes a single state")
         return self._jacobian(state)
+
+    def compiled(self):
+        """The rates as straight-line code over Python floats.
+
+        A `dsl.CompiledRates`, compiled on first use and shared by every
+        system with the same rate source.
+        """
+        return _compiled(self.rates_source, self.layout.labels)
 
     def lyapunov_rate(self, states: np.ndarray) -> np.ndarray:
         """Time derivative of the escape certificate y + sum(q)."""
@@ -261,6 +273,62 @@ def _rev_layout(n: int, l: int, m: int):
                    v=slice(n, n + l),
                    q=slice(n + l + 1, n + l + 1 + m))
     return CoordinateLayout(labels=labels, angle_slots=angle), slots
+
+
+def hamiltonian_text(family: str, n: int, m: int, omega) -> str:
+    """The energy text of a Hamiltonian family member, ready to parse.
+
+    Reversible family names raise NotHamiltonian; they have no energy
+    function at all.
+    """
+    if family in (REV_UNIQUE, REV_COMPACT):
+        raise NotHamiltonian(
+            f"family {family!r} is reversible, not Hamiltonian")
+    if family not in (HAM_UNIQUE, HAM_COMPACT):
+        raise InvalidValue(f"unknown family {family!r}")
+    if n < 1 or m < 0 or len(tuple(omega)) != n:
+        raise InvalidValue("need n >= 1, m >= 0, len(omega) == n")
+
+    def var(name):  # compact variant reads every slot through sin
+        return f"sin({name})" if family == HAM_COMPACT else name
+
+    terms = []
+    for i in range(n):
+        w = float(tuple(omega)[i])
+        terms.append(f"{w!r}*{var(f'u_{i + 1}')}")
+        terms.append(f"{var('x')}*{var(f'u_{i + 1}')}^2")
+    terms.append(f"{var('x')}^3/3")
+    terms.append(f"{var('x')}*{var('y')}^2")
+    for j in range(m):
+        terms.append(f"{var(f'p_{j + 1}')}^3/3")
+        terms.append(f"{var(f'p_{j + 1}')}*{var(f'q_{j + 1}')}^2")
+    pair_bits = "".join(f"(phi_{i + 1},u_{i + 1})" for i in range(n))
+    pair_bits += "(y,x)"
+    pair_bits += "".join(f"(q_{j + 1},p_{j + 1})" for j in range(m))
+    return f"pairs: {pair_bits}\n{' + '.join(terms)}\n"
+
+
+def _rev_rates(family: str, par: SystemParams, labels) -> tuple[str, ...]:
+    """One rate text per slot of a reversible family member.
+
+    y' adds the squares in the grouping in which the numpy field sums
+    them, so the two sums agree to the bit.
+    """
+    def square(name):  # compact variant reads every slot through sin
+        return f"sin({name})^2" if family == REV_COMPACT else f"{name}^2"
+
+    groups = [[square(f"v_{k + 1}") for k in range(par.l)], [square("y")],
+              [square(f"q_{j + 1}") for j in range(par.m)]]
+    y_rate = " + ".join(f"({' + '.join(g)})" for g in groups if g)
+    rates = {f"phi_{i + 1}": repr(w) for i, w in enumerate(par.omega)}
+    rates["y"] = y_rate
+    return tuple(rates.get(lab, "0") for lab in labels)
+
+
+@functools.lru_cache(maxsize=64)
+def _compiled(source, labels):
+    from .dsl import compile_source  # dsl imports this module
+    return compile_source(source, labels)
 
 
 def _signs_for(layout, slots) -> np.ndarray:
@@ -366,7 +434,8 @@ def _build_ham_unique(par: SystemParams) -> System:
                   involution_signs=_signs_for(layout, sl),
                   integral_names=names,
                   _field=rhs, _hamiltonian=ham, _integrals=integrals,
-                  _integral_gradients=gradients, _jacobian=jac)
+                  _integral_gradients=gradients, _jacobian=jac,
+                  rates_source=hamiltonian_text(HAM_UNIQUE, n, m, par.omega))
 
 
 def _build_rev(par: SystemParams) -> System:
@@ -415,7 +484,8 @@ def _build_rev(par: SystemParams) -> System:
                   involution_signs=_signs_for(layout, sl),
                   integral_names=names,
                   _field=rhs, _hamiltonian=None, _integrals=integrals,
-                  _integral_gradients=gradients, _jacobian=jac)
+                  _integral_gradients=gradients, _jacobian=jac,
+                  rates_source=_rev_rates(REV_UNIQUE, par, layout.labels))
 
 
 def _compactify(base: System, par: SystemParams) -> System:
@@ -437,6 +507,7 @@ def _compactify(base: System, par: SystemParams) -> System:
 
     if base._hamiltonian is None:
         ham = None
+        source = _rev_rates(REV_COMPACT, par, base.layout.labels)
 
         def rhs(s):
             return base._field(np.sin(s))
@@ -444,6 +515,8 @@ def _compactify(base: System, par: SystemParams) -> System:
         def jac(s):
             return base._jacobian(np.sin(s)) * np.cos(s)
     else:
+        source = hamiltonian_text(HAM_COMPACT, par.n, par.m, par.omega)
+
         def ham(s):
             return base._hamiltonian(np.sin(s))
 
@@ -470,7 +543,8 @@ def _compactify(base: System, par: SystemParams) -> System:
                   involution_signs=base.involution_signs,
                   integral_names=base.integral_names,
                   _field=rhs, _hamiltonian=ham, _integrals=integrals,
-                  _integral_gradients=gradients, _jacobian=jac)
+                  _integral_gradients=gradients, _jacobian=jac,
+                  rates_source=source)
 
 
 def build_system(params: SystemParams) -> System:
@@ -507,6 +581,8 @@ def build_control_system(omega: float = 1.0, nu: float = 0.3) -> System:
     iu, iphi, ix, iy = sl.u, sl.phi, sl.x, sl.y
     w = float(omega)
     nu = float(nu)
+    if not math.isfinite(nu):
+        raise InvalidParams("nu must be finite")
 
     def rhs(s):
         r = np.zeros_like(s)
@@ -542,7 +618,8 @@ def build_control_system(omega: float = 1.0, nu: float = 0.3) -> System:
                   involution_signs=_signs_for(layout, sl),
                   integral_names=("H", "u_1"),
                   _field=rhs, _hamiltonian=ham, _integrals=integrals,
-                  _integral_gradients=gradients, _jacobian=jac)
+                  _integral_gradients=gradients, _jacobian=jac,
+                  rates_source=("0", repr(w), f"-{nu!r}*y", f"{nu!r}*x"))
 
 
 # ---------------------------------------------------------------------------

@@ -60,10 +60,12 @@ class TestFlagParsing:
           "{tmp}/bool.json", "--out", "{tmp}"], "--n"),
         (["survey", "--system", "ham-unique", "--samples", "50",
           "--horizon", "0.5", "--jobs", "1", "--out", "{tmp}"], "t_min"),
+        (["verify", "torus", "--system", "ham-compact", "--config",
+          "{tmp}/deltas.json", "--out", "{tmp}"], "--deltas"),
     ], ids=["h-zero", "t-nan", "replay-missing-file", "config-array",
             "config-omega-number", "config-n-list", "points-zero",
             "invariants-reversible", "config-n-fraction", "config-n-bool",
-            "survey-horizon-below-t-min"])
+            "survey-horizon-below-t-min", "config-deltas-fraction"])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                    argv, named):
         (tmp_path / "array.json").write_text("[1, 2]")
@@ -71,6 +73,7 @@ class TestFlagParsing:
         (tmp_path / "n.json").write_text('{"n": [1]}')
         (tmp_path / "fraction.json").write_text('{"n": 1.5, "points": 2.9}')
         (tmp_path / "bool.json").write_text('{"n": true}')
+        (tmp_path / "deltas.json").write_text('{"deltas": 0.5}')
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
@@ -133,6 +136,18 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "torus[canonical]: PASS" in out
         assert out.count("delta[") == 7
+
+    def test_torus_delta_sweep_from_a_config_switch(self, tmp_path,
+                                                    capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"deltas": True}))
+        rc = main(["verify", "torus", "--system", "ham-compact",
+                   "--n", "1", "--m", "0", "--t", "10",
+                   "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().out.count(": PASS") == 8
+        docs = json.loads((tmp_path / "report.json").read_text())
+        assert len(docs) == 8
 
     def test_invariants(self, tmp_path):
         rc = main(["verify", "invariants", "--system", "ham-unique",
@@ -239,6 +254,16 @@ class TestDsl:
         assert rc == 1
         assert "parse failed" in capsys.readouterr().out
 
+    def test_literal_out_of_range_fails(self, tmp_path, capsys):
+        path = tmp_path / "big.ham"
+        path.write_text("pairs: (y,x)\n1e400*x^2 + y\n")
+        rc = main(["dsl", "check", "--file", str(path),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "dsl-parse: FAIL" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["dsl", "check", "--file", str(tmp_path / "no.ham"),
                    "--out", str(tmp_path)])
@@ -287,6 +312,14 @@ class TestManifestAndReplay:
         assert main(["verify", "brackets", "--system", "ham-unique",
                      "--n", "1", "--m", "0", "--points", "50",
                      "--seed", "3", "--out", str(tmp_path)]) == 0
+        rc = main(["--replay", str(tmp_path / "manifest.json")])
+        assert rc == 0
+        assert "replay: reproduced" in capsys.readouterr().out
+
+    def test_replay_reproduces_a_switch(self, tmp_path, capsys):
+        assert main(["verify", "torus", "--system", "ham-compact",
+                     "--n", "1", "--m", "0", "--t", "1", "--deltas",
+                     "--out", str(tmp_path)]) == 0
         rc = main(["--replay", str(tmp_path / "manifest.json")])
         assert rc == 0
         assert "replay: reproduced" in capsys.readouterr().out

@@ -16,6 +16,7 @@ from toruslab.dsl import (
     Sin,
     Sub,
     Var,
+    compile_rates,
     cross_check_fields,
     differentiate,
     eval_expr,
@@ -46,6 +47,7 @@ from toruslab.systems import (
     REV_COMPACT,
     REV_UNIQUE,
     SystemParams,
+    build_control_system,
     build_system,
 )
 
@@ -123,6 +125,13 @@ def test_parse_exponent_must_be_bare_integer():
     with pytest.raises(ParseError):
         parse("x^2^3")  # no chained powers without parens
     assert parse("(x^2)^3") == PowInt(PowInt(Var("x"), 2), 3)
+
+
+def test_parse_rejects_a_literal_that_is_not_finite():
+    with pytest.raises(ParseError) as exc:
+        parse("x + 1e400*y")
+    assert exc.value.position == 4
+    assert parse("1e300") == Const(1e300)
 
 
 def test_free_variables():
@@ -386,3 +395,48 @@ def test_all_shipped_texts_reproduce_catalog_fields():
             .evaluator(sys.layout)
         report = cross_check_fields(sys, derived, samples=250, seed=7)
         assert report.max_abs_deviation <= 1e-12, stem
+
+
+# ---------------------------------------------------------------------------
+# compilation to Python floats
+
+
+@pytest.mark.parametrize("sys", [
+    build_system(SystemParams(HAM_UNIQUE, n=1, m=0, omega=(1.0,))),
+    build_system(SystemParams(HAM_UNIQUE, n=2, m=1,
+                              omega=(1.0, math.sqrt(2.0)))),
+    build_system(SystemParams(HAM_COMPACT, n=1, m=1, omega=(1.0,))),
+    build_system(SystemParams(HAM_COMPACT, n=2, m=1,
+                              omega=(1.0, math.sqrt(2.0)))),
+    build_system(SystemParams(REV_UNIQUE, n=1, l=1, m=1, omega=(1.0,))),
+    build_system(SystemParams(REV_UNIQUE, n=2, l=1, m=2,
+                              omega=(1.0, math.sqrt(2.0)))),
+    build_system(SystemParams(REV_COMPACT, n=1, l=1, m=1, omega=(1.0,))),
+    build_system(SystemParams(REV_COMPACT, n=2, l=1, m=2,
+                              omega=(1.0, math.sqrt(2.0)))),
+    build_control_system(omega=1.0, nu=0.3),
+], ids=lambda s: f"{s.family}-{s.dim}")
+def test_compiled_field_matches_system_field(sys):
+    rng = np.random.default_rng(12)
+    states = rng.uniform(-math.pi, math.pi, (256, sys.dim))
+    rates = sys.compiled()
+    got = np.array([rates.field(tuple(row)) for row in states.tolist()])
+    # math.sin and numpy's sin may differ in the last bit
+    assert np.max(np.abs(got - sys.field(states))) <= 1e-15
+
+
+def test_compiled_code_never_sees_a_source_identifier():
+    names = ("exec", "math", "_sin", "s0")
+    rates = [parse("math*s0 + exec"), Neg(Var("_sin")),
+             parse("sin(exec)^2 - 2.5"), Mul(Var("_sin"), Var("math"))]
+    compiled = compile_rates(rates, names)
+    assert "exec" not in compiled.source and "math" not in compiled.source
+    state = (0.5, -1.5, 2.0, 0.25)
+    b = dict(zip(names, state))
+    want = [eval_expr(e, b) for e in rates]
+    assert np.max(np.abs(np.subtract(compiled.field(state), want))) <= 1e-15
+
+
+def test_compiled_rates_reject_an_unknown_variable():
+    with pytest.raises(UnboundVar):
+        compile_rates([parse("x + y")], ("x",))

@@ -24,6 +24,7 @@ from toruslab.systems import (
     HAM_COMPACT,
     HAM_UNIQUE,
     REV_UNIQUE,
+    System,
     SystemParams,
     build_system,
 )
@@ -233,9 +234,15 @@ class TestEscape:
                       IntegratorConfig(h=1e-2, max_steps=10))
 
 
+# a single state of a System steps on compiled Python floats, a batch on
+# numpy arrays; these cases compare the two paths
+BATCH_FAMILIES = pytest.mark.parametrize("family", [HAM_UNIQUE, HAM_COMPACT])
+
+
 class TestBatch:
-    def test_batch_rk4_matches_single(self):
-        sys = ham(n=1, m=1)
+    @BATCH_FAMILIES
+    def test_batch_rk4_matches_single(self, family):
+        sys = build_system(SystemParams(family, n=1, m=1, omega=(1.0,)))
         rng = np.random.default_rng(7)
         states = 0.05 * rng.uniform(-1, 1, (5, sys.dim))
         res = integrate_batch(sys, states, 3.0, IntegratorConfig(h=1e-2),
@@ -248,8 +255,9 @@ class TestBatch:
             got = MixedPoint.of(sys.layout, res.final[i]).coords
             assert np.max(np.abs(got - traj.final_point.coords)) < 1e-13
 
-    def test_batch_midpoint_matches_single(self):
-        sys = ham(n=1, m=1)
+    @BATCH_FAMILIES
+    def test_batch_midpoint_matches_single(self, family):
+        sys = build_system(SystemParams(family, n=1, m=1, omega=(1.0,)))
         rng = np.random.default_rng(11)
         states = 0.01 * rng.uniform(-1, 1, (4, sys.dim))
         cfg = IntegratorConfig(method="midpoint", h=1e-2)
@@ -288,6 +296,33 @@ class TestBatch:
         with pytest.raises(InvalidValue):
             integrate_batch(quad_field, np.zeros((2, 1)), 1.0,
                             IntegratorConfig(method="adaptive"))
+
+
+class TestCompiledStep:
+    def test_constant_rate_advances_by_exactly_h(self):
+        sys = build_system(SystemParams(REV_UNIQUE, n=1, l=0, m=0,
+                                        omega=(1.0,)))
+        p0 = MixedPoint.of(sys.layout, [0.0, 0.0])
+        traj = integrate(sys, p0, 0.1, IntegratorConfig(h=0.1))
+        assert traj.n_steps == 1
+        assert traj.final_point["phi_1"] == 0.1
+
+    @pytest.mark.parametrize("method", ["rk4", "midpoint"])
+    def test_single_state_never_calls_the_numpy_field(self, monkeypatch,
+                                                      method):
+        sys = build_system(SystemParams(HAM_COMPACT, n=1, m=1,
+                                        omega=(1.0,)))
+        p0 = small_point(sys, scale=0.3, seed=2)
+        want = integrate(sys.field, p0, 1.0,
+                         IntegratorConfig(method=method, h=1e-2))
+
+        def numpy_field(self, states):
+            raise AssertionError("numpy field called")
+
+        monkeypatch.setattr(System, "field", numpy_field)
+        got = integrate(sys, p0, 1.0, IntegratorConfig(method=method,
+                                                        h=1e-2))
+        assert np.max(np.abs(got.states - want.states)) < 1e-14
 
 
 class TestCsv:
