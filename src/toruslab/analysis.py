@@ -135,7 +135,7 @@ def bracket_matrix(sys: System, states: np.ndarray,
                    scheme: str = "exact", step: float = 1e-6) -> np.ndarray:
     """All pairwise brackets of the first integrals, shape (..., k, k).
 
-    scheme 'exact' contracts the hand-written gradients; 'fd' rebuilds
+    scheme 'exact' contracts the exact gradients; 'fd' rebuilds
     every gradient by central differences of the integral values, giving
     an independent route to the same matrix.
     """

@@ -562,25 +562,12 @@ class DerivedField:
                   ) -> Callable[[np.ndarray], np.ndarray]:
         """A vectorized field callable on states laid out per `layout`.
 
-        Every layout label must have a rate expression, i.e. the pairing
-        must cover the layout exactly.
+        The rates are compiled once by `compile_numpy`. Every layout label
+        must have a rate expression, i.e. the pairing must cover the
+        layout exactly.
         """
-        missing = [lab for lab in layout.labels
-                   if lab not in self.rate_exprs]
-        if missing:
-            raise PairingError(
-                f"pairing does not cover layout labels {missing}")
-        order = [self.rate_exprs[lab] for lab in layout.labels]
-
-        def field(states: np.ndarray) -> np.ndarray:
-            states = np.asarray(states, dtype=float)
-            b = {lab: states[..., i]
-                 for i, lab in enumerate(layout.labels)}
-            out = np.zeros_like(states)
-            for i, expr in enumerate(order):
-                out[..., i] = _ev(expr, b)
-            return out
-
+        field = compile_numpy(_rates_in_order(self, layout.labels),
+                              layout.labels)
         field.layout = layout
         return field
 
@@ -601,6 +588,13 @@ def hamiltonian_vector_field(energy: Expr,
         rates[pos] = differentiate(energy, mom)
         rates[mom] = simplify(Neg(_d(energy, pos)))
     return DerivedField(energy=energy, pairing=pairing, rate_exprs=rates)
+
+
+def _rates_in_order(derived: DerivedField, labels) -> list[Expr]:
+    missing = [lab for lab in labels if lab not in derived.rate_exprs]
+    if missing:
+        raise PairingError(f"pairing does not cover layout labels {missing}")
+    return [derived.rate_exprs[lab] for lab in labels]
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +642,24 @@ class _Dag:
             self.nodes.append(node)
         return self._number[key]
 
-    def emit(self, inputs, fresh, lines, indent) -> list[str]:
+    def operands(self, k: int) -> tuple[int, ...]:
+        node = self.nodes[k]
+        if node[0] in ("in", "const"):
+            return ()
+        return node[1:3] if node[0] in _BINARY.values() else node[1:2]
+
+    def emit(self, inputs, fresh, lines, indent, keep=None) -> list[str]:
         """Append one assignment per operation, evaluated at `inputs`
-        (one code name per slot); return every node's code name."""
+        (one code name per slot); return every node's code name.
+
+        Given `keep`, the nodes the caller reads afterwards, every other
+        temporary is deleted after its last use, so that a numpy array
+        frees its memory for the next one.
+        """
+        last = {a: k for k in range(len(self.nodes))
+                for a in self.operands(k)}
         names: list[str] = []
-        for node in self.nodes:
+        for k, node in enumerate(self.nodes):
             op = node[0]
             if op == "in":
                 names.append(inputs[node[1]])
@@ -671,6 +678,12 @@ class _Dag:
                 code = f"_{op.lower()}({a})"
             names.append(f"v{next(fresh)}")
             lines.append(f"{indent}{names[-1]} = {code}")
+            if keep is not None:
+                dead = [names[j] for j in dict.fromkeys(self.operands(k))
+                        if last[j] == k and j not in keep
+                        and self.operands(j)]
+                if dead:
+                    lines.append(f"{indent}del {', '.join(dead)}")
         return names
 
 
@@ -794,22 +807,113 @@ def compile_rates(rates: Sequence[Expr],
                          midpoint_step=namespace["midpoint_step"])
 
 
-def compile_source(source, labels: Sequence[str]) -> CompiledRates:
-    """Compile a system's rate source for the slots named by `labels`.
+# ---------------------------------------------------------------------------
+# compilation to numpy over the columns of a state array
+
+
+def _numpy_function(name: str, entries: dict, shape: tuple,
+                    names: Sequence[str]) -> Callable:
+    """Compile `entries`, a map from index tuples to expressions, to one
+    numpy function name(s) of states s, shape (..., len(names)).
+
+    Its result has shape s.shape[:-1] + shape, with each entry at its
+    index and zeros elsewhere; a zero-dimensional one comes back as a
+    numpy scalar. As in compile_rates, the code names slots and constants
+    by number and binds the constants by value. Its text is the function's
+    `source` attribute.
+    """
+    dag = _Dag(names)
+    roots = {index: dag.add(e) for index, e in entries.items()
+             if not _is_const(e, 0.0)}
+    lines = [f"def {name}(s):", "    s = _asarray(s, dtype=float)"]
+    # [()] reads one state's slot as a numpy scalar, whose arithmetic
+    # costs a tenth of a zero-dimensional array's; a batch column is kept
+    lines += [f"    s{node[1]} = s[..., {node[1]}][()]"
+              for node in dag.nodes if node[0] == "in"]
+    code = dag.emit([f"s{i}" for i in range(len(names))], itertools.count(),
+                    lines, "    ", keep=set(roots.values()))
+    lines.append(f"    out = _zeros(s.shape[:-1] + {shape!r})")
+    lines += [f"    out[...{''.join(f', {i}' for i in index)}] = {code[r]}"
+              for index, r in roots.items()]
+    lines.append("    return out[()]" if shape == () else "    return out")
+    source = "\n".join(lines) + "\n"
+    namespace = {f"c{j}": v for j, v in enumerate(dag.consts)}
+    namespace.update(_sin=np.sin, _cos=np.cos, _asarray=np.asarray,
+                     _zeros=np.zeros)
+    exec(compile(source, f"<numpy {name}>", "exec"), namespace)
+    fn = namespace[name]
+    fn.source = source
+    return fn
+
+
+def compile_numpy(rates: Sequence[Expr], names: Sequence[str]) -> Callable:
+    """Compile one rate expression per name into a vectorized numpy field.
+
+    The field takes a state of shape (len(names),) or a batch (...,
+    len(names)) and returns the rates in the same shape. Raises
+    UnboundVar for a variable outside `names`.
+    """
+    names = tuple(names)
+    if len(rates) != len(names):
+        raise InvalidValue(f"{len(rates)} rates for {len(names)} names")
+    return _numpy_function("field", {(i,): e for i, e in enumerate(rates)},
+                           (len(names),), names)
+
+
+# ---------------------------------------------------------------------------
+# one system from its texts
+
+
+def _source_exprs(source, labels) -> tuple[list[Expr], Optional[Expr]]:
+    """The rates of a rate source in label order, and its simplified
+    energy (None for rate texts)."""
+    if isinstance(source, str):
+        energy, pairing = parse_hamiltonian_file(source)
+        derived = hamiltonian_vector_field(energy, pairing)
+        return _rates_in_order(derived, labels), simplify(energy)
+    return [simplify(parse(text)) for text in source], None
+
+
+def _gradients(exprs, names) -> dict:
+    return {(k, j): differentiate(e, name) for k, e in enumerate(exprs)
+            for j, name in enumerate(names)}
+
+
+def compile_system(kind: str, source, integrals: Sequence[str],
+                   labels: Sequence[str]):
+    """One evaluator of a system given by its texts, for the slots named
+    by `labels`.
 
     source is an energy text with a pairs: header, whose canonical rates
-    are derived, or one rate expression text per label.
+    are derived, or one rate expression text per label. integrals holds
+    the texts of the first integrals; an energy text's energy leads them.
+    kind 'rates' gives the `CompiledRates` of the rates. The other kinds
+    are numpy functions of states (..., dim): 'field' gives the rates,
+    'jacobian' the (..., dim, dim) derivatives d rate_i / d slot_j,
+    'hamiltonian' the energy, 'integrals' the (..., k) integral values
+    and 'integral_gradients' their (..., k, dim) gradients. Every
+    derivative is exact, taken by `differentiate`.
     """
-    if isinstance(source, str):
-        derived = hamiltonian_vector_field(*parse_hamiltonian_file(source))
-        missing = [lab for lab in labels if lab not in derived.rate_exprs]
-        if missing:
-            raise PairingError(
-                f"pairing does not cover layout labels {missing}")
-        rates = [derived.rate_exprs[lab] for lab in labels]
-    else:
-        rates = [simplify(parse(text)) for text in source]
-    return compile_rates(rates, labels)
+    labels = tuple(labels)
+    rates, energy = _source_exprs(source, labels)
+    if kind == "rates":
+        return compile_rates(rates, labels)
+    if kind == "field":
+        return compile_numpy(rates, labels)
+    if kind == "jacobian":
+        return _numpy_function(kind, _gradients(rates, labels),
+                               (len(labels),) * 2, labels)
+    if kind == "hamiltonian" and energy is not None:
+        return _numpy_function(kind, {(): energy}, (), labels)
+    exprs = [] if energy is None else [energy]
+    exprs += [simplify(parse(text)) for text in integrals]
+    if kind == "integrals":
+        return _numpy_function(kind, {(k,): e for k, e in enumerate(exprs)},
+                               (len(exprs),), labels)
+    if kind == "integral_gradients":
+        return _numpy_function(kind, _gradients(exprs, labels),
+                               (len(exprs), len(labels)), labels)
+    raise InvalidValue(f"no {kind!r} evaluator for this source")
 
 
 # ---------------------------------------------------------------------------

@@ -434,7 +434,7 @@ def integrate_batch(field: FieldLike, states0: np.ndarray, t_end: float,
 def field_jacobian(target, p: MixedPoint, scheme: str = "fd") -> np.ndarray:
     """Jacobian of the field at p.
 
-    scheme 'exact' uses the hand-written system Jacobian and requires a
+    scheme 'exact' uses the system's exact Jacobian and requires a
     System; 'fd' uses central differences with per-slot step
     1e-6 * (1 + |coordinate|) and works for any field callable.
     """

@@ -18,10 +18,14 @@ Four families are shipped, in two mirrored pairs:
     T^(n+l+m+1), coordinates (phi_1..phi_n, v_1..v_l, y, q_1..q_m), with
     the involution negating (phi, y, q).
 
-All evaluators are vectorized: they accept a state of shape (dim,) or a
-batch (..., dim) and return matching shapes. The compact families are the
-unique ones read through sin: their evaluators call the unique family's at
-sin(s), and the chain rule supplies the derivatives.
+A family member is defined by its texts alone: the energy text of a
+Hamiltonian family (see `hamiltonian_text`) or one rate text per slot of a
+reversible one, plus the texts of its other first integrals. The compact
+families are the unique ones read through sin in those texts. The field,
+its Jacobian, the energy, the integrals and their gradients are numpy code
+generated from the texts by `dsl`, with every derivative exact. All
+evaluators are vectorized: they accept a state of shape (dim,) or a batch
+(..., dim) and return matching shapes.
 """
 
 from __future__ import annotations
@@ -121,13 +125,15 @@ class _Slots(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class System:
-    """A family member: layout, evaluators, and structural metadata.
+    """A family member: layout, rate texts, and structural metadata.
 
-    The callables all take raw arrays of shape (..., dim). Point-level
-    wrappers with layout checking live at module level (eval_field and
-    friends). rates_source is the text the rates are compiled from for
-    single-state stepping (see `compiled`): an energy text with a pairs:
-    header, or one rate expression per slot in layout order.
+    A system is defined by its texts alone. rates_source is an energy text
+    with a pairs: header, or one rate expression per slot in layout order;
+    integral_texts are the first integrals besides the energy, which leads
+    integral_names when there is one. Every evaluator is generated from
+    these texts on first use (see `compiled`). The evaluators take raw
+    arrays of shape (..., dim); point-level wrappers with layout checking
+    live at module level (eval_field and friends).
     """
 
     params: SystemParams
@@ -136,12 +142,8 @@ class System:
     canonical_pairing: tuple[tuple[int, int], ...]
     involution_signs: np.ndarray
     integral_names: tuple[str, ...]
-    _field: Callable[[np.ndarray], np.ndarray]
-    _hamiltonian: Optional[Callable[[np.ndarray], np.ndarray]]
-    _integrals: Callable[[np.ndarray], np.ndarray]
-    _integral_gradients: Callable[[np.ndarray], np.ndarray]
-    _jacobian: Callable[[np.ndarray], np.ndarray]
     rates_source: Union[str, tuple[str, ...]]
+    integral_texts: tuple[str, ...]
 
     @property
     def family(self) -> str:
@@ -153,7 +155,7 @@ class System:
 
     @property
     def is_hamiltonian(self) -> bool:
-        return self._hamiltonian is not None
+        return isinstance(self.rates_source, str)
 
     @property
     def is_compact(self) -> bool:
@@ -161,21 +163,21 @@ class System:
 
     def field(self, states: np.ndarray) -> np.ndarray:
         """Right-hand side at one state or a batch of states."""
-        return self._field(np.asarray(states, dtype=float))
+        return self.compiled("field")(states)
 
     def hamiltonian(self, states: np.ndarray) -> np.ndarray:
-        if self._hamiltonian is None:
+        if not self.is_hamiltonian:
             raise NotHamiltonian(
                 f"family {self.family!r} has no Hamiltonian")
-        return self._hamiltonian(np.asarray(states, dtype=float))
+        return self.compiled("hamiltonian")(states)
 
     def integrals(self, states: np.ndarray) -> np.ndarray:
         """Values of all first integrals, stacked on a trailing axis."""
-        return self._integrals(np.asarray(states, dtype=float))
+        return self.compiled("integrals")(states)
 
     def integral_gradients(self, states: np.ndarray) -> np.ndarray:
         """Exact gradients, shape (..., n_integrals, dim)."""
-        return self._integral_gradients(np.asarray(states, dtype=float))
+        return self.compiled("integral_gradients")(states)
 
     def involution(self, states: np.ndarray) -> np.ndarray:
         """The reversing involution applied to raw states (no wrapping)."""
@@ -186,15 +188,17 @@ class System:
         state = np.asarray(state, dtype=float)
         if state.shape != (self.dim,):
             raise InvalidValue("jacobian takes a single state")
-        return self._jacobian(state)
+        return self.compiled("jacobian")(state)
 
-    def compiled(self):
-        """The rates as straight-line code over Python floats.
+    def compiled(self, kind: str = "rates"):
+        """The system's code of one kind, see `dsl.compile_system`.
 
-        A `dsl.CompiledRates`, compiled on first use and shared by every
-        system with the same rate source.
+        By default the rates as straight-line code over Python floats, a
+        `dsl.CompiledRates`. Compiled on first use and shared by every
+        system with the same texts.
         """
-        return _compiled(self.rates_source, self.layout.labels)
+        return _compiled(kind, self.rates_source, self.integral_texts,
+                         self.layout.labels)
 
     def lyapunov_rate(self, states: np.ndarray) -> np.ndarray:
         """Time derivative of the escape certificate y + sum(q)."""
@@ -289,9 +293,7 @@ def hamiltonian_text(family: str, n: int, m: int, omega) -> str:
     if n < 1 or m < 0 or len(tuple(omega)) != n:
         raise InvalidValue("need n >= 1, m >= 0, len(omega) == n")
 
-    def var(name):  # compact variant reads every slot through sin
-        return f"sin({name})" if family == HAM_COMPACT else name
-
+    var = _reader(family)
     terms = []
     for i in range(n):
         w = float(tuple(omega)[i])
@@ -299,36 +301,39 @@ def hamiltonian_text(family: str, n: int, m: int, omega) -> str:
         terms.append(f"{var('x')}*{var(f'u_{i + 1}')}^2")
     terms.append(f"{var('x')}^3/3")
     terms.append(f"{var('x')}*{var('y')}^2")
-    for j in range(m):
-        terms.append(f"{var(f'p_{j + 1}')}^3/3")
-        terms.append(f"{var(f'p_{j + 1}')}*{var(f'q_{j + 1}')}^2")
+    terms += [_cubic(var, j + 1) for j in range(m)]
     pair_bits = "".join(f"(phi_{i + 1},u_{i + 1})" for i in range(n))
     pair_bits += "(y,x)"
     pair_bits += "".join(f"(q_{j + 1},p_{j + 1})" for j in range(m))
     return f"pairs: {pair_bits}\n{' + '.join(terms)}\n"
 
 
-def _rev_rates(family: str, par: SystemParams, labels) -> tuple[str, ...]:
-    """One rate text per slot of a reversible family member.
+def _cubic(read, j: int) -> str:
+    # the integral p_j^3/3 + p_j*q_j^2, with its slots read through `read`
+    return f"{read(f'p_{j}')}^3/3 + {read(f'p_{j}')}*{read(f'q_{j}')}^2"
 
-    y' adds the squares in the grouping in which the numpy field sums
-    them, so the two sums agree to the bit.
-    """
-    def square(name):  # compact variant reads every slot through sin
-        return f"sin({name})^2" if family == REV_COMPACT else f"{name}^2"
 
-    groups = [[square(f"v_{k + 1}") for k in range(par.l)], [square("y")],
-              [square(f"q_{j + 1}") for j in range(par.m)]]
-    y_rate = " + ".join(f"({' + '.join(g)})" for g in groups if g)
+def _rev_rates(par: SystemParams, labels) -> tuple[str, ...]:
+    """One rate text per slot of a reversible family member."""
+    read = _reader(par.family)
+    squares = ([f"v_{k + 1}" for k in range(par.l)] + ["y"]
+               + [f"q_{j + 1}" for j in range(par.m)])
     rates = {f"phi_{i + 1}": repr(w) for i, w in enumerate(par.omega)}
-    rates["y"] = y_rate
+    rates["y"] = " + ".join(f"{read(name)}^2" for name in squares)
     return tuple(rates.get(lab, "0") for lab in labels)
 
 
-@functools.lru_cache(maxsize=64)
-def _compiled(source, labels):
-    from .dsl import compile_source  # dsl imports this module
-    return compile_source(source, labels)
+def _reader(family: str) -> Callable[[str], str]:
+    # the compact families read every slot through sin
+    if family in (HAM_COMPACT, REV_COMPACT):
+        return lambda name: f"sin({name})"
+    return lambda name: name
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(kind, source, integrals, labels):
+    from .dsl import compile_system  # dsl imports this module
+    return compile_system(kind, source, integrals, labels)
 
 
 def _signs_for(layout, slots) -> np.ndarray:
@@ -341,210 +346,10 @@ def _signs_for(layout, slots) -> np.ndarray:
     return sgn
 
 
-def _build_ham_unique(par: SystemParams) -> System:
-    n, m = par.n, par.m
-    omega = np.array(par.omega)
-    layout, sl = _ham_layout(n, m)
-    dim = layout.dim
-    iu, iphi, ix, iy, ip, iq = sl.u, sl.phi, sl.x, sl.y, sl.p, sl.q
-
-    def rhs(s):
-        u = s[..., iu]
-        x = s[..., ix]
-        y = s[..., iy]
-        p = s[..., ip]
-        q = s[..., iq]
-        r = np.zeros_like(s)
-        r[..., iphi] = omega + 2.0 * x[..., None] * u
-        r[..., ix] = -2.0 * x * y
-        r[..., iy] = (u * u).sum(-1) + x * x + y * y
-        r[..., ip] = -2.0 * p * q
-        r[..., iq] = p * p + q * q
-        return r
-
-    def ham(s):
-        u = s[..., iu]
-        x = s[..., ix]
-        y = s[..., iy]
-        p = s[..., ip]
-        q = s[..., iq]
-        return ((omega * u).sum(-1) + x * (u * u).sum(-1)
-                + x ** 3 / 3.0 + x * y * y
-                + (p ** 3 / 3.0 + p * q * q).sum(-1))
-
-    def integrals(s):
-        p = s[..., ip]
-        q = s[..., iq]
-        return np.concatenate(
-            [ham(s)[..., None], s[..., iu], p ** 3 / 3.0 + p * q * q],
-            axis=-1)
-
-    def gradients(s):
-        u = s[..., iu]
-        x = s[..., ix]
-        y = s[..., iy]
-        p = s[..., ip]
-        q = s[..., iq]
-        G = np.zeros(s.shape[:-1] + (1 + n + m, dim))
-        # gradient of H, written with the same subexpressions as the field
-        # so that Poisson cancellations are exact in floating point
-        G[..., 0, iu] = omega + 2.0 * x[..., None] * u
-        G[..., 0, ix] = (u * u).sum(-1) + x * x + y * y
-        G[..., 0, iy] = 2.0 * x * y
-        G[..., 0, ip] = p * p + q * q
-        G[..., 0, iq] = 2.0 * p * q
-        for i in range(n):
-            G[..., 1 + i, iu.start + i] = 1.0
-        for j in range(m):
-            pj = p[..., j]
-            qj = q[..., j]
-            G[..., 1 + n + j, ip.start + j] = pj * pj + qj * qj
-            G[..., 1 + n + j, iq.start + j] = 2.0 * pj * qj
-        return G
-
-    def jac(s):
-        u = s[iu]
-        x = s[ix]
-        y = s[iy]
-        p = s[ip]
-        q = s[iq]
-        J = np.zeros((dim, dim))
-        for i in range(n):
-            J[iphi.start + i, iu.start + i] = 2.0 * x
-            J[iphi.start + i, ix] = 2.0 * u[i]
-        J[ix, ix] = -2.0 * y
-        J[ix, iy] = -2.0 * x
-        J[iy, iu] = 2.0 * u
-        J[iy, ix] = 2.0 * x
-        J[iy, iy] = 2.0 * y
-        for j in range(m):
-            J[ip.start + j, ip.start + j] = -2.0 * q[j]
-            J[ip.start + j, iq.start + j] = -2.0 * p[j]
-            J[iq.start + j, ip.start + j] = 2.0 * p[j]
-            J[iq.start + j, iq.start + j] = 2.0 * q[j]
-        return J
-
-    names = (("H",) + tuple(f"u_{i + 1}" for i in range(n))
-             + tuple(f"cubic_{j + 1}" for j in range(m)))
-    pairing = (tuple((iphi.start + i, iu.start + i) for i in range(n))
-               + ((iy, ix),)
-               + tuple((iq.start + j, ip.start + j) for j in range(m)))
-    return System(params=par, layout=layout, slots=sl,
-                  canonical_pairing=pairing,
-                  involution_signs=_signs_for(layout, sl),
-                  integral_names=names,
-                  _field=rhs, _hamiltonian=ham, _integrals=integrals,
-                  _integral_gradients=gradients, _jacobian=jac,
-                  rates_source=hamiltonian_text(HAM_UNIQUE, n, m, par.omega))
-
-
-def _build_rev(par: SystemParams) -> System:
-    n, l, m = par.n, par.l, par.m
-    omega = np.array(par.omega)
-    layout, sl = _rev_layout(n, l, m)
-    dim = layout.dim
-    iphi, iv, iy, iq = sl.phi, sl.v, sl.y, sl.q
-
-    def rhs(s):
-        r = np.zeros_like(s)
-        r[..., iphi] = omega
-        v = s[..., iv]
-        y = s[..., iy]
-        q = s[..., iq]
-        r[..., iy] = (v * v).sum(-1) + y * y + (q * q).sum(-1)
-        return r
-
-    # v_k and q_j are conserved (their rates vanish identically)
-    def integrals(s):
-        return np.concatenate([s[..., iv], s[..., iq]], axis=-1)
-
-    def gradients(s):
-        K = l + m
-        G = np.zeros(s.shape[:-1] + (K, dim))
-        for k in range(l):
-            G[..., k, iv.start + k] = 1.0
-        for j in range(m):
-            G[..., l + j, iq.start + j] = 1.0
-        return G
-
-    def jac(s):
-        J = np.zeros((dim, dim))
-        v = s[iv]
-        y = s[iy]
-        q = s[iq]
-        J[iy, iv] = 2.0 * v
-        J[iy, iy] = 2.0 * y
-        J[iy, iq] = 2.0 * q
-        return J
-
-    names = (tuple(f"v_{k + 1}" for k in range(l))
-             + tuple(f"q_{j + 1}" for j in range(m)))
-    return System(params=par, layout=layout, slots=sl,
-                  canonical_pairing=(),
-                  involution_signs=_signs_for(layout, sl),
-                  integral_names=names,
-                  _field=rhs, _hamiltonian=None, _integrals=integrals,
-                  _integral_gradients=gradients, _jacobian=jac,
-                  rates_source=_rev_rates(REV_UNIQUE, par, layout.labels))
-
-
-def _compactify(base: System, par: SystemParams) -> System:
-    """The compact family of `base`: every slot z is read through sin(z).
-
-    With S = sin(s) and C = cos(s), the Hamiltonian and the integrals are
-    the base ones at S, and the chain rule gives their gradients as the
-    base ones at S times C. A Hamiltonian rate is the derivative of H along
-    the partner of its slot (the other member of its canonical pair), so it
-    picks up C at that partner; a reversible field is the base one at S.
-    The paper substitutes only the non-angle coordinates; no unique family
-    depends on its angles, so reading them through sin as well changes
-    nothing.
-    """
-    slots = np.arange(base.dim)
-    partner = slots.copy()
-    for a, b in base.canonical_pairing:
-        partner[a], partner[b] = b, a
-
-    if base._hamiltonian is None:
-        ham = None
-        source = _rev_rates(REV_COMPACT, par, base.layout.labels)
-
-        def rhs(s):
-            return base._field(np.sin(s))
-
-        def jac(s):
-            return base._jacobian(np.sin(s)) * np.cos(s)
-    else:
-        source = hamiltonian_text(HAM_COMPACT, par.n, par.m, par.omega)
-
-        def ham(s):
-            return base._hamiltonian(np.sin(s))
-
-        def rhs(s):
-            return np.cos(s[..., partner]) * base._field(np.sin(s))
-
-        def jac(s):
-            S, C = np.sin(s), np.cos(s)
-            J = C[partner, None] * base._jacobian(S) * C
-            # the factor C[partner[k]] of rate k differentiates too
-            J[slots, partner] -= S[partner] * base._field(S)
-            return J
-
-    def integrals(s):
-        return base._integrals(np.sin(s))
-
-    def gradients(s):
-        return base._integral_gradients(np.sin(s)) * np.cos(s)[..., None, :]
-
-    layout = CoordinateLayout(labels=base.layout.labels,
-                              angle_slots=frozenset(range(base.dim)))
-    return System(params=par, layout=layout, slots=base.slots,
-                  canonical_pairing=base.canonical_pairing,
-                  involution_signs=base.involution_signs,
-                  integral_names=base.integral_names,
-                  _field=rhs, _hamiltonian=ham, _integrals=integrals,
-                  _integral_gradients=gradients, _jacobian=jac,
-                  rates_source=source)
+def _ham_pairing(sl: _Slots, n: int, m: int) -> tuple[tuple[int, int], ...]:
+    return (tuple((sl.phi.start + i, sl.u.start + i) for i in range(n))
+            + ((sl.y, sl.x),)
+            + tuple((sl.q.start + j, sl.p.start + j) for j in range(m)))
 
 
 def build_system(params: SystemParams) -> System:
@@ -556,17 +361,37 @@ def build_system(params: SystemParams) -> System:
     >>> sys.dim, len(sys.layout.angle_slots), len(sys.integral_names)
     (6, 1, 3)
     """
-    if params.family == HAM_UNIQUE:
-        return _build_ham_unique(params)
-    if params.family == HAM_COMPACT:
-        return _compactify(_build_ham_unique(params), params)
-    if params.family == REV_UNIQUE:
-        return _build_rev(params)
-    if params.family == REV_COMPACT:
-        return _compactify(_build_rev(params), params)
-    raise InvalidParams(
-        f"build_system only handles {FAMILIES}; "
-        f"use build_control_system for the control fixture")
+    par = params
+    read = _reader(par.family)
+    if par.family in (HAM_UNIQUE, HAM_COMPACT):
+        layout, sl = _ham_layout(par.n, par.m)
+        pairing = _ham_pairing(sl, par.n, par.m)
+        source = hamiltonian_text(par.family, par.n, par.m, par.omega)
+        actions = [f"u_{i + 1}" for i in range(par.n)]
+        cubics = [f"cubic_{j + 1}" for j in range(par.m)]
+        integrals = ([read(u) for u in actions]
+                     + [_cubic(read, j + 1) for j in range(par.m)])
+        names = ["H"] + actions + cubics
+    elif par.family in (REV_UNIQUE, REV_COMPACT):
+        layout, sl = _rev_layout(par.n, par.l, par.m)
+        pairing = ()
+        source = _rev_rates(par, layout.labels)
+        # v_k and q_j are conserved (their rates vanish identically)
+        names = ([f"v_{k + 1}" for k in range(par.l)]
+                 + [f"q_{j + 1}" for j in range(par.m)])
+        integrals = [read(name) for name in names]
+    else:
+        raise InvalidParams(
+            f"build_system only handles {FAMILIES}; "
+            f"use build_control_system for the control fixture")
+    if par.family in (HAM_COMPACT, REV_COMPACT):
+        layout = CoordinateLayout(labels=layout.labels,
+                                  angle_slots=frozenset(range(layout.dim)))
+    return System(params=par, layout=layout, slots=sl,
+                  canonical_pairing=pairing,
+                  involution_signs=_signs_for(layout, sl),
+                  integral_names=tuple(names), rates_source=source,
+                  integral_texts=tuple(integrals))
 
 
 def build_control_system(omega: float = 1.0, nu: float = 0.3) -> System:
@@ -578,48 +403,16 @@ def build_control_system(omega: float = 1.0, nu: float = 0.3) -> System:
     """
     par = SystemParams(CONTROL, n=1, m=0, omega=(float(omega),))
     layout, sl = _ham_layout(1, 0)
-    iu, iphi, ix, iy = sl.u, sl.phi, sl.x, sl.y
-    w = float(omega)
     nu = float(nu)
     if not math.isfinite(nu):
         raise InvalidParams("nu must be finite")
-
-    def rhs(s):
-        r = np.zeros_like(s)
-        r[..., iphi] = w
-        r[..., ix] = -nu * s[..., iy]
-        r[..., iy] = nu * s[..., ix]
-        return r
-
-    def ham(s):
-        x = s[..., ix]
-        y = s[..., iy]
-        return w * s[..., iu.start] + 0.5 * nu * (x * x + y * y)
-
-    def integrals(s):
-        return np.stack([ham(s), s[..., iu.start]], axis=-1)
-
-    def gradients(s):
-        G = np.zeros(s.shape[:-1] + (2, 4))
-        G[..., 0, iu.start] = w
-        G[..., 0, ix] = nu * s[..., ix]
-        G[..., 0, iy] = nu * s[..., iy]
-        G[..., 1, iu.start] = 1.0
-        return G
-
-    def jac(s):
-        J = np.zeros((4, 4))
-        J[ix, iy] = -nu
-        J[iy, ix] = nu
-        return J
-
+    energy = f"{par.omega[0]!r}*u_1 + 0.5*{nu!r}*(x^2 + y^2)"
     return System(params=par, layout=layout, slots=sl,
-                  canonical_pairing=((iphi.start, iu.start), (iy, ix)),
+                  canonical_pairing=_ham_pairing(sl, 1, 0),
                   involution_signs=_signs_for(layout, sl),
                   integral_names=("H", "u_1"),
-                  _field=rhs, _hamiltonian=ham, _integrals=integrals,
-                  _integral_gradients=gradients, _jacobian=jac,
-                  rates_source=("0", repr(w), f"-{nu!r}*y", f"{nu!r}*x"))
+                  rates_source=f"pairs: (phi_1,u_1)(y,x)\n{energy}\n",
+                  integral_texts=("u_1",))
 
 
 # ---------------------------------------------------------------------------

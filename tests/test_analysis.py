@@ -363,6 +363,15 @@ class TestFixedPoint:
         assert abs(res.point["y"]) < 1e-7
         assert abs(res.point["u_1"] - 0.7) < 1e-9
 
+    def test_compact_orbit_off_the_zero_level(self):
+        # u follows z along the energy level, so Newton converges only
+        # when its matrix carries the coupling DP[z,u] (x) H_z / H_u
+        sys = make(HAM_COMPACT, n=1, m=0)
+        sec = Section(slot=sys.layout.slot_of("phi_1"), value=0.0)
+        guess = MixedPoint.of(sys.layout, [0.0, 0.0, 0.1, 0.1])
+        res = find_fixed_point(sys, sec, guess, energy=0.2)
+        assert res.residual <= 1e-6
+
     def test_preconditions(self):
         rev = make(REV_UNIQUE)
         with pytest.raises(NotHamiltonian):

@@ -264,6 +264,18 @@ class TestDsl:
         assert "dsl-parse: FAIL" in captured.out
         assert "Traceback" not in captured.out + captured.err
 
+    def test_energy_that_overflows_fails(self, tmp_path, capsys):
+        # both literals are finite, their product is not
+        path = tmp_path / "inf.ham"
+        path.write_text("pairs: (y,x)\n1e300*1e300*x^2 + y\n")
+        rc = main(["dsl", "check", "--file", str(path),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "dsl-roundtrip: FAIL" in captured.out
+        assert "dsl-gradients: FAIL" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["dsl", "check", "--file", str(tmp_path / "no.ham"),
                    "--out", str(tmp_path)])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from catalog_oracle import oracle_field
 
 from toruslab import dsl
 from toruslab.dsl import (
@@ -16,6 +17,7 @@ from toruslab.dsl import (
     Sin,
     Sub,
     Var,
+    compile_numpy,
     compile_rates,
     cross_check_fields,
     differentiate,
@@ -304,7 +306,8 @@ def test_derived_field_matches_catalog_ham_unique():
     expr, pairing = parse_hamiltonian_file(
         hamiltonian_text(HAM_UNIQUE, 1, 1, (1.0,)))
     derived = hamiltonian_vector_field(expr, pairing).evaluator(sys.layout)
-    report = cross_check_fields(sys, derived, samples=400, seed=1)
+    report = cross_check_fields(oracle_field(sys), derived, samples=400,
+                                seed=1)
     assert report.max_abs_deviation <= 1e-12
 
 
@@ -313,7 +316,8 @@ def test_derived_field_matches_catalog_ham_compact():
     expr, pairing = parse_hamiltonian_file(
         hamiltonian_text(HAM_COMPACT, 1, 1, (1.0,)))
     derived = hamiltonian_vector_field(expr, pairing).evaluator(sys.layout)
-    report = cross_check_fields(sys, derived, samples=400, seed=2)
+    report = cross_check_fields(oracle_field(sys), derived, samples=400,
+                                seed=2)
     assert report.max_abs_deviation <= 1e-12
 
 
@@ -393,7 +397,8 @@ def test_all_shipped_texts_reproduce_catalog_fields():
         expr, pairing = parse_hamiltonian_file(text)
         derived = hamiltonian_vector_field(expr, pairing) \
             .evaluator(sys.layout)
-        report = cross_check_fields(sys, derived, samples=250, seed=7)
+        report = cross_check_fields(oracle_field(sys), derived,
+                                    samples=250, seed=7)
         assert report.max_abs_deviation <= 1e-12, stem
 
 
@@ -430,11 +435,14 @@ def test_compiled_code_never_sees_a_source_identifier():
     rates = [parse("math*s0 + exec"), Neg(Var("_sin")),
              parse("sin(exec)^2 - 2.5"), Mul(Var("_sin"), Var("math"))]
     compiled = compile_rates(rates, names)
-    assert "exec" not in compiled.source and "math" not in compiled.source
+    field = compile_numpy(rates, names)
+    for source in (compiled.source, field.source):
+        assert "exec" not in source and "math" not in source
     state = (0.5, -1.5, 2.0, 0.25)
     b = dict(zip(names, state))
     want = [eval_expr(e, b) for e in rates]
     assert np.max(np.abs(np.subtract(compiled.field(state), want))) <= 1e-15
+    assert np.max(np.abs(field(np.array(state)) - want)) <= 1e-15
 
 
 def test_compiled_rates_reject_an_unknown_variable():

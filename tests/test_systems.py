@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from catalog_oracle import oracle_field
 
 from toruslab.errors import (
     DegenerateOffset,
@@ -155,6 +156,13 @@ def test_rev_unique_field_oracle():
         eval_hamiltonian(sys, p)
 
 
+def test_field_matches_hand_written_oracle():
+    for sys in ALL_SYSTEMS:
+        states = rand_states(sys, 300, seed=11, scale=math.pi)
+        dev = np.abs(sys.field(states) - oracle_field(sys)(states))
+        assert np.max(dev) <= 1e-12, sys.family
+
+
 def test_field_is_vectorized():
     for sys in ALL_SYSTEMS:
         S = rand_states(sys, 17, seed=5)
@@ -188,7 +196,7 @@ def test_hamiltonian_field_matches_canonical_gradient():
 
 
 def test_integral_gradients_match_fd():
-    for sys in ALL_SYSTEMS:
+    for sys in ALL_SYSTEMS + [build_control_system()]:
         states = rand_states(sys, 40, seed=3)
         exact = sys.integral_gradients(states)
         for k in range(len(sys.integral_names)):
@@ -199,9 +207,10 @@ def test_integral_gradients_match_fd():
 
 
 def test_integrals_conserved_along_field():
-    # directional derivative <grad I, f> vanishes analytically; the shared
-    # subexpressions make it vanish in floating point as well
-    for sys in ALL_SYSTEMS:
+    # directional derivative <grad I, f> vanishes analytically; the field
+    # and the gradients are derived from the same expressions, which makes
+    # it vanish in floating point as well
+    for sys in ALL_SYSTEMS + [build_control_system()]:
         states = rand_states(sys, 1000, seed=4)
         G = sys.integral_gradients(states)
         f = sys.field(states)
