@@ -35,10 +35,10 @@ from .integrators import (
     IntegratorConfig,
     Trajectory,
     _as_field_fn,
+    _compiled_for,
     _fixed_step,
     _march,
     _rk4_step,
-    _variational_field,
     integrate,
     integrate_batch,
     integrate_variational,
@@ -70,10 +70,23 @@ TWO_PI = 2.0 * math.pi
 
 
 def _report_json(claim, parameters, verdict, metrics, seed=None) -> str:
+    """The one report.json writer; strict JSON, so a number that is not
+    finite is written as null."""
     return json.dumps(
-        {"claim": claim, "parameters": parameters, "verdict": verdict,
-         "metrics": metrics, "seed": seed},
+        _finite_or_null({"claim": claim, "parameters": parameters,
+                         "verdict": verdict, "metrics": metrics,
+                         "seed": seed}),
         sort_keys=True, default=float, indent=2) + "\n"
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +362,12 @@ class PoincareResult:
     time: float
 
 
-def _first_return(sys, field, section, state, config, horizon):
+def _first_return(sys, section, state, config, horizon):
     """Flow state to its next directed crossing of the section.
 
-    The leading slots of state are the system state; field (a System or a
-    callable) advances all of it, so the same routine carries a tangent
-    matrix along. Returns the raw state on the section and the crossing
-    time.
+    state is the system state, or for a System the state followed by a
+    tangent matrix, which then flows along (see integrators._compiled_for).
+    Returns the raw state on the section and the crossing time.
     """
     if not sys.layout.is_angle(section.slot):
         raise InvalidValue(
@@ -380,7 +392,7 @@ def _first_return(sys, field, section, state, config, horizon):
         return False
 
     w, escaped, escape_time, _ = _march(
-        *_fixed_step(field, replace(cfg, method=RK4), state), horizon, cfg,
+        *_fixed_step(sys, replace(cfg, method=RK4), state), horizon, cfg,
         at_crossing)
     if sgn * (w[slot] - goal) < 0.0:
         if escaped:
@@ -389,7 +401,9 @@ def _first_return(sys, field, section, state, config, horizon):
                 time=float(escape_time))
         raise NoReturn(f"no crossing of the section within horizon {horizon}")
 
-    rates = _as_field_fn(field)
+    code = _compiled_for(sys, state)
+    rates = _as_field_fn(sys) if code is None \
+        else (lambda v: np.array(code.field(tuple(v.tolist()))))
 
     def per_angle(v):  # d(w, t)/d(angle) = (field, 1) / angular rate
         r = rates(v[:-1])
@@ -418,7 +432,7 @@ def poincare_map(sys: System, section: Section, p0: MixedPoint,
     section (Henon's method), and the section slot is set to its value
     exactly. A crossing with angular rate below 1e-8 is TangentCrossing.
     """
-    s, t = _first_return(sys, sys, section, p0.coords, config, horizon)
+    s, t = _first_return(sys, section, p0.coords, config, horizon)
     return PoincareResult(point=MixedPoint.of(sys.layout, s), time=t)
 
 
@@ -427,9 +441,9 @@ def _return_jacobian(sys, section, s, config, horizon):
     # whose second term moves the perturbed orbit back onto the section;
     # entries of M past the escape norm count as an escape, like the state's
     dim = len(s)
-    w, _ = _first_return(
-        sys, _variational_field(sys.field, sys.jacobian, dim), section,
-        np.concatenate([s, np.eye(dim).ravel()]), config, horizon)
+    w, _ = _first_return(sys, section,
+                         np.concatenate([s, np.eye(dim).ravel()]), config,
+                         horizon)
     x, M = w[:dim], w[dim:].reshape(dim, dim)
     f = sys.field(x)
     return x, M - np.outer(f, M[section.slot] / f[section.slot])

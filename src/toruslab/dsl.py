@@ -18,6 +18,7 @@ mom' = -dH/dpos.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -37,6 +38,7 @@ from .errors import (
     SimplifyError,
     UnboundVar,
 )
+from .integrators import _DP_A, _DP_B4, _DP_B5
 from .phase import CoordinateLayout
 # the energy texts belong to the family catalog; re-exported here
 from .systems import hamiltonian_text  # noqa: F401
@@ -314,10 +316,20 @@ def _div(a: Expr, b: Expr) -> Expr:
         return Const(a.value / b.value)
     if _is_const(b, 1.0):
         return a
-    # fold a shared constant factor: (c*e)/k -> (c/k)*e
-    if isinstance(a, Mul) and _is_const(a.left) and _is_const(b):
-        return _mul(Const(a.left.value / b.value), a.right)
+    if _is_const(b) and (folded := _scaled(a, b.value)) is not None:
+        return folded
     return Div(a, b)
+
+
+def _scaled(e: Expr, k: float) -> Optional[Expr]:
+    """e / k with k folded into the constant at the bottom of e's left
+    spine of products, ((c*e1)*e2)/k -> ((c/k)*e1)*e2; None when the
+    spine ends in no constant."""
+    if _is_const(e):
+        return Const(e.value / k)
+    if isinstance(e, Mul) and (left := _scaled(e.left, k)) is not None:
+        return _mul(left, e.right)
+    return None
 
 
 def _pow(base: Expr, k: int) -> Expr:
@@ -614,6 +626,8 @@ class _Dag:
 
     def __init__(self, names: Sequence[str]):
         self.slot = {name: i for i, name in enumerate(names)}
+        if len(self.slot) != len(names):
+            raise InvalidValue("slot names must be distinct")
         self.consts: list[float] = []
         self.nodes: list[tuple] = []
         self._number: dict[tuple, int] = {}
@@ -648,16 +662,23 @@ class _Dag:
             return ()
         return node[1:3] if node[0] in _BINARY.values() else node[1:2]
 
-    def emit(self, inputs, fresh, lines, indent, keep=None) -> list[str]:
+    def emit(self, inputs, fresh, lines, indent, keep=None,
+             outputs=None) -> list[str]:
         """Append one assignment per operation, evaluated at `inputs`
         (one code name per slot); return every node's code name.
 
         Given `keep`, the nodes the caller reads afterwards, every other
         temporary is deleted after its last use, so that a numpy array
-        frees its memory for the next one.
+        frees its memory for the next one. Given `outputs` instead, an
+        operation that no output is and that the code reads once is
+        written into its reader, in parentheses, and not assigned.
         """
         last = {a: k for k in range(len(self.nodes))
                 for a in self.operands(k)}
+        reads = [0] * len(self.nodes)
+        for k, node in enumerate(self.nodes):
+            for a in self.operands(k):
+                reads[a] += 2 if node[0] == "^" and node[2] == 2 else 1
         names: list[str] = []
         for k, node in enumerate(self.nodes):
             op = node[0]
@@ -676,6 +697,9 @@ class _Dag:
                 code = f"-{a}"
             else:
                 code = f"_{op.lower()}({a})"
+            if outputs is not None and reads[k] == 1 and k not in outputs:
+                names.append(f"({code})")
+                continue
             names.append(f"v{next(fresh)}")
             lines.append(f"{indent}{names[-1]} = {code}")
             if keep is not None:
@@ -695,17 +719,46 @@ def _largest(items) -> str:
     return items[0] if len(items) == 1 else f"max({', '.join(items)})"
 
 
-def _generate(dag: _Dag, rates: list[int], dim: int) -> str:
-    """Source of field, rk4_step and midpoint_step over one state tuple.
+def _numpy_sum(terms: list[str]) -> str:
+    """The sum of terms in the order numpy sums a contiguous float array:
+    left to right below 8 terms; else eight interleaved running sums,
+    added pairwise, then the tail; past 128 terms, each half apart."""
+    n = len(terms)
+    if n < 8:
+        return " + ".join(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return f"({_numpy_sum(terms[:half])}) + ({_numpy_sum(terms[half:])})"
+    whole = n - n % 8
+    r = [f"({' + '.join(terms[j:whole:8])})" for j in range(8)]
+    pairs = (f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]}))"
+             f" + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))")
+    return " + ".join([pairs] + terms[whole:])
 
-    The steps repeat the arithmetic of integrators._rk4_step and
-    _batch_midpoint on a single state, operation for operation.
+
+# the Dormand-Prince tableau by the names the generated dp54_step reads
+_DP_NAMES = {f"_a{i}_{j}": a for i, row in enumerate(_DP_A)
+             for j, a in enumerate(row)}
+_DP_NAMES.update({f"_e{j}": b5 - b4 for j, (b5, b4)
+                  in enumerate(zip(_DP_B5, _DP_B4))}, _b6=_DP_B5[6])
+
+_FUNCTIONS = ("field", "rk4_step", "midpoint_step", "dp54_step")
+
+
+def _generate(dag: _Dag, rates: list[int], dim: int,
+              functions: Sequence[str] = _FUNCTIONS) -> list[str]:
+    """Source of each named function of one state tuple, among field,
+    rk4_step, midpoint_step and dp54_step.
+
+    The steps repeat the arithmetic of integrators._rk4_step,
+    _batch_midpoint and the adaptive loop's _dp54_step with its error
+    norm on a single state, operation for operation.
     """
     fresh = itertools.count()
     s = [f"s{i}" for i in range(dim)]
 
     def field_at(inputs, lines, indent):
-        names = dag.emit(inputs, fresh, lines, indent)
+        names = dag.emit(inputs, fresh, lines, indent, outputs=set(rates))
         return [names[r] for r in rates]
 
     def shifted(out, k, scale, lines, indent):  # out = s + scale * k
@@ -719,46 +772,89 @@ def _generate(dag: _Dag, rates: list[int], dim: int) -> str:
     head = [f"    {_tuple(s)} = s", "    try:"]
     tail = ["    except _FAILS:", "        return _NAN", ""]
     body = "        "
-    field = ["def field(s):"] + head
-    k = field_at(s, field, body)
-    field += [f"{body}return {_tuple(k)}"] + tail
 
-    rk4 = ["def rk4_step(s, h):"] + head + [f"{body}hh = 0.5 * h"]
-    k1 = field_at(s, rk4, body)
-    k2 = field_at(shifted(temps(), k1, "hh", rk4, body), rk4, body)
-    k3 = field_at(shifted(temps(), k2, "hh", rk4, body), rk4, body)
-    k4 = field_at(shifted(temps(), k3, "h", rk4, body), rk4, body)
-    # divide the stage sum, not h, so a constant rate advances by exactly h
-    rk4 += [f"{body}return " + _tuple(
-        f"{x} + h * (({a} + 2.0 * {b} + 2.0 * {c} + {d}) / 6.0)"
-        for x, a, b, c, d in zip(s, k1, k2, k3, k4))] + tail
+    def field():
+        lines = ["def field(s):"] + head
+        k = field_at(s, lines, body)
+        return lines + [f"{body}return {_tuple(k)}"] + tail
 
-    m = [f"m{i}" for i in range(dim)]
-    loop = body + "    "
-    mid = ["def midpoint_step(s, h, tol, max_iter):"] + head
-    mid.append(f"{body}hh = 0.5 * h")
-    k = field_at(s, mid, body)
-    shifted(m, k, "hh", mid, body)
-    mid.append(f"{body}for _ in range(max_iter):")
-    k = field_at(m, mid, loop)
-    n = [f"n{i}" for i in range(dim)]
-    e = [f"e{i}" for i in range(dim)]
-    shifted(n, k, "hh", mid, loop)
-    mid += [f"{loop}{a} = abs({b} - {c})" for a, b, c in zip(e, n, m)]
-    mid += [f"{loop}{a} = {b}" for a, b in zip(m, n)]
-    # numpy's max over the row is nan when any entry is; the sum stands in
-    # for that test, and only finite rows above tol keep iterating
-    mid += [f"{loop}total = {' + '.join(e)}",
-            f"{loop}if not (tol < {_largest(e)} < _INF and total == total):",
-            f"{loop}    break",
-            f"{body}else:"]
-    k = field_at(m, mid, loop)
-    stuck = [f"abs({a} + hh * {b} - {c})" for a, b, c in zip(s, k, m)]
-    mid += [f"{loop}if {_largest(stuck)} > tol:",
-            f"{loop}    {' = '.join(m)} = _NAN[0]",
-            f"{body}return {_tuple(f'2.0 * {a} - {b}' for a, b in zip(m, s))}"]
-    mid += tail
-    return "\n".join(field + rk4 + mid)
+    def rk4_step():
+        lines = ["def rk4_step(s, h):"] + head + [f"{body}hh = 0.5 * h"]
+        k1 = field_at(s, lines, body)
+        k2 = field_at(shifted(temps(), k1, "hh", lines, body), lines, body)
+        k3 = field_at(shifted(temps(), k2, "hh", lines, body), lines, body)
+        k4 = field_at(shifted(temps(), k3, "h", lines, body), lines, body)
+        # divide the stage sum, not h, so a constant rate advances by
+        # exactly h
+        return lines + [f"{body}return " + _tuple(
+            f"{x} + h * (({a} + 2.0 * {b} + 2.0 * {c} + {d}) / 6.0)"
+            for x, a, b, c, d in zip(s, k1, k2, k3, k4))] + tail
+
+    def midpoint_step():
+        m = [f"m{i}" for i in range(dim)]
+        loop = body + "    "
+        mid = ["def midpoint_step(s, h, tol, max_iter):"] + head
+        mid.append(f"{body}hh = 0.5 * h")
+        k = field_at(s, mid, body)
+        shifted(m, k, "hh", mid, body)
+        mid.append(f"{body}for _ in range(max_iter):")
+        k = field_at(m, mid, loop)
+        n = [f"n{i}" for i in range(dim)]
+        e = [f"e{i}" for i in range(dim)]
+        shifted(n, k, "hh", mid, loop)
+        mid += [f"{loop}{a} = abs({b} - {c})" for a, b, c in zip(e, n, m)]
+        mid += [f"{loop}{a} = {b}" for a, b in zip(m, n)]
+        # numpy's max over the row is nan when any entry is; the sum
+        # stands in for that test, and only finite rows above tol keep
+        # iterating
+        mid += [f"{loop}total = {' + '.join(e)}",
+                f"{loop}if not (tol < {_largest(e)} < _INF"
+                " and total == total):",
+                f"{loop}    break",
+                f"{body}else:"]
+        k = field_at(m, mid, loop)
+        stuck = [f"abs({a} + hh * {b} - {c})" for a, b, c in zip(s, k, m)]
+        mid += [f"{loop}if {_largest(stuck)} > tol:",
+                f"{loop}    {' = '.join(m)} = _NAN[0]",
+                f"{body}return "
+                + _tuple(f"2.0 * {a} - {b}" for a, b in zip(m, s))]
+        return mid + tail
+
+    def dp54_step():
+        lines = ["def dp54_step(s, h, abs_tol, rel_tol):"] + head
+        ks = [field_at(s, lines, body)]
+
+        def stage_sum(coefficient, x):  # Python's sum starts from 0
+            return " + ".join(["0.0"] + [f"{coefficient(j)} * {k[x]}"
+                                         for j, k in enumerate(ks)])
+
+        for i in range(1, len(_DP_A)):
+            incr = temps()
+            lines += [f"{body}{o} = {stage_sum(lambda j: f'_a{i}_{j}', x)}"
+                      for x, o in enumerate(incr)]
+            ks.append(field_at(shifted(temps(), incr, "h", lines, body),
+                               lines, body))
+        # the 5th-order weights are the last stage's row and a zero, so
+        # their sum continues that stage's increment
+        y, e, r = temps(), temps(), temps()
+        lines += [f"{body}{o} = {a} + h * ({b} + _b6 * {k})"
+                  for o, a, b, k in zip(y, s, incr, ks[-1])]
+        lines += [f"{body}{o} = h * ({stage_sum(lambda j: f'_e{j}', x)})"
+                  for x, o in enumerate(e)]
+        finite = " and ".join(f"-_INF < {a} < _INF" for a in y)
+        lines += [f"{body}if not ({finite}):",
+                  f"{body}    return {_tuple(y)}, _INF"]
+        for o, a, b, d in zip(r, s, y, e):
+            lines += [f"{body}p = abs({a})", f"{body}q = abs({b})",
+                      f"{body}{o} = {d} / (abs_tol + rel_tol"
+                      " * (p if p >= q else q))"]
+        norm = _numpy_sum([f"{a} * {a}" for a in r])
+        lines.append(f"{body}return {_tuple(y)}, _sqrt(({norm}) / {dim})")
+        return lines + ["    except _FAILS:", "        return _NAN, _INF", ""]
+
+    makers = {"field": field, "rk4_step": rk4_step,
+              "midpoint_step": midpoint_step, "dp54_step": dp54_step}
+    return ["\n".join(makers[name]()) for name in functions]
 
 
 @dataclass(frozen=True, eq=False)
@@ -766,45 +862,76 @@ class CompiledRates:
     """Rate expressions compiled to straight-line code over Python floats.
 
     Every function takes the state as a tuple of floats, one per name, and
-    returns a tuple. field(s) gives the rates; rk4_step(s, h) and
-    midpoint_step(s, h, tol, max_iter) repeat the arithmetic of the numpy
-    steps in `integrators` on one state, rates inlined. Where that
-    arithmetic raises (sin of inf, a division by zero, an overflowing
-    power) every slot comes back NaN, as numpy would give inf or nan, so
-    the integrators' escape test sees it either way.
+    returns a tuple. field(s) gives the rates; rk4_step(s, h),
+    midpoint_step(s, h, tol, max_iter) and dp54_step(s, h, abs_tol,
+    rel_tol) repeat the arithmetic of the numpy steps in `integrators` on
+    one state, rates inlined; dp54_step returns the 5th-order state and
+    the adaptive loop's error norm. Where that arithmetic raises (sin of
+    inf, a division by zero, an overflowing power) every slot comes back
+    NaN (and the norm inf), as numpy would give inf or nan, so the
+    integrators' escape test sees it either way. Functions not compiled
+    are None.
     """
 
     names: tuple[str, ...]
     source: str
     field: Callable[[tuple], tuple]
     rk4_step: Callable[[tuple, float], tuple]
-    midpoint_step: Callable[[tuple, float, float, int], tuple]
+    midpoint_step: Optional[Callable[[tuple, float, float, int], tuple]]
+    dp54_step: Optional[Callable[[tuple, float, float, float], tuple]]
 
 
-def compile_rates(rates: Sequence[Expr],
-                  names: Sequence[str]) -> CompiledRates:
+def compile_rates(rates: Sequence[Expr], names: Sequence[str],
+                  functions: Sequence[str] = _FUNCTIONS) -> CompiledRates:
     """Compile one rate expression per name, in the order of `names`.
 
-    The generated code names slots s0, s1, ... and constants c0, c1, ...,
-    and binds the constants by value, so no identifier or number of the
-    source text reaches it. Raises UnboundVar for a variable outside
-    `names`.
+    functions names what to generate among field, rk4_step,
+    midpoint_step and dp54_step; the others are None. The generated
+    code names slots s0, s1, ... and constants c0, c1, ..., and binds
+    the constants by value, so no identifier or number of the source
+    text reaches it. Raises UnboundVar for a variable outside `names`.
     """
     names = tuple(names)
     if len(rates) != len(names):
         raise InvalidValue(f"{len(rates)} rates for {len(names)} names")
     dag = _Dag(names)
     outs = [dag.add(e) for e in rates]
-    source = _generate(dag, outs, len(names))
     namespace = {f"c{j}": v for j, v in enumerate(dag.consts)}
-    namespace.update(_sin=math.sin, _cos=math.cos, _INF=math.inf,
+    namespace.update(_DP_NAMES, _sin=math.sin, _cos=math.cos,
+                     _sqrt=math.sqrt, _INF=math.inf,
                      _NAN=(math.nan,) * len(names),
                      _FAILS=(ArithmeticError, ValueError))
-    exec(compile(source, "<compiled rates>", "exec"), namespace)
-    return CompiledRates(names=names, source=source,
-                         field=namespace["field"],
-                         rk4_step=namespace["rk4_step"],
-                         midpoint_step=namespace["midpoint_step"])
+    sources = _generate(dag, outs, len(names), functions)
+    for text in sources:  # one at a time: the compiler's peak is per text
+        exec(compile(text, "<compiled rates>", "exec"), namespace)
+    return CompiledRates(names=names, source="\n".join(sources),
+                         **{f: namespace.get(f) for f in _FUNCTIONS})
+
+
+def compile_tangent(rates: Sequence[Expr],
+                    names: Sequence[str]) -> CompiledRates:
+    """The tangent flow of the rates, compiled: field and rk4_step.
+
+    Its state is the dim slots of `names` followed by the dim x dim
+    tangent matrix M row by row, and its rates are the given ones
+    followed by sum_k d rate_i / d name_k * M[k, j] for each entry (i, j),
+    the products of J @ M in the order k = 0, 1, ..., with the zero
+    entries of the exact Jacobian left out. The matrix slots have
+    generated names, which no identifier of a source text can spell.
+    """
+    names = tuple(names)
+    dim = len(names)
+    jac = _gradients(rates, names)
+    m = [[Var(f"M[{k},{j}]") for j in range(dim)] for k in range(dim)]
+    products = []
+    for i in range(dim):
+        for j in range(dim):
+            terms = [_mul(jac[i, k], m[k][j]) for k in range(dim)
+                     if not _is_const(jac[i, k], 0.0)]
+            products.append(functools.reduce(_add, terms, Const(0.0)))
+    return compile_rates(list(rates) + products,
+                         names + tuple(v.name for row in m for v in row),
+                         functions=("field", "rk4_step"))
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +1014,8 @@ def compile_system(kind: str, source, integrals: Sequence[str],
     source is an energy text with a pairs: header, whose canonical rates
     are derived, or one rate expression text per label. integrals holds
     the texts of the first integrals; an energy text's energy leads them.
-    kind 'rates' gives the `CompiledRates` of the rates. The other kinds
+    kind 'rates' gives the `CompiledRates` of the rates and 'tangent'
+    those of the tangent flow (see `compile_tangent`). The other kinds
     are numpy functions of states (..., dim): 'field' gives the rates,
     'jacobian' the (..., dim, dim) derivatives d rate_i / d slot_j,
     'hamiltonian' the energy, 'integrals' the (..., k) integral values
@@ -898,6 +1026,8 @@ def compile_system(kind: str, source, integrals: Sequence[str],
     rates, energy = _source_exprs(source, labels)
     if kind == "rates":
         return compile_rates(rates, labels)
+    if kind == "tangent":
+        return compile_tangent(rates, labels)
     if kind == "field":
         return compile_numpy(rates, labels)
     if kind == "jacobian":

@@ -1,13 +1,17 @@
 """Fixed-step, adaptive, and symplectic integrators plus variational flow.
 
-All steppers work on raw arrays of shape (..., dim) so a batch of states
-integrates at numpy speed. One stepping loop, `_march`, serves every
-fixed-step path: it lands exactly on the end time, freezes escaping rows
-instead of raising, and hands each step to an observer that stores,
-measures or stops. A single state of a System steps on Python floats,
-through the fused rk4 and midpoint steps compiled from the system's rates,
-because numpy's per-call cost dwarfs the arithmetic of one 4-8 slot
-state. A diverging midpoint iteration is reported as an escape.
+The numpy steppers work on raw arrays of shape (..., dim) so a batch of
+states integrates at numpy speed. One stepping loop, `_march`, serves
+every fixed-step path: it lands exactly on the end time, freezes escaping
+rows instead of raising, and hands each step to an observer that stores,
+measures or stops; the adaptive loop of `integrate` is the only other.
+A single state of a System steps on Python floats instead, because
+numpy's per-call cost dwarfs the arithmetic of one 4-8 slot state: the
+fused rk4, midpoint and Dormand-Prince steps compiled from the system's
+rates, and the fused rk4 step of its tangent flow, which carries a
+tangent matrix for `integrate_variational` and the return maps of
+`analysis`. Each repeats the numpy step's arithmetic in the same order.
+A diverging midpoint iteration is reported as an escape.
 
 Angular slots are wrapped only when states are stored, never inside a
 step, so the running state keeps a continuous (unwrapped) angle history.
@@ -124,8 +128,11 @@ def _rk4_step(f, s, h):
     return s + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
 
 
-# Dormand-Prince 5(4) tableau; the last stage row doubles as the 5th-order
-# weights (first-same-as-last is not exploited here for simplicity)
+# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6
+# (1980) 19-26). The last stage row is the 5th-order weights, so that stage
+# evaluates the rates at the 5th-order state; those rates are not reused as
+# the next step's first stage, so every attempted step costs 7 evaluations.
+# dsl.compile_rates generates the same step over Python floats (dp54_step).
 _DP_A = (
     (),
     (1 / 5,),
@@ -194,25 +201,66 @@ def _batch_midpoint(f, s, h, cfg):
     return 2.0 * m - s
 
 
+def _compiled_for(field, state):
+    """The compiled code that steps one state of a System on Python floats.
+
+    A state of the system's dim slots gets its compiled rates; one of
+    dim + dim^2 slots, the state followed by a tangent matrix row by row,
+    gets its compiled tangent flow (see `dsl.compile_system`). A batch,
+    another length, or a field that is not a System gets None and steps
+    numpy arrays.
+    """
+    if not isinstance(field, System) or np.ndim(state) != 1:
+        return None
+    dim = field.dim
+    kind = {dim: "rates", dim * (dim + 1): "tangent"}.get(len(state))
+    return None if kind is None else field.compiled(kind)
+
+
 def _fixed_step(field, cfg, state):
     """The rk4 or midpoint step of cfg, as a function of (state, h), and
     the state for _march to start from.
 
-    One state of a System steps on Python floats, through the system's
-    compiled rates, and starts as a tuple; a batch, or any other field,
-    steps numpy arrays.
+    A state with compiled code (see _compiled_for) steps through it and
+    starts as a tuple; any other steps numpy arrays.
     """
-    if isinstance(field, System) and np.ndim(state) == 1:
-        rates = field.compiled()
+    code = _compiled_for(field, state)
+    if code is not None:
         start = tuple(np.asarray(state, dtype=float).tolist())
         if cfg.method == MIDPOINT:
-            return partial(rates.midpoint_step, tol=cfg.midpoint_tol,
+            return partial(code.midpoint_step, tol=cfg.midpoint_tol,
                            max_iter=cfg.midpoint_max_iter), start
-        return rates.rk4_step, start
+        return code.rk4_step, start
     f = _as_field_fn(field)
     if cfg.method == MIDPOINT:
         return (lambda s, h: _batch_midpoint(f, s, h, cfg)), state
     return partial(_rk4_step, f), state
+
+
+def _adaptive_step(field, cfg, state):
+    """The Dormand-Prince step of cfg, as a function of (state, h) that
+    gives the 5th-order state and the error norm, and the state to start
+    from; compiled code and tuples as in _fixed_step.
+
+    The norm is the root mean square of the error over abs_tol + rel_tol
+    * max(|state|, |trial|), slot by slot, and inf for a non-finite
+    trial.
+    """
+    code = _compiled_for(field, state)
+    if code is not None:
+        return (partial(code.dp54_step, abs_tol=cfg.abs_tol,
+                        rel_tol=cfg.rel_tol),
+                tuple(np.asarray(state, dtype=float).tolist()))
+    f = _as_field_fn(field)
+
+    def step(s, h):
+        trial, err = _dp54_step(f, s, h)
+        if not np.all(np.isfinite(trial)):
+            return trial, math.inf
+        r = err / (cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(s),
+                                                          np.abs(trial)))
+        return trial, float(np.sqrt(np.mean(r * r)))
+    return step, np.array(state, dtype=float)
 
 
 def _march(step, state, t_end, cfg, observe=None):
@@ -313,12 +361,13 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
         if escaped:
             t_escape = float(escape_time)
     else:
-        f = _as_field_fn(field)
         if not (math.isfinite(t_end) and t_end != 0.0):
             raise InvalidValue("t_end must be finite and nonzero")
         direction = 1.0 if t_end > 0 else -1.0
         span = abs(t_end)
-        state = np.array(p0.coords, dtype=float)
+        step, state = _adaptive_step(field, cfg, p0.coords)
+        escaping = _escaping_floats if isinstance(state, tuple) \
+            else _escaping
         t = 0.0
         n_steps = 0
         h = min(cfg.h, cfg.max_step)
@@ -331,18 +380,12 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
                 if h < 1e-14 * max(1.0, abs(t)):
                     raise ConvergenceFailure(
                         f"adaptive step collapsed near t={t:.6g}")
-                trial, err = _dp54_step(f, state, direction * h)
-                if not np.all(np.isfinite(trial)):
-                    norm = math.inf
-                else:
-                    r = err / (cfg.abs_tol + cfg.rel_tol * np.maximum(
-                        np.abs(state), np.abs(trial)))
-                    norm = float(np.sqrt(np.mean(r * r)))
+                trial, norm = step(state, direction * h)
                 if norm <= 1.0:
                     t = t_end if abs(t) + h >= span - 1e-12 \
                         else t + direction * h
                     n_steps += 1
-                    if _escaping(trial, cfg.escape_norm):
+                    if escaping(trial, cfg.escape_norm):
                         t_escape = t
                         break
                     state = trial
@@ -458,7 +501,11 @@ def field_jacobian(target, p: MixedPoint, scheme: str = "fd") -> np.ndarray:
 
 
 def _variational_field(f, jac, dim):
-    """Field of z = (state, M flattened): (f(state), J(state) M)."""
+    """Field of z = (state, M flattened): (f(state), J(state) M).
+
+    The numpy tangent flow, for the 'fd' scheme and for fields that are
+    not a System; a System's is compiled (see _compiled_for).
+    """
     def aug_field(z):
         s = z[:dim]
         M = z[dim:].reshape(dim, dim)
@@ -481,8 +528,10 @@ def integrate_variational(sys, p0: MixedPoint, t_end: float,
                           scheme: str = "exact") -> VariationalResult:
     """Co-integrate state and tangent matrix M' = J(state(t)) M, M(0) = I.
 
-    Uses fixed-step RK4 on the augmented system. t_end must be positive;
-    monodromy conventions assume forward time.
+    Uses fixed-step RK4 on the augmented system: a System's compiled
+    tangent flow under scheme 'exact' (see _compiled_for), the numpy
+    augmented field under 'fd' or for any other field. t_end must be
+    positive; monodromy conventions assume forward time.
     """
     if not t_end > 0:
         raise InvalidValue("t_end must be positive")
@@ -502,11 +551,14 @@ def integrate_variational(sys, p0: MixedPoint, t_end: float,
         raise InvalidValue(f"unknown scheme {scheme!r}")
 
     z0 = np.concatenate([p0.coords, np.eye(dim).ravel()])
+    field = sys if scheme == "exact" and isinstance(sys, System) \
+        else _variational_field(f, jac, dim)
     # only a non-finite state is a blowup; the bound is the largest float
     # and not inf, because inf <= inf would let an infinity through
     z, escaped, escape_time, steps = _march(
-        partial(_rk4_step, _variational_field(f, jac, dim)), z0, t_end,
+        *_fixed_step(field, replace(cfg, method=RK4), z0), t_end,
         replace(cfg, escape_norm=np.finfo(float).max))
+    z = np.asarray(z)
     if escaped:
         raise NumericalBlowup("variational state left the finite range",
                               time=float(escape_time))

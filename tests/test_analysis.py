@@ -1,11 +1,13 @@
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from toruslab.analysis import (
     FixedPointResult,
+    _report_json,
     KroneckerReport,
     Section,
     bracket_matrix,
@@ -34,13 +36,20 @@ from toruslab.errors import (
     NotHamiltonian,
     TangentCrossing,
 )
-from toruslab.integrators import IntegratorConfig, integrate
+from toruslab.integrators import (
+    IntegratorConfig,
+    _rk4_step,
+    _variational_field,
+    integrate,
+    integrate_variational,
+)
 from toruslab.phase import CoordinateLayout, MixedPoint, ModularDomain
 from toruslab.systems import (
     HAM_COMPACT,
     HAM_UNIQUE,
     REV_COMPACT,
     REV_UNIQUE,
+    System,
     SystemParams,
     build_control_system,
     build_system,
@@ -381,6 +390,81 @@ class TestFixedPoint:
         with pytest.raises(InvalidValue):
             find_fixed_point(two, Section(slot=2, value=0.0),
                              small_point(two))
+
+
+def test_report_writes_a_number_that_is_not_finite_as_null():
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    text = _report_json("c", {"t": math.inf}, "fail",
+                        {"devs": [1.0, np.float64(np.nan), (-math.inf,)]})
+    doc = json.loads(text, parse_constant=refuse)
+    assert doc["parameters"] == {"t": None}
+    assert doc["metrics"] == {"devs": [1.0, None, [None]]}
+
+
+def _compiled_and_numpy_tangent(monkeypatch, run):
+    """run() on the compiled tangent flow, where the numpy Jacobian must
+    not be called, then on the numpy tangent step marched in its place."""
+    def jacobian(self, state):
+        raise AssertionError("numpy jacobian called")
+
+    monkeypatch.setattr(System, "jacobian", jacobian)
+    got = run()
+    monkeypatch.undo()
+    compiled = System.compiled
+
+    def numpy_tangent(self, kind="rates"):
+        code = compiled(self, kind)
+        if kind != "tangent":
+            return code
+        f = _variational_field(self.field, self.jacobian, self.dim)
+        return replace(code, field=lambda s: tuple(f(np.array(s))),
+                       rk4_step=lambda s, h: tuple(_rk4_step(
+                           f, np.array(s), h)))
+
+    monkeypatch.setattr(System, "compiled", numpy_tangent)
+    return got, run()
+
+
+class TestCompiledTangent:
+    def test_variational_run(self, monkeypatch):
+        sys = make(HAM_COMPACT, n=1, m=1)
+        p0 = small_point(sys, scale=0.3, seed=4)
+        got, want = _compiled_and_numpy_tangent(
+            monkeypatch, lambda: integrate_variational(
+                sys, p0, 2.0, IntegratorConfig(h=1e-2)))
+        assert got.n_steps == want.n_steps == 200
+        assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-12
+        assert np.max(np.abs(got.end_point.coords
+                             - want.end_point.coords)) <= 1e-12
+
+    @pytest.mark.parametrize("sys", [
+        make(HAM_UNIQUE, n=1, m=1), build_control_system(omega=1.0, nu=0.3),
+    ], ids=["ham-unique", "control"])
+    def test_monodromy(self, monkeypatch, sys):
+        point = small_point(sys, scale=0.2, seed=5)
+        got, want = _compiled_and_numpy_tangent(
+            monkeypatch, lambda: monodromy(sys, point,
+                                           config=IntegratorConfig(h=1e-2)))
+        assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-12
+
+    @pytest.mark.parametrize("sys, coords, energy", [
+        (build_control_system(omega=1.0, nu=0.3), [0.0, 0.0, 0.3, -0.2],
+         0.7),
+        (make(HAM_COMPACT, n=1, m=0), [0.0, 0.0, 0.1, 0.1], 0.2),
+    ], ids=["control", "ham-compact"])
+    def test_fixed_point_search(self, monkeypatch, sys, coords, energy):
+        sec = Section(slot=sys.layout.slot_of("phi_1"), value=0.0)
+        guess = MixedPoint.of(sys.layout, coords)
+        got, want = _compiled_and_numpy_tangent(
+            monkeypatch, lambda: find_fixed_point(sys, sec, guess,
+                                                  energy=energy))
+        assert (got.status, got.iterations) == (want.status, want.iterations)
+        assert abs(got.residual - want.residual) <= 1e-12
+        if want.point is not None:
+            assert np.max(np.abs(got.point.coords
+                                 - want.point.coords)) <= 1e-12
 
 
 class TestMonodromy:

@@ -276,6 +276,22 @@ class TestDsl:
         assert "dsl-gradients: FAIL" in captured.out
         assert "Traceback" not in captured.out + captured.err
 
+    def test_overflow_report_is_strict_json(self, tmp_path, capsys):
+        path = tmp_path / "inf.ham"
+        path.write_text("pairs: (y,x)\n1e300*1e300*x^2 + y\n")
+        rc = main(["dsl", "check", "--file", str(path),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "dsl-roundtrip: FAIL" in capsys.readouterr().out
+
+        def refuse(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        doc = json.loads((tmp_path / "report.json").read_text(),
+                         parse_constant=refuse)
+        assert doc["metrics"]["roundtrip_dev"] is None
+        assert doc["metrics"]["gradient_dev"] is None
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["dsl", "check", "--file", str(tmp_path / "no.ham"),
                    "--out", str(tmp_path)])

@@ -19,6 +19,7 @@ from toruslab.dsl import (
     Var,
     compile_numpy,
     compile_rates,
+    compile_tangent,
     cross_check_fields,
     differentiate,
     eval_expr,
@@ -35,6 +36,7 @@ from toruslab.dsl import (
 )
 from toruslab.errors import (
     EvalError,
+    InvalidValue,
     LayoutMismatch,
     LexError,
     NotHamiltonian,
@@ -43,6 +45,7 @@ from toruslab.errors import (
     SimplifyError,
     UnboundVar,
 )
+from toruslab.integrators import _dp54_step
 from toruslab.systems import (
     HAM_COMPACT,
     HAM_UNIQUE,
@@ -201,6 +204,15 @@ def test_simplify_constant_folding():
     assert simplify(parse("x^1")) == Var("x")
     assert simplify(parse("0 - x")) == Neg(Var("x"))
     assert simplify(parse("sin(0)")) == Const(0.0)
+
+
+def test_simplify_folds_a_constant_down_the_left_spine():
+    # the chain rule gives ((3*sin(x)^2)*cos(x))/3
+    assert "3" not in to_text(differentiate(parse("sin(x)^3/3"), "x"))
+    assert to_text(simplify(parse("(2*x)*y/4"))) == "0.5*x*y"
+    sys = build_system(SystemParams(HAM_COMPACT, n=1, m=1, omega=(1.0,)))
+    for kind in ("field", "jacobian"):
+        assert "/" not in sys.compiled(kind).source
 
 
 def test_simplify_rejects_constant_zero_denominator():
@@ -436,13 +448,34 @@ def test_compiled_code_never_sees_a_source_identifier():
              parse("sin(exec)^2 - 2.5"), Mul(Var("_sin"), Var("math"))]
     compiled = compile_rates(rates, names)
     field = compile_numpy(rates, names)
-    for source in (compiled.source, field.source):
+    tangent = compile_tangent(rates, names)
+    assert "def dp54_step" in compiled.source
+    for source in (compiled.source, field.source, tangent.source):
         assert "exec" not in source and "math" not in source
     state = (0.5, -1.5, 2.0, 0.25)
     b = dict(zip(names, state))
     want = [eval_expr(e, b) for e in rates]
     assert np.max(np.abs(np.subtract(compiled.field(state), want))) <= 1e-15
     assert np.max(np.abs(field(np.array(state)) - want)) <= 1e-15
+    # the tangent flow: the rates, then J @ M
+    M = np.arange(16.0).reshape(4, 4) / 8.0 - 1.0
+    J = np.array([[eval_expr(differentiate(e, name), b) for name in names]
+                  for e in rates])
+    got = tangent.field(state + tuple(M.ravel()))
+    assert np.max(np.abs(np.subtract(got[:4], want))) <= 1e-15
+    assert np.max(np.abs(np.subtract(got[4:], (J @ M).ravel()))) <= 1e-14
+    # the fused Dormand-Prince step and its error norm
+    y5, err = _dp54_step(field, np.array(state), 0.1)
+    r = err / (1e-10 + 1e-8 * np.maximum(np.abs(state), np.abs(y5)))
+    y, norm = compiled.dp54_step(state, 0.1, 1e-10, 1e-8)
+    assert np.max(np.abs(np.subtract(y, y5))) <= 1e-15
+    assert norm == pytest.approx(float(np.sqrt(np.mean(r * r))), rel=1e-12)
+
+
+def test_tangent_slots_cannot_meet_a_source_name():
+    # a layout label spelled like a matrix slot is refused, not aliased
+    with pytest.raises(InvalidValue):
+        compile_tangent([parse("x"), Var("M[0,0]")], ("x", "M[0,0]"))
 
 
 def test_compiled_rates_reject_an_unknown_variable():

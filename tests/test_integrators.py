@@ -324,6 +324,32 @@ class TestCompiledStep:
                                                         h=1e-2))
         assert np.max(np.abs(got.states - want.states)) < 1e-14
 
+    @pytest.mark.parametrize("sys, coords, t_end", [
+        # the benchmark's adaptive simulate point
+        (build_system(SystemParams(HAM_COMPACT, n=1, m=1, omega=(1.0,))),
+         [0.1, 0.7, 0.05, 0.05, 0.05, 0.05], 50.0),
+        (build_system(SystemParams(HAM_UNIQUE, n=1, m=0, omega=(1.0,))),
+         [0.1, 0.7, 0.05, -0.05], 10.0),
+    ], ids=["ham-compact", "ham-unique"])
+    def test_adaptive_step_repeats_the_numpy_pair(self, monkeypatch, sys,
+                                                  coords, t_end):
+        # the fused step keeps the numpy step's order of operations, so
+        # the controller takes the same steps to the last bit
+        p0 = MixedPoint.of(sys.layout, coords)
+        cfg = IntegratorConfig(method="adaptive", h=1e-2)
+        want = integrate(sys.field, p0, t_end, cfg)
+
+        def numpy_field(self, states):
+            raise AssertionError("numpy field called")
+
+        monkeypatch.setattr(System, "field", numpy_field)
+        got = integrate(sys, p0, t_end, cfg)
+        assert (got.n_steps, got.n_rejected) == (want.n_steps,
+                                                 want.n_rejected)
+        assert want.n_rejected > 0
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.states, want.states)
+
 
 class TestCsv:
     def test_round_trips_through_loadtxt(self):

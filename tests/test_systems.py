@@ -12,6 +12,7 @@ from toruslab.errors import (
     NotCompact,
     NotHamiltonian,
 )
+from toruslab.integrators import _variational_field
 from toruslab.phase import MixedPoint, in_modular_domain
 from toruslab.systems import (
     CONTROL,
@@ -228,6 +229,21 @@ def test_jacobian_matches_fd():
                 e[i] = 1e-6
                 col = (sys.field(s + e) - sys.field(s - e)) / 2e-6
                 np.testing.assert_allclose(J[:, i], col, atol=1e-6)
+
+
+def test_compiled_tangent_matches_the_numpy_tangent_field():
+    # real slots in [-1, 1], angles around the circle, M in [-1, 1]
+    for sys in ALL_SYSTEMS + [build_control_system()]:
+        rng = np.random.default_rng(12)
+        dim = sys.dim
+        z = rng.uniform(-1.0, 1.0, (256, dim + dim * dim))
+        angles = np.flatnonzero(sys.layout.angle_mask)
+        z[:, angles] = rng.uniform(-math.pi, math.pi, (256, len(angles)))
+        want = _variational_field(sys.field, sys.jacobian, dim)
+        tangent = sys.compiled("tangent")
+        got = np.array([tangent.field(tuple(row)) for row in z.tolist()])
+        dev = np.abs(got - np.array([want(row) for row in z]))
+        assert np.max(dev) <= 1e-15, sys.family
 
 
 # ---------------------------------------------------------------------------
