@@ -14,7 +14,6 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,13 +69,20 @@ TWO_PI = 2.0 * math.pi
 
 
 def _report_json(claim, parameters, verdict, metrics, seed=None) -> str:
-    """The one report.json writer; strict JSON, so a number that is not
-    finite is written as null."""
-    return json.dumps(
-        _finite_or_null({"claim": claim, "parameters": parameters,
-                         "verdict": verdict, "metrics": metrics,
-                         "seed": seed}),
-        sort_keys=True, default=float, indent=2) + "\n"
+    """The text of one report.json."""
+    return _json_text(_report_doc(claim, parameters, verdict, metrics, seed))
+
+
+def _report_doc(claim, parameters, verdict, metrics, seed=None) -> dict:
+    return {"claim": claim, "parameters": parameters, "verdict": verdict,
+            "metrics": metrics, "seed": seed}
+
+
+def _json_text(doc) -> str:
+    """The one JSON writer: sorted, indented, with a trailing newline, and
+    strict, so a number that is not finite is written as null."""
+    return json.dumps(_finite_or_null(doc), sort_keys=True, default=float,
+                      indent=2) + "\n"
 
 
 def _finite_or_null(obj):
@@ -216,8 +222,9 @@ class KroneckerReport:
         return self.max_pinned_dev <= self.tol \
             and self.max_angle_dev <= self.tol
 
-    def to_json(self) -> str:
-        return _report_json(
+    @property
+    def doc(self) -> dict:
+        return _report_doc(
             "torus is invariant and carries linear angle flow",
             {"horizon": self.horizon, "tol": self.tol,
              "n_starts": self.n_starts},
@@ -619,14 +626,6 @@ class MonodromyResult:
     period: float
     point: MixedPoint
 
-    def to_json(self) -> str:
-        return _report_json(
-            "multipliers of the periodic orbit",
-            {"period": self.period},
-            "computed",
-            {"multipliers": [[z.real, z.imag] for z in self.multipliers],
-             "max_residual": float(self.residuals.max())})
-
 
 def monodromy(sys: System, point: Optional[MixedPoint] = None,
               period: Optional[float] = None,
@@ -764,13 +763,6 @@ class ReversibilityReport:
     def passed(self) -> bool:
         return self.deviation <= self.tol
 
-    def to_json(self) -> str:
-        return _report_json(
-            "flow conjugates to its reverse through the involution",
-            {"t": self.t, "tol": self.tol},
-            "pass" if self.passed else "fail",
-            {"deviation": self.deviation})
-
 
 def verify_reversibility(sys: System, p: MixedPoint, t: float,
                          tol: float = 1e-6,
@@ -785,7 +777,8 @@ def verify_reversibility(sys: System, p: MixedPoint, t: float,
         raise InvalidValue("t must be positive")
     cfg = config or IntegratorConfig(method="adaptive", h=1e-2,
                                      rel_tol=1e-10, abs_tol=1e-12)
-    f = field if field is not None else sys.field
+    # the System itself, so each single state steps its compiled code
+    f = field if field is not None else sys
     fwd = integrate(f, p, t, cfg)
     g_of_flow = MixedPoint.of(sys.layout,
                               sys.involution(fwd.final_point.coords))
@@ -911,19 +904,6 @@ def _survey_block(params_json: str, intervals, seed: int, start: int,
     off_dist = np.sqrt((d0[:, off_slots] ** 2).sum(axis=1))
     skipped = off_dist <= skip_tol
 
-    f = sys.field
-    ysl = sys.slots.y
-    qsl = sys.slots.q
-
-    def aug(z):
-        s = z[..., :dim]
-        r = f(s)
-        rate = r[..., ysl]
-        if qsl.stop > qsl.start:
-            rate = rate + r[..., qsl].sum(axis=-1)
-        return np.concatenate([r, rate[..., None]], axis=-1)
-
-    z = np.concatenate([states, np.zeros((nb, 1))], axis=1)
     run = np.flatnonzero(~skipped)
     escaped = np.zeros(nb, dtype=bool)
     gaps = np.full(nb, math.inf)
@@ -931,17 +911,26 @@ def _survey_block(params_json: str, intervals, seed: int, start: int,
     def track_gaps(k, t, h_k, zk, esc):
         if t >= t_min:
             good = run[~esc]
-            d = torus_distance_batch(layout, zk[~esc, :dim], states[good])
+            d = torus_distance_batch(layout, zk[~esc], states[good])
             gaps[good] = np.minimum(gaps[good], d)
 
-    z[run], escaped[run], _, _ = _march(partial(_rk4_step, aug), z[run],
+    z = states.copy()
+    z[run], escaped[run], _, _ = _march(*_fixed_step(sys, cfg, z[run]),
                                         horizon, cfg, track_gaps)
-    gains = z[:, dim].copy()
+    # the gain is the certificate's change: rk4 advances y + sum(q) by the
+    # same combination of stage rates as it would an extra slot holding
+    # the certificate's rate, so no such slot is needed
+    gains = _certificate(sys, z) - _certificate(sys, states)
     gains[escaped] = math.inf
     gains[skipped] = np.nan
     gaps[skipped] = np.nan
-    final = wrap_angles(z[:, :dim], layout.angle_mask)
+    final = wrap_angles(z, layout.angle_mask)
     return gains, gaps, escaped, skipped, final
+
+
+def _certificate(sys, states):
+    """The escape certificate y + sum(q) of each row."""
+    return states[:, sys.slots.y] + states[:, sys.slots.q].sum(axis=-1)
 
 
 def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,

@@ -4,12 +4,14 @@ Builds systems from flags or a JSON config, runs simulations and
 verification checks, and writes CSV/JSON/SVG artifacts plus a run
 manifest into the output directory. Every check prints one verdict line;
 the exit code is 0 when all verdicts are PASS, 1 on any FAIL, and 2 on
-usage errors.
+usage errors. One table, `_COMMANDS`, gives each subcommand its handler
+and flags; the parser is built from it once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -26,6 +28,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     Section,
+    _json_text,
     _report_json as _doc,
     bracket_matrix,
     circulation_period,
@@ -134,6 +137,15 @@ class _Run:
         (self.out / name).write_text(text)
         self.outputs[name] = hashlib.sha256(text.encode()).hexdigest()
 
+    def report(self, checks, claim, parameters, metrics, seed=None):
+        """Write report.json for a claim that passes when every check
+        does, and return each check's PASS or FAIL."""
+        verdict = "pass" if all(checks.values()) else "fail"
+        self.write("report.json",
+                   _doc(claim, parameters, verdict, metrics, seed))
+        return {name: "PASS" if passed else "FAIL"
+                for name, passed in checks.items()}
+
 
 def _need(cfg, key):
     if cfg.get(key) is None:
@@ -237,14 +249,9 @@ def _cmd_verify_torus(cfg, run):
                                horizon=cfg["t"], tol=cfg["tol"],
                                seed=cfg["seed"],
                                config=IntegratorConfig(h=cfg["h"]))
-    verdicts = {}
-    docs = []
-    for (label, _), rep in zip(specs, reports):
-        verdicts[f"torus[{label}]"] = "PASS" if rep.passed else "FAIL"
-        docs.append(json.loads(rep.to_json()))
-    run.write("report.json",
-              json.dumps(docs, sort_keys=True, indent=2) + "\n")
-    return verdicts
+    run.write("report.json", _json_text([rep.doc for rep in reports]))
+    return {f"torus[{label}]": "PASS" if rep.passed else "FAIL"
+            for (label, _), rep in zip(specs, reports)}
 
 
 def _cmd_verify_invariants(cfg, run):
@@ -266,15 +273,12 @@ def _cmd_verify_invariants(cfg, run):
     o_drift = float(drift[:, others].max()) if others else 0.0
     ok = (not res.escaped.any() and h_drift <= cfg["tol_h"]
           and o_drift <= cfg["tol_i"])
-    metrics = {"energy_drift": h_drift, "other_drift": o_drift,
-               "escaped": int(res.escaped.sum())}
-    run.write("report.json",
-              _doc("first integrals are conserved", _params(cfg),
-                   "pass" if ok else "fail", metrics,
-                   cfg["seed"]))
     print(f"invariants: energy drift {h_drift:.3e}, "
           f"others {o_drift:.3e}")
-    return {"invariants": "PASS" if ok else "FAIL"}
+    return run.report({"invariants": ok}, "first integrals are conserved",
+                      _params(cfg),
+                      {"energy_drift": h_drift, "other_drift": o_drift,
+                       "escaped": int(res.escaped.sum())}, cfg["seed"])
 
 
 def _cmd_verify_brackets(cfg, run):
@@ -283,14 +287,11 @@ def _cmd_verify_brackets(cfg, run):
     states = rng.uniform(-1.5, 1.5, (cfg["points"], sys_.dim))
     B = bracket_matrix(sys_, states, scheme=cfg["scheme"])
     worst = float(np.max(np.abs(B)))
-    ok = worst <= cfg["tol"]
-    run.write("report.json",
-              _doc("integrals are pairwise in involution", _params(cfg),
-                   "pass" if ok else "fail",
-                   {"max_abs_bracket": worst}, cfg["seed"]))
     print(f"brackets: max |{{I_i, I_j}}| = {worst:.3e} "
           f"over {cfg['points']} points")
-    return {"brackets": "PASS" if ok else "FAIL"}
+    return run.report({"brackets": worst <= cfg["tol"]},
+                      "integrals are pairwise in involution", _params(cfg),
+                      {"max_abs_bracket": worst}, cfg["seed"])
 
 
 def _cmd_verify_reversibility(cfg, run):
@@ -299,14 +300,11 @@ def _cmd_verify_reversibility(cfg, run):
     pts = cfg["scale"] * rng.uniform(-1.0, 1.0, (cfg["points"], sys_.dim))
     devs = reversibility_deviations(sys_, pts, cfg["t"])
     worst = float(devs.max())
-    ok = worst <= cfg["tol"]
-    run.write("report.json",
-              _doc("involution conjugates the flow to its reverse",
-                   _params(cfg), "pass" if ok else "fail",
-                   {"max_deviation": worst}, cfg["seed"]))
     print(f"reversibility: max deviation {worst:.3e} "
           f"over {cfg['points']} points, t={cfg['t']:g}")
-    return {"reversibility": "PASS" if ok else "FAIL"}
+    return run.report({"reversibility": worst <= cfg["tol"]},
+                      "involution conjugates the flow to its reverse",
+                      _params(cfg), {"max_deviation": worst}, cfg["seed"])
 
 
 def _cmd_verify_rank(cfg, run):
@@ -322,16 +320,12 @@ def _cmd_verify_rank(cfg, run):
         sys_, torus_point(canonical_torus(sys_),
                           (0.3,) * sys_.params.n))
     ok = all(r == expected for r in ranks) and torus_rank <= sys_.params.n
-    metrics = {"generic_rank": max(ranks), "expected": expected,
-               "torus_rank": torus_rank}
-    run.write("report.json",
-              _doc("integrals are independent off the torus and "
-                   "degenerate on it", _params(cfg),
-                   "pass" if ok else "fail", metrics,
-                   cfg["seed"]))
     print(f"rank: generic {max(ranks)}/{expected}, "
           f"on-torus {torus_rank} (<= {sys_.params.n})")
-    return {"rank": "PASS" if ok else "FAIL"}
+    return run.report({"rank": ok}, "integrals are independent off the "
+                      "torus and degenerate on it", _params(cfg),
+                      {"generic_rank": max(ranks), "expected": expected,
+                       "torus_rank": torus_rank}, cfg["seed"])
 
 
 def _cmd_monodromy(cfg, run):
@@ -360,12 +354,9 @@ def _cmd_monodromy(cfg, run):
                "max_match_gap": worst,
                "max_residual": float(res.residuals.max()),
                "period": res.period}
-    run.write("report.json",
-              _doc(claim, _params(cfg),
-                   "pass" if ok else "fail", metrics))
     shown = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}i" for z in mults)
     print(f"monodromy: multipliers [{shown}]")
-    return {"monodromy": "PASS" if ok else "FAIL"}
+    return run.report({"monodromy": ok}, claim, _params(cfg), metrics)
 
 
 def _cmd_fixedpoint(cfg, run):
@@ -416,30 +407,25 @@ def _cmd_freq(cfg, run):
     metrics = {"measured": dict(zip(labels, map(float, meas.values))),
                "predicted": dict(zip(labels, map(float, predicted))),
                "zeta": spec.zeta, "max_gap": float(np.max(gaps))}
-    run.write("report.json",
-              _doc("nearby-torus frequencies match the closed form",
-                   _params(cfg), "pass" if ok else "fail",
-                   metrics))
     pairs = ", ".join(f"{lab}: {v:.6f} (predicted {p:.6f})"
                       for lab, v, p in zip(labels, meas.values, predicted))
     print(f"freq: {pairs}")
-    return {"frequencies": "PASS" if ok else "FAIL"}
+    return run.report({"frequencies": ok},
+                      "nearby-torus frequencies match the closed form",
+                      _params(cfg), metrics)
 
 
 def _cmd_survey(cfg, run):
     sys_ = _system_from(cfg)
     phi = sys_.slots.phi
-    if cfg.get("box") is not None:
-        half = float(cfg["box"])
-        intervals = tuple(None if phi.start <= s < phi.stop
-                          else (-half, half) for s in range(sys_.dim))
-        domain = ModularDomain(intervals=intervals)
-    elif sys_.is_compact:
+    half = cfg.get("box")
+    if half is None and sys_.is_compact:
         domain = isolation_domain(sys_)
-    else:
-        intervals = tuple(None if phi.start <= s < phi.stop
-                          else (-1.0, 1.0) for s in range(sys_.dim))
-        domain = ModularDomain(intervals=intervals)
+    else:  # the angles whole, every other slot within +-box (default 1)
+        half = 1.0 if half is None else half
+        domain = ModularDomain(intervals=tuple(
+            None if phi.start <= s < phi.stop else (-half, half)
+            for s in range(sys_.dim)))
     jobs = cfg.get("jobs") or len(os.sched_getaffinity(0))
     rep = survey_uniqueness(sys_, domain, samples=cfg["samples"],
                             seed=cfg["seed"], horizon=cfg["horizon"],
@@ -457,17 +443,14 @@ def _cmd_survey(cfg, run):
 def _cmd_dsl(cfg, run):
     path = Path(_need(cfg, "file"))
     text = path.read_text()
-    verdicts = {}
     try:
         energy, pairing = parse_hamiltonian_file(text)
     except DslError as e:
         print(f"dsl: parse failed at position {e.position}: {e}")
-        run.write("report.json",
-                  _doc("hamiltonian text is well formed",
-                       {"file": str(path)}, "fail",
-                       {"error": str(e), "position": e.position}))
-        return {"dsl-parse": "FAIL"}
-    verdicts["dsl-parse"] = "PASS"
+        return run.report({"dsl-parse": False},
+                          "hamiltonian text is well formed",
+                          {"file": str(path)},
+                          {"error": str(e), "position": e.position})
 
     printed = format_hamiltonian_file(energy, pairing)
     reparsed, _ = parse_hamiltonian_file(printed)
@@ -481,7 +464,6 @@ def _cmd_dsl(cfg, run):
         dev = float(np.max(np.abs(eval_expr(energy, samples)
                                   - eval_expr(reparsed, samples))))
         round_ok = twice == printed and dev <= 1e-12
-        verdicts["dsl-roundtrip"] = "PASS" if round_ok else "FAIL"
 
         derived = hamiltonian_vector_field(energy, pairing)
         step = 1e-6
@@ -496,18 +478,13 @@ def _cmd_dsl(cfg, run):
                 got = eval_expr(derived.rate_exprs[rate_name], b)
                 devs.append(np.max(np.abs(got - fd)))
         grad_dev = float(np.max(devs))
-    grad_ok = grad_dev <= 1e-6
-    verdicts["dsl-gradients"] = "PASS" if grad_ok else "FAIL"
-
-    metrics = {"roundtrip_dev": dev, "gradient_dev": grad_dev,
-               "variables": names}
-    run.write("report.json",
-              _doc("hamiltonian text parses, round-trips, and "
-                   "differentiates correctly", {"file": str(path)},
-                   "pass" if round_ok and grad_ok else "fail",
-                   metrics, 0))
     print(f"dsl: roundtrip dev {dev:.3e}, gradient dev {grad_dev:.3e}")
-    return verdicts
+    return run.report({"dsl-parse": True, "dsl-roundtrip": round_ok,
+                       "dsl-gradients": grad_dev <= 1e-6},
+                      "hamiltonian text parses, round-trips, and "
+                      "differentiates correctly", {"file": str(path)},
+                      {"roundtrip_dev": dev, "gradient_dev": grad_dev,
+                       "variables": names}, 0)
 
 
 def _cmd_oracle(cfg, run):
@@ -515,15 +492,12 @@ def _cmd_oracle(cfg, run):
     period = circulation_period(zeta)
     closed = 2.0 * math.pi / math.sqrt(zeta * (zeta + 1.0))
     gap = abs(period - closed)
-    ok = gap <= cfg["tol"]
-    run.write("report.json",
-              _doc("quadrature period matches the closed form",
-                   {"zeta": zeta}, "pass" if ok else "fail",
-                   {"quadrature": period, "closed_form": closed,
-                    "gap": gap}))
     print(f"oracle period: quadrature {period:.12f}, "
           f"closed form {closed:.12f}")
-    return {"period-oracle": "PASS" if ok else "FAIL"}
+    return run.report({"period-oracle": gap <= cfg["tol"]},
+                      "quadrature period matches the closed form",
+                      {"zeta": zeta}, {"quadrature": period,
+                                       "closed_form": closed, "gap": gap})
 
 
 # ---------------------------------------------------------------------------
@@ -539,73 +513,62 @@ _COMMON_SYSTEM = {
     "seed": (0, _parse_int),
 }
 
-_SPECS = {
-    ("systems", "list"): {},
-    ("simulate",): {
+# every subcommand: (command, action) or (command,) -> (handler, flags),
+# where each flag maps to (default, converter); the parser, its action
+# choices and its flag order all come from here
+_COMMANDS = {
+    ("systems", "list"): (_cmd_systems, {}),
+    ("simulate",): (_cmd_simulate, {
         **_COMMON_SYSTEM,
         "t": (10.0, float), "method": ("rk4", str), "h": (1e-2, float),
         "point": (None, _parse_floats), "angles": (None, _parse_angles),
         "store_every": (None, _parse_int),
-    },
-    ("verify", "torus"): {
+    }),
+    ("verify", "torus"): (_cmd_verify_torus, {
         **_COMMON_SYSTEM, "t": (100.0, float), "tol": (1e-8, float),
         # on the torus every stage derivative is exact, so the step only
         # paces the sampling grid; 0.05 keeps the sweep cheap
         "h": (0.05, float), "deltas": (None, _parse_switch),
-    },
-    ("verify", "invariants"): {
+    }),
+    ("verify", "invariants"): (_cmd_verify_invariants, {
         **_COMMON_SYSTEM,
         "t": (1000.0, float), "h": (1e-2, float),
         "method": ("midpoint", str), "points": (3, _parse_count),
         "scale": (1e-3, float), "tol_h": (1e-8, float),
         "tol_i": (1e-6, float),
-    },
-    ("verify", "brackets"): {
+    }),
+    ("verify", "brackets"): (_cmd_verify_brackets, {
         **_COMMON_SYSTEM, "points": (1000, _parse_count),
         "tol": (1e-8, float), "scheme": ("exact", str),
-    },
-    ("verify", "reversibility"): {
+    }),
+    ("verify", "reversibility"): (_cmd_verify_reversibility, {
         **_COMMON_SYSTEM, "points": (100, _parse_count), "t": (5.0, float),
         "scale": (0.05, float), "tol": (1e-6, float),
-    },
-    ("verify", "rank"): {
+    }),
+    ("verify", "rank"): (_cmd_verify_rank, {
         **_COMMON_SYSTEM, "points": (100, _parse_count),
-    },
-    ("monodromy",): {
+    }),
+    ("monodromy",): (_cmd_monodromy, {
         **_COMMON_SYSTEM, "tol": (1e-6, float),
-    },
-    ("fixedpoint",): {
+    }),
+    ("fixedpoint",): (_cmd_fixedpoint, {
         **_COMMON_SYSTEM, "energy": (0.0, float),
         "guess": (None, _parse_floats),
-    },
-    ("freq",): {
+    }),
+    ("freq",): (_cmd_freq, {
         **_COMMON_SYSTEM, "offset": (None, _parse_angles),
         "t": (800.0, float), "h": (1e-2, float),
         "store_every": (10, _parse_int), "tol": (1e-4, float),
-    },
-    ("survey",): {
+    }),
+    ("survey",): (_cmd_survey, {
         **_COMMON_SYSTEM, "samples": (10000, _parse_int),
         "box": (None, float), "horizon": (20.0, float),
         "jobs": (None, _parse_int),
-    },
-    ("dsl", "check"): {"file": (None, str)},
-    ("oracle", "period"): {"zeta": (None, float), "tol": (1e-8, float)},
-}
-
-_HANDLERS = {
-    ("systems", "list"): _cmd_systems,
-    ("simulate",): _cmd_simulate,
-    ("verify", "torus"): _cmd_verify_torus,
-    ("verify", "invariants"): _cmd_verify_invariants,
-    ("verify", "brackets"): _cmd_verify_brackets,
-    ("verify", "reversibility"): _cmd_verify_reversibility,
-    ("verify", "rank"): _cmd_verify_rank,
-    ("monodromy",): _cmd_monodromy,
-    ("fixedpoint",): _cmd_fixedpoint,
-    ("freq",): _cmd_freq,
-    ("survey",): _cmd_survey,
-    ("dsl", "check"): _cmd_dsl,
-    ("oracle", "period"): _cmd_oracle,
+    }),
+    ("dsl", "check"): (_cmd_dsl, {"file": (None, str)}),
+    ("oracle", "period"): (_cmd_oracle, {
+        "zeta": (None, float), "tol": (1e-8, float),
+    }),
 }
 
 _FLAG_HELP = {
@@ -622,9 +585,12 @@ _FLAG_HELP = {
     "file": dict(metavar="PATH", help="hamiltonian text file"),
     "deltas": dict(action="store_const", const=True,
                    help="also verify every sign-flipped torus"),
+    "out": dict(metavar="DIR", help="output directory (default: current)"),
+    "config": dict(metavar="JSON", help="JSON file of flag defaults"),
 }
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="toruslab",
@@ -635,34 +601,19 @@ def _build_parser():
     parser.add_argument("--replay", metavar="MANIFEST",
                         help="re-run a recorded manifest and compare")
     sub = parser.add_subparsers(dest="cmd")
-
-    def add(name, keys, actions=None):
+    # one parser per command, holding the flags of all its actions
+    commands = {}
+    for key, (_, flags) in _COMMANDS.items():
+        actions, merged = commands.setdefault(key[0], ([], {}))
+        actions += key[1:]
+        merged.update(flags)
+    for name, (actions, flags) in commands.items():
         sp = sub.add_parser(name)
         if actions:
             sp.add_argument("action", choices=actions)
-        flags = {}
-        for key in keys:
-            flags.update(_SPECS[key])
-        for flag in flags:
-            extra = dict(_FLAG_HELP.get(flag, {}))
-            sp.add_argument(f"--{flag.replace('_', '-')}",
-                            default=None, **extra)
-        sp.add_argument("--out", default=None, metavar="DIR",
-                        help="output directory (default: current)")
-        sp.add_argument("--config", default=None, metavar="JSON",
-                        help="JSON file of flag defaults")
-        return sp
-
-    checks = ["torus", "invariants", "brackets", "reversibility", "rank"]
-    add("systems", [("systems", "list")], actions=["list"])
-    add("simulate", [("simulate",)])
-    add("verify", [("verify", c) for c in checks], actions=checks)
-    add("monodromy", [("monodromy",)])
-    add("fixedpoint", [("fixedpoint",)])
-    add("freq", [("freq",)])
-    add("survey", [("survey",)])
-    add("dsl", [("dsl", "check")], actions=["check"])
-    add("oracle", [("oracle", "period")], actions=["period"])
+        for flag in [*flags, "out", "config"]:
+            sp.add_argument(f"--{flag.replace('_', '-')}", default=None,
+                            **_FLAG_HELP.get(flag, {}))
     return parser
 
 
@@ -673,7 +624,7 @@ def _key_of(args):
 
 
 def _resolve(args, key):
-    spec = _SPECS[key]
+    _, spec = _COMMANDS[key]
     file_cfg = {}
     if args.config:
         file_cfg = json.loads(Path(args.config).read_text())
@@ -727,8 +678,7 @@ def _write_manifest(run, key, cfg, verdicts, t0):
         "verdicts": verdicts,
         "outputs": run.outputs,
     }
-    (run.out / "manifest.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=2, default=float) + "\n")
+    (run.out / "manifest.json").write_text(_json_text(doc))
 
 
 def _replay(path: str) -> int:
@@ -737,7 +687,7 @@ def _replay(path: str) -> int:
             and {"argv", "verdicts", "outputs"} <= doc.keys()):
         raise InvalidValue(f"{path} is not a toruslab manifest")
     with tempfile.TemporaryDirectory() as td:
-        code = main(list(doc["argv"]) + ["--out", td])
+        main(list(doc["argv"]) + ["--out", td])
         fresh = json.loads((Path(td) / "manifest.json").read_text())
     same_verdicts = fresh["verdicts"] == doc["verdicts"]
     same_outputs = fresh["outputs"] == doc["outputs"]
@@ -775,7 +725,8 @@ def main(argv=None) -> int:
         out = Path(args.out) if args.out else Path(".")
         out.mkdir(parents=True, exist_ok=True)
         run = _Run(out)
-        verdicts = _HANDLERS[key](cfg, run)
+        handler, _ = _COMMANDS[key]
+        verdicts = handler(cfg, run)
     except (ToruslabError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -8,6 +8,7 @@ import pytest
 from toruslab.analysis import (
     FixedPointResult,
     _report_json,
+    _sample_box,
     KroneckerReport,
     Section,
     bracket_matrix,
@@ -41,9 +42,15 @@ from toruslab.integrators import (
     _rk4_step,
     _variational_field,
     integrate,
+    integrate_batch,
     integrate_variational,
 )
-from toruslab.phase import CoordinateLayout, MixedPoint, ModularDomain
+from toruslab.phase import (
+    CoordinateLayout,
+    MixedPoint,
+    ModularDomain,
+    torus_distance_batch,
+)
 from toruslab.systems import (
     HAM_COMPACT,
     HAM_UNIQUE,
@@ -602,6 +609,19 @@ class TestReversibility:
         rep = verify_reversibility(sys, p, t=2.0, field=broken)
         assert rep.deviation > 1e-3
 
+    def test_steps_the_system_not_its_numpy_field(self, monkeypatch):
+        sys = make(REV_UNIQUE, n=1, l=1, m=1)
+        p = small_point(sys, scale=0.05, seed=11)
+        want = verify_reversibility(sys, p, t=5.0, field=sys.field)
+
+        def numpy_field(self, states):
+            raise AssertionError("numpy field called")
+
+        monkeypatch.setattr(System, "field", numpy_field)
+        got = verify_reversibility(sys, p, t=5.0)
+        assert got.passed
+        assert got.deviation == want.deviation
+
     def test_batch_matches_single_and_flags_escapes(self):
         sys = make(HAM_UNIQUE, n=1, m=0)
         pts = np.array([
@@ -697,6 +717,34 @@ class TestSurvey:
         assert np.array_equal(rep1.gains, rep2.gains, equal_nan=True)
         assert np.array_equal(rep1.gains, rep3.gains, equal_nan=True)
         assert np.array_equal(rep1.gaps, rep3.gaps, equal_nan=True)
+
+    def test_gain_is_the_change_of_the_certificate(self):
+        # march the field with the certificate's rate y' + sum(q') as an
+        # extra slot, an independent integral of the same gain
+        sys = make(HAM_COMPACT, n=1, m=1)
+        dom = isolation_domain(sys)
+        rep = survey_uniqueness(sys, dom, samples=40, seed=6)
+        starts = np.stack([_sample_box(sys.layout, dom, 6, i)
+                           for i in range(40)])
+        dim = sys.dim
+
+        def with_rate(z):
+            return np.concatenate(
+                [sys.field(z[:, :dim]),
+                 sys.lyapunov_rate(z[:, :dim])[:, None]], axis=1)
+
+        res = integrate_batch(with_rate, np.concatenate(
+            [starts, np.zeros((40, 1))], axis=1), 20.0,
+            IntegratorConfig(h=1e-2), store_every=1)
+        assert not (rep.escaped.any() or rep.skipped.any()
+                    or res.escaped.any())
+        assert np.max(np.abs(rep.gains - res.final[:, dim])) <= 1e-12
+        gaps = np.full(40, math.inf)
+        for t, z in zip(res.stored_times, res.stored_states):
+            if t >= 1.0:
+                gaps = np.minimum(gaps, torus_distance_batch(
+                    sys.layout, z[:, :dim], starts))
+        assert np.array_equal(rep.gaps, gaps)
 
     def test_on_torus_samples_are_skipped(self):
         sys = make(HAM_COMPACT, n=1, m=0)

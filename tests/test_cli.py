@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from toruslab.cli import _parse_angles, _parse_omega, main
+from toruslab import cli
+from toruslab.cli import _build_parser, _parse_angles, _parse_omega, main
 from toruslab.dsl import shipped_hamiltonians
 
 SQRT2 = math.sqrt(2.0)
@@ -62,10 +63,12 @@ class TestFlagParsing:
           "--horizon", "0.5", "--jobs", "1", "--out", "{tmp}"], "t_min"),
         (["verify", "torus", "--system", "ham-compact", "--config",
           "{tmp}/deltas.json", "--out", "{tmp}"], "--deltas"),
+        (["--replay", "{tmp}/no-argv.json"], "no-argv.json"),
     ], ids=["h-zero", "t-nan", "replay-missing-file", "config-array",
             "config-omega-number", "config-n-list", "points-zero",
             "invariants-reversible", "config-n-fraction", "config-n-bool",
-            "survey-horizon-below-t-min", "config-deltas-fraction"])
+            "survey-horizon-below-t-min", "config-deltas-fraction",
+            "replay-no-argv"])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                    argv, named):
         (tmp_path / "array.json").write_text("[1, 2]")
@@ -74,12 +77,31 @@ class TestFlagParsing:
         (tmp_path / "fraction.json").write_text('{"n": 1.5, "points": 2.9}')
         (tmp_path / "bool.json").write_text('{"n": true}')
         (tmp_path / "deltas.json").write_text('{"deltas": 0.5}')
+        (tmp_path / "no-argv.json").write_text(
+            '{"verdicts": {}, "outputs": {}}')
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert named in lines[0]
         assert "Traceback" not in captured.err + captured.out
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        [], ["systems"], ["simulate"], ["verify"], ["monodromy"],
+        ["fixedpoint"], ["freq"], ["survey"], ["dsl"], ["oracle"]])
+    def test_every_help_exits_0(self, capsys, argv):
+        assert main(argv + ["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: toruslab")
+
+    def test_built_once_per_process(self, tmp_path, capsys):
+        parser = _build_parser()
+        assert main(["systems", "list", "--out", str(tmp_path)]) == 0
+        assert main(["oracle", "period", "--zeta", "1",
+                     "--out", str(tmp_path)]) == 0
+        assert _build_parser() is parser
+        assert _build_parser.cache_info().misses == 1
 
 
 class TestSystemsList:
@@ -197,6 +219,16 @@ class TestFixedpoint:
         assert rc == 0
         assert "singular linearization" in capsys.readouterr().out
 
+    def test_guess_is_the_start(self, tmp_path, capsys):
+        # from the default start, the origin, the linearization is
+        # singular; from this guess Newton ends next to it instead
+        rc = main(["fixedpoint", "--system", "ham-unique", "--n", "1",
+                   "--energy", "0", "--guess", "0,0,0.01,0.01",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "found" in out and "singular" not in out
+
     def test_off_level_fails(self, tmp_path):
         rc = main(["fixedpoint", "--system", "ham-unique", "--n", "1",
                    "--energy", "0.1", "--out", str(tmp_path)])
@@ -229,6 +261,23 @@ class TestSurvey:
         assert "0 candidates" in capsys.readouterr().out
         lines = (tmp_path / "survey.csv").read_text().strip().splitlines()
         assert len(lines) == 201
+
+    def test_compact_family_defaults_to_its_isolation_domain(
+            self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = cli.isolation_domain
+
+        def spy(sys_):
+            calls.append(sys_.family)
+            return real(sys_)
+
+        monkeypatch.setattr(cli, "isolation_domain", spy)
+        rc = main(["survey", "--system", "ham-compact", "--n", "1",
+                   "--samples", "20", "--jobs", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert calls == ["ham-compact"]
+        assert "0 candidates" in capsys.readouterr().out
 
     def test_uncertified_box_is_a_usage_error(self, tmp_path, capsys):
         rc = main(["survey", "--system", "ham-compact", "--n", "1",
@@ -361,3 +410,16 @@ class TestManifestAndReplay:
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(doc))
         assert main(["--replay", str(tampered)]) == 1
+
+    def test_replay_detects_a_changed_output(self, tmp_path, capsys):
+        assert main(["verify", "rank", "--system", "ham-unique",
+                     "--n", "1", "--m", "0", "--points", "5",
+                     "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        doc["outputs"]["report.json"] = "0" * 64
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["--replay", str(tampered)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["replay: output report.json differs"]

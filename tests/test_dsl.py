@@ -61,6 +61,15 @@ from toruslab.systems import (
 # tokenizer
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 300, 1000])
+def test_generated_sum_adds_in_numpy_order(n):
+    # the generated error norm must round as np.sum does, past the
+    # 128-term blocks where numpy splits the array in halves
+    values = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    text = dsl._numpy_sum([f"v[{i}]" for i in range(n)])
+    assert eval(text, {"v": values.tolist()}) == np.sum(values)
+
+
 def test_tokenize_kinds_and_positions():
     toks = tokenize("x1 + 2.5*sin(y)")
     assert [(t.kind, t.text) for t in toks] == [

@@ -196,6 +196,27 @@ class TestMidpoint:
         back = integrate(sys, fwd.final_point, -0.05, cfg)
         assert np.max(np.abs(back.final_point.coords - p0.coords)) < 5e-12
 
+    def test_unconverged_iteration_escapes_on_both_paths(self):
+        # two iterations cannot settle a step of 0.5 off the torus, so
+        # those rows turn non-finite; on the torus the first update is
+        # already exact
+        sys = ham(n=1, m=0)
+        rows = np.array([[0.0, 0.3, 0.0, 0.0], [0.1, 0.0, 0.1, 0.1],
+                         [0.02, 1.0, -0.05, 0.03], [0.3, 0.2, 0.2, -0.1]])
+        cfg = IntegratorConfig(method="midpoint", h=0.5,
+                               midpoint_max_iter=2)
+        res = integrate_batch(sys, rows, 3.0, cfg)
+        assert res.escaped.tolist() == [False, True, True, True]
+        assert not integrate_batch(
+            sys, rows, 3.0, IntegratorConfig(method="midpoint", h=0.5)
+        ).escaped.any()
+        assert integrate(sys, MixedPoint.of(sys.layout, rows[0]), 3.0,
+                         cfg).times[-1] == 3.0
+        for row, t in zip(rows[1:], res.escape_times[1:]):
+            with pytest.raises(NumericalBlowup) as info:
+                integrate(sys, MixedPoint.of(sys.layout, row), 3.0, cfg)
+            assert info.value.time == t == 0.5
+
     def test_divergent_iteration_reports_time(self):
         sys = ham(n=1, m=0)
         p0 = MixedPoint.of(sys.layout, [0.8, 0.0, 0.2, 0.3])
