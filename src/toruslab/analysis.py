@@ -47,6 +47,7 @@ from .phase import (
     MixedPoint,
     ModularDomain,
     component_distances,
+    squared_distances,
     subdomain_of,
     torus_distance,
     torus_distance_batch,
@@ -391,7 +392,7 @@ def _first_return(sys, section, state, config, horizon):
         + (0.0 if sgn * theta0 < -1e-12 else sgn * TWO_PI)
     last = (state, 0.0)
 
-    def at_crossing(k, t, h_k, w, escaped):
+    def at_crossing(k, t, h_k, w, live, dropped):
         nonlocal last
         if sgn * (w[slot] - goal) >= 0.0:
             return True
@@ -870,7 +871,12 @@ class SurveyReport:
 
 
 def _sample_box(layout: CoordinateLayout, domain: ModularDomain,
-                seed: int, index: int) -> np.ndarray:
+                seed: int, index: int | range) -> np.ndarray:
+    """Survey sample index (an int) or the samples of a range of them.
+
+    Sample i is default_rng(SeedSequence([seed, i])).uniform(lows,
+    highs) to the bit, drawn without building a Generator per sample.
+    """
     lows = np.empty(layout.dim)
     highs = np.empty(layout.dim)
     for slot in range(layout.dim):
@@ -883,8 +889,15 @@ def _sample_box(layout: CoordinateLayout, domain: ModularDomain,
             lows[slot], highs[slot] = -math.pi, math.pi
         else:
             lows[slot], highs[slot] = iv
-    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-    return rng.uniform(lows, highs)
+    indices = index if isinstance(index, range) else [index]
+    raw = np.empty((len(indices), layout.dim), dtype=np.uint64)
+    for row, i in enumerate(indices):
+        raw[row] = np.random.PCG64(
+            np.random.SeedSequence([seed, i])).random_raw(layout.dim)
+    # a Generator's double is the top 53 bits of a raw draw over 2^53
+    u = (raw >> 11) * 2.0 ** -53
+    samples = lows + (highs - lows) * u
+    return samples if isinstance(index, range) else samples[0]
 
 
 def _survey_block(params_json: str, intervals, seed: int, start: int,
@@ -895,8 +908,7 @@ def _survey_block(params_json: str, intervals, seed: int, start: int,
     layout = sys.layout
     dim = layout.dim
     nb = stop - start
-    states = np.stack([_sample_box(layout, domain, seed, i)
-                       for i in range(start, stop)])
+    states = _sample_box(layout, domain, seed, range(start, stop))
 
     off_slots = [s for s in range(dim)
                  if not (sys.slots.phi.start <= s < sys.slots.phi.stop)]
@@ -906,17 +918,27 @@ def _survey_block(params_json: str, intervals, seed: int, start: int,
 
     run = np.flatnonzero(~skipped)
     escaped = np.zeros(nb, dtype=bool)
-    gaps = np.full(nb, math.inf)
+    # the closest squared return of each marched row, rooted at the end;
+    # origin and gap2 follow the march's live rows
+    run_gap2 = np.full(len(run), math.inf)
+    origin, gap2 = states[run], run_gap2
 
-    def track_gaps(k, t, h_k, zk, esc):
+    def track_gaps(k, t, h_k, zk, live, dropped):
+        nonlocal origin, gap2
+        if dropped is not None:
+            rows, _, keep = dropped
+            run_gap2[rows] = gap2[~keep]
+            origin, gap2 = origin[keep], gap2[keep]
         if t >= t_min:
-            good = run[~esc]
-            d = torus_distance_batch(layout, zk[~esc], states[good])
-            gaps[good] = np.minimum(gaps[good], d)
+            np.minimum(gap2, squared_distances(layout, zk, origin),
+                       out=gap2)
 
     z = states.copy()
     z[run], escaped[run], _, _ = _march(*_fixed_step(sys, cfg, z[run]),
                                         horizon, cfg, track_gaps)
+    run_gap2[~escaped[run]] = gap2
+    gaps = np.full(nb, math.inf)
+    gaps[run] = np.sqrt(run_gap2)
     # the gain is the certificate's change: rk4 advances y + sum(q) by the
     # same combination of stage rates as it would an extra slot holding
     # the certificate's rate, so no such slot is needed

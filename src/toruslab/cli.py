@@ -687,7 +687,9 @@ def _replay(path: str) -> int:
             and {"argv", "verdicts", "outputs"} <= doc.keys()):
         raise InvalidValue(f"{path} is not a toruslab manifest")
     with tempfile.TemporaryDirectory() as td:
-        main(list(doc["argv"]) + ["--out", td])
+        code = main(list(doc["argv"]) + ["--out", td])
+        if code not in (0, 1):  # bad input, already reported; no manifest
+            return code
         fresh = json.loads((Path(td) / "manifest.json").read_text())
     same_verdicts = fresh["verdicts"] == doc["verdicts"]
     same_outputs = fresh["outputs"] == doc["outputs"]

@@ -821,8 +821,9 @@ def _generate(dag: _Dag, rates: list[int], dim: int,
         return mid + tail
 
     def dp54_step():
-        lines = ["def dp54_step(s, h, abs_tol, rel_tol):"] + head
-        ks = [field_at(s, lines, body)]
+        lines = ["def dp54_step(s, k1, h, abs_tol, rel_tol):"] + head
+        ks = [temps()]
+        lines.append(f"{body}{_tuple(ks[0])} = k1")
 
         def stage_sum(coefficient, x):  # Python's sum starts from 0
             return " + ".join(["0.0"] + [f"{coefficient(j)} * {k[x]}"
@@ -843,14 +844,18 @@ def _generate(dag: _Dag, rates: list[int], dim: int,
                   for x, o in enumerate(e)]
         finite = " and ".join(f"-_INF < {a} < _INF" for a in y)
         lines += [f"{body}if not ({finite}):",
-                  f"{body}    return {_tuple(y)}, _INF"]
+                  f"{body}    return {_tuple(y)}, _INF, _NAN"]
         for o, a, b, d in zip(r, s, y, e):
             lines += [f"{body}p = abs({a})", f"{body}q = abs({b})",
                       f"{body}{o} = {d} / (abs_tol + rel_tol"
                       " * (p if p >= q else q))"]
         norm = _numpy_sum([f"{a} * {a}" for a in r])
-        lines.append(f"{body}return {_tuple(y)}, _sqrt(({norm}) / {dim})")
-        return lines + ["    except _FAILS:", "        return _NAN, _INF", ""]
+        # first same as last: the last stage's rates, taken at the 5th-order
+        # state, are the next step's first stage
+        lines.append(f"{body}return {_tuple(y)}, _sqrt(({norm}) / {dim}), "
+                     f"{_tuple(ks[-1])}")
+        return lines + ["    except _FAILS:",
+                        "        return _NAN, _INF, _NAN", ""]
 
     makers = {"field": field, "rk4_step": rk4_step,
               "midpoint_step": midpoint_step, "dp54_step": dp54_step}
@@ -863,14 +868,15 @@ class CompiledRates:
 
     Every function takes the state as a tuple of floats, one per name, and
     returns a tuple. field(s) gives the rates; rk4_step(s, h),
-    midpoint_step(s, h, tol, max_iter) and dp54_step(s, h, abs_tol,
+    midpoint_step(s, h, tol, max_iter) and dp54_step(s, k1, h, abs_tol,
     rel_tol) repeat the arithmetic of the numpy steps in `integrators` on
-    one state, rates inlined; dp54_step returns the 5th-order state and
-    the adaptive loop's error norm. Where that arithmetic raises (sin of
-    inf, a division by zero, an overflowing power) every slot comes back
-    NaN (and the norm inf), as numpy would give inf or nan, so the
-    integrators' escape test sees it either way. Functions not compiled
-    are None.
+    one state, rates inlined; dp54_step takes the first stage's rates k1
+    and returns the 5th-order state, the adaptive loop's error norm and
+    the last stage's rates, the next step's k1. Where that arithmetic
+    raises (sin of inf, a division by zero, an overflowing power) every
+    slot comes back NaN (and the norm inf), as numpy would give inf or
+    nan, so the integrators' escape test sees it either way. Functions
+    not compiled are None.
     """
 
     names: tuple[str, ...]
@@ -878,7 +884,8 @@ class CompiledRates:
     field: Callable[[tuple], tuple]
     rk4_step: Callable[[tuple, float], tuple]
     midpoint_step: Optional[Callable[[tuple, float, float, int], tuple]]
-    dp54_step: Optional[Callable[[tuple, float, float, float], tuple]]
+    dp54_step: Optional[Callable[[tuple, tuple, float, float, float],
+                                 tuple]]
 
 
 def compile_rates(rates: Sequence[Expr], names: Sequence[str],

@@ -5,6 +5,8 @@ states integrates at numpy speed. One stepping loop, `_march`, serves
 every fixed-step path: it lands exactly on the end time, freezes escaping
 rows instead of raising, and hands each step to an observer that stores,
 measures or stops; the adaptive loop of `integrate` is the only other.
+A batch marches only its live rows: an escaping row is written out once
+and dropped, and the observer sees the live rows, never the full state.
 A single state of a System steps on Python floats instead, because
 numpy's per-call cost dwarfs the arithmetic of one 4-8 slot state: the
 fused rk4, midpoint and Dormand-Prince steps compiled from the system's
@@ -130,8 +132,9 @@ def _rk4_step(f, s, h):
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6
 # (1980) 19-26). The last stage row is the 5th-order weights, so that stage
-# evaluates the rates at the 5th-order state; those rates are not reused as
-# the next step's first stage, so every attempted step costs 7 evaluations.
+# evaluates the rates at the 5th-order state. An accepted step hands them
+# on as the next step's first stage (first same as last) and a rejected
+# one keeps its first stage, so each attempt costs 6 evaluations.
 # dsl.compile_rates generates the same step over Python floats (dp54_step).
 _DP_A = (
     (),
@@ -147,15 +150,17 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
 
 
-def _dp54_step(f, s, h):
-    ks = [f(s)]
+def _dp54_step(f, s, k1, h):
+    # k1 = f(s); returns the 5th-order state, the error estimate and the
+    # last stage's rates f(y5)
+    ks = [k1]
     for row in _DP_A[1:]:
         incr = sum(a * k for a, k in zip(row, ks))
         ks.append(f(s + h * incr))
     y5 = s + h * sum(b * k for b, k in zip(_DP_B5, ks))
     err = h * sum((b5 - b4) * k
                   for b5, b4, k in zip(_DP_B5, _DP_B4, ks))
-    return y5, err
+    return y5, err, ks[-1]
 
 
 def step_rk4(field: FieldLike, p: MixedPoint, h: float) -> MixedPoint:
@@ -238,41 +243,48 @@ def _fixed_step(field, cfg, state):
 
 
 def _adaptive_step(field, cfg, state):
-    """The Dormand-Prince step of cfg, as a function of (state, h) that
-    gives the 5th-order state and the error norm, and the state to start
+    """The Dormand-Prince step of cfg, the rates, and the state to start
     from; compiled code and tuples as in _fixed_step.
 
-    The norm is the root mean square of the error over abs_tol + rel_tol
-    * max(|state|, |trial|), slot by slot, and inf for a non-finite
-    trial.
+    The step is a function of (state, k1, h), k1 the rates at state, that
+    gives the 5th-order state, the error norm and the rates there. The
+    norm is the root mean square of the error over abs_tol + rel_tol *
+    max(|state|, |trial|), slot by slot, and inf for a non-finite trial.
     """
     code = _compiled_for(field, state)
     if code is not None:
         return (partial(code.dp54_step, abs_tol=cfg.abs_tol,
-                        rel_tol=cfg.rel_tol),
+                        rel_tol=cfg.rel_tol), code.field,
                 tuple(np.asarray(state, dtype=float).tolist()))
     f = _as_field_fn(field)
 
-    def step(s, h):
-        trial, err = _dp54_step(f, s, h)
+    def step(s, k1, h):
+        trial, err, k7 = _dp54_step(f, s, k1, h)
         if not np.all(np.isfinite(trial)):
-            return trial, math.inf
+            return trial, math.inf, k7
         r = err / (cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(s),
                                                           np.abs(trial)))
-        return trial, float(np.sqrt(np.mean(r * r)))
-    return step, np.array(state, dtype=float)
+        return trial, float(np.sqrt(np.mean(r * r))), k7
+    return step, f, np.array(state, dtype=float)
 
 
 def _march(step, state, t_end, cfg, observe=None):
     """Advance state, shape (dim,) or (rows, dim), to t_end in fixed steps.
 
     int(|t_end| / h) whole steps, then a remainder step if one is left;
-    the last step ends exactly at t_end. An escaping row is frozen at its
-    last finite state. The march ends when no row is left or when
-    observe(k, t, h_k, state, escaped), called after each step, returns
-    true. Returns (state, escaped, escape_times, steps taken). A state
-    given as a tuple of floats is one row for a step compiled to Python
-    floats (see _fixed_step), and stays a tuple.
+    the last step ends exactly at t_end. Returns (state, escaped,
+    escape_times, steps taken). A state given as a tuple of floats is one
+    row for a step compiled to Python floats (see _fixed_step).
+
+    A batch steps only its live rows, kept dense: a row that escapes is
+    written to the full state once, at its last finite state, and
+    dropped. observe(k, t, h_k, cur, live, dropped), called after each
+    step, sees the live rows cur, their batch indices live (None while
+    cur is the whole batch) and dropped, None or (indices, last finite
+    states, keep) of the rows that escaped at this step, keep marking
+    the previous cur's rows still live. A single state is observed with
+    live and dropped None; its escape ends the march without a call. The
+    march ends when no row is left or when observe returns true.
     """
     if not (math.isfinite(t_end) and t_end != 0.0):
         raise InvalidValue("t_end must be finite and nonzero")
@@ -289,39 +301,42 @@ def _march(step, state, t_end, cfg, observe=None):
     floats = isinstance(state, tuple)
     if not floats:
         state = np.array(state, dtype=float)
-    escaped = np.zeros(() if floats else state.shape[:-1], dtype=bool)
+    single = floats or state.ndim == 1
+    escaped = np.zeros(() if single else len(state), dtype=bool)
     escape_times = np.full(escaped.shape, np.nan)
-    live = None  # indices of the rows still marching, once one escaped
+    cur, live, dropped = state, None, None
     k = -1
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(total):
             h_k = direction * (h if k < n_whole else remainder)
             t = t_end if k == total - 1 else direction * ((k + 1) * h)
-            rows = live
-            cur = state if rows is None else state[rows]
             trial = step(cur, h_k)
-            if floats:
-                bad = _escaping_floats(trial, cfg.escape_norm)
-                if bad:
-                    trial = cur  # freeze at the last finite state
+            if single:
+                if (_escaping_floats if floats else _escaping)(
+                        trial, cfg.escape_norm):
+                    escaped[()], escape_times[()] = True, t
+                    break  # cur is the last finite state
             else:
                 bad = _escaping(trial, cfg.escape_norm)
+                dropped = None
                 if bad.any():
-                    trial[bad] = cur[bad]  # the same, row by row
-                else:
-                    bad = False
-            if bad is not False:
-                hit = np.flatnonzero(~escaped)[np.reshape(bad, -1)]
-                escaped.flat[hit] = True
-                escape_times.flat[hit] = t
-                live = np.flatnonzero(~escaped)
-            if rows is None:
-                state = trial
-            else:
-                state[rows] = trial
-            stop = observe is not None and observe(k, t, h_k, state, escaped)
-            if stop or (live is not None and len(live) == 0):
+                    keep = ~bad
+                    rows = np.flatnonzero(bad) if live is None else live[bad]
+                    frozen = cur[bad]
+                    state[rows] = frozen
+                    escaped[rows], escape_times[rows] = True, t
+                    live = np.flatnonzero(keep) if live is None else live[keep]
+                    trial = trial[keep]
+                    dropped = (rows, frozen, keep)
+            cur = trial
+            if observe is not None and observe(k, t, h_k, cur, live,
+                                               dropped):
                 break
+            if live is not None and len(live) == 0:
+                break
+    if single or live is None:
+        return cur, escaped, escape_times, k + 1
+    state[live] = cur
     return state, escaped, escape_times, k + 1
 
 
@@ -351,9 +366,8 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
         stored.append(state)
 
     if cfg.method != ADAPTIVE:
-        def observe(k, t, h_k, state, escaped):
-            if not escaped and ((k + 1) % cfg.store_every == 0
-                                or t == t_end):
+        def observe(k, t, h_k, state, live, dropped):
+            if (k + 1) % cfg.store_every == 0 or t == t_end:
                 store(t, state)
 
         state, escaped, escape_time, n_steps = _march(
@@ -365,13 +379,14 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
             raise InvalidValue("t_end must be finite and nonzero")
         direction = 1.0 if t_end > 0 else -1.0
         span = abs(t_end)
-        step, state = _adaptive_step(field, cfg, p0.coords)
+        step, rates, state = _adaptive_step(field, cfg, p0.coords)
         escaping = _escaping_floats if isinstance(state, tuple) \
             else _escaping
         t = 0.0
         n_steps = 0
         h = min(cfg.h, cfg.max_step)
         with np.errstate(over="ignore", invalid="ignore"):
+            k1 = rates(state)
             while abs(t) < span - 1e-12:
                 if n_steps + n_rejected > cfg.max_steps:
                     raise StepBudgetExceeded(
@@ -380,7 +395,7 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
                 if h < 1e-14 * max(1.0, abs(t)):
                     raise ConvergenceFailure(
                         f"adaptive step collapsed near t={t:.6g}")
-                trial, norm = step(state, direction * h)
+                trial, norm, k7 = step(state, k1, direction * h)
                 if norm <= 1.0:
                     t = t_end if abs(t) + h >= span - 1e-12 \
                         else t + direction * h
@@ -388,7 +403,7 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
                     if escaping(trial, cfg.escape_norm):
                         t_escape = t
                         break
-                    state = trial
+                    state, k1 = trial, k7
                     if n_steps % cfg.store_every == 0 \
                             or abs(t) >= span - 1e-12:
                         store(t, state)
@@ -456,10 +471,17 @@ def integrate_batch(field: FieldLike, states0: np.ndarray, t_end: float,
         stored_times = [0.0]
         stored = [wrap_angles(states, mask)]
 
-        def observe(k, t, h_k, state, escaped):
+        full = states.copy()  # the whole batch, brought up to date to store
+
+        def observe(k, t, h_k, cur, live, dropped):
+            if dropped is not None:
+                full[dropped[0]] = dropped[1]
             if (k + 1) % store_every == 0 or t == t_end:
+                if live is not None:
+                    full[live] = cur
                 stored_times.append(t)
-                stored.append(wrap_angles(state, mask))
+                stored.append(wrap_angles(cur if live is None else full,
+                                          mask))
 
     final, escaped, escape_times, n_steps = _march(
         *_fixed_step(field, cfg, states), t_end, cfg, observe)

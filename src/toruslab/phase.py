@@ -102,6 +102,16 @@ class CoordinateLayout:
         mask.setflags(write=False)
         return mask
 
+    @cached_property
+    def angle_index(self):
+        """The angle slots as a slice when they are contiguous, as in every
+        family, else as angle_mask."""
+        lo = min(self.angle_slots, default=0)
+        hi = max(self.angle_slots, default=-1) + 1
+        if hi - lo == len(self.angle_slots):
+            return slice(lo, hi)
+        return self.angle_mask
+
     def slot_of(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -163,20 +173,27 @@ def component_distances(layout: CoordinateLayout,
 
     a and b broadcast against each other; trailing axis is the slot axis.
     """
-    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    mask = layout.angle_mask
-    if mask.any():
-        ang = d[..., mask]
-        d = np.array(d, copy=True)
-        d[..., mask] = np.pi - np.remainder(np.pi - ang, TWO_PI)
-    return np.abs(d)
+    d = np.subtract(a, b, dtype=float)
+    idx = layout.angle_index
+    d[..., idx] = np.pi - np.remainder(np.pi - d[..., idx], TWO_PI)
+    return np.abs(d, out=d)
+
+
+def squared_distances(layout: CoordinateLayout,
+                      a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared product-metric distance for stacked states; shape (...).
+
+    Its sqrt is torus_distance_batch, so a minimum can be rooted once.
+    """
+    d = component_distances(layout, a, b)
+    d *= d
+    return d.sum(axis=-1)
 
 
 def torus_distance_batch(layout: CoordinateLayout,
                          a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product-metric distance for stacked states; returns shape (...)."""
-    d = component_distances(layout, a, b)
-    return np.sqrt((d * d).sum(axis=-1))
+    return np.sqrt(squared_distances(layout, a, b))
 
 
 def torus_distance(a: MixedPoint, b: MixedPoint) -> float:

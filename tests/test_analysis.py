@@ -746,6 +746,50 @@ class TestSurvey:
                     sys.layout, z[:, :dim], starts))
         assert np.array_equal(rep.gaps, gaps)
 
+    def test_samples_are_the_generators_uniform_draws(self):
+        # the box is drawn from raw PCG64 words; pin it to the bit against
+        # default_rng's uniform on the same per-sample stream
+        hc, rc, hu = (make(HAM_COMPACT, n=1, m=1),
+                      make(REV_COMPACT, n=1, l=1, m=1),
+                      make(HAM_UNIQUE, n=1, m=1))
+        for sys, dom, seed in ((hc, isolation_domain(hc), 1),
+                               (rc, isolation_domain(rc), 2),
+                               (hu, self.box(hu), 42)):
+            lows = np.array([-math.pi if iv is None else iv[0]
+                             for iv in dom.intervals])
+            highs = np.array([math.pi if iv is None else iv[1]
+                              for iv in dom.intervals])
+            got = _sample_box(sys.layout, dom, seed, range(7000))
+            want = np.stack([np.random.default_rng(
+                np.random.SeedSequence([seed, i])).uniform(lows, highs)
+                for i in range(7000)])
+            assert np.array_equal(got, want)
+            assert np.array_equal(_sample_box(sys.layout, dom, seed, 123),
+                                  want[123])
+
+    @pytest.mark.parametrize("family", [HAM_UNIQUE, HAM_COMPACT])
+    def test_gaps_are_the_closest_return_of_each_live_step(self, family):
+        # the survey keeps squared gaps on its live rows and roots their
+        # minimum once; recompute them as the minimum over steps of the
+        # rooted distance, leaving out each row's steps from its escape on
+        sys = make(family, n=1, m=1)
+        dom = self.box(sys) if family == HAM_UNIQUE \
+            else isolation_domain(sys)
+        rep = survey_uniqueness(sys, dom, samples=200, seed=5)
+        starts = _sample_box(sys.layout, dom, 5, range(200))
+        res = integrate_batch(sys, starts, 20.0, IntegratorConfig(h=1e-2),
+                              store_every=1)
+        assert not rep.skipped.any()
+        assert np.array_equal(rep.escaped, res.escaped)
+        assert rep.escaped.any() == (family == HAM_UNIQUE)
+        gaps = np.full(200, math.inf)
+        for t, z in zip(res.stored_times, res.stored_states):
+            live = ~(res.escape_times <= t)
+            if t >= 1.0:
+                gaps[live] = np.minimum(gaps[live], torus_distance_batch(
+                    sys.layout, z[live], starts[live]))
+        assert np.array_equal(rep.gaps, gaps)
+
     def test_on_torus_samples_are_skipped(self):
         sys = make(HAM_COMPACT, n=1, m=0)
         iv = []

@@ -64,11 +64,12 @@ class TestFlagParsing:
         (["verify", "torus", "--system", "ham-compact", "--config",
           "{tmp}/deltas.json", "--out", "{tmp}"], "--deltas"),
         (["--replay", "{tmp}/no-argv.json"], "no-argv.json"),
+        (["--replay", "{tmp}/bad-argv.json"], "--system"),
     ], ids=["h-zero", "t-nan", "replay-missing-file", "config-array",
             "config-omega-number", "config-n-list", "points-zero",
             "invariants-reversible", "config-n-fraction", "config-n-bool",
             "survey-horizon-below-t-min", "config-deltas-fraction",
-            "replay-no-argv"])
+            "replay-no-argv", "replay-bad-argv"])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                    argv, named):
         (tmp_path / "array.json").write_text("[1, 2]")
@@ -79,6 +80,8 @@ class TestFlagParsing:
         (tmp_path / "deltas.json").write_text('{"deltas": 0.5}')
         (tmp_path / "no-argv.json").write_text(
             '{"verdicts": {}, "outputs": {}}')
+        (tmp_path / "bad-argv.json").write_text(
+            '{"argv": ["verify", "torus"], "verdicts": {}, "outputs": {}}')
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()

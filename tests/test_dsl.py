@@ -474,10 +474,15 @@ def test_compiled_code_never_sees_a_source_identifier():
     assert np.max(np.abs(np.subtract(got[:4], want))) <= 1e-15
     assert np.max(np.abs(np.subtract(got[4:], (J @ M).ravel()))) <= 1e-14
     # the fused Dormand-Prince step and its error norm
-    y5, err = _dp54_step(field, np.array(state), 0.1)
+    y5, err, k7 = _dp54_step(field, np.array(state), field(np.array(state)),
+                             0.1)
     r = err / (1e-10 + 1e-8 * np.maximum(np.abs(state), np.abs(y5)))
-    y, norm = compiled.dp54_step(state, 0.1, 1e-10, 1e-8)
+    y, norm, last = compiled.dp54_step(state, compiled.field(state), 0.1,
+                                       1e-10, 1e-8)
     assert np.max(np.abs(np.subtract(y, y5))) <= 1e-15
+    # first same as last: the last stage is the rates at the new state
+    assert np.array_equal(k7, field(y5))
+    assert last == compiled.field(y)
     assert norm == pytest.approx(float(np.sqrt(np.mean(r * r))), rel=1e-12)
 
 

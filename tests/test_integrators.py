@@ -13,13 +13,15 @@ from toruslab.integrators import (
     BatchResult,
     IntegratorConfig,
     Trajectory,
+    _fixed_step,
+    _march,
     field_jacobian,
     integrate,
     integrate_batch,
     integrate_variational,
     step_rk4,
 )
-from toruslab.phase import CoordinateLayout, MixedPoint
+from toruslab.phase import CoordinateLayout, MixedPoint, wrap_angles
 from toruslab.systems import (
     HAM_COMPACT,
     HAM_UNIQUE,
@@ -302,6 +304,72 @@ class TestBatch:
         assert np.all(np.isfinite(res.final))
         assert 1.3 < res.escape_times[0] < 1.7
         assert np.isnan(res.escape_times[1:]).all()
+
+    def test_row_results_do_not_depend_on_the_batch(self):
+        # rows leave the batch at their own steps; the rows that remain
+        # must step exactly as they would alone
+        sys = ham(n=1, m=1)
+        states = np.random.default_rng(21).uniform(-2.0, 2.0,
+                                                   (256, sys.dim))
+        cfg = IntegratorConfig(h=1e-2)
+        stored = integrate_batch(sys, states, 2.0, cfg, layout=sys.layout,
+                                 store_every=7)
+        plain = integrate_batch(sys, states, 2.0, cfg, layout=sys.layout)
+        assert 0 < stored.escaped.sum() < 256
+        alone = [integrate_batch(sys, row[None], 2.0, cfg,
+                                 layout=sys.layout, store_every=7)
+                 for row in states]
+        for res in (stored, plain):
+            assert np.array_equal(
+                res.final, np.concatenate([a.final for a in alone]))
+            for field in ("escaped", "escape_times"):
+                assert np.array_equal(
+                    getattr(res, field),
+                    np.concatenate([getattr(a, field) for a in alone]),
+                    equal_nan=True)
+            assert res.n_steps == max(a.n_steps for a in alone)
+        for i, a in enumerate(alone):
+            # a row's storage ends at its escape; the batch keeps storing
+            # its last finite state
+            n = len(a.stored_times)
+            assert np.array_equal(a.stored_times, stored.stored_times[:n])
+            assert np.array_equal(a.stored_states[:, 0],
+                                  stored.stored_states[:n, i])
+            frozen = wrap_angles(a.final[0], sys.layout.angle_mask)
+            assert (stored.stored_states[n:, i] == frozen).all()
+
+    def test_observer_sees_only_live_rows(self):
+        sys = ham(n=1, m=1)
+        states = np.random.default_rng(5).uniform(-2.0, 2.0, (64, sys.dim))
+        cfg = IntegratorConfig(h=1e-2)
+        ref = integrate_batch(sys, states, 2.0, cfg)
+        seen = {"cur": states, "drops": 0}
+
+        def observe(k, t, h_k, cur, live, dropped):
+            gone = ref.escape_times <= t  # nan for a row that never left
+            if live is None:
+                assert not gone.any()
+            else:
+                assert np.array_equal(live, np.flatnonzero(~gone))
+            assert cur.shape == ((~gone).sum(), sys.dim)
+            now = np.flatnonzero(ref.escape_times == t)
+            if dropped is None:
+                assert len(now) == 0
+            else:
+                rows, frozen, keep = dropped
+                assert np.array_equal(rows, now)
+                # a dropped row keeps its state from before this step
+                assert np.array_equal(frozen, seen["cur"][~keep])
+                assert np.array_equal(frozen, ref.final[rows])
+                assert keep.sum() == len(cur)
+                seen["drops"] += 1
+            seen["cur"] = cur
+
+        final, escaped, _, n_steps = _march(
+            *_fixed_step(sys, cfg, states), 2.0, cfg, observe)
+        assert seen["drops"] > 1
+        assert np.array_equal(final, ref.final)
+        assert n_steps == ref.n_steps
 
     def test_batch_storage_is_wrapped(self):
         sys = ham(n=1, m=0)
