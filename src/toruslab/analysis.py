@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -1002,7 +1003,10 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
         chunk = max(1, math.ceil(samples / jobs))
         spans = [(a, min(a + chunk, samples))
                  for a in range(0, samples, chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers at once, so no more than there
+        # are blocks or CPUs to run them
+        workers = min(jobs, len(spans), len(os.sched_getaffinity(0)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_survey_block, pj, domain.intervals, seed,
                                 a, b, horizon, cfg, t_min, skip_tol)
                     for a, b in spans]

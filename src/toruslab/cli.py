@@ -563,7 +563,7 @@ _COMMANDS = {
     ("survey",): (_cmd_survey, {
         **_COMMON_SYSTEM, "samples": (10000, _parse_int),
         "box": (None, float), "horizon": (20.0, float),
-        "jobs": (None, _parse_int),
+        "jobs": (None, _parse_count),
     }),
     ("dsl", "check"): (_cmd_dsl, {"file": (None, str)}),
     ("oracle", "period"): (_cmd_oracle, {

@@ -1,10 +1,12 @@
 import json
 import math
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
+from toruslab import analysis
 from toruslab.analysis import (
     FixedPointResult,
     _report_json,
@@ -717,6 +719,39 @@ class TestSurvey:
         assert np.array_equal(rep1.gains, rep2.gains, equal_nan=True)
         assert np.array_equal(rep1.gains, rep3.gains, equal_nan=True)
         assert np.array_equal(rep1.gaps, rep3.gaps, equal_nan=True)
+
+    @pytest.mark.parametrize("samples, jobs, cpus, workers", [
+        (40, 100_000, 3, 3), (40, 2, 3, 2), (5, 4, 8, 3)])
+    def test_pool_starts_at_most_one_worker_per_block_and_cpu(
+            self, monkeypatch, samples, jobs, cpus, workers):
+        # a stand-in pool that records its size and runs each block inline
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(analysis.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        sys = make(REV_UNIQUE, n=1, l=1, m=0)
+        kw = dict(samples=samples, seed=3, horizon=2.0)
+        rep = survey_uniqueness(sys, self.box(sys), jobs=jobs, **kw)
+        assert started == [workers]
+        serial = survey_uniqueness(sys, self.box(sys), **kw)
+        assert np.array_equal(rep.gains, serial.gains, equal_nan=True)
+        assert np.array_equal(rep.gaps, serial.gaps, equal_nan=True)
 
     def test_gain_is_the_change_of_the_certificate(self):
         # march the field with the certificate's rate y' + sum(q') as an

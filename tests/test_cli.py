@@ -65,11 +65,16 @@ class TestFlagParsing:
           "{tmp}/deltas.json", "--out", "{tmp}"], "--deltas"),
         (["--replay", "{tmp}/no-argv.json"], "no-argv.json"),
         (["--replay", "{tmp}/bad-argv.json"], "--system"),
+        (["survey", "--system", "ham-unique", "--samples", "50",
+          "--jobs", "0", "--out", "{tmp}"], "--jobs"),
+        (["survey", "--system", "ham-unique", "--samples", "50",
+          "--jobs", "-1", "--out", "{tmp}"], "--jobs"),
     ], ids=["h-zero", "t-nan", "replay-missing-file", "config-array",
             "config-omega-number", "config-n-list", "points-zero",
             "invariants-reversible", "config-n-fraction", "config-n-bool",
             "survey-horizon-below-t-min", "config-deltas-fraction",
-            "replay-no-argv", "replay-bad-argv"])
+            "replay-no-argv", "replay-bad-argv", "survey-jobs-zero",
+            "survey-jobs-negative"])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                    argv, named):
         (tmp_path / "array.json").write_text("[1, 2]")

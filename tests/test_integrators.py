@@ -207,17 +207,20 @@ class TestMidpoint:
                          [0.02, 1.0, -0.05, 0.03], [0.3, 0.2, 0.2, -0.1]])
         cfg = IntegratorConfig(method="midpoint", h=0.5,
                                midpoint_max_iter=2)
-        res = integrate_batch(sys, rows, 3.0, cfg)
-        assert res.escaped.tolist() == [False, True, True, True]
-        assert not integrate_batch(
-            sys, rows, 3.0, IntegratorConfig(method="midpoint", h=0.5)
-        ).escaped.any()
         assert integrate(sys, MixedPoint.of(sys.layout, rows[0]), 3.0,
                          cfg).times[-1] == 3.0
-        for row, t in zip(rows[1:], res.escape_times[1:]):
-            with pytest.raises(NumericalBlowup) as info:
-                integrate(sys, MixedPoint.of(sys.layout, row), 3.0, cfg)
-            assert info.value.time == t == 0.5
+        # the System steps the rows on compiled floats, its raw numpy
+        # field steps the batch as one array
+        for field in (sys, sys.field):
+            res = integrate_batch(field, rows, 3.0, cfg)
+            assert res.escaped.tolist() == [False, True, True, True]
+            assert not integrate_batch(
+                field, rows, 3.0, IntegratorConfig(method="midpoint", h=0.5)
+            ).escaped.any()
+            for row, t in zip(rows[1:], res.escape_times[1:]):
+                with pytest.raises(NumericalBlowup) as info:
+                    integrate(sys, MixedPoint.of(sys.layout, row), 3.0, cfg)
+                assert info.value.time == t == 0.5
 
     def test_divergent_iteration_reports_time(self):
         sys = ham(n=1, m=0)
@@ -257,8 +260,9 @@ class TestEscape:
                       IntegratorConfig(h=1e-2, max_steps=10))
 
 
-# a single state of a System steps on compiled Python floats, a batch on
-# numpy arrays; these cases compare the two paths
+# a single state of a System, and a System batch of at most 8 rows, step
+# on compiled Python floats; a larger batch and a raw numpy field step on
+# numpy arrays. Cases that run both `sys` and `sys.field` compare the two
 BATCH_FAMILIES = pytest.mark.parametrize("family", [HAM_UNIQUE, HAM_COMPACT])
 
 
@@ -268,15 +272,21 @@ class TestBatch:
         sys = build_system(SystemParams(family, n=1, m=1, omega=(1.0,)))
         rng = np.random.default_rng(7)
         states = 0.05 * rng.uniform(-1, 1, (5, sys.dim))
-        res = integrate_batch(sys, states, 3.0, IntegratorConfig(h=1e-2),
-                              layout=sys.layout)
-        assert not res.escaped.any()
-        for i in range(5):
-            traj = integrate(sys, MixedPoint.of(sys.layout, states[i]),
-                             3.0, IntegratorConfig(h=1e-2, store_every=300))
-            # batch keeps raw angles; wrap before comparing
-            got = MixedPoint.of(sys.layout, res.final[i]).coords
-            assert np.max(np.abs(got - traj.final_point.coords)) < 1e-13
+        # the System steps its rows on compiled floats, its raw numpy
+        # field steps the batch as one array
+        for field in (sys, sys.field):
+            res = integrate_batch(field, states, 3.0,
+                                  IntegratorConfig(h=1e-2),
+                                  layout=sys.layout)
+            assert not res.escaped.any()
+            for i in range(5):
+                traj = integrate(sys, MixedPoint.of(sys.layout, states[i]),
+                                 3.0, IntegratorConfig(h=1e-2,
+                                                       store_every=300))
+                # batch keeps raw angles; wrap before comparing
+                got = MixedPoint.of(sys.layout, res.final[i]).coords
+                assert np.max(np.abs(got - traj.final_point.coords)) \
+                    < 1e-13
 
     @BATCH_FAMILIES
     def test_batch_midpoint_matches_single(self, family):
@@ -284,12 +294,67 @@ class TestBatch:
         rng = np.random.default_rng(11)
         states = 0.01 * rng.uniform(-1, 1, (4, sys.dim))
         cfg = IntegratorConfig(method="midpoint", h=1e-2)
-        res = integrate_batch(sys, states, 2.0, cfg, layout=sys.layout)
-        for i in range(4):
-            traj = integrate(sys, MixedPoint.of(sys.layout, states[i]),
-                             2.0, cfg)
-            got = MixedPoint.of(sys.layout, res.final[i]).coords
-            assert np.max(np.abs(got - traj.final_point.coords)) < 1e-12
+        for field in (sys, sys.field):
+            res = integrate_batch(field, states, 2.0, cfg, layout=sys.layout)
+            for i in range(4):
+                traj = integrate(sys, MixedPoint.of(sys.layout, states[i]),
+                                 2.0, cfg)
+                got = MixedPoint.of(sys.layout, res.final[i]).coords
+                assert np.max(np.abs(got - traj.final_point.coords)) \
+                    < 1e-12
+
+    @pytest.mark.parametrize("method", ["rk4", "midpoint"])
+    def test_small_system_batch_steps_rows_on_floats(self, monkeypatch,
+                                                     method):
+        sys = ham(n=1, m=1)
+        states = 0.05 * np.random.default_rng(3).uniform(-1, 1,
+                                                         (9, sys.dim))
+        cfg = IntegratorConfig(method=method, h=1e-2)
+        calls = []
+        numpy_field = System.field
+
+        def counted(self, s):
+            calls.append(len(s))
+            return numpy_field(self, s)
+
+        monkeypatch.setattr(System, "field", counted)
+        integrate_batch(sys, states[:8], 0.1, cfg)
+        assert calls == []
+        integrate_batch(sys, states, 0.1, cfg)
+        assert calls and set(calls) == {9}
+
+    @pytest.mark.parametrize("seed, survivor", [(0, True), (1, False)])
+    def test_row_path_matches_the_numpy_path(self, seed, survivor):
+        # seed 0 keeps one row alive; in seed 1 every row escapes, the
+        # last at step 182, a store step of store_every=7
+        sys = ham(n=1, m=1)
+        states = np.random.default_rng(seed).uniform(-2, 2, (4, sys.dim))
+        if survivor:
+            states[3] *= 1e-3
+        cfg = IntegratorConfig(h=1e-2)
+        rows, whole = (integrate_batch(field, states, 3.0, cfg,
+                                       layout=sys.layout, store_every=7)
+                       for field in (sys, sys.field))
+        assert rows.escaped.sum() == 4 - survivor
+        assert rows.n_steps == whole.n_steps
+        assert survivor or whole.n_steps == 182
+        for name in ("final", "escaped", "escape_times", "stored_times",
+                     "stored_states"):
+            assert np.array_equal(getattr(rows, name), getattr(whole, name),
+                                  equal_nan=True), name
+
+    @pytest.mark.parametrize("store_every", [0, -2])
+    def test_store_every_below_one_rejected(self, store_every):
+        for rows in (1, 20):
+            with pytest.raises(InvalidValue, match="store_every"):
+                integrate_batch(ham(), np.zeros((rows, 4)), 1.0,
+                                store_every=store_every)
+
+    def test_empty_batch_marches_the_whole_grid(self):
+        res = integrate_batch(ham(), np.zeros((0, 4)), 1.0,
+                              IntegratorConfig(h=0.1), store_every=3)
+        assert res.n_steps == 10 and res.final.shape == (0, 4)
+        assert res.stored_states.shape == (5, 0, 4)
 
     def test_escaping_row_is_frozen_not_fatal(self):
         sys = ham(n=1, m=0)
@@ -298,12 +363,14 @@ class TestBatch:
             [1e-4, 0.0, 0.0, 1e-4],   # survives to t = 4
             [0.0, 1.0, 0.0, 0.0],     # on the torus, survives
         ])
-        res = integrate_batch(sys, states, 4.0, IntegratorConfig(h=1e-3),
-                              layout=sys.layout)
-        assert res.escaped.tolist() == [True, False, False]
-        assert np.all(np.isfinite(res.final))
-        assert 1.3 < res.escape_times[0] < 1.7
-        assert np.isnan(res.escape_times[1:]).all()
+        for field in (sys, sys.field):
+            res = integrate_batch(field, states, 4.0,
+                                  IntegratorConfig(h=1e-3),
+                                  layout=sys.layout)
+            assert res.escaped.tolist() == [True, False, False]
+            assert np.all(np.isfinite(res.final))
+            assert 1.3 < res.escape_times[0] < 1.7
+            assert np.isnan(res.escape_times[1:]).all()
 
     def test_row_results_do_not_depend_on_the_batch(self):
         # rows leave the batch at their own steps; the rows that remain
@@ -374,12 +441,14 @@ class TestBatch:
     def test_batch_storage_is_wrapped(self):
         sys = ham(n=1, m=0)
         states = np.array([[0.0, 3.0, 0.0, 0.0], [0.0, -3.0, 0.0, 0.0]])
-        res = integrate_batch(sys, states, 5.0, IntegratorConfig(h=1e-2),
-                              layout=sys.layout, store_every=100)
-        assert res.stored_states.shape[0] == len(res.stored_times)
-        phi = res.stored_states[:, :, sys.layout.slot_of("phi_1")]
-        assert np.all(phi <= math.pi) and np.all(phi > -math.pi)
-        assert res.stored_times[-1] == 5.0
+        for field in (sys, sys.field):
+            res = integrate_batch(field, states, 5.0,
+                                  IntegratorConfig(h=1e-2),
+                                  layout=sys.layout, store_every=100)
+            assert res.stored_states.shape[0] == len(res.stored_times)
+            phi = res.stored_states[:, :, sys.layout.slot_of("phi_1")]
+            assert np.all(phi <= math.pi) and np.all(phi > -math.pi)
+            assert res.stored_times[-1] == 5.0
 
     def test_adaptive_batch_rejected(self):
         with pytest.raises(InvalidValue):
