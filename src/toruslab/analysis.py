@@ -6,6 +6,9 @@ measurement, the circulation-period quadrature oracle, the uniqueness
 survey, and the reversibility check. Everything here is a measurement
 with an explicit tolerance; nothing is assumed from the construction of
 the systems themselves, which is the point.
+
+The tolerances and steps the paper's checks fix are constants, not
+parameters, and each docstring states its own.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,10 +34,10 @@ from .errors import (
     TangentCrossing,
 )
 from .integrators import (
-    RK4,
     IntegratorConfig,
     Trajectory,
     _as_field_fn,
+    _central_differences,
     _compiled_for,
     _fixed_step,
     _march,
@@ -118,34 +121,18 @@ def invariant_drift(sys: System, traj: Trajectory) -> np.ndarray:
 # Poisson brackets
 
 
-def _fd_gradient(fn, s, step):
-    dim = len(s)
-    g = np.empty(dim)
-    for i in range(dim):
-        h = step * (1.0 + abs(float(s[i])))
-        e = np.zeros(dim)
-        e[i] = h
-        g[i] = (float(fn(s + e)) - float(fn(s - e))) / (2.0 * h)
-    return g
-
-
-def poisson_bracket(f, g, p: MixedPoint, pairing,
-                    grad_f=None, grad_g=None, step: float = 1e-6) -> float:
+def poisson_bracket(f, g, p: MixedPoint, pairing) -> float:
     """{f, g} at p for the canonical pairing ((pos, mom), ...).
 
-    f and g map raw coordinate arrays to scalars. Exact gradient callables
-    can be supplied; otherwise central differences with per-slot step
-    step * (1 + |coordinate|) are used.
+    f and g map raw coordinate arrays to scalars; their gradients are
+    taken by central differences (integrators._central_differences).
 
     Examples
     --------
     With the single pair ((y, x)), {y, x} = 1 identically.
     """
-    s = p.coords
-    gf = np.asarray(grad_f(s), dtype=float) if grad_f is not None \
-        else _fd_gradient(f, s, step)
-    gg = np.asarray(grad_g(s), dtype=float) if grad_g is not None \
-        else _fd_gradient(g, s, step)
+    gf = _central_differences(f, p.coords)
+    gg = _central_differences(g, p.coords)
     total = 0.0
     for pos, mom in pairing:
         total += gf[pos] * gg[mom] - gf[mom] * gg[pos]
@@ -153,7 +140,7 @@ def poisson_bracket(f, g, p: MixedPoint, pairing,
 
 
 def bracket_matrix(sys: System, states: np.ndarray,
-                   scheme: str = "exact", step: float = 1e-6) -> np.ndarray:
+                   scheme: str = "exact") -> np.ndarray:
     """All pairwise brackets of the first integrals, shape (..., k, k).
 
     scheme 'exact' contracts the exact gradients; 'fd' rebuilds
@@ -167,15 +154,7 @@ def bracket_matrix(sys: System, states: np.ndarray,
     if scheme == "exact":
         G = sys.integral_gradients(states)
     elif scheme == "fd":
-        k = len(sys.integral_names)
-        G = np.empty(states.shape[:-1] + (k, states.shape[-1]))
-        for i in range(states.shape[-1]):
-            h = step * (1.0 + np.abs(states[..., i]))
-            e = np.zeros(states.shape[-1])
-            e[i] = 1.0
-            up = sys.integrals(states + h[..., None] * e)
-            dn = sys.integrals(states - h[..., None] * e)
-            G[..., i] = (up - dn) / (2.0 * h[..., None])
+        G = _central_differences(sys.integrals, states)
     else:
         raise InvalidValue(f"unknown scheme {scheme!r}")
     pos = [a for a, _ in sys.canonical_pairing]
@@ -186,11 +165,10 @@ def bracket_matrix(sys: System, states: np.ndarray,
         - np.einsum("...ik,...jk->...ij", Gm, Gp)
 
 
-def integral_jacobian_rank(sys: System, p: MixedPoint,
-                           tol: float = 1e-8) -> int:
+def integral_jacobian_rank(sys: System, p: MixedPoint) -> int:
     """Numerical rank of the stacked integral gradients at p.
 
-    Counts singular values above tol * sigma_max. Generic points give the
+    Counts singular values above 1e-8 * sigma_max. Generic points give the
     full count of integrals; on the canonical torus the energy gradient
     collapses onto the action gradients and the cubic ones vanish.
     """
@@ -201,7 +179,7 @@ def integral_jacobian_rank(sys: System, p: MixedPoint,
     sigma = np.linalg.svd(G, compute_uv=False)
     if sigma[0] == 0.0:
         return 0
-    return int(np.sum(sigma > tol * sigma[0]))
+    return int(np.sum(sigma > 1e-8 * sigma[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +215,9 @@ class KroneckerReport:
 
 
 def verify_kronecker(sys: System, spec, horizon: float = 100.0,
-                     tol: float = 1e-8, n_starts: int = 3, seed: int = 0,
+                     tol: float = 1e-8, seed: int = 0,
                      config: Optional[IntegratorConfig] = None):
-    """Integrate from several starts on the torus and measure two deviations.
+    """Integrate from three starts on the torus and measure two deviations.
 
     Pinned slots must hold their values and each free angle must follow
     wrap(phi0 + freq * t), both within tol over the whole horizon. The
@@ -255,6 +233,7 @@ def verify_kronecker(sys: System, spec, horizon: float = 100.0,
                            "nearby tori drift nonuniformly and are "
                            "checked through measure_frequencies")
     cfg = config or IntegratorConfig(h=1e-2)
+    n_starts = 3
     # every spec draws its starts from a fresh generator, as it would alone
     starts = [np.stack([torus_point(s, a).coords for a in
                         np.random.default_rng(seed).uniform(
@@ -293,18 +272,18 @@ def verify_kronecker(sys: System, spec, horizon: float = 100.0,
 
 
 def recurrence_gap(sys: System, p0: MixedPoint, t_min: float,
-                   horizon: float,
-                   config: Optional[IntegratorConfig] = None) -> float:
+                   horizon: float) -> float:
     """Closest return distance min over t in [t_min, horizon] of
     d(flow_t(p0), p0); +inf when the orbit escapes.
 
-    The distance is sampled on the step grid and then sharpened by a
-    ternary search between the neighbors of the best sample, so a true
-    periodic return is resolved far below the grid spacing.
+    The distance is sampled on the grid of rk4 steps of 1e-2 and then
+    sharpened by a ternary search between the neighbors of the best
+    sample, so a true periodic return is resolved far below the grid
+    spacing.
     """
     if not (horizon > t_min > 0):
         raise InvalidValue("need horizon > t_min > 0")
-    cfg = config or IntegratorConfig(h=1e-2)
+    cfg = IntegratorConfig(h=1e-2)
     try:
         traj = integrate(sys, p0, horizon, cfg)
     except NumericalBlowup:
@@ -320,8 +299,7 @@ def recurrence_gap(sys: System, p0: MixedPoint, t_min: float,
     # wrapped stored state is legitimate because every field is periodic
     # in its angle slots
     lo_i = max(k - 1, 0)
-    step, s_lo = _fixed_step(sys, replace(cfg, method=RK4),
-                             traj.states[lo_i])
+    step, s_lo = _fixed_step(sys, cfg, traj.states[lo_i])
     t_lo = traj.times[lo_i]
     width = traj.times[min(k + 1, len(traj) - 1)] - t_lo
     if width <= 0:
@@ -371,7 +349,7 @@ class PoincareResult:
     time: float
 
 
-def _first_return(sys, section, state, config, horizon):
+def _first_return(sys, section, state, horizon):
     """Flow state to its next directed crossing of the section.
 
     state is the system state, or for a System the state followed by a
@@ -383,7 +361,7 @@ def _first_return(sys, section, state, config, horizon):
             f"slot {section.slot} is not angular in this layout")
     if not horizon > 0:
         raise InvalidValue("horizon must be positive")
-    cfg = config or IntegratorConfig(h=1e-2)
+    cfg = IntegratorConfig(h=1e-2)
     slot = section.slot
     sgn = float(section.direction)
     theta0 = wrap_angle(float(state[slot]) - section.value)
@@ -393,7 +371,7 @@ def _first_return(sys, section, state, config, horizon):
         + (0.0 if sgn * theta0 < -1e-12 else sgn * TWO_PI)
     last = (state, 0.0)
 
-    def at_crossing(k, t, h_k, w, live, dropped):
+    def at_crossing(k, t, w, live, dropped):
         nonlocal last
         if sgn * (w[slot] - goal) >= 0.0:
             return True
@@ -401,8 +379,7 @@ def _first_return(sys, section, state, config, horizon):
         return False
 
     w, escaped, escape_time, _ = _march(
-        *_fixed_step(sys, replace(cfg, method=RK4), state), horizon, cfg,
-        at_crossing)
+        *_fixed_step(sys, cfg, state), horizon, cfg, at_crossing)
     if sgn * (w[slot] - goal) < 0.0:
         if escaped:
             raise NumericalBlowup(
@@ -430,44 +407,43 @@ def _first_return(sys, section, state, config, horizon):
 
 
 def poincare_map(sys: System, section: Section, p0: MixedPoint,
-                 config: Optional[IntegratorConfig] = None,
                  horizon: float = 1000.0) -> PoincareResult:
     """Flow p0 to its next directed crossing of the section.
 
     An orbit starting on the section is advanced a full turn, not
-    reported at time zero. Fixed steps scan past the crossing; from the
-    last state before it, one rk4 step of the flow reparametrized by the
-    section angle, d(x, t)/d(angle) = (f, 1) / f_angle, lands on the
-    section (Henon's method), and the section slot is set to its value
-    exactly. A crossing with angular rate below 1e-8 is TangentCrossing.
+    reported at time zero. Fixed rk4 steps of 1e-2 scan past the
+    crossing; from the last state before it, one rk4 step of the flow
+    reparametrized by the section angle, d(x, t)/d(angle) = (f, 1) /
+    f_angle, lands on the section (Henon's method), and the section slot
+    is set to its value exactly. A crossing with angular rate below 1e-8
+    is TangentCrossing.
     """
-    s, t = _first_return(sys, section, p0.coords, config, horizon)
+    s, t = _first_return(sys, section, p0.coords, horizon)
     return PoincareResult(point=MixedPoint.of(sys.layout, s), time=t)
 
 
-def _return_jacobian(sys, section, s, config, horizon):
+def _return_jacobian(sys, section, s, horizon):
     # one tangent run gives x_T and DP = M - f(x_T) M[sigma, :] / f_sigma,
     # whose second term moves the perturbed orbit back onto the section;
     # entries of M past the escape norm count as an escape, like the state's
     dim = len(s)
     w, _ = _first_return(sys, section,
-                         np.concatenate([s, np.eye(dim).ravel()]), config,
-                         horizon)
+                         np.concatenate([s, np.eye(dim).ravel()]), horizon)
     x, M = w[:dim], w[dim:].reshape(dim, dim)
     f = sys.field(x)
     return x, M - np.outer(f, M[section.slot] / f[section.slot])
 
 
-def poincare_linearization(sys: System, section: Section, p: MixedPoint,
-                           config: Optional[IntegratorConfig] = None,
-                           horizon: float = 100.0) -> np.ndarray:
+def poincare_linearization(sys: System, section: Section,
+                           p: MixedPoint) -> np.ndarray:
     """Jacobian of the return map at p, from the tangent flow.
 
     Rows and columns run over every slot except the section angle, in
-    layout order. p should be (numerically) a fixed point of the map.
+    layout order. p should be (numerically) a fixed point of the map,
+    whose orbit must return within a horizon of 100.
     """
     slots = [i for i in range(sys.layout.dim) if i != section.slot]
-    _, DP = _return_jacobian(sys, section, p.coords, config, horizon)
+    _, DP = _return_jacobian(sys, section, p.coords, 100.0)
     return DP[np.ix_(slots, slots)]
 
 
@@ -502,22 +478,21 @@ class FixedPointResult:
 
 
 def find_fixed_point(sys: System, section: Section, guess: MixedPoint,
-                     energy: float = 0.0, tol: float = 1e-9,
-                     max_iter: int = 50,
-                     config: Optional[IntegratorConfig] = None,
-                     horizon: float = 50.0) -> FixedPointResult:
+                     energy: float = 0.0) -> FixedPointResult:
     """Newton search for a fixed point of the return map at one energy.
 
     Works in the reduced variables z = every slot except the section
     angle and the first action u, whose value is recovered from the
     energy constraint at each evaluation. Each iteration takes the
     residual and the Newton matrix from one tangent run of the return
-    map, with u following z through du/dz = -H_z / H_u. The Newton
+    map, with u following z through du/dz = -H_z / H_u, and the search
+    succeeds once the largest residual is at most 1e-9. The Newton
     matrix is declared singular when its smallest singular value drops
     below 1e-12 times the largest or below 1e-8 outright; the absolute
     floor covers matrices whose exact value is zero but whose tangent
     flow carries the rk4 truncation error of the step. Stagnation under
-    step halving or an escaping orbit gives 'not-found'.
+    step halving, an orbit that escapes or does not return within a time
+    of 50, or 50 iterations without convergence give 'not-found'.
     """
     if not sys.is_hamiltonian:
         raise NotHamiltonian("fixed-point search needs an energy level")
@@ -530,6 +505,7 @@ def find_fixed_point(sys: System, section: Section, guess: MixedPoint,
     z_slots = [i for i in range(sys.dim) if i not in (u_slot, phi_slot)]
     z = np.array(guess.coords[z_slots], dtype=float)
     escapes = (NoReturn, NumericalBlowup, TangentCrossing)
+    tol, max_iter, horizon = 1e-9, 50, 50.0
 
     def lift(zv):
         # the full state on the section with u chosen so that H = energy;
@@ -555,7 +531,7 @@ def find_fixed_point(sys: System, section: Section, guess: MixedPoint,
             return None
         try:
             res = poincare_map(sys, section, MixedPoint.of(sys.layout, s),
-                               config, horizon)
+                               horizon)
         except escapes:
             return None
         return res.point.coords[z_slots] - zv
@@ -565,7 +541,7 @@ def find_fixed_point(sys: System, section: Section, guess: MixedPoint,
         if s is None:
             return None, None, None
         try:
-            x, DP = _return_jacobian(sys, section, s, config, horizon)
+            x, DP = _return_jacobian(sys, section, s, horizon)
         except escapes:
             return None, None, None
         grad = sys.integral_gradients(s)[sys.integral_names.index("H")]
@@ -630,13 +606,13 @@ class MonodromyResult:
 
 
 def monodromy(sys: System, point: Optional[MixedPoint] = None,
-              period: Optional[float] = None,
               config: Optional[IntegratorConfig] = None) -> MonodromyResult:
     """Multipliers of the closed orbit through `point` (canonical default).
 
-    Integrates the tangent flow over one period and takes eigenvalues of
-    the resulting matrix; each eigenpair's residual ||Mv - lambda v|| is
-    reported and must be small for the decomposition to mean anything.
+    Integrates the tangent flow over one period, 2 pi / |omega|, and
+    takes eigenvalues of the resulting matrix; each eigenpair's residual
+    ||Mv - lambda v|| is reported and must be small for the decomposition
+    to mean anything.
     """
     if sys.params.n != 1:
         raise InvalidValue("monodromy is defined for the n=1 orbit")
@@ -645,8 +621,7 @@ def monodromy(sys: System, point: Optional[MixedPoint] = None,
         raise InvalidValue("zero frequency has no closed orbit")
     if point is None:
         point = torus_point(canonical_torus(sys), [0.0])
-    if period is None:
-        period = TWO_PI / abs(w)
+    period = TWO_PI / abs(w)
     cfg = config or IntegratorConfig(h=1e-3)
     var = integrate_variational(sys, point, period, cfg)
     M = var.matrix
@@ -759,26 +734,25 @@ class ReversibilityReport:
 
     deviation: float
     t: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.deviation <= self.tol
+        return self.deviation <= 1e-6
 
 
 def verify_reversibility(sys: System, p: MixedPoint, t: float,
-                         tol: float = 1e-6,
-                         config: Optional[IntegratorConfig] = None,
                          field=None) -> ReversibilityReport:
     """Measure d(flow_{-t}(g(p)), g(flow_t(p))) for the involution g.
 
-    A `field` override substitutes the right-hand side while keeping the
-    involution, which is how the sign-flipped negative control is run.
+    Both flows are adaptive at rel_tol 1e-10 and abs_tol 1e-12, and the
+    check passes at a deviation of at most 1e-6. A `field` override
+    substitutes the right-hand side while keeping the involution, which
+    is how the sign-flipped negative control is run.
     """
     if not t > 0:
         raise InvalidValue("t must be positive")
-    cfg = config or IntegratorConfig(method="adaptive", h=1e-2,
-                                     rel_tol=1e-10, abs_tol=1e-12)
+    cfg = IntegratorConfig(method="adaptive", h=1e-2, rel_tol=1e-10,
+                           abs_tol=1e-12)
     # the System itself, so each single state steps its compiled code
     f = field if field is not None else sys
     fwd = integrate(f, p, t, cfg)
@@ -787,20 +761,19 @@ def verify_reversibility(sys: System, p: MixedPoint, t: float,
     g_p = MixedPoint.of(sys.layout, sys.involution(p.coords))
     back = integrate(f, g_p, -t, cfg)
     dev = torus_distance(back.final_point, g_of_flow)
-    return ReversibilityReport(deviation=dev, t=t, tol=tol)
+    return ReversibilityReport(deviation=dev, t=t)
 
 
-def reversibility_deviations(sys: System, points: np.ndarray, t: float,
-                             config: Optional[IntegratorConfig] = None
-                             ) -> np.ndarray:
+def reversibility_deviations(sys: System, points: np.ndarray,
+                             t: float) -> np.ndarray:
     """Conjugacy deviation for a batch of start points (rows).
 
-    Fixed-step batch integration; rows whose orbit escapes in either
+    Batch rk4 integration at step 1e-3; rows whose orbit escapes in either
     direction report +inf.
     """
     if not t > 0:
         raise InvalidValue("t must be positive")
-    cfg = config or IntegratorConfig(h=1e-3)
+    cfg = IntegratorConfig(h=1e-3)
     pts = np.asarray(points, dtype=float)
     fwd = integrate_batch(sys, pts, t, cfg, layout=sys.layout)
     back = integrate_batch(sys, sys.involution(pts), -t, cfg,
@@ -813,6 +786,14 @@ def reversibility_deviations(sys: System, points: np.ndarray, t: float,
 
 # ---------------------------------------------------------------------------
 # uniqueness survey
+
+
+# the survey's step and thresholds, as survey_uniqueness describes them
+_SURVEY_STEP = IntegratorConfig(h=1e-2)
+_T_MIN = 1.0
+_GAIN_TOL = 1e-8
+_GAP_TOL = 1e-3
+_SKIP_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -835,8 +816,6 @@ class SurveyReport:
     n_samples: int
     seed: int
     horizon: float
-    gain_tol: float
-    gap_tol: float
     gains: np.ndarray
     gaps: np.ndarray
     escaped: np.ndarray
@@ -859,8 +838,8 @@ class SurveyReport:
         return _report_json(
             "no recurrent orbit off the canonical torus in the box",
             {"family": self.family, "samples": self.n_samples,
-             "horizon": self.horizon, "gain_tol": self.gain_tol,
-             "gap_tol": self.gap_tol},
+             "horizon": self.horizon, "gain_tol": _GAIN_TOL,
+             "gap_tol": _GAP_TOL},
             "corroborated" if self.n_candidates == 0
             else f"{self.n_candidates} candidates need review",
             {"candidates": self.n_candidates,
@@ -902,8 +881,7 @@ def _sample_box(layout: CoordinateLayout, domain: ModularDomain,
 
 
 def _survey_block(params_json: str, intervals, seed: int, start: int,
-                  stop: int, horizon: float, cfg: IntegratorConfig,
-                  t_min: float, skip_tol: float):
+                  stop: int, horizon: float):
     sys = build_system(params_from_json(params_json))
     domain = ModularDomain(intervals=intervals)
     layout = sys.layout
@@ -915,7 +893,7 @@ def _survey_block(params_json: str, intervals, seed: int, start: int,
                  if not (sys.slots.phi.start <= s < sys.slots.phi.stop)]
     d0 = component_distances(layout, states, np.zeros(dim))
     off_dist = np.sqrt((d0[:, off_slots] ** 2).sum(axis=1))
-    skipped = off_dist <= skip_tol
+    skipped = off_dist <= _SKIP_TOL
 
     run = np.flatnonzero(~skipped)
     escaped = np.zeros(nb, dtype=bool)
@@ -924,19 +902,20 @@ def _survey_block(params_json: str, intervals, seed: int, start: int,
     run_gap2 = np.full(len(run), math.inf)
     origin, gap2 = states[run], run_gap2
 
-    def track_gaps(k, t, h_k, zk, live, dropped):
+    def track_gaps(k, t, zk, live, dropped):
         nonlocal origin, gap2
         if dropped is not None:
             rows, _, keep = dropped
             run_gap2[rows] = gap2[~keep]
             origin, gap2 = origin[keep], gap2[keep]
-        if t >= t_min:
+        if t >= _T_MIN:
             np.minimum(gap2, squared_distances(layout, zk, origin),
                        out=gap2)
 
     z = states.copy()
-    z[run], escaped[run], _, _ = _march(*_fixed_step(sys, cfg, z[run]),
-                                        horizon, cfg, track_gaps)
+    z[run], escaped[run], _, _ = _march(
+        *_fixed_step(sys, _SURVEY_STEP, z[run]), horizon, _SURVEY_STEP,
+        track_gaps)
     run_gap2[~escaped[run]] = gap2
     gaps = np.full(nb, math.inf)
     gaps[run] = np.sqrt(run_gap2)
@@ -957,21 +936,18 @@ def _certificate(sys, states):
 
 
 def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
-                      seed: int, horizon: float = 20.0, dt: float = 1e-2,
-                      t_min: float = 1.0, gain_tol: float = 1e-8,
-                      gap_tol: float = 1e-3, skip_tol: float = 1e-6,
-                      jobs: int = 1,
-                      escape_norm: float = 1e8) -> SurveyReport:
+                      seed: int, horizon: float = 20.0,
+                      jobs: int = 1) -> SurveyReport:
     """Randomized search for recurrent orbits away from the canonical torus.
 
-    Each seeded sample is integrated over the horizon while co-integrating
-    the certificate gain (the integral of the escape rate along the
-    orbit) and tracking its closest return to the start after t_min. A
-    sample is a candidate only when the gain stays below gain_tol AND the
-    return gap drops below gap_tol; samples within skip_tol of the torus
-    in the non-angle directions are skipped as on-torus, and escaping
-    samples are self-refuting. Results are deterministic in (seed, index)
-    and independent of the job count.
+    Each seeded sample is integrated over the horizon in rk4 steps of
+    1e-2 while co-integrating the certificate gain (the integral of the
+    escape rate along the orbit) and tracking its closest return to the
+    start after t = 1. A sample is a candidate only when the gain stays
+    at most 1e-8 AND the return gap drops below 1e-3; samples within 1e-6
+    of the torus in the non-angle directions are skipped as on-torus, and
+    samples that leave the escape norm 1e8 are self-refuting. Results are
+    deterministic in (seed, index) and independent of the job count.
 
     For the compact families the box must lie inside isolation_domain,
     where the certificate is one-signed; for the unbounded families any
@@ -983,9 +959,9 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
         raise InvalidValue("need at least one sample")
     if not horizon > 0:
         raise InvalidValue("horizon must be positive")
-    if horizon < t_min:
+    if horizon < _T_MIN:
         raise InvalidValue(f"horizon {horizon:g} is shorter than t_min "
-                           f"{t_min:g}, so no return gap is measured")
+                           f"{_T_MIN:g}, so no return gap is measured")
     if sys.is_compact:
         if not subdomain_of(domain, isolation_domain(sys), sys.layout):
             raise DomainNotCertified(
@@ -994,11 +970,10 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
         raise InvalidValue("domain dimension does not match the system")
 
     pj = params_to_json(sys.params)
-    cfg = IntegratorConfig(h=dt, escape_norm=escape_norm)
     blocks = []
     if jobs <= 1:
         blocks.append(_survey_block(pj, domain.intervals, seed, 0, samples,
-                                    horizon, cfg, t_min, skip_tol))
+                                    horizon))
     else:
         chunk = max(1, math.ceil(samples / jobs))
         spans = [(a, min(a + chunk, samples))
@@ -1008,7 +983,7 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
         workers = min(jobs, len(spans), len(os.sched_getaffinity(0)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_survey_block, pj, domain.intervals, seed,
-                                a, b, horizon, cfg, t_min, skip_tol)
+                                a, b, horizon)
                     for a, b in spans]
             blocks = [f.result() for f in futs]
 
@@ -1019,13 +994,13 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
     finals = np.concatenate([b[4] for b in blocks])
 
     cands = []
-    flag = (~skipped) & (~escaped) & (gains <= gain_tol) & (gaps < gap_tol)
+    flag = (~skipped) & (~escaped) & (gains <= _GAIN_TOL) \
+        & (gaps < _GAP_TOL)
     for i in np.flatnonzero(flag):
         cands.append(SurveyCandidate(index=int(i), point=finals[i],
                                      gain=float(gains[i]),
                                      gap=float(gaps[i])))
     return SurveyReport(family=sys.family, n_samples=samples, seed=seed,
-                        horizon=horizon, gain_tol=gain_tol,
-                        gap_tol=gap_tol, gains=gains, gaps=gaps,
+                        horizon=horizon, gains=gains, gaps=gaps,
                         escaped=escaped, skipped=skipped,
                         candidates=tuple(cands))

@@ -1074,12 +1074,11 @@ def _as_field(obj):
     raise InvalidValue(f"not a field: {obj!r}")
 
 
-def cross_check_fields(f1, f2, layout: Optional[CoordinateLayout] = None,
-                       samples: int = 256, seed: int = 0
+def cross_check_fields(f1, f2, samples: int = 256, seed: int = 0
                        ) -> CrossCheckReport:
     """Compare two fields on seeded random states; report the worst slot.
 
-    Layouts (from the arguments or the `layout` parameter) must agree on
+    At least one field must carry a layout, and layouts must agree on
     dimension and labels; angle-slot sets may differ, so a compactified
     field can be checked against its non-compact source and simply show a
     nonzero deviation. Angular slots sample the full circle, real slots
@@ -1087,9 +1086,9 @@ def cross_check_fields(f1, f2, layout: Optional[CoordinateLayout] = None,
     """
     fn1, lay1 = _as_field(f1)
     fn2, lay2 = _as_field(f2)
-    layouts = [la for la in (lay1, lay2, layout) if la is not None]
+    layouts = [la for la in (lay1, lay2) if la is not None]
     if not layouts:
-        raise InvalidValue("no layout available; pass layout=")
+        raise InvalidValue("neither field carries a layout")
     ref = layouts[0]
     for la in layouts[1:]:
         if la.labels != ref.labels:

@@ -15,7 +15,8 @@ tangent matrix for `integrate_variational` and the return maps of
 `analysis`. Each repeats the numpy step's arithmetic in the same order.
 A System batch of at most _FLOAT_ROWS (8) rows marches each row alone
 as such a state, and `integrate_batch` assembles the batch's result.
-A diverging midpoint iteration is reported as an escape.
+A midpoint row iterates until its own update converges, in a batch as
+alone; one that diverges or never converges is reported as an escape.
 
 Angular slots are wrapped only when states are stored, never inside a
 step, so the running state keeps a continuous (unwrapped) angle history.
@@ -52,17 +53,15 @@ class IntegratorConfig:
     h is the fixed step (rk4/midpoint) or the initial step (adaptive).
     The adaptive controller scales steps by 0.9 * norm^(-1/5), clamped to
     [0.2, 5] per step; the implicit midpoint solve iterates to an absolute
-    update below midpoint_tol with a hard iteration cap.
+    update of at most 1e-12, or midpoint_max_iter times.
     """
 
     method: str = RK4
     h: float = 1e-2
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_step: float = math.inf
     max_steps: int = 5_000_000
     store_every: int = 1
-    midpoint_tol: float = 1e-12
     midpoint_max_iter: int = 50
     escape_norm: float = 1e8
 
@@ -87,7 +86,6 @@ class Trajectory:
     layout: CoordinateLayout
     times: np.ndarray
     states: np.ndarray
-    config: IntegratorConfig
     n_steps: int
     n_rejected: int = 0
 
@@ -189,22 +187,34 @@ def _escaping_floats(trial, escape_norm):
     return not (max(map(abs, trial)) <= escape_norm and total == total)
 
 
-def _batch_midpoint(f, s, h, cfg):
+_MIDPOINT_TOL = 1e-12
+
+
+def _batch_midpoint(f, s, h, max_iter):
     # solve m = s + (h/2) f(m) by fixed-point iteration, then reflect; rows
-    # that refuse to converge turn non-finite, which the escape test catches
-    m = s + 0.5 * h * f(s)
-    for _ in range(cfg.midpoint_max_iter):
-        m_next = s + 0.5 * h * f(m)
+    # that refuse to converge turn non-finite, which the escape test catches.
+    # A row stops at its own convergence, as alone (dsl's midpoint_step),
+    # though the field still sees every row while any iterates
+    hh = 0.5 * h
+    m = s + hh * f(s)
+    act = None  # the rows still iterating, None while that is all of them
+    for _ in range(max_iter):
+        m_next = s + hh * f(m)
+        # only finite rows whose update is above the tolerance go on
         delta = np.abs(m_next - m).max(axis=-1)
-        m = m_next
-        # only finite rows above the tolerance keep iterating
-        if not ((delta > cfg.midpoint_tol) & (delta < np.inf)).any():
+        going = (delta > _MIDPOINT_TOL) & (delta < np.inf)
+        if act is None:
+            m = m_next
+        else:
+            m[act] = m_next[act]
+            going &= act
+        if not going.any():
             break
+        if act is not None or not going.all():
+            act = going
     else:
-        stuck = np.max(np.abs(s + 0.5 * h * f(m) - m), axis=-1) \
-            > cfg.midpoint_tol
-        m = np.array(m)
-        m[stuck] = np.nan
+        stuck = np.max(np.abs(s + hh * f(m) - m), axis=-1) > _MIDPOINT_TOL
+        m[stuck if act is None else stuck & act] = np.nan
     return 2.0 * m - s
 
 
@@ -235,12 +245,13 @@ def _fixed_step(field, cfg, state):
     if code is not None:
         start = tuple(np.asarray(state, dtype=float).tolist())
         if cfg.method == MIDPOINT:
-            return partial(code.midpoint_step, tol=cfg.midpoint_tol,
+            return partial(code.midpoint_step, tol=_MIDPOINT_TOL,
                            max_iter=cfg.midpoint_max_iter), start
         return code.rk4_step, start
     f = _as_field_fn(field)
     if cfg.method == MIDPOINT:
-        return (lambda s, h: _batch_midpoint(f, s, h, cfg)), state
+        return partial(_batch_midpoint, f,
+                       max_iter=cfg.midpoint_max_iter), state
     return partial(_rk4_step, f), state
 
 
@@ -280,7 +291,7 @@ def _march(step, state, t_end, cfg, observe=None):
 
     A batch steps only its live rows, kept dense: a row that escapes is
     written to the full state once, at its last finite state, and
-    dropped. observe(k, t, h_k, cur, live, dropped), called after each
+    dropped. observe(k, t, cur, live, dropped), called after each
     step, sees the live rows cur, their batch indices live (None while
     cur is the whole batch) and dropped, None or (indices, last finite
     states, keep) of the rows that escaped at this step, keep marking
@@ -292,13 +303,14 @@ def _march(step, state, t_end, cfg, observe=None):
         raise InvalidValue("t_end must be finite and nonzero")
     direction = 1.0 if t_end > 0 else -1.0
     span = abs(t_end)
-    h = min(cfg.h, cfg.max_step)
-    n_whole = int(span / h + 1e-9)
+    h = cfg.h
+    # clipped past the cap, since int() refuses an infinite quotient
+    n_whole = int(min(span / h, cfg.max_steps + 1.0) + 1e-9)
     remainder = span - n_whole * h
     total = n_whole + (1 if remainder > 1e-12 else 0)
     if total > cfg.max_steps:
         raise StepBudgetExceeded(
-            f"{total} steps needed, cap is {cfg.max_steps}")
+            f"{span / h:.3g} steps needed, cap is {cfg.max_steps}")
 
     floats = isinstance(state, tuple)
     if not floats:
@@ -331,8 +343,7 @@ def _march(step, state, t_end, cfg, observe=None):
                     trial = trial[keep]
                     dropped = (rows, frozen, keep)
             cur = trial
-            if observe is not None and observe(k, t, h_k, cur, live,
-                                               dropped):
+            if observe is not None and observe(k, t, cur, live, dropped):
                 break
             if live is not None and len(live) == 0:
                 break
@@ -368,7 +379,7 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
         stored.append(state)
 
     if cfg.method != ADAPTIVE:
-        def observe(k, t, h_k, state, live, dropped):
+        def observe(k, t, state, live, dropped):
             if (k + 1) % cfg.store_every == 0 or t == t_end:
                 store(t, state)
 
@@ -386,14 +397,14 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
             else _escaping
         t = 0.0
         n_steps = 0
-        h = min(cfg.h, cfg.max_step)
+        h = cfg.h
         with np.errstate(over="ignore", invalid="ignore"):
             k1 = rates(state)
             while abs(t) < span - 1e-12:
                 if n_steps + n_rejected > cfg.max_steps:
                     raise StepBudgetExceeded(
                         f"step cap {cfg.max_steps} reached at t={t:.6g}")
-                h = min(h, cfg.max_step, span - abs(t))
+                h = min(h, span - abs(t))
                 if h < 1e-14 * max(1.0, abs(t)):
                     raise ConvergenceFailure(
                         f"adaptive step collapsed near t={t:.6g}")
@@ -420,7 +431,7 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
         store(t_end, state)  # zero-length span edge; keep endpoint exact
     traj = Trajectory(layout=layout, times=np.array(times),
                       states=wrap_angles(np.array(stored, dtype=float),
-                                         layout.angle_mask), config=cfg,
+                                         layout.angle_mask),
                       n_steps=n_steps, n_rejected=n_rejected)
     if t_escape is not None:
         exc = NumericalBlowup(
@@ -463,7 +474,7 @@ def _march_rows(field, cfg, states, t_end, mask, store_every):
     for row in states:
         kept.append([])  # (t, state) at each store step the row lives past
 
-        def observe(k, t, h_k, cur, live, dropped, kept=kept[-1]):
+        def observe(k, t, cur, live, dropped, kept=kept[-1]):
             if (k + 1) % store_every == 0 or t == t_end:
                 kept.append((t, cur))
         runs.append(_march(*_fixed_step(field, cfg, row), t_end, cfg,
@@ -502,9 +513,7 @@ def integrate_batch(field: FieldLike, states0: np.ndarray, t_end: float,
     A System batch of 1 to _FLOAT_ROWS (8) rows marches each row alone on
     the system's compiled float step, where numpy's per-call cost would
     dwarf the arithmetic; any other batch, and any field that is not a
-    System, steps numpy arrays. Both give the same result: rk4 rows bit
-    for bit, midpoint rows to about the iteration tolerance, because a
-    row alone stops iterating as soon as it has converged.
+    System, steps numpy arrays. Both give the same result, bit for bit.
     """
     cfg = config or IntegratorConfig()
     if cfg.method == ADAPTIVE:
@@ -526,7 +535,7 @@ def integrate_batch(field: FieldLike, states0: np.ndarray, t_end: float,
 
         full = states.copy()  # the whole batch, brought up to date to store
 
-        def observe(k, t, h_k, cur, live, dropped):
+        def observe(k, t, cur, live, dropped):
             if dropped is not None:
                 full[dropped[0]] = dropped[1]
             if (k + 1) % store_every == 0 or t == t_end:
@@ -549,6 +558,21 @@ def integrate_batch(field: FieldLike, states0: np.ndarray, t_end: float,
 # Jacobians and variational flow
 
 
+def _central_differences(fn, x) -> np.ndarray:
+    """(fn(x + h e_i) - fn(x - h e_i)) / 2h, h = 1e-6 (1 + |x_i|), at the
+    states x, shape (..., dim), stacked over the slots i on a new last
+    axis: a scalar fn gives shape (..., dim), a (..., k) one (..., k, dim).
+    """
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for i, unit in enumerate(np.eye(x.shape[-1])):
+        h = 1e-6 * (1.0 + np.abs(x[..., i]))
+        e = h[..., None] * unit
+        d = np.asarray(fn(x + e)) - np.asarray(fn(x - e))
+        cols.append(d / (2.0 * h).reshape(h.shape + (1,) * (d.ndim - h.ndim)))
+    return np.stack(cols, axis=-1)
+
+
 def field_jacobian(target, p: MixedPoint, scheme: str = "fd") -> np.ndarray:
     """Jacobian of the field at p.
 
@@ -563,16 +587,7 @@ def field_jacobian(target, p: MixedPoint, scheme: str = "fd") -> np.ndarray:
         return target.jacobian(p.coords)
     if scheme != "fd":
         raise InvalidValue(f"unknown scheme {scheme!r}")
-    f = _as_field_fn(target)
-    s = p.coords
-    dim = len(s)
-    J = np.empty((dim, dim))
-    for i in range(dim):
-        h = 1e-6 * (1.0 + abs(float(s[i])))
-        e = np.zeros(dim)
-        e[i] = h
-        J[:, i] = (np.asarray(f(s + e)) - np.asarray(f(s - e))) / (2.0 * h)
-    return J
+    return _central_differences(_as_field_fn(target), p.coords)
 
 
 def _variational_field(f, jac, dim):

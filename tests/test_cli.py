@@ -69,12 +69,20 @@ class TestFlagParsing:
           "--jobs", "0", "--out", "{tmp}"], "--jobs"),
         (["survey", "--system", "ham-unique", "--samples", "50",
           "--jobs", "-1", "--out", "{tmp}"], "--jobs"),
+        (["simulate", "--system", "ham-unique", "--t", "1e300", "--h",
+          "1e-300", "--out", "{tmp}"], "inf steps needed"),
+        (["verify", "invariants", "--system", "ham-unique", "--method",
+          "rk4", "--t", "1e300", "--h", "1e-300", "--out", "{tmp}"],
+         "inf steps needed"),
+        (["survey", "--system", "ham-unique", "--samples", "2",
+          "--horizon", "1e300", "--out", "{tmp}"], "1e+302 steps needed"),
     ], ids=["h-zero", "t-nan", "replay-missing-file", "config-array",
             "config-omega-number", "config-n-list", "points-zero",
             "invariants-reversible", "config-n-fraction", "config-n-bool",
             "survey-horizon-below-t-min", "config-deltas-fraction",
             "replay-no-argv", "replay-bad-argv", "survey-jobs-zero",
-            "survey-jobs-negative"])
+            "survey-jobs-negative", "simulate-step-count-overflows",
+            "invariants-step-count-overflows", "survey-step-count-huge"])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                    argv, named):
         (tmp_path / "array.json").write_text("[1, 2]")

@@ -326,22 +326,25 @@ class TestBatch:
     @pytest.mark.parametrize("seed, survivor", [(0, True), (1, False)])
     def test_row_path_matches_the_numpy_path(self, seed, survivor):
         # seed 0 keeps one row alive; in seed 1 every row escapes, the
-        # last at step 182, a store step of store_every=7
+        # last at step 182 under rk4, a store step of store_every=7, and
+        # at step 179 under midpoint
         sys = ham(n=1, m=1)
         states = np.random.default_rng(seed).uniform(-2, 2, (4, sys.dim))
         if survivor:
             states[3] *= 1e-3
-        cfg = IntegratorConfig(h=1e-2)
-        rows, whole = (integrate_batch(field, states, 3.0, cfg,
-                                       layout=sys.layout, store_every=7)
-                       for field in (sys, sys.field))
-        assert rows.escaped.sum() == 4 - survivor
-        assert rows.n_steps == whole.n_steps
-        assert survivor or whole.n_steps == 182
-        for name in ("final", "escaped", "escape_times", "stored_times",
-                     "stored_states"):
-            assert np.array_equal(getattr(rows, name), getattr(whole, name),
-                                  equal_nan=True), name
+        for method, last_step in (("rk4", 182), ("midpoint", 179)):
+            cfg = IntegratorConfig(method=method, h=1e-2)
+            rows, whole = (integrate_batch(field, states, 3.0, cfg,
+                                           layout=sys.layout, store_every=7)
+                           for field in (sys, sys.field))
+            assert rows.escaped.sum() == 4 - survivor
+            assert rows.n_steps == whole.n_steps
+            assert survivor or whole.n_steps == last_step
+            for name in ("final", "escaped", "escape_times",
+                         "stored_times", "stored_states"):
+                assert np.array_equal(getattr(rows, name),
+                                      getattr(whole, name),
+                                      equal_nan=True), (method, name)
 
     @pytest.mark.parametrize("store_every", [0, -2])
     def test_store_every_below_one_rejected(self, store_every):
@@ -373,12 +376,18 @@ class TestBatch:
             assert np.isnan(res.escape_times[1:]).all()
 
     def test_row_results_do_not_depend_on_the_batch(self):
-        # rows leave the batch at their own steps; the rows that remain
+        # rows leave the batch at their own steps, and a midpoint row
+        # stops iterating at its own convergence; the rows that remain
         # must step exactly as they would alone
         sys = ham(n=1, m=1)
         states = np.random.default_rng(21).uniform(-2.0, 2.0,
                                                    (256, sys.dim))
-        cfg = IntegratorConfig(h=1e-2)
+        for method in ("rk4", "midpoint"):
+            self._check_rows_alone(sys, states,
+                                   IntegratorConfig(method=method, h=1e-2))
+
+    @staticmethod
+    def _check_rows_alone(sys, states, cfg):
         stored = integrate_batch(sys, states, 2.0, cfg, layout=sys.layout,
                                  store_every=7)
         plain = integrate_batch(sys, states, 2.0, cfg, layout=sys.layout)
@@ -412,7 +421,7 @@ class TestBatch:
         ref = integrate_batch(sys, states, 2.0, cfg)
         seen = {"cur": states, "drops": 0}
 
-        def observe(k, t, h_k, cur, live, dropped):
+        def observe(k, t, cur, live, dropped):
             gone = ref.escape_times <= t  # nan for a row that never left
             if live is None:
                 assert not gone.any()
