@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .errors import (
     NumericalBlowup,
     TangentCrossing,
 )
+from .dsl import _numpy_sum
 from .integrators import (
     IntegratorConfig,
     Trajectory,
@@ -51,7 +53,6 @@ from .phase import (
     MixedPoint,
     ModularDomain,
     component_distances,
-    squared_distances,
     subdomain_of,
     torus_distance,
     torus_distance_batch,
@@ -794,6 +795,10 @@ _T_MIN = 1.0
 _GAIN_TOL = 1e-8
 _GAP_TOL = 1e-3
 _SKIP_TOL = 1e-6
+# The most samples x dim slots one survey takes: its rk4 march holds about
+# a dozen (dim, rows) float arrays at once, 12 x 8 bytes x 10^7 = 1 GB. It
+# keeps every sample index below 2^32, one entropy word for _sample_box.
+_MAX_SURVEY_SLOTS = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -850,12 +855,102 @@ class SurveyReport:
             self.seed)
 
 
+# numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 (a 128-bit
+# LCG with the XSL-RR output), restated on arrays of sample indices with
+# numpy's constants; as numpy scalars, so that arithmetic on uint32 and
+# uint64 arrays stays in those types and wraps
+_U32 = np.uint32
+_U64 = np.uint64
+_HASH_A = (0x43B0D7E5, 0x931E8875)  # (initial constant, multiplier)
+_HASH_B = (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = _U32(0xCA01F9DD), _U32(0x4973F715)
+_PCG_MULT = (_U64(2549297995355413924), _U64(4865540595714422341))
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashes(const, mult):
+    """The SeedSequence hash, as a function of a uint32 array, with the
+    running hash constant that numpy's hashes advance call by call."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ _U32(const)
+        const = const * mult & _MASK32
+        value = value * _U32(const)
+        return value ^ (value >> _U32(16))
+    return hashmix
+
+
+def _mix(x, y):
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> _U32(16))
+
+
+def _lcg_step(state, inc):
+    """state * _PCG_MULT + inc mod 2^128, each a (high, low) uint64 pair;
+    the high word of the low product from 32-bit limbs."""
+    (hi, lo), (m_hi, m_lo) = state, _PCG_MULT
+    half, low32 = _U64(32), _U64(_MASK32)
+    a0, a1, b0, b1 = lo & low32, lo >> half, m_lo & low32, m_lo >> half
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> half) + (p01 & low32) + (p10 & low32)
+    hi = (a1 * b1 + (p01 >> half) + (p10 >> half) + (mid >> half)
+          + lo * m_hi + hi * m_lo)
+    lo = lo * m_lo
+    new_lo = lo + inc[1]
+    return hi + inc[0] + (new_lo < lo).astype(_U64), new_lo
+
+
+def _raw_draws(seed: int, indices: np.ndarray, n: int) -> np.ndarray:
+    """PCG64(SeedSequence([seed, i])).random_raw(n) for every index i,
+    each below 2^32, as an array (len(indices), n)."""
+    seed = operator.index(seed)  # a numpy integer too, as SeedSequence
+    if seed < 0:
+        raise InvalidValue("expected non-negative integer")
+    # the seed's uint32 words, low first, then the index's one
+    entropy = [np.full(len(indices), seed >> k & _MASK32, dtype=_U32)
+               for k in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(indices.astype(_U32))
+    hashmix = _hashes(*_HASH_A)
+    # the entropy words fill the pool, zeros past their end; any left over
+    # are mixed in after the pool has mixed with itself
+    pool = [hashmix(entropy[k] if k < len(entropy)
+                    else np.zeros(len(indices), dtype=_U32))
+            for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): 8 more hashes of the pool, paired low
+    # word first into (state high, state low, sequence high, sequence low)
+    hashmix = _hashes(*_HASH_B)
+    w = [hashmix(pool[k % 4]).astype(_U64) for k in range(8)]
+    seeds = [w[2 * j] | w[2 * j + 1] << _U64(32) for j in range(4)]
+    # the increment is the sequence shifted left with its low bit set;
+    # seeding steps from 0, adds the state and steps again
+    one = _U64(1)
+    inc = (seeds[2] << one | seeds[3] >> _U64(63), seeds[3] << one | one)
+    lo = inc[1] + seeds[1]
+    state = _lcg_step((inc[0] + seeds[0] + (lo < inc[1]).astype(_U64), lo),
+                      inc)
+    draws = []
+    for _ in range(n):  # step, then the XSL-RR output of the new state
+        state = _lcg_step(state, inc)
+        x, r = state[0] ^ state[1], state[0] >> _U64(58)
+        draws.append(x >> r | x << ((_U64(64) - r) & _U64(63)))
+    return np.stack(draws, axis=-1)
+
+
 def _sample_box(layout: CoordinateLayout, domain: ModularDomain,
                 seed: int, index: int | range) -> np.ndarray:
     """Survey sample index (an int) or the samples of a range of them.
 
     Sample i is default_rng(SeedSequence([seed, i])).uniform(lows,
-    highs) to the bit, drawn without building a Generator per sample.
+    highs) to the bit. The raw words of every sample come from one pass
+    of array arithmetic (_raw_draws), not from a generator per sample;
+    every index must be below 2^32.
     """
     lows = np.empty(layout.dim)
     highs = np.empty(layout.dim)
@@ -869,13 +964,13 @@ def _sample_box(layout: CoordinateLayout, domain: ModularDomain,
             lows[slot], highs[slot] = -math.pi, math.pi
         else:
             lows[slot], highs[slot] = iv
-    indices = index if isinstance(index, range) else [index]
-    raw = np.empty((len(indices), layout.dim), dtype=np.uint64)
-    for row, i in enumerate(indices):
-        raw[row] = np.random.PCG64(
-            np.random.SeedSequence([seed, i])).random_raw(layout.dim)
+    span = index if isinstance(index, range) else range(index, index + 1)
+    if span and not 0 <= span[0] <= span[-1] < 2**32:
+        raise InvalidValue("survey sample indices must lie in [0, 2^32)")
+    raw = _raw_draws(seed, np.arange(span.start, span.stop, span.step),
+                     layout.dim)
     # a Generator's double is the top 53 bits of a raw draw over 2^53
-    u = (raw >> 11) * 2.0 ** -53
+    u = (raw >> _U64(11)) * 2.0 ** -53
     samples = lows + (highs - lows) * u
     return samples if isinstance(index, range) else samples[0]
 
@@ -898,24 +993,28 @@ def _survey_block(params_json: str, intervals, seed: int, start: int,
     run = np.flatnonzero(~skipped)
     escaped = np.zeros(nb, dtype=bool)
     # the closest squared return of each marched row, rooted at the end;
-    # origin and gap2 follow the march's live rows
+    # origin, slot-major as the march, and gap2 follow its live rows
     run_gap2 = np.full(len(run), math.inf)
-    origin, gap2 = states[run], run_gap2
+    origin, gap2 = np.ascontiguousarray(states[run].T), run_gap2
 
     def track_gaps(k, t, zk, live, dropped):
         nonlocal origin, gap2
         if dropped is not None:
             rows, _, keep = dropped
             run_gap2[rows] = gap2[~keep]
-            origin, gap2 = origin[keep], gap2[keep]
+            origin, gap2 = origin[:, keep], gap2[keep]
         if t >= _T_MIN:
-            np.minimum(gap2, squared_distances(layout, zk, origin),
-                       out=gap2)
+            # torus_distance_batch squared, its sum down the slots in the
+            # order numpy sums each state's row
+            d = component_distances(layout, zk.T, origin.T).T
+            d *= d
+            np.minimum(gap2, _numpy_sum(list(d), operator.add), out=gap2)
 
     z = states.copy()
-    z[run], escaped[run], _, _ = _march(
-        *_fixed_step(sys, _SURVEY_STEP, z[run]), horizon, _SURVEY_STEP,
+    final, escaped[run], _, _ = _march(
+        *_fixed_step(sys, _SURVEY_STEP, origin), horizon, _SURVEY_STEP,
         track_gaps)
+    z[run] = final.T
     run_gap2[~escaped[run]] = gap2
     gaps = np.full(nb, math.inf)
     gaps[run] = np.sqrt(run_gap2)
@@ -957,6 +1056,10 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
         raise InvalidParams("the control fixture makes no uniqueness claim")
     if samples < 1:
         raise InvalidValue("need at least one sample")
+    if samples * sys.dim > _MAX_SURVEY_SLOTS:
+        raise InvalidValue(
+            f"{samples} samples x {sys.dim} slots is past the survey's "
+            f"cap of {_MAX_SURVEY_SLOTS:,} slots")
     if not horizon > 0:
         raise InvalidValue("horizon must be positive")
     if horizon < _T_MIN:

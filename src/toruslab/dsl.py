@@ -40,6 +40,7 @@ from .errors import (
 )
 from .integrators import _DP_A, _DP_B4, _DP_B5
 from .phase import CoordinateLayout
+from .systems import _on_states
 # the energy texts belong to the family catalog; re-exported here
 from .systems import hamiltonian_text  # noqa: F401
 
@@ -574,12 +575,13 @@ class DerivedField:
                   ) -> Callable[[np.ndarray], np.ndarray]:
         """A vectorized field callable on states laid out per `layout`.
 
-        The rates are compiled once by `compile_numpy`. Every layout label
-        must have a rate expression, i.e. the pairing must cover the
-        layout exactly.
+        The rates are compiled once by `compile_numpy`, and the callable
+        takes states (..., dim) as a System's field does. Every layout
+        label must have a rate expression, i.e. the pairing must cover
+        the layout exactly.
         """
-        field = compile_numpy(_rates_in_order(self, layout.labels),
-                              layout.labels)
+        field = functools.partial(_on_states, compile_numpy(
+            _rates_in_order(self, layout.labels), layout.labels))
         field.layout = layout
         return field
 
@@ -719,21 +721,23 @@ def _largest(items) -> str:
     return items[0] if len(items) == 1 else f"max({', '.join(items)})"
 
 
-def _numpy_sum(terms: list[str]) -> str:
+def _numpy_sum(terms: list, add=lambda a, b: f"({a} + {b})"):
     """The sum of terms in the order numpy sums a contiguous float array:
     left to right below 8 terms; else eight interleaved running sums,
-    added pairwise, then the tail; past 128 terms, each half apart."""
+    added pairwise, then the tail; past 128 terms, each half apart. add
+    writes the code of a sum, or, as operator.add, sums arrays."""
     n = len(terms)
     if n < 8:
-        return " + ".join(terms)
+        return functools.reduce(add, terms)
     if n > 128:
         half = n // 2 - n // 2 % 8
-        return f"({_numpy_sum(terms[:half])}) + ({_numpy_sum(terms[half:])})"
+        return add(_numpy_sum(terms[:half], add),
+                   _numpy_sum(terms[half:], add))
     whole = n - n % 8
-    r = [f"({' + '.join(terms[j:whole:8])})" for j in range(8)]
-    pairs = (f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]}))"
-             f" + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))")
-    return " + ".join([pairs] + terms[whole:])
+    r = [functools.reduce(add, terms[j:whole:8]) for j in range(8)]
+    pairs = add(add(add(r[0], r[1]), add(r[2], r[3])),
+                add(add(r[4], r[5]), add(r[6], r[7])))
+    return functools.reduce(add, terms[whole:], pairs)
 
 
 # the Dormand-Prince tableau by the names the generated dp54_step reads
@@ -948,9 +952,10 @@ def compile_tangent(rates: Sequence[Expr],
 def _numpy_function(name: str, entries: dict, shape: tuple,
                     names: Sequence[str]) -> Callable:
     """Compile `entries`, a map from index tuples to expressions, to one
-    numpy function name(s) of states s, shape (..., len(names)).
+    numpy function name(s) of slot-major states s, shape (len(names),
+    ...), reading slot i as the row s[i] (see `systems._on_states`).
 
-    Its result has shape s.shape[:-1] + shape, with each entry at its
+    Its result has shape shape + s.shape[1:], with each entry at its
     index and zeros elsewhere; a zero-dimensional one comes back as a
     numpy scalar. As in compile_rates, the code names slots and constants
     by number and binds the constants by value. Its text is the function's
@@ -961,13 +966,13 @@ def _numpy_function(name: str, entries: dict, shape: tuple,
              if not _is_const(e, 0.0)}
     lines = [f"def {name}(s):", "    s = _asarray(s, dtype=float)"]
     # [()] reads one state's slot as a numpy scalar, whose arithmetic
-    # costs a tenth of a zero-dimensional array's; a batch column is kept
-    lines += [f"    s{node[1]} = s[..., {node[1]}][()]"
+    # costs a tenth of a zero-dimensional array's; a batch row is kept
+    lines += [f"    s{node[1]} = s[{node[1]}][()]"
               for node in dag.nodes if node[0] == "in"]
     code = dag.emit([f"s{i}" for i in range(len(names))], itertools.count(),
                     lines, "    ", keep=set(roots.values()))
-    lines.append(f"    out = _zeros(s.shape[:-1] + {shape!r})")
-    lines += [f"    out[...{''.join(f', {i}' for i in index)}] = {code[r]}"
+    lines.append(f"    out = _zeros({shape!r} + s.shape[1:])")
+    lines += [f"    out[{', '.join(map(str, index)) or '()'}] = {code[r]}"
               for index, r in roots.items()]
     lines.append("    return out[()]" if shape == () else "    return out")
     source = "\n".join(lines) + "\n"
@@ -983,9 +988,9 @@ def _numpy_function(name: str, entries: dict, shape: tuple,
 def compile_numpy(rates: Sequence[Expr], names: Sequence[str]) -> Callable:
     """Compile one rate expression per name into a vectorized numpy field.
 
-    The field takes a state of shape (len(names),) or a batch (...,
-    len(names)) and returns the rates in the same shape. Raises
-    UnboundVar for a variable outside `names`.
+    The field takes a state of shape (len(names),) or a slot-major batch
+    (len(names), ...) and returns the rates in the same shape (see
+    `_numpy_function`). Raises UnboundVar for a variable outside `names`.
     """
     names = tuple(names)
     if len(rates) != len(names):
@@ -1023,11 +1028,12 @@ def compile_system(kind: str, source, integrals: Sequence[str],
     the texts of the first integrals; an energy text's energy leads them.
     kind 'rates' gives the `CompiledRates` of the rates and 'tangent'
     those of the tangent flow (see `compile_tangent`). The other kinds
-    are numpy functions of states (..., dim): 'field' gives the rates,
-    'jacobian' the (..., dim, dim) derivatives d rate_i / d slot_j,
-    'hamiltonian' the energy, 'integrals' the (..., k) integral values
-    and 'integral_gradients' their (..., k, dim) gradients. Every
-    derivative is exact, taken by `differentiate`.
+    are numpy functions of slot-major states (dim, ...) (see
+    `_numpy_function`): 'field' gives the (dim, ...) rates, 'jacobian'
+    the (dim, dim, ...) derivatives d rate_i / d slot_j, 'hamiltonian'
+    the energy, 'integrals' the (k, ...) integral values and
+    'integral_gradients' their (k, dim, ...) gradients. Every derivative
+    is exact, taken by `differentiate`.
     """
     labels = tuple(labels)
     rates, energy = _source_exprs(source, labels)

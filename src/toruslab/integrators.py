@@ -1,12 +1,14 @@
 """Fixed-step, adaptive, and symplectic integrators plus variational flow.
 
-The numpy steppers work on raw arrays of shape (..., dim) so a batch of
-states integrates at numpy speed. One stepping loop, `_march`, serves
-every fixed-step path: it lands exactly on the end time, freezes escaping
-rows instead of raising, and hands each step to an observer that stores,
-measures or stops; the adaptive loop of `integrate` is the only other.
-A batch marches only its live rows: an escaping row is written out once
-and dropped, and the observer sees the live rows, never the full state.
+The numpy steppers work on raw arrays so a batch of states integrates
+at numpy speed. A batch is slot-major, (dim, rows): each slot is a
+contiguous row, and the reductions over slots run down axis 0. One
+stepping loop, `_march`, serves every fixed-step path: it lands exactly
+on the end time, freezes escaping rows instead of raising, and hands
+each step to an observer that stores, measures or stops; the adaptive
+loop of `integrate` is the only other. A batch marches only its live
+rows: an escaping row is written out once and dropped, and the observer
+sees the live rows, never the full state.
 A single state of a System steps on Python floats instead, because
 numpy's per-call cost dwarfs the arithmetic of one 4-8 slot state: the
 fused rk4, midpoint and Dormand-Prince steps compiled from the system's
@@ -113,11 +115,15 @@ FieldLike = Union[Callable[[np.ndarray], np.ndarray], object]
 
 
 def _as_field_fn(field: FieldLike) -> Callable[[np.ndarray], np.ndarray]:
-    if callable(field):
-        return field
-    if hasattr(field, "field"):
-        return field.field
-    raise InvalidValue(f"not a field or system: {field!r}")
+    """The field of slot-major states (dim, ...): a System's generated
+    one, else the field callable (of states (..., dim)) on the transpose."""
+    if isinstance(field, System):
+        return field.compiled("field")
+    if not callable(field):
+        if not hasattr(field, "field"):
+            raise InvalidValue(f"not a field or system: {field!r}")
+        field = field.field
+    return lambda s: np.asarray(field(s.T)).T
 
 
 def _rk4_step(f, s, h):
@@ -176,8 +182,9 @@ def step_rk4(field: FieldLike, p: MixedPoint, h: float) -> MixedPoint:
 
 
 def _escaping(trial, escape_norm):
-    # one test per row: inf, nan and |x| > escape_norm all fail the <=
-    return ~(np.abs(trial).max(axis=-1) <= escape_norm)
+    # one test per state, down the slots of a slot-major batch: inf, nan
+    # and |x| > escape_norm all fail the <=
+    return ~(np.abs(trial).max(axis=0) <= escape_norm)
 
 
 def _escaping_floats(trial, escape_norm):
@@ -194,27 +201,28 @@ def _batch_midpoint(f, s, h, max_iter):
     # solve m = s + (h/2) f(m) by fixed-point iteration, then reflect; rows
     # that refuse to converge turn non-finite, which the escape test catches.
     # A row stops at its own convergence, as alone (dsl's midpoint_step),
-    # though the field still sees every row while any iterates
+    # though the field still sees every row while any iterates. A batch is
+    # slot-major: norms run down axis 0, masks pick rows on the last axis
     hh = 0.5 * h
     m = s + hh * f(s)
     act = None  # the rows still iterating, None while that is all of them
     for _ in range(max_iter):
         m_next = s + hh * f(m)
         # only finite rows whose update is above the tolerance go on
-        delta = np.abs(m_next - m).max(axis=-1)
+        delta = np.abs(m_next - m).max(axis=0)
         going = (delta > _MIDPOINT_TOL) & (delta < np.inf)
         if act is None:
             m = m_next
         else:
-            m[act] = m_next[act]
+            m[..., act] = m_next[..., act]
             going &= act
         if not going.any():
             break
         if act is not None or not going.all():
             act = going
     else:
-        stuck = np.max(np.abs(s + hh * f(m) - m), axis=-1) > _MIDPOINT_TOL
-        m[stuck if act is None else stuck & act] = np.nan
+        stuck = np.max(np.abs(s + hh * f(m) - m), axis=0) > _MIDPOINT_TOL
+        m[..., stuck if act is None else stuck & act] = np.nan
     return 2.0 * m - s
 
 
@@ -282,22 +290,24 @@ def _adaptive_step(field, cfg, state):
 
 
 def _march(step, state, t_end, cfg, observe=None):
-    """Advance state, shape (dim,) or (rows, dim), to t_end in fixed steps.
+    """Advance state, shape (dim,) or slot-major (dim, rows), to t_end in
+    fixed steps.
 
     int(|t_end| / h) whole steps, then a remainder step if one is left;
     the last step ends exactly at t_end. Returns (state, escaped,
     escape_times, steps taken). A state given as a tuple of floats is one
     row for a step compiled to Python floats (see _fixed_step).
 
-    A batch steps only its live rows, kept dense: a row that escapes is
-    written to the full state once, at its last finite state, and
-    dropped. observe(k, t, cur, live, dropped), called after each
-    step, sees the live rows cur, their batch indices live (None while
-    cur is the whole batch) and dropped, None or (indices, last finite
-    states, keep) of the rows that escaped at this step, keep marking
-    the previous cur's rows still live. A single state is observed with
-    live and dropped None; its escape ends the march without a call. The
-    march ends when no row is left or when observe returns true.
+    A batch, copied to C order, steps only its live rows, kept dense as
+    the columns of cur: a row that escapes is written to the full state
+    once, at its last finite state, and dropped. observe(k, t, cur, live,
+    dropped), called after each step, sees the live rows cur (dim, live
+    rows), their batch indices live (None while cur is the whole batch)
+    and dropped, None or (indices, last finite states (dim, rows), keep)
+    of the rows that escaped at this step, keep marking the previous
+    cur's rows still live. A single state is observed with live and
+    dropped None; its escape ends the march without a call. The march
+    ends when no row is left or when observe returns true.
     """
     if not (math.isfinite(t_end) and t_end != 0.0):
         raise InvalidValue("t_end must be finite and nonzero")
@@ -314,9 +324,9 @@ def _march(step, state, t_end, cfg, observe=None):
 
     floats = isinstance(state, tuple)
     if not floats:
-        state = np.array(state, dtype=float)
+        state = np.array(state, dtype=float, order="C")
     single = floats or state.ndim == 1
-    escaped = np.zeros(() if single else len(state), dtype=bool)
+    escaped = np.zeros(() if single else state.shape[1], dtype=bool)
     escape_times = np.full(escaped.shape, np.nan)
     cur, live, dropped = state, None, None
     k = -1
@@ -336,11 +346,11 @@ def _march(step, state, t_end, cfg, observe=None):
                 if bad.any():
                     keep = ~bad
                     rows = np.flatnonzero(bad) if live is None else live[bad]
-                    frozen = cur[bad]
-                    state[rows] = frozen
+                    frozen = cur[:, bad]
+                    state[:, rows] = frozen
                     escaped[rows], escape_times[rows] = True, t
                     live = np.flatnonzero(keep) if live is None else live[keep]
-                    trial = trial[keep]
+                    trial = trial[:, keep]
                     dropped = (rows, frozen, keep)
             cur = trial
             if observe is not None and observe(k, t, cur, live, dropped):
@@ -349,7 +359,7 @@ def _march(step, state, t_end, cfg, observe=None):
                 break
     if single or live is None:
         return cur, escaped, escape_times, k + 1
-    state[live] = cur
+    state[:, live] = cur
     return state, escaped, escape_times, k + 1
 
 
@@ -513,7 +523,8 @@ def integrate_batch(field: FieldLike, states0: np.ndarray, t_end: float,
     A System batch of 1 to _FLOAT_ROWS (8) rows marches each row alone on
     the system's compiled float step, where numpy's per-call cost would
     dwarf the arithmetic; any other batch, and any field that is not a
-    System, steps numpy arrays. Both give the same result, bit for bit.
+    System, steps a numpy array (dim, rows), transposed once each way.
+    Both give the same result, bit for bit.
     """
     cfg = config or IntegratorConfig()
     if cfg.method == ADAPTIVE:
@@ -533,22 +544,22 @@ def integrate_batch(field: FieldLike, states0: np.ndarray, t_end: float,
         stored_times = [0.0]
         stored = [wrap_angles(states, mask)]
 
-        full = states.copy()  # the whole batch, brought up to date to store
+        full = states.T.copy()  # the whole batch, brought up to date
 
         def observe(k, t, cur, live, dropped):
             if dropped is not None:
-                full[dropped[0]] = dropped[1]
+                full[:, dropped[0]] = dropped[1]
             if (k + 1) % store_every == 0 or t == t_end:
                 if live is not None:
-                    full[live] = cur
+                    full[:, live] = cur
                 stored_times.append(t)
-                stored.append(wrap_angles(cur if live is None else full,
+                stored.append(wrap_angles((cur if live is None else full).T,
                                           mask))
 
     final, escaped, escape_times, n_steps = _march(
-        *_fixed_step(field, cfg, states), t_end, cfg, observe)
+        *_fixed_step(field, cfg, states.T), t_end, cfg, observe)
     return BatchResult(
-        final=final, escaped=escaped, escape_times=escape_times,
+        final=final.T, escaped=escaped, escape_times=escape_times,
         n_steps=n_steps,
         stored_times=None if stored is None else np.array(stored_times),
         stored_states=None if stored is None else np.array(stored))

@@ -179,21 +179,12 @@ def component_distances(layout: CoordinateLayout,
     return np.abs(d, out=d)
 
 
-def squared_distances(layout: CoordinateLayout,
-                      a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared product-metric distance for stacked states; shape (...).
-
-    Its sqrt is torus_distance_batch, so a minimum can be rooted once.
-    """
-    d = component_distances(layout, a, b)
-    d *= d
-    return d.sum(axis=-1)
-
-
 def torus_distance_batch(layout: CoordinateLayout,
                          a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product-metric distance for stacked states; returns shape (...)."""
-    return np.sqrt(squared_distances(layout, a, b))
+    d = component_distances(layout, a, b)
+    d *= d
+    return np.sqrt(d.sum(axis=-1))
 
 
 def torus_distance(a: MixedPoint, b: MixedPoint) -> float:

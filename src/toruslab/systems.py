@@ -163,21 +163,21 @@ class System:
 
     def field(self, states: np.ndarray) -> np.ndarray:
         """Right-hand side at one state or a batch of states."""
-        return self.compiled("field")(states)
+        return _on_states(self.compiled("field"), states)
 
     def hamiltonian(self, states: np.ndarray) -> np.ndarray:
         if not self.is_hamiltonian:
             raise NotHamiltonian(
                 f"family {self.family!r} has no Hamiltonian")
-        return self.compiled("hamiltonian")(states)
+        return _on_states(self.compiled("hamiltonian"), states, 0)
 
     def integrals(self, states: np.ndarray) -> np.ndarray:
         """Values of all first integrals, stacked on a trailing axis."""
-        return self.compiled("integrals")(states)
+        return _on_states(self.compiled("integrals"), states)
 
     def integral_gradients(self, states: np.ndarray) -> np.ndarray:
         """Exact gradients, shape (..., n_integrals, dim)."""
-        return self.compiled("integral_gradients")(states)
+        return _on_states(self.compiled("integral_gradients"), states, 2)
 
     def involution(self, states: np.ndarray) -> np.ndarray:
         """The reversing involution applied to raw states (no wrapping)."""
@@ -328,6 +328,17 @@ def _reader(family: str) -> Callable[[str], str]:
     if family in (HAM_COMPACT, REV_COMPACT):
         return lambda name: f"sin({name})"
     return lambda name: name
+
+
+def _on_states(fn, states, axes: int = 1):
+    """fn, a generated function of slot-major states (dim, ...) whose
+    result leads with `axes` axes, at states (..., dim): one state is its
+    own slot-major form, a batch is transposed in and out."""
+    s = np.asarray(states, dtype=float)
+    if s.ndim < 2:
+        return fn(s)
+    out = fn(s.transpose(-1, *range(s.ndim - 1)))
+    return out.transpose(*range(axes, out.ndim), *range(axes))
 
 
 @functools.lru_cache(maxsize=256)

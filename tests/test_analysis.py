@@ -782,48 +782,74 @@ class TestSurvey:
         assert np.array_equal(rep.gaps, gaps)
 
     def test_samples_are_the_generators_uniform_draws(self):
-        # the box is drawn from raw PCG64 words; pin it to the bit against
-        # default_rng's uniform on the same per-sample stream
+        # the box is drawn from raw PCG64 words, seeded for all samples at
+        # once; pin it to the bit against default_rng's uniform on the
+        # same per-sample stream, for seeds of one to four entropy words
+        # and one of more words than SeedSequence's pool (3^70), from
+        # index 0 and from inside the range, as --jobs splits it
         hc, rc, hu = (make(HAM_COMPACT, n=1, m=1),
                       make(REV_COMPACT, n=1, l=1, m=1),
                       make(HAM_UNIQUE, n=1, m=1))
-        for sys, dom, seed in ((hc, isolation_domain(hc), 1),
-                               (rc, isolation_domain(rc), 2),
-                               (hu, self.box(hu), 42)):
+        cases = [(hc, isolation_domain(hc), 1, range(7000)),
+                 (rc, isolation_domain(rc), 2, range(7000)),
+                 (hu, self.box(hu), 42, range(7000))]
+        cases += [(hu, self.box(hu), seed, span)
+                  for seed in (0, 1, 42, 2**31 - 1, 2**32, 2**64 + 5, 3**70,
+                               np.int64(7))
+                  for span in (range(300), range(4567, 4867))]
+        for sys, dom, seed, span in cases:
             lows = np.array([-math.pi if iv is None else iv[0]
                              for iv in dom.intervals])
             highs = np.array([math.pi if iv is None else iv[1]
                               for iv in dom.intervals])
-            got = _sample_box(sys.layout, dom, seed, range(7000))
+            got = _sample_box(sys.layout, dom, seed, span)
             want = np.stack([np.random.default_rng(
                 np.random.SeedSequence([seed, i])).uniform(lows, highs)
-                for i in range(7000)])
-            assert np.array_equal(got, want)
-            assert np.array_equal(_sample_box(sys.layout, dom, seed, 123),
+                for i in span])
+            assert np.array_equal(got, want), (seed, span)
+            i = span[123]
+            assert np.array_equal(_sample_box(sys.layout, dom, seed, i),
                                   want[123])
+
+    def _check_gaps(self, family, n, m, samples, half=1.0):
+        # the survey keeps squared gaps on its live rows and roots their
+        # minimum once; recompute them as the minimum over steps of the
+        # rooted distance, leaving out each row's steps from its escape
+        # on. The reference marches chunks of 8 rows, which step row by
+        # row on the compiled floats, not through the survey's numpy march
+        sys = make(family, n=n, m=m, omega=(1.0, SQRT2)[:n])
+        dom = self.box(sys, half) if family == HAM_UNIQUE \
+            else isolation_domain(sys)
+        rep = survey_uniqueness(sys, dom, samples=samples, seed=5)
+        starts = _sample_box(sys.layout, dom, 5, range(samples))
+        assert not rep.skipped.any()
+        assert rep.escaped.any() == (family == HAM_UNIQUE)
+        gaps = np.full(samples, math.inf)
+        for a in range(0, samples, 8):
+            rows = slice(a, a + 8)
+            res = integrate_batch(sys, starts[rows], 20.0,
+                                  IntegratorConfig(h=1e-2), store_every=1)
+            assert np.array_equal(rep.escaped[rows], res.escaped)
+            chunk = gaps[rows]
+            for t, z in zip(res.stored_times, res.stored_states):
+                live = ~(res.escape_times <= t)
+                if t >= 1.0:
+                    chunk[live] = np.minimum(chunk[live], torus_distance_batch(
+                        sys.layout, z[live], starts[rows][live]))
+        assert np.array_equal(rep.gaps, gaps)
 
     @pytest.mark.parametrize("family", [HAM_UNIQUE, HAM_COMPACT])
     def test_gaps_are_the_closest_return_of_each_live_step(self, family):
-        # the survey keeps squared gaps on its live rows and roots their
-        # minimum once; recompute them as the minimum over steps of the
-        # rooted distance, leaving out each row's steps from its escape on
-        sys = make(family, n=1, m=1)
-        dom = self.box(sys) if family == HAM_UNIQUE \
-            else isolation_domain(sys)
-        rep = survey_uniqueness(sys, dom, samples=200, seed=5)
-        starts = _sample_box(sys.layout, dom, 5, range(200))
-        res = integrate_batch(sys, starts, 20.0, IntegratorConfig(h=1e-2),
-                              store_every=1)
-        assert not rep.skipped.any()
-        assert np.array_equal(rep.escaped, res.escaped)
-        assert rep.escaped.any() == (family == HAM_UNIQUE)
-        gaps = np.full(200, math.inf)
-        for t, z in zip(res.stored_times, res.stored_states):
-            live = ~(res.escape_times <= t)
-            if t >= 1.0:
-                gaps[live] = np.minimum(gaps[live], torus_distance_batch(
-                    sys.layout, z[live], starts[live]))
-        assert np.array_equal(rep.gaps, gaps)
+        self._check_gaps(family, n=1, m=1, samples=200)
+
+    @pytest.mark.parametrize("family", [HAM_UNIQUE, HAM_COMPACT])
+    def test_gaps_of_ten_slots_sum_in_numpy_row_order(self, family):
+        # from 8 slots on, numpy's sum along each state's row adds eight
+        # interleaved partial sums, not left to right; the survey's sum
+        # down the slots of its slot-major batch must round the same. The
+        # ham-unique box is halved, so that rows live long enough for a
+        # left-to-right sum to show in the last bit
+        self._check_gaps(family, n=2, m=2, samples=48, half=0.5)
 
     def test_on_torus_samples_are_skipped(self):
         sys = make(HAM_COMPACT, n=1, m=0)

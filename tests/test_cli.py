@@ -76,13 +76,19 @@ class TestFlagParsing:
          "inf steps needed"),
         (["survey", "--system", "ham-unique", "--samples", "2",
           "--horizon", "1e300", "--out", "{tmp}"], "1e+302 steps needed"),
+        (["survey", "--system", "ham-unique", "--n", "1", "--m", "1",
+          "--samples", "3000000000", "--jobs", "1", "--out", "{tmp}"],
+         "cap of 10,000,000 slots"),
+        (["survey", "--system", "ham-unique", "--samples", "100000000000",
+          "--out", "{tmp}"], "cap of 10,000,000 slots"),
     ], ids=["h-zero", "t-nan", "replay-missing-file", "config-array",
             "config-omega-number", "config-n-list", "points-zero",
             "invariants-reversible", "config-n-fraction", "config-n-bool",
             "survey-horizon-below-t-min", "config-deltas-fraction",
             "replay-no-argv", "replay-bad-argv", "survey-jobs-zero",
             "survey-jobs-negative", "simulate-step-count-overflows",
-            "invariants-step-count-overflows", "survey-step-count-huge"])
+            "invariants-step-count-overflows", "survey-step-count-huge",
+            "survey-samples-past-cap", "survey-pool-samples-past-cap"])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                    argv, named):
         (tmp_path / "array.json").write_text("[1, 2]")

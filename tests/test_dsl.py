@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -68,6 +69,11 @@ def test_generated_sum_adds_in_numpy_order(n):
     values = np.random.default_rng(n).uniform(-1.0, 1.0, n)
     text = dsl._numpy_sum([f"v[{i}]" for i in range(n)])
     assert eval(text, {"v": values.tolist()}) == np.sum(values)
+    # summed as arrays, down the rows of a slot-major batch, it rounds as
+    # numpy's sum along each state of the (rows, n) batch
+    batch = np.random.default_rng(n).uniform(-1.0, 1.0, (64, n))
+    assert np.array_equal(dsl._numpy_sum(list(batch.T), operator.add),
+                          batch.sum(axis=-1))
 
 
 def test_tokenize_kinds_and_positions():

@@ -49,6 +49,18 @@ def ham(n=1, m=0, omega=None):
     return build_system(SystemParams(HAM_UNIQUE, n=n, m=m, omega=omega))
 
 
+def row_path(sys, states, t_end, cfg):
+    """integrate_batch's result for any batch of a System, put together
+    from chunks of at most 8 rows, each of which marches row by row on
+    the compiled float steps and not through the numpy batch march."""
+    parts = [integrate_batch(sys, states[a:a + 8], t_end, cfg)
+             for a in range(0, len(states), 8)]
+    return BatchResult(
+        *(np.concatenate([getattr(p, name) for p in parts])
+          for name in ("final", "escaped", "escape_times")),
+        n_steps=max(p.n_steps for p in parts))
+
+
 def small_point(sys, scale=0.1, seed=0):
     rng = np.random.default_rng(seed)
     coords = scale * rng.uniform(-1.0, 1.0, sys.dim)
@@ -311,17 +323,23 @@ class TestBatch:
                                                          (9, sys.dim))
         cfg = IntegratorConfig(method=method, h=1e-2)
         calls = []
-        numpy_field = System.field
+        compiled = System.compiled
 
-        def counted(self, s):
-            calls.append(len(s))
-            return numpy_field(self, s)
+        def counted(self, kind="rates"):
+            code = compiled(self, kind)
+            if kind != "field":
+                return code
 
-        monkeypatch.setattr(System, "field", counted)
+            def numpy_field(s):  # a batch marches slot-major
+                calls.append(s.shape)
+                return code(s)
+            return numpy_field
+
+        monkeypatch.setattr(System, "compiled", counted)
         integrate_batch(sys, states[:8], 0.1, cfg)
         assert calls == []
         integrate_batch(sys, states, 0.1, cfg)
-        assert calls and set(calls) == {9}
+        assert calls and set(calls) == {(sys.dim, 9)}
 
     @pytest.mark.parametrize("seed, survivor", [(0, True), (1, False)])
     def test_row_path_matches_the_numpy_path(self, seed, survivor):
@@ -415,11 +433,13 @@ class TestBatch:
             assert (stored.stored_states[n:, i] == frozen).all()
 
     def test_observer_sees_only_live_rows(self):
+        # the march keeps its batch slot-major: cur and frozen are
+        # (dim, rows); the reference is the row path
         sys = ham(n=1, m=1)
         states = np.random.default_rng(5).uniform(-2.0, 2.0, (64, sys.dim))
         cfg = IntegratorConfig(h=1e-2)
-        ref = integrate_batch(sys, states, 2.0, cfg)
-        seen = {"cur": states, "drops": 0}
+        ref = row_path(sys, states, 2.0, cfg)
+        seen = {"cur": states.T, "drops": 0}
 
         def observe(k, t, cur, live, dropped):
             gone = ref.escape_times <= t  # nan for a row that never left
@@ -427,7 +447,7 @@ class TestBatch:
                 assert not gone.any()
             else:
                 assert np.array_equal(live, np.flatnonzero(~gone))
-            assert cur.shape == ((~gone).sum(), sys.dim)
+            assert cur.shape == (sys.dim, (~gone).sum())
             now = np.flatnonzero(ref.escape_times == t)
             if dropped is None:
                 assert len(now) == 0
@@ -435,16 +455,16 @@ class TestBatch:
                 rows, frozen, keep = dropped
                 assert np.array_equal(rows, now)
                 # a dropped row keeps its state from before this step
-                assert np.array_equal(frozen, seen["cur"][~keep])
-                assert np.array_equal(frozen, ref.final[rows])
-                assert keep.sum() == len(cur)
+                assert np.array_equal(frozen, seen["cur"][:, ~keep])
+                assert np.array_equal(frozen, ref.final[rows].T)
+                assert keep.sum() == cur.shape[1]
                 seen["drops"] += 1
             seen["cur"] = cur
 
         final, escaped, _, n_steps = _march(
-            *_fixed_step(sys, cfg, states), 2.0, cfg, observe)
+            *_fixed_step(sys, cfg, states.T), 2.0, cfg, observe)
         assert seen["drops"] > 1
-        assert np.array_equal(final, ref.final)
+        assert np.array_equal(final, ref.final.T)
         assert n_steps == ref.n_steps
 
     def test_batch_storage_is_wrapped(self):
