@@ -17,7 +17,6 @@ import json
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -1084,6 +1083,9 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
         # the pool starts all its workers at once, so no more than there
         # are blocks or CPUs to run them
         workers = min(jobs, len(spans), len(os.sched_getaffinity(0)))
+        # imported here: a process pool costs each start of the CLI its
+        # multiprocessing import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_survey_block, pj, domain.intervals, seed,
                                 a, b, horizon)

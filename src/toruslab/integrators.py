@@ -16,7 +16,11 @@ rates, and the fused rk4 step of its tangent flow, which carries a
 tangent matrix for `integrate_variational` and the return maps of
 `analysis`. Each repeats the numpy step's arithmetic in the same order.
 A System batch of at most _FLOAT_ROWS (8) rows marches each row alone
-as such a state, and `integrate_batch` assembles the batch's result.
+as such a state, and `integrate_batch` assembles the batch's result. A
+larger System batch, and the survey's, takes its rk4 steps through the
+same generated step over the rows of the slot-major array (see
+`dsl.compile_rows`); numpy's _rk4_step is left to plain field callables
+and `step_rk4`.
 A midpoint row iterates until its own update converges, in a batch as
 alone; one that diverges or never converges is reported as an escape.
 
@@ -247,7 +251,10 @@ def _fixed_step(field, cfg, state):
     the state for _march to start from.
 
     A state with compiled code (see _compiled_for) steps through it and
-    starts as a tuple; any other steps numpy arrays.
+    starts as a tuple. A System batch (dim, rows) takes rk4 steps through
+    the system's generated code for batches (see `dsl.compile_rows`),
+    which gives _rk4_step's result bit for bit at a fraction of its cost;
+    any other state steps numpy arrays.
     """
     code = _compiled_for(field, state)
     if code is not None:
@@ -256,6 +263,9 @@ def _fixed_step(field, cfg, state):
             return partial(code.midpoint_step, tol=_MIDPOINT_TOL,
                            max_iter=cfg.midpoint_max_iter), start
         return code.rk4_step, start
+    if cfg.method == RK4 and isinstance(field, System) \
+            and np.ndim(state) == 2 and len(state) == field.dim:
+        return field.compiled("rk4_rows"), state
     f = _as_field_fn(field)
     if cfg.method == MIDPOINT:
         return partial(_batch_midpoint, f,
@@ -523,8 +533,9 @@ def integrate_batch(field: FieldLike, states0: np.ndarray, t_end: float,
     A System batch of 1 to _FLOAT_ROWS (8) rows marches each row alone on
     the system's compiled float step, where numpy's per-call cost would
     dwarf the arithmetic; any other batch, and any field that is not a
-    System, steps a numpy array (dim, rows), transposed once each way.
-    Both give the same result, bit for bit.
+    System, steps a numpy array (dim, rows), transposed once each way,
+    through the system's generated rk4 step of such arrays or through
+    the numpy steps on the field. All give the same result, bit for bit.
     """
     cfg = config or IntegratorConfig()
     if cfg.method == ADAPTIVE:

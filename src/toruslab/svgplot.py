@@ -10,11 +10,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
 from .errors import EmptyPlot, InvalidValue
+
+
+def _escape(text: str) -> str:
+    """Text as XML character data: &, < and > become entities."""
+    return text.replace("&", "&amp;").replace(">", "&gt;") \
+        .replace("<", "&lt;")
+
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
            "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
@@ -174,22 +180,22 @@ def plot_svg(series: Sequence[tuple[str, Sequence]],
                      f'stroke="{color}" stroke-width="3"/>')
         parts.append(f'<text x="{lx + 30:.2f}" y="{yy:.2f}" '
                      f'font-size="12" fill="#222222">'
-                     f'{escape(label)}</text>')
+                     f'{_escape(label)}</text>')
 
     if style.title:
         parts.append(f'<text x="{style.width / 2:.2f}" y="22" '
                      f'font-size="15" text-anchor="middle" '
-                     f'fill="#111111">{escape(style.title)}</text>')
+                     f'fill="#111111">{_escape(style.title)}</text>')
     parts.append(f'<text x="{(px0 + px1) / 2:.2f}" '
                  f'y="{style.height - 12:.2f}" font-size="13" '
                  f'text-anchor="middle" fill="#222222">'
-                 f'{escape(style.x_label)}</text>')
+                 f'{_escape(style.x_label)}</text>')
     if style.y_label:
         parts.append(f'<text x="16" y="{(py0 + py1) / 2:.2f}" '
                      f'font-size="13" text-anchor="middle" '
                      f'fill="#222222" transform="rotate(-90 16 '
                      f'{(py0 + py1) / 2:.2f})">'
-                     f'{escape(style.y_label)}</text>')
+                     f'{_escape(style.y_label)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 from concurrent.futures import Future
@@ -742,7 +743,8 @@ class TestSurvey:
                 fut.set_result(fn(*args))
                 return fut
 
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
         monkeypatch.setattr(analysis.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
         sys = make(REV_UNIQUE, n=1, l=1, m=0)

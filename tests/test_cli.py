@@ -1,9 +1,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toruslab
 from toruslab import cli
 from toruslab.cli import _build_parser, _parse_angles, _parse_omega, main
 from toruslab.dsl import shipped_hamiltonians
@@ -445,3 +450,18 @@ class TestManifestAndReplay:
         assert main(["--replay", str(tampered)]) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == ["replay: output report.json differs"]
+
+
+def test_import_loads_no_network_or_process_modules():
+    # each start of the CLI would pay for these, and no command needs them
+    # until a survey starts a process pool
+    src = str(Path(toruslab.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, toruslab.cli; print(sorted({'urllib.request', "
+         "'http.client', 'multiprocessing'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

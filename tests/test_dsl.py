@@ -46,7 +46,7 @@ from toruslab.errors import (
     SimplifyError,
     UnboundVar,
 )
-from toruslab.integrators import _dp54_step
+from toruslab.integrators import _dp54_step, _rk4_step
 from toruslab.systems import (
     HAM_COMPACT,
     HAM_UNIQUE,
@@ -490,6 +490,54 @@ def test_compiled_code_never_sees_a_source_identifier():
     assert np.array_equal(k7, field(y5))
     assert last == compiled.field(y)
     assert norm == pytest.approx(float(np.sqrt(np.mean(r * r))), rel=1e-12)
+
+
+@pytest.mark.parametrize("sys, sin, trig", [
+    (build_system(SystemParams(REV_COMPACT, n=1, l=1, m=1, omega=(1.0,))),
+     8, 8),
+    (build_system(SystemParams(HAM_COMPACT, n=1, m=1, omega=(1.0,))),
+     18, 36),
+], ids=["rev-compact", "ham-compact"])
+def test_rk4_step_shares_the_terms_of_first_integrals(sys, sin, trig):
+    # four stages evaluate sin(v_1), sin(q_1) of rev-compact and sin(u_1),
+    # cos(u_1) of ham-compact twice: at the state, and at the state plus
+    # h*0, which stages 2-4 share; 12 sin and 40 trig calls without that
+    text = sys.compiled().source
+    floats = text[text.index("def rk4_step"):text.index("def midpoint")]
+    for source in (floats, sys.compiled("rk4_rows").source):
+        assert source.count("_sin(") == sin
+        assert source.count("_sin(") + source.count("_cos(") == trig
+    if sys.family == REV_COMPACT:
+        # phi_1 (slot 0) is read by no rate, so it has no stage states:
+        # the float step reads it in its return alone, the batch step in
+        # its next value alone
+        unpack, new = [ln.strip() for ln in floats.splitlines()
+                       if "s0" in ln]
+        assert unpack.startswith("(s0, ") and unpack.endswith(") = s")
+        assert new.startswith("return (s0 + h * c")
+        assert [ln for ln in sys.compiled("rk4_rows").source.splitlines()
+                if "s0" in ln or "s[0]" in ln] == \
+            ["    _add(s[0], h * c2, out=out[0])"]
+
+
+def test_rows_step_repeats_the_numpy_step_on_any_rates():
+    # moving slots 1, 3, 4, 5 are not adjacent; their rates include a bare
+    # slot, a repeated rate and one that reads a zero-rate slot alone
+    names = ("a", "b", "c", "d", "e", "f")
+    rates = [parse(text) for text in
+             ("0", "b*c + sin(a)", "2.5", "a", "b*c + sin(a)", "sin(a)^2")]
+    step = dsl.compile_rows(rates, names)
+    field = compile_numpy(rates, names)
+    floats = compile_rates(rates, names, functions=("rk4_step",))
+    s = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 12))
+    s[0, ::3] = -0.0
+    for h in (0.1, -0.1):
+        want = _rk4_step(field, s, h)
+        got = step(s, h)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for row, col in zip(got.T, s.T):
+            new = np.array(floats.rk4_step(tuple(col.tolist()), h))
+            assert np.array_equal(new.view(np.int64), row.view(np.int64))
 
 
 def test_tangent_slots_cannot_meet_a_source_name():

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from toruslab.integrators import (
     Trajectory,
     _fixed_step,
     _march,
+    _rk4_step,
     field_jacobian,
     integrate,
     integrate_batch,
@@ -23,11 +25,14 @@ from toruslab.integrators import (
 )
 from toruslab.phase import CoordinateLayout, MixedPoint, wrap_angles
 from toruslab.systems import (
+    FAMILIES,
     HAM_COMPACT,
     HAM_UNIQUE,
+    REV_COMPACT,
     REV_UNIQUE,
     System,
     SystemParams,
+    build_control_system,
     build_system,
 )
 
@@ -277,6 +282,23 @@ class TestEscape:
 # numpy arrays. Cases that run both `sys` and `sys.field` compare the two
 BATCH_FAMILIES = pytest.mark.parametrize("family", [HAM_UNIQUE, HAM_COMPACT])
 
+# the four families and the control, each with a slot whose rate is the
+# constant 0 (u_1 or v_1) and its index
+EVERY_SYSTEM = pytest.mark.parametrize("sys, zero_slot", [
+    *((build_system(SystemParams(family, n=1, m=1, omega=(1.0,),
+                                 l=None if family in (HAM_UNIQUE, HAM_COMPACT)
+                                 else 1)),
+       0 if family in (HAM_UNIQUE, HAM_COMPACT) else 1)
+      for family in FAMILIES),
+    (build_control_system(), 0)], ids=[*FAMILIES, "control"])
+
+
+def same_bits(a, b):
+    """Equal to the bit, the signs of zeros included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                  b.view(np.int64))
+
 
 class TestBatch:
     @BATCH_FAMILIES
@@ -324,16 +346,19 @@ class TestBatch:
         cfg = IntegratorConfig(method=method, h=1e-2)
         calls = []
         compiled = System.compiled
+        # a batch takes rk4 steps through the generated batch step, and
+        # midpoint steps through the generated numpy field
+        batch_kind = "rk4_rows" if method == "rk4" else "field"
 
         def counted(self, kind="rates"):
             code = compiled(self, kind)
-            if kind != "field":
+            if kind != batch_kind:
                 return code
 
-            def numpy_field(s):  # a batch marches slot-major
+            def numpy_code(s, *h):  # a batch marches slot-major
                 calls.append(s.shape)
-                return code(s)
-            return numpy_field
+                return code(s, *h)
+            return numpy_code
 
         monkeypatch.setattr(System, "compiled", counted)
         integrate_batch(sys, states[:8], 0.1, cfg)
@@ -363,6 +388,32 @@ class TestBatch:
                 assert np.array_equal(getattr(rows, name),
                                       getattr(whole, name),
                                       equal_nan=True), (method, name)
+
+    @EVERY_SYSTEM
+    @pytest.mark.parametrize("rows", [9, 100, 2500])
+    def test_batch_code_repeats_the_numpy_step_bit_for_bit(self, sys,
+                                                           zero_slot, rows):
+        # a System batch of 9 rows or more takes rk4 steps through its
+        # generated batch code; its raw field steps numpy _rk4_step
+        rng = np.random.default_rng(rows)
+        states = rng.uniform(-1.0, 1.0, (rows, sys.dim))
+        states[::4, zero_slot] = -0.0
+        states[1::3] *= 2.5  # past the escape norm soon, if not at once
+        cfg = IntegratorConfig(h=1e-2, escape_norm=2.0)
+        for t_end in (1.5, -1.5):
+            got, want = (integrate_batch(field, states, t_end, cfg,
+                                         store_every=7)
+                         for field in (sys, sys.field))
+            assert 0 < got.escaped.sum() < rows
+            assert np.array_equal(got.escaped, want.escaped)
+            assert np.array_equal(got.escape_times, want.escape_times,
+                                  equal_nan=True)
+            assert got.n_steps == want.n_steps
+            for name in ("final", "stored_times", "stored_states"):
+                assert same_bits(getattr(got, name), getattr(want, name)), \
+                    (t_end, name)
+            # a signed zero in a zero-rate slot takes the sign of 0 + h*0
+            assert np.signbit(got.final[::4, zero_slot]).all() == (t_end < 0)
 
     @pytest.mark.parametrize("store_every", [0, -2])
     def test_store_every_below_one_rejected(self, store_every):
@@ -493,6 +544,40 @@ class TestCompiledStep:
         traj = integrate(sys, p0, 0.1, IntegratorConfig(h=0.1))
         assert traj.n_steps == 1
         assert traj.final_point["phi_1"] == 0.1
+
+    @EVERY_SYSTEM
+    def test_float_steps_repeat_the_numpy_step_bit_for_bit(self, sys,
+                                                           zero_slot):
+        rates, tangent = sys.compiled(), sys.compiled("tangent")
+        field = sys.compiled("field")
+        state = 0.3 * np.random.default_rng(4).uniform(-1.0, 1.0, sys.dim)
+        state[zero_slot] = -0.0
+        for h in (1e-2, -1e-2):
+            want = _rk4_step(field, state, h)
+            got = rates.rk4_step(tuple(state.tolist()), h)
+            assert same_bits(got, want)
+            assert np.signbit(got[zero_slot]) == (h < 0)
+            if not sys.is_hamiltonian:
+                continue
+            # the tangent step against the numpy tangent flow, which a
+            # field and a Jacobian without a System take
+            numpy_sys = types.SimpleNamespace(field=sys.field,
+                                              jacobian=sys.jacobian)
+            p0 = MixedPoint.of(sys.layout, state)
+            if h > 0:
+                got, want = (integrate_variational(s, p0, 0.5,
+                                                   IntegratorConfig(h=h))
+                             for s in (sys, numpy_sys))
+                assert same_bits(got.matrix, want.matrix)
+                assert same_bits(got.end_point.coords,
+                                 want.end_point.coords)
+            z = np.concatenate([state, np.eye(sys.dim).ravel()])
+            assert same_bits(tangent.rk4_step(tuple(z.tolist()), h),
+                             _rk4_step(lambda v: np.concatenate(
+                                 [sys.field(v[:sys.dim]),
+                                  (sys.jacobian(v[:sys.dim])
+                                   @ v[sys.dim:].reshape(sys.dim, sys.dim)
+                                   ).ravel()]), z, h))
 
     @pytest.mark.parametrize("method", ["rk4", "midpoint"])
     def test_single_state_never_calls_the_numpy_field(self, monkeypatch,
