@@ -830,11 +830,9 @@ class _Rk4Slots:
 
 
 def _generate(dag: _Dag, rates: list[int], dim: int,
-              functions: Sequence[str] = _FUNCTIONS,
-              rows: bool = False) -> list[str]:
+              functions: Sequence[str] = _FUNCTIONS) -> list[str]:
     """Source of each named function of one state tuple, among field,
-    rk4_step, midpoint_step and dp54_step; with `rows`, of rk4_step alone
-    over a slot-major numpy batch (see `_rk4_rows`).
+    rk4_step, midpoint_step and dp54_step.
 
     The steps repeat the arithmetic of integrators._rk4_step,
     _batch_midpoint and the adaptive loop's _dp54_step with its error
@@ -843,8 +841,6 @@ def _generate(dag: _Dag, rates: list[int], dim: int,
     advances by h*0.0, a constant-rate one by the folded constant h *
     ((c + 2c + 2c + c) / 6), and each shares its stage states.
     """
-    if rows:
-        return [_rk4_rows(dag, rates, dim)]
     fresh = itertools.count()
     s = [f"s{i}" for i in range(dim)]
 
@@ -1238,7 +1234,7 @@ def compile_rows(rates: Sequence[Expr], names: Sequence[str]) -> Callable:
     the text is the function's `source` attribute.
     """
     names, dag, outs = _dag_of(rates, names)
-    source = _generate(dag, outs, len(names), rows=True)[0]
+    source = _rk4_rows(dag, outs, len(names))
     return _numpy_code("rk4_step", source, dag.consts)
 
 
