@@ -8,7 +8,10 @@ on the end time, freezes escaping rows instead of raising, and hands
 each step to an observer that stores, measures or stops; the adaptive
 loop of `integrate` is the only other. A batch marches only its live
 rows: an escaping row is written out once and dropped, and the observer
-sees the live rows, never the full state.
+sees the live rows, never the full state. The rows of a batch may run
+in both directions of time at once: given one signed end time per row,
+all of one magnitude, they share one step grid, and each steps with a
+signed h of its own, which drops with the row when it escapes.
 A single state of a System steps on Python floats instead, because
 numpy's per-call cost dwarfs the arithmetic of one 4-8 slot state: the
 fused rk4, midpoint and Dormand-Prince steps compiled from the system's
@@ -308,21 +311,32 @@ def _march(step, state, t_end, cfg, observe=None):
     escape_times, steps taken). A state given as a tuple of floats is one
     row for a step compiled to Python floats (see _fixed_step).
 
+    t_end may also be a (rows,) array of a batch's signed end times, all
+    of one magnitude (integrate_batch checks them): every row steps on
+    the same grid, each in the direction of its own sign, with h a
+    (rows,) vector of signed steps. Each row's escape time carries its
+    sign, and observe is then given the live rows' signed times.
+
     A batch, copied to C order, steps only its live rows, kept dense as
     the columns of cur: a row that escapes is written to the full state
-    once, at its last finite state, and dropped. observe(k, t, cur, live,
-    dropped), called after each step, sees the live rows cur (dim, live
-    rows), their batch indices live (None while cur is the whole batch)
-    and dropped, None or (indices, last finite states (dim, rows), keep)
-    of the rows that escaped at this step, keep marking the previous
-    cur's rows still live. A single state is observed with live and
-    dropped None; its escape ends the march without a call. The march
-    ends when no row is left or when observe returns true.
+    once, at its last finite state, and dropped, from the step vector as
+    from cur. observe(k, t, cur, live, dropped), called after each step,
+    sees the live rows cur (dim, live rows), their batch indices live
+    (None while cur is the whole batch) and dropped, None or (indices,
+    last finite states (dim, rows), keep) of the rows that escaped at
+    this step, keep marking the previous cur's rows still live. A single
+    state is observed with live and dropped None; its escape ends the
+    march without a call. The march ends when no row is left or when
+    observe returns true.
     """
-    if not (math.isfinite(t_end) and t_end != 0.0):
-        raise InvalidValue("t_end must be finite and nonzero")
-    direction = 1.0 if t_end > 0 else -1.0
-    span = abs(t_end)
+    if np.ndim(t_end):
+        direction = np.sign(t_end)
+        span = float(abs(t_end[0])) if len(t_end) else 0.0  # no row, no step
+    else:
+        if not (math.isfinite(t_end) and t_end != 0.0):
+            raise InvalidValue("t_end must be finite and nonzero")
+        direction = 1.0 if t_end > 0 else -1.0
+        span = abs(t_end)
     h = cfg.h
     # clipped past the cap, since int() refuses an infinite quotient
     n_whole = int(min(span / h, cfg.max_steps + 1.0) + 1e-9)
@@ -339,16 +353,19 @@ def _march(step, state, t_end, cfg, observe=None):
     escaped = np.zeros(() if single else state.shape[1], dtype=bool)
     escape_times = np.full(escaped.shape, np.nan)
     cur, live, dropped = state, None, None
+    h_k = direction * h
     k = -1
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(total):
-            h_k = direction * (h if k < n_whole else remainder)
-            t = t_end if k == total - 1 else direction * ((k + 1) * h)
+            if k == n_whole:
+                h_k = direction * remainder
+            elapsed = span if k == total - 1 else (k + 1) * h
             trial = step(cur, h_k)
             if single:
                 if (_escaping_floats if floats else _escaping)(
                         trial, cfg.escape_norm):
-                    escaped[()], escape_times[()] = True, t
+                    escaped[()] = True
+                    escape_times[()] = direction * elapsed
                     break  # cur is the last finite state
             else:
                 bad = _escaping(trial, cfg.escape_norm)
@@ -358,12 +375,18 @@ def _march(step, state, t_end, cfg, observe=None):
                     rows = np.flatnonzero(bad) if live is None else live[bad]
                     frozen = cur[:, bad]
                     state[:, rows] = frozen
-                    escaped[rows], escape_times[rows] = True, t
+                    escaped[rows] = True
+                    if np.ndim(direction):
+                        escape_times[rows] = direction[bad] * elapsed
+                        direction, h_k = direction[keep], h_k[keep]
+                    else:
+                        escape_times[rows] = direction * elapsed
                     live = np.flatnonzero(keep) if live is None else live[keep]
                     trial = trial[:, keep]
                     dropped = (rows, frozen, keep)
             cur = trial
-            if observe is not None and observe(k, t, cur, live, dropped):
+            if observe is not None and observe(k, direction * elapsed, cur,
+                                               live, dropped):
                 break
             if live is not None and len(live) == 0:
                 break
@@ -385,7 +408,18 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
     Examples
     --------
     Quadratic escape has an exact solution to compare against:
-    y' = y^2, y(0) = 1 reaches 1/(1 - t).
+    y' = y^2, y(0) = 1 reaches 1/(1 - t), and escapes at its pole t = 1.
+
+    >>> line = CoordinateLayout(labels=("y",), angle_slots=())
+    >>> y0 = MixedPoint.of(line, [1.0])
+    >>> traj = integrate(lambda s: s * s, y0, 0.5)
+    >>> float(abs(traj.final_point.coords[0] - 1 / (1 - 0.5))) < 1e-8
+    True
+    >>> try:
+    ...     integrate(lambda s: s * s, y0, 2.0)
+    ... except NumericalBlowup as exc:
+    ...     print(f"escaped near t = {exc.time:.2f}")
+    escaped near t = 1.01
     """
     cfg = config or IntegratorConfig()
     layout = p0.layout
@@ -481,17 +515,21 @@ class BatchResult:
 
 
 # A System batch of 1 to _FLOAT_ROWS rows marches row by row on the
-# compiled float steps. Per step, numpy's batch step costs about as much
-# as rows x compiled steps at 20-30 rows for rk4 (ham-unique, ham-compact,
-# rev-compact) and at 8-16 rows for midpoint (ham-unique, numpy faster at
-# 16), measured on 2 shared cores.
+# compiled float steps. Per step on ham-unique, ham-compact and rev-compact
+# (n = m = 1, 2 shared cores), the float rk4 step costs 1-7 us a row and
+# the generated rows step a near-flat 25-155 us at 2-16 rows, so the float
+# path is the cheaper at every size there; the two meet at 24-32 rows.
+# For midpoint, float steps cost 3-9 us a row against 36-215 us for
+# _batch_midpoint, and meet it at 16-32 rows.
 _FLOAT_ROWS = 8
 
 
 def _march_rows(field, cfg, states, t_end, mask, store_every):
-    """integrate_batch's result with each row marched alone by _march."""
+    """integrate_batch's result with each row marched alone by _march,
+    to its own entry of a per-row t_end."""
     runs, kept = [], []
-    for row in states:
+    for row, t_end in zip(states, np.broadcast_to(t_end, len(states))
+                          .tolist()):
         kept.append([])  # (t, state) at each store step the row lives past
 
         def observe(k, t, cur, live, dropped, kept=kept[-1]):
@@ -519,7 +557,8 @@ def _march_rows(field, cfg, states, t_end, mask, store_every):
                        [np.array(r) for r in rows], axis=1), mask))
 
 
-def integrate_batch(field: FieldLike, states0: np.ndarray, t_end: float,
+def integrate_batch(field: FieldLike, states0: np.ndarray,
+                    t_end: Union[float, np.ndarray],
                     config: Optional[IntegratorConfig] = None,
                     layout: Optional[CoordinateLayout] = None,
                     store_every: Optional[int] = None) -> BatchResult:
@@ -530,12 +569,31 @@ def integrate_batch(field: FieldLike, states0: np.ndarray, t_end: float,
     at their last finite state rather than raising; a midpoint row whose
     iteration diverges counts as escaped at that time.
 
+    t_end is one time (either sign) for every row, or a (B,) array of
+    nonzero, finite times of one magnitude whose signs give each row's
+    direction; the rows then march on one step grid, forward and
+    backward together, and each gets the result it would get in a batch
+    of its own direction, bit for bit. A per-row t_end stores no states.
+
     A System batch of 1 to _FLOAT_ROWS (8) rows marches each row alone on
     the system's compiled float step, where numpy's per-call cost would
     dwarf the arithmetic; any other batch, and any field that is not a
     System, steps a numpy array (dim, rows), transposed once each way,
     through the system's generated rk4 step of such arrays or through
     the numpy steps on the field. All give the same result, bit for bit.
+    A System batch's rows must have the system's dim slots.
+
+    Examples
+    --------
+    y' = y^2 from y = 1 escapes forward at its pole t = 1, detected a
+    step of h = 0.01 later, and backward reaches 1/(1 - t) at t = -2;
+    one batch marches both:
+
+    >>> res = integrate_batch(lambda s: s * s, [[1.0], [1.0]], [2.0, -2.0])
+    >>> res.escaped.tolist(), round(float(res.escape_times[0]), 2)
+    ([True, False], 1.01)
+    >>> round(float(res.final[1, 0]), 9)  # 1/3
+    0.333333333
     """
     cfg = config or IntegratorConfig()
     if cfg.method == ADAPTIVE:
@@ -545,10 +603,23 @@ def integrate_batch(field: FieldLike, states0: np.ndarray, t_end: float,
     states = np.array(states0, dtype=float)
     if states.ndim != 2:
         raise InvalidValue("states0 must have shape (batch, dim)")
+    if isinstance(field, System) and states.shape[1] != field.dim:
+        raise InvalidValue(f"states0 rows must have the system's "
+                           f"{field.dim} slots, not {states.shape[1]}")
+    if np.ndim(t_end):
+        t_end = np.array(t_end, dtype=float)
+        span = np.abs(t_end)
+        if t_end.shape != (len(states),):
+            raise InvalidValue("t_end must be one time or one per row")
+        if len(span) and not (0.0 < span[0] < math.inf
+                              and (span == span[0]).all()):
+            raise InvalidValue("per-row t_end entries must be nonzero, "
+                               "finite and of one magnitude")
+        if store_every is not None:
+            raise InvalidValue("store_every needs one t_end for every row")
     mask = layout.angle_mask if layout is not None \
         else np.zeros(states.shape[1], dtype=bool)
-    if 1 <= len(states) <= _FLOAT_ROWS \
-            and _compiled_for(field, states[0]) is not None:
+    if 1 <= len(states) <= _FLOAT_ROWS and isinstance(field, System):
         return _march_rows(field, cfg, states, t_end, mask, store_every)
     stored_times = stored = observe = None
     if store_every is not None:

@@ -535,6 +535,68 @@ class TestBatch:
             integrate_batch(quad_field, np.zeros((2, 1)), 1.0,
                             IntegratorConfig(method="adaptive"))
 
+    @pytest.mark.parametrize("rows", [8, 9])
+    def test_system_batch_of_another_width_rejected(self, rows):
+        # rows of a state and its tangent matrix, dim + dim^2 slots, on
+        # the float row path and on the batch path alike
+        sys = ham(n=1, m=0)
+        with pytest.raises(InvalidValue, match="slots"):
+            integrate_batch(sys, np.zeros((rows, sys.dim * (sys.dim + 1))),
+                            1.0)
+
+
+class TestPerRowDirection:
+    """A per-row t_end marches forward and backward rows as one batch."""
+
+    @staticmethod
+    def _points(rows):
+        # rev-unique at point scale 3: rows escape in both directions,
+        # at their own steps; the first, scaled down, lives to the end
+        sys = build_system(SystemParams(REV_UNIQUE, n=1, m=1, l=1,
+                                        omega=(1.0,)))
+        pts = 3.0 * np.random.default_rng(rows).uniform(-1.0, 1.0,
+                                                        (rows, sys.dim))
+        pts[0] *= 1e-3
+        return sys, pts, sys.involution(pts)
+
+    # 3 + 3 rows take the float row path, 9 + 9 and 100 + 100 the
+    # generated rows step (rk4) or the numpy midpoint step
+    @pytest.mark.parametrize("rows", [3, 9, 100])
+    @pytest.mark.parametrize("method", ["rk4", "midpoint"])
+    def test_mixed_batch_matches_one_call_per_direction(self, rows, method):
+        sys, fwd, back = self._points(rows)
+        cfg = IntegratorConfig(method=method, h=1e-2)
+        both = integrate_batch(sys, np.concatenate([fwd, back]),
+                               np.repeat([5.0, -5.0], rows), cfg,
+                               layout=sys.layout)
+        alone = [integrate_batch(sys, states, t_end, cfg, layout=sys.layout)
+                 for states, t_end in ((fwd, 5.0), (back, -5.0))]
+        assert both.escaped[:rows].any() and both.escaped[rows:].any()
+        assert not both.escaped.all()
+        for name in ("final", "escaped", "escape_times"):
+            assert same_bits(getattr(both, name), np.concatenate(
+                [getattr(a, name) for a in alone])), name
+        assert both.n_steps == max(a.n_steps for a in alone)
+        # each escape time carries its row's direction
+        times = both.escape_times
+        assert (times[:rows][both.escaped[:rows]] > 0).all()
+        assert (times[rows:][both.escaped[rows:]] < 0).all()
+
+    @pytest.mark.parametrize("rows", [3, 9])
+    def test_bad_per_row_t_end_rejected(self, rows):
+        # 3 rows take the float row path, 9 the batch march
+        states = np.zeros((rows, 4))
+        good = np.resize([1.0, -1.0], rows)
+        first = np.ones(rows)
+        first[0] = 2.0
+        for t_end in (good[1:], good[None], good * first, 0.0 * good,
+                      math.inf * good, np.where(first > 1, math.nan, good)):
+            with pytest.raises(InvalidValue, match="t_end"):
+                integrate_batch(ham(), states, t_end)
+        with pytest.raises(InvalidValue, match="store_every"):
+            integrate_batch(ham(), states, good, store_every=1)
+        assert integrate_batch(ham(), states, good).n_steps == 100
+
 
 class TestCompiledStep:
     def test_constant_rate_advances_by_exactly_h(self):
