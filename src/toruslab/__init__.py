@@ -63,7 +63,6 @@ from .analysis import (
     reversibility_deviations,
     survey_uniqueness,
     verify_kronecker,
-    verify_reversibility,
 )
 from .dsl import (
     cross_check_fields,
@@ -125,7 +124,6 @@ __all__ = [
     "reversibility_deviations",
     "survey_uniqueness",
     "verify_kronecker",
-    "verify_reversibility",
     "cross_check_fields",
     "differentiate",
     "eval_expr",

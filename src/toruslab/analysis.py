@@ -38,7 +38,6 @@ from .integrators import (
     IntegratorConfig,
     Trajectory,
     _as_field_fn,
-    _central_differences,
     _compiled_for,
     _fixed_step,
     _march,
@@ -53,7 +52,6 @@ from .phase import (
     ModularDomain,
     component_distances,
     subdomain_of,
-    torus_distance,
     torus_distance_batch,
     wrap_angle,
     wrap_angles,
@@ -121,15 +119,36 @@ def invariant_drift(sys: System, traj: Trajectory) -> np.ndarray:
 # Poisson brackets
 
 
+def _central_differences(fn, x) -> np.ndarray:
+    """(fn(x + h e_i) - fn(x - h e_i)) / 2h, h = 1e-6 (1 + |x_i|), at the
+    states x, shape (..., dim), stacked over the slots i on a new last
+    axis: a scalar fn gives shape (..., dim), a (..., k) one (..., k, dim).
+    """
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for i, unit in enumerate(np.eye(x.shape[-1])):
+        h = 1e-6 * (1.0 + np.abs(x[..., i]))
+        e = h[..., None] * unit
+        d = np.asarray(fn(x + e)) - np.asarray(fn(x - e))
+        cols.append(d / (2.0 * h).reshape(h.shape + (1,) * (d.ndim - h.ndim)))
+    return np.stack(cols, axis=-1)
+
+
 def poisson_bracket(f, g, p: MixedPoint, pairing) -> float:
     """{f, g} at p for the canonical pairing ((pos, mom), ...).
 
     f and g map raw coordinate arrays to scalars; their gradients are
-    taken by central differences (integrators._central_differences).
+    taken by central differences (_central_differences).
 
     Examples
     --------
-    With the single pair ((y, x)), {y, x} = 1 identically.
+    With the single pair ((y, x)), {y, x} = 1 identically:
+
+    >>> plane = CoordinateLayout(labels=("y", "x"), angle_slots=())
+    >>> p = MixedPoint.of(plane, [0.3, -0.7])
+    >>> round(poisson_bracket(lambda s: s[0], lambda s: s[1], p,
+    ...                       ((0, 1),)), 9)
+    1.0
     """
     gf = _central_differences(f, p.coords)
     gg = _central_differences(g, p.coords)
@@ -647,9 +666,6 @@ class FrequencyMeasurement:
     residual_rms: np.ndarray
     circulating: np.ndarray
 
-    def value_of(self, label_index: int) -> float:
-        return float(self.values[self.slots.index(label_index)])
-
 
 def measure_frequencies(traj: Trajectory,
                         slots: Optional[Sequence] = None
@@ -726,42 +742,6 @@ def circulation_period(zeta: float) -> float:
 
 # ---------------------------------------------------------------------------
 # reversibility
-
-
-@dataclass(frozen=True)
-class ReversibilityReport:
-    """Deviation of the flow from involution conjugacy at one point."""
-
-    deviation: float
-    t: float
-
-    @property
-    def passed(self) -> bool:
-        return self.deviation <= 1e-6
-
-
-def verify_reversibility(sys: System, p: MixedPoint, t: float,
-                         field=None) -> ReversibilityReport:
-    """Measure d(flow_{-t}(g(p)), g(flow_t(p))) for the involution g.
-
-    Both flows are adaptive at rel_tol 1e-10 and abs_tol 1e-12, and the
-    check passes at a deviation of at most 1e-6. A `field` override
-    substitutes the right-hand side while keeping the involution, which
-    is how the sign-flipped negative control is run.
-    """
-    if not t > 0:
-        raise InvalidValue("t must be positive")
-    cfg = IntegratorConfig(method="adaptive", h=1e-2, rel_tol=1e-10,
-                           abs_tol=1e-12)
-    # the System itself, so each single state steps its compiled code
-    f = field if field is not None else sys
-    fwd = integrate(f, p, t, cfg)
-    g_of_flow = MixedPoint.of(sys.layout,
-                              sys.involution(fwd.final_point.coords))
-    g_p = MixedPoint.of(sys.layout, sys.involution(p.coords))
-    back = integrate(f, g_p, -t, cfg)
-    dev = torus_distance(back.final_point, g_of_flow)
-    return ReversibilityReport(deviation=dev, t=t)
 
 
 def reversibility_deviations(sys: System, points: np.ndarray,

@@ -22,8 +22,10 @@ A System batch of at most _FLOAT_ROWS (8) rows marches each row alone
 as such a state, and `integrate_batch` assembles the batch's result. A
 larger System batch, and the survey's, takes its rk4 steps through the
 same generated step over the rows of the slot-major array (see
-`dsl.compile_rows`); numpy's _rk4_step is left to plain field callables
-and `step_rk4`.
+`dsl.compile_rows`). The numpy steps on the field remain for plain field
+callables, for a System's midpoint batch of more than _FLOAT_ROWS rows
+(_batch_midpoint), and for the one rk4 step of the Henon landing in
+`analysis`.
 A midpoint row iterates until its own update converges, in a batch as
 alone; one that diverges or never converges is reported as an escape.
 
@@ -47,7 +49,7 @@ from .errors import (
     StepBudgetExceeded,
 )
 from .phase import CoordinateLayout, MixedPoint, wrap_angles
-from .systems import System
+from .systems import System, _check_point
 
 RK4 = "rk4"
 ADAPTIVE = "adaptive"
@@ -174,18 +176,6 @@ def _dp54_step(f, s, k1, h):
     err = h * sum((b5 - b4) * k
                   for b5, b4, k in zip(_DP_B5, _DP_B4, ks))
     return y5, err, ks[-1]
-
-
-def step_rk4(field: FieldLike, p: MixedPoint, h: float) -> MixedPoint:
-    """One classical Runge-Kutta step from p; result has wrapped angles."""
-    if not (math.isfinite(h) and h != 0.0):
-        raise InvalidValue("step size must be finite and nonzero")
-    f = _as_field_fn(field)
-    out = _rk4_step(f, p.coords, h)
-    if not np.all(np.isfinite(out)):
-        raise NumericalBlowup("state left the finite range in one step",
-                              time=h)
-    return MixedPoint.of(p.layout, out)
 
 
 def _escaping(trial, escape_norm):
@@ -648,53 +638,7 @@ def integrate_batch(field: FieldLike, states0: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Jacobians and variational flow
-
-
-def _central_differences(fn, x) -> np.ndarray:
-    """(fn(x + h e_i) - fn(x - h e_i)) / 2h, h = 1e-6 (1 + |x_i|), at the
-    states x, shape (..., dim), stacked over the slots i on a new last
-    axis: a scalar fn gives shape (..., dim), a (..., k) one (..., k, dim).
-    """
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i, unit in enumerate(np.eye(x.shape[-1])):
-        h = 1e-6 * (1.0 + np.abs(x[..., i]))
-        e = h[..., None] * unit
-        d = np.asarray(fn(x + e)) - np.asarray(fn(x - e))
-        cols.append(d / (2.0 * h).reshape(h.shape + (1,) * (d.ndim - h.ndim)))
-    return np.stack(cols, axis=-1)
-
-
-def field_jacobian(target, p: MixedPoint, scheme: str = "fd") -> np.ndarray:
-    """Jacobian of the field at p.
-
-    scheme 'exact' uses the system's exact Jacobian and requires a
-    System; 'fd' uses central differences with per-slot step
-    1e-6 * (1 + |coordinate|) and works for any field callable.
-    """
-    if scheme == "exact":
-        if not hasattr(target, "jacobian"):
-            raise InvalidValue("scheme 'exact' needs a system with an "
-                               "analytic jacobian")
-        return target.jacobian(p.coords)
-    if scheme != "fd":
-        raise InvalidValue(f"unknown scheme {scheme!r}")
-    return _central_differences(_as_field_fn(target), p.coords)
-
-
-def _variational_field(f, jac, dim):
-    """Field of z = (state, M flattened): (f(state), J(state) M).
-
-    The numpy tangent flow, for the 'fd' scheme and for fields that are
-    not a System; a System's is compiled (see _compiled_for).
-    """
-    def aug_field(z):
-        s = z[:dim]
-        M = z[dim:].reshape(dim, dim)
-        J = jac(s)
-        return np.concatenate([f(s), (J @ M).ravel()])
-    return aug_field
+# variational flow
 
 
 @dataclass(frozen=True, eq=False)
@@ -706,40 +650,28 @@ class VariationalResult:
     n_steps: int
 
 
-def integrate_variational(sys, p0: MixedPoint, t_end: float,
-                          config: Optional[IntegratorConfig] = None,
-                          scheme: str = "exact") -> VariationalResult:
+def integrate_variational(sys: System, p0: MixedPoint, t_end: float,
+                          config: Optional[IntegratorConfig] = None
+                          ) -> VariationalResult:
     """Co-integrate state and tangent matrix M' = J(state(t)) M, M(0) = I.
 
-    Uses fixed-step RK4 on the augmented system: a System's compiled
-    tangent flow under scheme 'exact' (see _compiled_for), the numpy
-    augmented field under 'fd' or for any other field. t_end must be
-    positive; monodromy conventions assume forward time.
+    Steps the System's compiled tangent flow (see _compiled_for) in fixed
+    rk4 steps; anything that is not a System raises InvalidValue. t_end
+    must be positive; monodromy conventions assume forward time.
     """
+    if not isinstance(sys, System):
+        raise InvalidValue(f"integrate_variational needs a System, "
+                           f"not {sys!r}")
     if not t_end > 0:
         raise InvalidValue("t_end must be positive")
+    _check_point(sys, p0)
     cfg = config or IntegratorConfig(h=1e-2)
-    dim = p0.layout.dim
-    f = _as_field_fn(sys)
-
-    if scheme == "exact":
-        if not hasattr(sys, "jacobian"):
-            raise InvalidValue("scheme 'exact' needs a system jacobian")
-        jac = sys.jacobian
-    elif scheme == "fd":
-        def jac(s):  # MixedPoint.of wraps the angle slots
-            return field_jacobian(f, MixedPoint.of(p0.layout, s),
-                                  scheme="fd")
-    else:
-        raise InvalidValue(f"unknown scheme {scheme!r}")
-
+    dim = sys.dim
     z0 = np.concatenate([p0.coords, np.eye(dim).ravel()])
-    field = sys if scheme == "exact" and isinstance(sys, System) \
-        else _variational_field(f, jac, dim)
     # only a non-finite state is a blowup; the bound is the largest float
     # and not inf, because inf <= inf would let an infinity through
     z, escaped, escape_time, steps = _march(
-        *_fixed_step(field, replace(cfg, method=RK4), z0), t_end,
+        *_fixed_step(sys, replace(cfg, method=RK4), z0), t_end,
         replace(cfg, escape_norm=np.finfo(float).max))
     z = np.asarray(z)
     if escaped:

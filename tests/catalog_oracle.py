@@ -5,6 +5,9 @@ expression language. These fields are written out by hand instead, so a
 test that compares the two checks the derivation against an independent
 route. The compact families are the unique ones read through sin; the
 chain rule turns the unique field into the compact one.
+
+The numpy tangent flow of a System is here too: the library steps only
+the tangent flow it compiles, and the tests compare that against this.
 """
 
 import numpy as np
@@ -69,5 +72,18 @@ def oracle_field(sys):
         if sys.family == REV_COMPACT:
             return base(np.sin(s))
         return base(s)
+
+    return field
+
+
+def tangent_field(sys):
+    """The numpy tangent flow of a System: z = (state, M row by row) goes
+    to (f(state), J(state) M), from the numpy field and exact Jacobian."""
+    dim = sys.dim
+
+    def field(z):
+        s = z[:dim]
+        M = z[dim:].reshape(dim, dim)
+        return np.concatenate([sys.field(s), (sys.jacobian(s) @ M).ravel()])
 
     return field

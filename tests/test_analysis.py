@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from catalog_oracle import tangent_field
 
 from toruslab import analysis
 from toruslab.analysis import (
@@ -28,7 +29,6 @@ from toruslab.analysis import (
     reversibility_deviations,
     survey_uniqueness,
     verify_kronecker,
-    verify_reversibility,
 )
 from toruslab.errors import (
     DegenerateOffset,
@@ -43,7 +43,6 @@ from toruslab.errors import (
 from toruslab.integrators import (
     IntegratorConfig,
     _rk4_step,
-    _variational_field,
     integrate,
     integrate_batch,
     integrate_variational,
@@ -428,7 +427,7 @@ def _compiled_and_numpy_tangent(monkeypatch, run):
         code = compiled(self, kind)
         if kind != "tangent":
             return code
-        f = _variational_field(self.field, self.jacobian, self.dim)
+        f = tangent_field(self)
         return replace(code, field=lambda s: tuple(f(np.array(s))),
                        rk4_step=lambda s, h: tuple(_rk4_step(
                            f, np.array(s), h)))
@@ -581,9 +580,8 @@ class TestReversibility:
     def test_all_families_conjugate(self):
         for sys in ALL_FAMILIES:
             p = small_point(sys, scale=0.05, seed=11)
-            rep = verify_reversibility(sys, p, t=5.0)
-            assert rep.passed, sys.family
-            assert rep.deviation <= 1e-6
+            dev, = reversibility_deviations(sys, p.coords[None], t=5.0)
+            assert dev <= 1e-6, sys.family
 
     def test_symmetric_point_gives_symmetric_orbit(self):
         sys = make(HAM_UNIQUE, n=1, m=1)
@@ -591,39 +589,22 @@ class TestReversibility:
         coords[sys.layout.slot_of("u_1")] = 0.05
         coords[sys.layout.slot_of("x")] = 0.02
         coords[sys.layout.slot_of("p_1")] = 0.03
-        p = MixedPoint.of(sys.layout, coords)
-        # p is fixed by the involution, so both sides of the conjugacy
-        # run along the same symmetric orbit
-        rep = verify_reversibility(sys, p, t=3.0)
-        assert rep.deviation <= 1e-6
+        # the point is fixed by the involution, so both sides of the
+        # conjugacy run along the same symmetric orbit
+        dev, = reversibility_deviations(sys, coords[None], t=3.0)
+        assert dev <= 1e-6
 
     def test_damped_field_fails(self):
-        sys = make(HAM_UNIQUE, n=1, m=0)
-        iy = sys.layout.slot_of("y")
-
-        def broken(s):
-            # a damping term is odd under y -> -y, which destroys the
-            # conjugacy even though the undamped part survives it
-            f = sys.field(s)
-            f[..., iy] = f[..., iy] + 0.3 * s[..., iy]
-            return f
-
-        p = MixedPoint.of(sys.layout, [0.1, 0.0, 0.1, 0.1])
-        rep = verify_reversibility(sys, p, t=2.0, field=broken)
-        assert rep.deviation > 1e-3
-
-    def test_steps_the_system_not_its_numpy_field(self, monkeypatch):
         sys = make(REV_UNIQUE, n=1, l=1, m=1)
-        p = small_point(sys, scale=0.05, seed=11)
-        want = verify_reversibility(sys, p, t=5.0, field=sys.field)
-
-        def numpy_field(self, states):
-            raise AssertionError("numpy field called")
-
-        monkeypatch.setattr(System, "field", numpy_field)
-        got = verify_reversibility(sys, p, t=5.0)
-        assert got.passed
-        assert got.deviation == want.deviation
+        # a term 0.3*y in the y rate is odd under y -> -y, which destroys
+        # the conjugacy even though the rest of the rate survives it
+        damped = replace(sys, rates_source=tuple(
+            f"{rate} + 0.3*y" if label == "y" else rate
+            for label, rate in zip(sys.layout.labels, sys.rates_source)))
+        pts = np.array([[0.1, 0.1, 0.1, 0.1]])
+        assert reversibility_deviations(sys, pts, t=2.0)[0] <= 1e-6
+        dev, = reversibility_deviations(damped, pts, t=2.0)
+        assert 1e-3 < dev < math.inf
 
     def test_batch_matches_single_and_flags_escapes(self):
         sys = make(HAM_UNIQUE, n=1, m=0)

@@ -3,10 +3,13 @@ import types
 
 import numpy as np
 import pytest
+from catalog_oracle import tangent_field
 
+from toruslab.analysis import _central_differences
 from toruslab.errors import (
     ConvergenceFailure,
     InvalidValue,
+    LayoutMismatch,
     NumericalBlowup,
     StepBudgetExceeded,
 )
@@ -17,11 +20,9 @@ from toruslab.integrators import (
     _fixed_step,
     _march,
     _rk4_step,
-    field_jacobian,
     integrate,
     integrate_batch,
     integrate_variational,
-    step_rk4,
 )
 from toruslab.phase import CoordinateLayout, MixedPoint, wrap_angles
 from toruslab.systems import (
@@ -131,14 +132,17 @@ class TestFixedStep:
 
     def test_step_rk4_single_step(self):
         p0 = MixedPoint.of(SCALAR, [1.0])
-        p1 = step_rk4(quad_field, p0, 0.01)
-        assert abs(p1["y"] - quad_exact(1.0, 0.01)) < 1e-10
+        traj = integrate(quad_field, p0, 0.01, IntegratorConfig(h=0.01))
+        assert traj.n_steps == 1
+        assert abs(traj.final_point["y"] - quad_exact(1.0, 0.01)) < 1e-10
 
     def test_step_rk4_constant_rotation_is_exact(self):
         layout = CoordinateLayout(labels=("phi",), angle_slots=(0,))
         p0 = MixedPoint.of(layout, [0.0])
-        p1 = step_rk4(lambda s: np.ones_like(s), p0, 0.1)
-        assert p1["phi"] == 0.1
+        traj = integrate(lambda s: np.ones_like(s), p0, 0.1,
+                         IntegratorConfig(h=0.1))
+        assert traj.n_steps == 1
+        assert traj.final_point["phi"] == 0.1
 
     def test_torus_point_is_a_numerical_fixed_set(self):
         # the field vanishes in every non-angle slot on the torus itself
@@ -621,25 +625,21 @@ class TestCompiledStep:
             assert np.signbit(got[zero_slot]) == (h < 0)
             if not sys.is_hamiltonian:
                 continue
-            # the tangent step against the numpy tangent flow, which a
-            # field and a Jacobian without a System take
-            numpy_sys = types.SimpleNamespace(field=sys.field,
-                                              jacobian=sys.jacobian)
-            p0 = MixedPoint.of(sys.layout, state)
-            if h > 0:
-                got, want = (integrate_variational(s, p0, 0.5,
-                                                   IntegratorConfig(h=h))
-                             for s in (sys, numpy_sys))
-                assert same_bits(got.matrix, want.matrix)
-                assert same_bits(got.end_point.coords,
-                                 want.end_point.coords)
+            # the tangent step against the numpy tangent flow, stepped
+            # alone and marched by the same loop as integrate_variational
+            oracle = tangent_field(sys)
             z = np.concatenate([state, np.eye(sys.dim).ravel()])
             assert same_bits(tangent.rk4_step(tuple(z.tolist()), h),
-                             _rk4_step(lambda v: np.concatenate(
-                                 [sys.field(v[:sys.dim]),
-                                  (sys.jacobian(v[:sys.dim])
-                                   @ v[sys.dim:].reshape(sys.dim, sys.dim)
-                                   ).ravel()]), z, h))
+                             _rk4_step(oracle, z, h))
+            if h > 0:
+                cfg = IntegratorConfig(h=h)
+                got = integrate_variational(
+                    sys, MixedPoint.of(sys.layout, state), 0.5, cfg)
+                want = _march(*_fixed_step(oracle, cfg, z), 0.5, cfg)[0]
+                assert same_bits(got.matrix,
+                                 want[sys.dim:].reshape(sys.dim, sys.dim))
+                assert same_bits(got.end_point.coords, MixedPoint.of(
+                    sys.layout, want[:sys.dim]).coords)
 
     @pytest.mark.parametrize("method", ["rk4", "midpoint"])
     def test_single_state_never_calls_the_numpy_field(self, monkeypatch,
@@ -701,34 +701,12 @@ class TestCsv:
 
 
 class TestJacobian:
-    def test_fd_matches_exact(self):
-        sys = ham(n=2, m=1, omega=(1.0, math.sqrt(2.0)))
-        p = small_point(sys, scale=0.3, seed=9)
-        J_fd = field_jacobian(sys, p, scheme="fd")
-        J_exact = field_jacobian(sys, p, scheme="exact")
-        assert np.max(np.abs(J_fd - J_exact)) < 1e-6
-
     def test_vanishes_on_the_canonical_torus(self):
         # every partial of the field has a factor that is zero when all
         # non-angle slots vanish
         sys = ham(n=1, m=1)
-        p = MixedPoint.of(sys.layout, [0.0, 2.2, 0.0, 0.0, 0.0, 0.0])
-        assert np.max(np.abs(field_jacobian(sys, p, scheme="exact"))) == 0.0
-
-    def test_linear_field_gives_constant_matrix(self):
-        J = field_jacobian(lambda s: -2.5 * s,
-                           MixedPoint.of(SCALAR, [0.7]))
-        assert abs(J[0, 0] + 2.5) < 1e-9
-
-    def test_exact_requires_a_system(self):
-        with pytest.raises(InvalidValue):
-            field_jacobian(quad_field, MixedPoint.of(SCALAR, [1.0]),
-                           scheme="exact")
-
-    def test_unknown_scheme_rejected(self):
-        sys = ham()
-        with pytest.raises(InvalidValue):
-            field_jacobian(sys, small_point(sys), scheme="spectral")
+        J = sys.jacobian([0.0, 2.2, 0.0, 0.0, 0.0, 0.0])
+        assert np.max(np.abs(J)) == 0.0
 
 
 class TestVariational:
@@ -748,14 +726,21 @@ class TestVariational:
         assert np.max(np.abs(res.matrix - expect)) < 1e-5
 
     def test_fd_scheme_agrees_with_exact(self):
+        # the tangent matrix against central differences of the end
+        # states of the flow, each a run of integrate
         sys = ham(n=1, m=0)
         p0 = small_point(sys, scale=0.1, seed=8)
         cfg = IntegratorConfig(h=1e-2)
-        exact = integrate_variational(sys, p0, 0.5, cfg, scheme="exact")
-        fd = integrate_variational(sys, p0, 0.5, cfg, scheme="fd")
-        assert np.max(np.abs(exact.matrix - fd.matrix)) < 1e-6
+        exact = integrate_variational(sys, p0, 0.5, cfg)
+
+        def end_state(s):
+            return integrate(sys, MixedPoint.of(sys.layout, s), 0.5,
+                             cfg).final_point.coords
+
+        fd = _central_differences(end_state, p0.coords)
+        assert np.max(np.abs(exact.matrix - fd)) < 1e-6
         assert np.max(np.abs(exact.end_point.coords
-                             - fd.end_point.coords)) < 1e-9
+                             - end_state(p0.coords))) < 1e-9
 
     def test_identity_around_the_torus_orbit(self):
         # the Jacobian vanishes identically along the canonical orbit, so
@@ -770,6 +755,21 @@ class TestVariational:
         sys = ham()
         with pytest.raises(InvalidValue):
             integrate_variational(sys, small_point(sys), -1.0)
+
+    def test_only_a_system_accepted(self):
+        # a field, or a field with a Jacobian, has no compiled tangent flow
+        sys = ham()
+        for other in (sys.field, types.SimpleNamespace(
+                field=sys.field, jacobian=sys.jacobian)):
+            with pytest.raises(InvalidValue):
+                integrate_variational(other, small_point(sys), 1.0)
+
+    def test_point_of_another_layout_rejected(self):
+        compact = build_system(SystemParams(HAM_COMPACT, n=1, m=0,
+                                            omega=(1.0,)))
+        for sys in (ham(n=1, m=1), compact):
+            with pytest.raises(LayoutMismatch):
+                integrate_variational(sys, small_point(ham()), 1.0)
 
 
 class TestFlowInvolution:

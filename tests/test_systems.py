@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from catalog_oracle import oracle_field
+from catalog_oracle import oracle_field, tangent_field
 
 from toruslab.errors import (
     DegenerateOffset,
@@ -12,7 +12,6 @@ from toruslab.errors import (
     NotCompact,
     NotHamiltonian,
 )
-from toruslab.integrators import _variational_field
 from toruslab.phase import MixedPoint, in_modular_domain
 from toruslab.systems import (
     CONTROL,
@@ -239,7 +238,7 @@ def test_compiled_tangent_matches_the_numpy_tangent_field():
         z = rng.uniform(-1.0, 1.0, (256, dim + dim * dim))
         angles = np.flatnonzero(sys.layout.angle_mask)
         z[:, angles] = rng.uniform(-math.pi, math.pi, (256, len(angles)))
-        want = _variational_field(sys.field, sys.jacobian, dim)
+        want = tangent_field(sys)
         tangent = sys.compiled("tangent")
         got = np.array([tangent.field(tuple(row)) for row in z.tolist()])
         dev = np.abs(got - np.array([want(row) for row in z]))
