@@ -37,7 +37,6 @@ from .dsl import _numpy_sum
 from .integrators import (
     IntegratorConfig,
     Trajectory,
-    _as_field_fn,
     _compiled_for,
     _fixed_step,
     _march,
@@ -371,10 +370,12 @@ class PoincareResult:
 def _first_return(sys, section, state, horizon):
     """Flow state to its next directed crossing of the section.
 
-    state is the system state, or for a System the state followed by a
-    tangent matrix, which then flows along (see integrators._compiled_for).
-    Returns the raw state on the section and the crossing time.
+    state is the system state, or the state followed by a tangent matrix,
+    which then flows along (see integrators._compiled_for). Returns the
+    raw state on the section and the crossing time. sys must be a System.
     """
+    if not isinstance(sys, System):
+        raise InvalidValue(f"return maps need a System, not {sys!r}")
     if not sys.layout.is_angle(section.slot):
         raise InvalidValue(
             f"slot {section.slot} is not angular in this layout")
@@ -406,12 +407,10 @@ def _first_return(sys, section, state, horizon):
                 time=float(escape_time))
         raise NoReturn(f"no crossing of the section within horizon {horizon}")
 
-    code = _compiled_for(sys, state)
-    rates = _as_field_fn(sys) if code is None \
-        else (lambda v: np.array(code.field(tuple(v.tolist()))))
+    rates = _compiled_for(sys, state).field
 
     def per_angle(v):  # d(w, t)/d(angle) = (field, 1) / angular rate
-        r = rates(v[:-1])
+        r = np.array(rates(tuple(v[:-1].tolist())))
         if abs(r[slot]) < 1e-8:
             raise TangentCrossing(
                 f"angular rate {r[slot]:.3g} at the crossing")
@@ -750,7 +749,11 @@ def reversibility_deviations(sys: System, points: np.ndarray,
 
     Batch rk4 integration at step 1e-3, the points forward to t and their
     images under the involution back to -t in one batch; rows whose orbit
-    escapes in either direction report +inf.
+    escapes in either direction report +inf. The shipped involutions
+    only flip signs, so for reversible rates the backward rk4 steps of
+    G(p) mirror p's forward steps bit for bit and the deviation is
+    exactly 0.0: this tests the parity of the rates, not the integrator's
+    error (adding +0.3*y to rev-unique's y rate reads 0.238 at t = 2).
     """
     if not t > 0:
         raise InvalidValue("t must be positive")

@@ -54,7 +54,8 @@ from .errors import (
     NumericalBlowup,
     ToruslabError,
 )
-from .integrators import IntegratorConfig, integrate, integrate_batch
+from .integrators import (IntegratorConfig, _MAX_STEPS, integrate,
+                          integrate_batch)
 from .phase import MixedPoint, ModularDomain
 from .svgplot import PlotStyle, plot_svg, trajectory_series
 from .systems import (
@@ -202,7 +203,7 @@ def _cmd_simulate(cfg, run):
     ic = IntegratorConfig(method=cfg["method"], h=cfg["h"])
     store = cfg.get("store_every")
     if store is None:  # about 2000 rows; the cap keeps int() off inf
-        store = max(1, int(min(abs(t) / ic.h, ic.max_steps)) // 2000)
+        store = max(1, int(min(abs(t) / ic.h, _MAX_STEPS)) // 2000)
     ic = replace(ic, store_every=store)
     p0 = _initial_point(sys_, cfg)
     escaped = False
@@ -393,14 +394,10 @@ def _cmd_freq(cfg, run):
     ok = bool(np.max(gaps) <= cfg["tol"])
     labels = [sys_.layout.labels[s] for s in spec.circulating]
     series = []
-    for k, slot in enumerate(spec.circulating):
-        lab = labels[k]
-        col = np.unwrap(traj.states[:, slot])
-        series.append((lab, np.stack([traj.times, col], axis=1)))
-        series.append((f"{lab} predicted",
-                       np.stack([traj.times,
-                                 col[0] + predicted[k] * traj.times],
-                                axis=1)))
+    for (lab, curve), rate in zip(trajectory_series(traj, labels),
+                                  predicted):
+        series += [(lab, curve), (f"{lab} predicted", np.stack(
+            [traj.times, curve[0, 1] + rate * traj.times], axis=1))]
     run.write("frequencies.svg",
               plot_svg(series, PlotStyle(title="circulation frequencies",
                                          y_label="unwrapped angle")))

@@ -38,11 +38,10 @@ from .errors import (
     SimplifyError,
     UnboundVar,
 )
-from .integrators import _DP_A, _DP_B4, _DP_B5
+from .integrators import (_DP_A, _DP_B4, _DP_B5, _MIDPOINT_MAX_ITER,
+                          _MIDPOINT_TOL)
 from .phase import CoordinateLayout
 from .systems import _on_states
-# the energy texts belong to the family catalog; re-exported here
-from .systems import hamiltonian_text  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -903,11 +902,11 @@ def _generate(dag: _Dag, rates: list[int], dim: int,
     def midpoint_step():
         m = [f"m{i}" for i in range(dim)]
         loop = body + "    "
-        mid = ["def midpoint_step(s, h, tol, max_iter):"] + head
+        mid = ["def midpoint_step(s, h):"] + head
         mid.append(f"{body}hh = 0.5 * h")
         k = field_at(s, mid, body)
         shifted(m, k, "hh", mid, body)
-        mid.append(f"{body}for _ in range(max_iter):")
+        mid.append(f"{body}for _ in range(_max_iter):")
         k = field_at(m, mid, loop)
         n = [f"n{i}" for i in range(dim)]
         e = [f"e{i}" for i in range(dim)]
@@ -915,16 +914,16 @@ def _generate(dag: _Dag, rates: list[int], dim: int,
         mid += [f"{loop}{a} = abs({b} - {c})" for a, b, c in zip(e, n, m)]
         mid += [f"{loop}{a} = {b}" for a, b in zip(m, n)]
         # numpy's max over the row is nan when any entry is; the sum
-        # stands in for that test, and only finite rows above tol keep
+        # stands in for that test, and only finite rows above _tol keep
         # iterating
         mid += [f"{loop}total = {' + '.join(e)}",
-                f"{loop}if not (tol < {_largest(e)} < _INF"
+                f"{loop}if not (_tol < {_largest(e)} < _INF"
                 " and total == total):",
                 f"{loop}    break",
                 f"{body}else:"]
         k = field_at(m, mid, loop)
         stuck = [f"abs({a} + hh * {b} - {c})" for a, b, c in zip(s, k, m)]
-        mid += [f"{loop}if {_largest(stuck)} > tol:",
+        mid += [f"{loop}if {_largest(stuck)} > _tol:",
                 f"{loop}    {' = '.join(m)} = _NAN[0]",
                 f"{body}return "
                 + _tuple(f"2.0 * {a} - {b}" for a, b in zip(m, s))]
@@ -1075,22 +1074,22 @@ class CompiledRates:
 
     Every function takes the state as a tuple of floats, one per name, and
     returns a tuple. field(s) gives the rates; rk4_step(s, h),
-    midpoint_step(s, h, tol, max_iter) and dp54_step(s, k1, h, abs_tol,
-    rel_tol) repeat the arithmetic of the numpy steps in `integrators` on
-    one state, rates inlined; dp54_step takes the first stage's rates k1
-    and returns the 5th-order state, the adaptive loop's error norm and
-    the last stage's rates, the next step's k1. Where that arithmetic
-    raises (sin of inf, a division by zero, an overflowing power) every
-    slot comes back NaN (and the norm inf), as numpy would give inf or
-    nan, so the integrators' escape test sees it either way. Functions
-    not compiled are None.
+    midpoint_step(s, h) and dp54_step(s, k1, h, abs_tol, rel_tol) repeat
+    the arithmetic of the numpy steps in `integrators` on one state, rates
+    inlined, midpoint_step iterating to _MIDPOINT_TOL and _MIDPOINT_MAX_ITER.
+    dp54_step takes the first stage's rates k1 and returns the 5th-order
+    state, the adaptive loop's error norm and the last stage's rates, the
+    next step's k1. Where that arithmetic raises (sin of inf, a division
+    by zero, an overflowing power) every slot comes back NaN (and the
+    norm inf), as numpy would give inf or nan, so the integrators' escape
+    test sees it either way. Functions not compiled are None.
     """
 
     names: tuple[str, ...]
     source: str
     field: Callable[[tuple], tuple]
     rk4_step: Callable[[tuple, float], tuple]
-    midpoint_step: Optional[Callable[[tuple, float, float, int], tuple]]
+    midpoint_step: Optional[Callable[[tuple, float], tuple]]
     dp54_step: Optional[Callable[[tuple, tuple, float, float, float],
                                  tuple]]
 
@@ -1119,8 +1118,9 @@ def compile_rates(rates: Sequence[Expr], names: Sequence[str],
     names, dag, outs = _dag_of(rates, names)
     sources = _generate(dag, outs, len(names), functions)
     namespace = {f"c{j}": v for j, v in enumerate(dag.consts)}
-    namespace.update(_DP_NAMES, _sin=math.sin, _cos=math.cos,
-                     _sqrt=math.sqrt, _INF=math.inf,
+    namespace.update(_DP_NAMES, _tol=_MIDPOINT_TOL,
+                     _max_iter=_MIDPOINT_MAX_ITER, _sin=math.sin,
+                     _cos=math.cos, _sqrt=math.sqrt, _INF=math.inf,
                      _NAN=(math.nan,) * len(names),
                      _FAILS=(ArithmeticError, ValueError))
     for text in sources:  # one at a time: the compiler's peak is per text

@@ -26,8 +26,11 @@ same generated step over the rows of the slot-major array (see
 callables, for a System's midpoint batch of more than _FLOAT_ROWS rows
 (_batch_midpoint), and for the one rk4 step of the Henon landing in
 `analysis`.
-A midpoint row iterates until its own update converges, in a batch as
-alone; one that diverges or never converges is reported as an escape.
+Every fixed step, on floats, rows or arrays, is step(state, h). A
+midpoint row iterates until its own update is at most _MIDPOINT_TOL, in
+a batch as alone; one that diverges or is not converged after
+_MIDPOINT_MAX_ITER iterations is reported as an escape. No run takes
+more than _MAX_STEPS steps.
 
 Angular slots are wrapped only when states are stored, never inside a
 step, so the running state keeps a continuous (unwrapped) angle history.
@@ -64,16 +67,15 @@ class IntegratorConfig:
     h is the fixed step (rk4/midpoint) or the initial step (adaptive).
     The adaptive controller scales steps by 0.9 * norm^(-1/5), clamped to
     [0.2, 5] per step; the implicit midpoint solve iterates to an absolute
-    update of at most 1e-12, or midpoint_max_iter times.
+    update of at most _MIDPOINT_TOL, or _MIDPOINT_MAX_ITER times, and no
+    run takes more than _MAX_STEPS steps.
     """
 
     method: str = RK4
     h: float = 1e-2
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_steps: int = 5_000_000
     store_every: int = 1
-    midpoint_max_iter: int = 50
     escape_norm: float = 1e8
 
     def __post_init__(self):
@@ -120,7 +122,7 @@ class Trajectory:
         return "\n".join(rows) + "\n"
 
 
-FieldLike = Union[Callable[[np.ndarray], np.ndarray], object]
+FieldLike = Union[System, Callable[[np.ndarray], np.ndarray]]
 
 
 def _as_field_fn(field: FieldLike) -> Callable[[np.ndarray], np.ndarray]:
@@ -129,9 +131,7 @@ def _as_field_fn(field: FieldLike) -> Callable[[np.ndarray], np.ndarray]:
     if isinstance(field, System):
         return field.compiled("field")
     if not callable(field):
-        if not hasattr(field, "field"):
-            raise InvalidValue(f"not a field or system: {field!r}")
-        field = field.field
+        raise InvalidValue(f"not a field or system: {field!r}")
     return lambda s: np.asarray(field(s.T)).T
 
 
@@ -192,9 +192,11 @@ def _escaping_floats(trial, escape_norm):
 
 
 _MIDPOINT_TOL = 1e-12
+_MIDPOINT_MAX_ITER = 50
+_MAX_STEPS = 5_000_000
 
 
-def _batch_midpoint(f, s, h, max_iter):
+def _batch_midpoint(f, s, h):
     # solve m = s + (h/2) f(m) by fixed-point iteration, then reflect; rows
     # that refuse to converge turn non-finite, which the escape test catches.
     # A row stops at its own convergence, as alone (dsl's midpoint_step),
@@ -203,7 +205,7 @@ def _batch_midpoint(f, s, h, max_iter):
     hh = 0.5 * h
     m = s + hh * f(s)
     act = None  # the rows still iterating, None while that is all of them
-    for _ in range(max_iter):
+    for _ in range(_MIDPOINT_MAX_ITER):
         m_next = s + hh * f(m)
         # only finite rows whose update is above the tolerance go on
         delta = np.abs(m_next - m).max(axis=0)
@@ -240,7 +242,7 @@ def _compiled_for(field, state):
 
 
 def _fixed_step(field, cfg, state):
-    """The rk4 or midpoint step of cfg, as a function of (state, h), and
+    """The rk4 or midpoint step of cfg, a function step(state, h), and
     the state for _march to start from.
 
     A state with compiled code (see _compiled_for) steps through it and
@@ -252,18 +254,13 @@ def _fixed_step(field, cfg, state):
     code = _compiled_for(field, state)
     if code is not None:
         start = tuple(np.asarray(state, dtype=float).tolist())
-        if cfg.method == MIDPOINT:
-            return partial(code.midpoint_step, tol=_MIDPOINT_TOL,
-                           max_iter=cfg.midpoint_max_iter), start
-        return code.rk4_step, start
+        return (code.midpoint_step if cfg.method == MIDPOINT
+                else code.rk4_step), start
     if cfg.method == RK4 and isinstance(field, System) \
             and np.ndim(state) == 2 and len(state) == field.dim:
         return field.compiled("rk4_rows"), state
-    f = _as_field_fn(field)
-    if cfg.method == MIDPOINT:
-        return partial(_batch_midpoint, f,
-                       max_iter=cfg.midpoint_max_iter), state
-    return partial(_rk4_step, f), state
+    return partial(_batch_midpoint if cfg.method == MIDPOINT else _rk4_step,
+                   _as_field_fn(field)), state
 
 
 def _adaptive_step(field, cfg, state):
@@ -329,12 +326,12 @@ def _march(step, state, t_end, cfg, observe=None):
         span = abs(t_end)
     h = cfg.h
     # clipped past the cap, since int() refuses an infinite quotient
-    n_whole = int(min(span / h, cfg.max_steps + 1.0) + 1e-9)
+    n_whole = int(min(span / h, _MAX_STEPS + 1.0) + 1e-9)
     remainder = span - n_whole * h
     total = n_whole + (1 if remainder > 1e-12 else 0)
-    if total > cfg.max_steps:
+    if total > _MAX_STEPS:
         raise StepBudgetExceeded(
-            f"{span / h:.3g} steps needed, cap is {cfg.max_steps}")
+            f"{span / h:.3g} steps needed, cap is {_MAX_STEPS}")
 
     floats = isinstance(state, tuple)
     if not floats:
@@ -393,7 +390,7 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
     Raises NumericalBlowup when the state exceeds the escape norm or goes
     non-finite, a diverging midpoint iteration included (the exception
     carries the escape time and the partial trajectory as attributes),
-    and StepBudgetExceeded past max_steps.
+    and StepBudgetExceeded past _MAX_STEPS steps.
 
     Examples
     --------
@@ -445,9 +442,9 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
         with np.errstate(over="ignore", invalid="ignore"):
             k1 = rates(state)
             while abs(t) < span - 1e-12:
-                if n_steps + n_rejected > cfg.max_steps:
+                if n_steps + n_rejected > _MAX_STEPS:
                     raise StepBudgetExceeded(
-                        f"step cap {cfg.max_steps} reached at t={t:.6g}")
+                        f"step cap {_MAX_STEPS} reached at t={t:.6g}")
                 h = min(h, span - abs(t))
                 if h < 1e-14 * max(1.0, abs(t)):
                     raise ConvergenceFailure(
@@ -555,9 +552,10 @@ def integrate_batch(field: FieldLike, states0: np.ndarray,
     """Advance a whole batch (B, dim) to t_end with a shared fixed step.
 
     Supports the rk4 and midpoint methods (a shared adaptive controller
-    would let one stiff row throttle everyone). Escaping rows are frozen
-    at their last finite state rather than raising; a midpoint row whose
-    iteration diverges counts as escaped at that time.
+    would let one stiff row throttle everyone), and stores states through
+    its store_every argument, never config.store_every, which must be 1.
+    Escaping rows are frozen at their last finite state rather than
+    raising; a midpoint row whose iteration diverges counts as escaped.
 
     t_end is one time (either sign) for every row, or a (B,) array of
     nonzero, finite times of one magnitude whose signs give each row's
@@ -588,6 +586,9 @@ def integrate_batch(field: FieldLike, states0: np.ndarray,
     cfg = config or IntegratorConfig()
     if cfg.method == ADAPTIVE:
         raise InvalidValue("integrate_batch supports rk4 and midpoint")
+    if cfg.store_every != 1:
+        raise InvalidValue("integrate_batch stores through its store_every "
+                           "argument, not config.store_every")
     if store_every is not None and store_every < 1:
         raise InvalidValue("store_every must be >= 1")
     states = np.array(states0, dtype=float)

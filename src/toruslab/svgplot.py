@@ -25,6 +25,7 @@ def _escape(text: str) -> str:
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
            "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
 
+_TICKS = 6  # about this many ticks per axis
 # keep documents small on long runs; polylines carry no extra detail
 # beyond screen resolution anyway
 MAX_POINTS_PER_SERIES = 2000
@@ -44,8 +45,14 @@ class PlotStyle:
     stroke_width: float = 1.5
 
 
-def _nice_step(span: float, target: int) -> float:
-    raw = span / max(target, 1)
+def ticks(lo: float, hi: float) -> list[float]:
+    """Round tick positions covering [lo, hi], 1-2-5 spaced, about
+    _TICKS of them."""
+    if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
+        raise InvalidValue(f"bad tick range [{lo}, {hi}]")
+    if hi == lo:
+        return [lo]
+    raw = (hi - lo) / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     frac = raw / mag
     if frac <= 1.0:
@@ -56,16 +63,7 @@ def _nice_step(span: float, target: int) -> float:
         nice = 5.0
     else:
         nice = 10.0
-    return nice * mag
-
-
-def ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round tick positions covering [lo, hi], 1-2-5 spaced."""
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
-        raise InvalidValue(f"bad tick range [{lo}, {hi}]")
-    if hi == lo:
-        return [lo]
-    step = _nice_step(hi - lo, target)
+    step = nice * mag
     first = math.ceil(lo / step - 1e-9)
     last = math.floor(hi / step + 1e-9)
     return [round(k * step, 12) for k in range(first, last + 1)]
@@ -201,11 +199,11 @@ def plot_svg(series: Sequence[tuple[str, Sequence]],
     return "\n".join(parts) + "\n"
 
 
-def trajectory_series(traj, labels=None, unwrap: bool = True):
+def trajectory_series(traj, labels=None):
     """(label, (t, value)) pairs from a stored trajectory.
 
-    Angle columns are unwrapped by default so circulation shows as a
-    sloped line instead of sawtooth jumps.
+    Angle columns are unwrapped so circulation shows as a sloped line
+    instead of sawtooth jumps.
     """
     layout = traj.layout
     if labels is None:
@@ -214,7 +212,7 @@ def trajectory_series(traj, labels=None, unwrap: bool = True):
     for lab in labels:
         slot = layout.slot_of(lab)
         col = traj.states[:, slot]
-        if unwrap and slot in layout.angle_slots:
+        if slot in layout.angle_slots:
             col = np.unwrap(col)
         out.append((lab, np.stack([traj.times, col], axis=1)))
     return out

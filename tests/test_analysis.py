@@ -2,7 +2,8 @@ import concurrent.futures
 import json
 import math
 from concurrent.futures import Future
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,7 +49,6 @@ from toruslab.integrators import (
     integrate_variational,
 )
 from toruslab.phase import (
-    CoordinateLayout,
     MixedPoint,
     ModularDomain,
     torus_distance_batch,
@@ -254,24 +254,6 @@ class TestRecurrence:
             recurrence_gap(sys, p0, t_min=5.0, horizon=2.0)
 
 
-@dataclass(frozen=True)
-class _ShimSystem:
-    layout: CoordinateLayout
-    field: object
-
-
-def _drift_shim(rate):
-    # u, phi, x, y layout with phi advancing at a constant tiny rate
-    sys = make(HAM_UNIQUE, n=1, m=0)
-
-    def f(s):
-        r = np.zeros_like(s)
-        r[..., 1] = rate
-        return r
-
-    return _ShimSystem(layout=sys.layout, field=f)
-
-
 class TestPoincare:
     def test_canonical_orbit_is_a_fixed_point(self):
         sys = make(HAM_UNIQUE, n=1, m=0)
@@ -314,10 +296,21 @@ class TestPoincare:
                          small_point(sys))
 
     def test_tangent_crossing_detected(self):
-        shim = _drift_shim(5e-9)
-        p0 = MixedPoint.of(shim.layout, [0.0, -2e-11, 0.0, 0.0])
-        with pytest.raises(TangentCrossing):
-            poincare_map(shim, Section(slot=1, value=0.0), p0, horizon=1.0)
+        # phi_1 advances at the rotation frequency 5e-9, below the 1e-8
+        # at which a crossing counts as tangent
+        sys = build_control_system(omega=5e-9)
+        p0 = MixedPoint.of(sys.layout, [0.0, -2e-11, 0.0, 0.0])
+        with pytest.raises(TangentCrossing, match="angular rate 5e-09"):
+            poincare_map(sys, Section(slot=1, value=0.0), p0, horizon=1.0)
+
+    def test_only_a_system_accepted(self):
+        sys = make(HAM_UNIQUE, n=1, m=0)
+        p0 = torus_point(canonical_torus(sys), [0.0])
+        sec = Section(slot=sys.layout.slot_of("phi_1"), value=0.0)
+        for other in (sys.field, SimpleNamespace(layout=sys.layout,
+                                                 field=sys.field)):
+            with pytest.raises(InvalidValue, match="System"):
+                poincare_map(other, sec, p0)
 
     def test_linearization_matches_variational_matrix(self):
         # on the canonical orbit the tangent flow is the identity, so the

@@ -27,7 +27,6 @@ from toruslab.dsl import (
     eval_expr,
     format_hamiltonian_file,
     free_variables,
-    hamiltonian_text,
     hamiltonian_vector_field,
     parse,
     parse_hamiltonian_file,
@@ -56,6 +55,7 @@ from toruslab.systems import (
     SystemParams,
     build_control_system,
     build_system,
+    hamiltonian_text,
 )
 
 

@@ -163,6 +163,16 @@ class TestFixedStep:
         with pytest.raises(InvalidValue):
             integrate(quad_field, MixedPoint.of(SCALAR, [1.0]), 0.0)
 
+    def test_only_a_field_or_system_accepted(self):
+        # an object that merely carries a field is neither
+        shim = types.SimpleNamespace(field=quad_field)
+        p0 = MixedPoint.of(SCALAR, [0.1])
+        for method in ("rk4", "midpoint", "adaptive"):
+            with pytest.raises(InvalidValue, match="not a field or system"):
+                integrate(shim, p0, 1.0, IntegratorConfig(method=method))
+        with pytest.raises(InvalidValue, match="not a field or system"):
+            integrate_batch(shim, np.zeros((3, 1)), 1.0)
+
 
 class TestAdaptive:
     def test_tracks_quadratic_solution(self):
@@ -220,28 +230,32 @@ class TestMidpoint:
         assert np.max(np.abs(back.final_point.coords - p0.coords)) < 5e-12
 
     def test_unconverged_iteration_escapes_on_both_paths(self):
-        # two iterations cannot settle a step of 0.5 off the torus, so
-        # those rows turn non-finite; on the torus the first update is
-        # already exact
-        sys = ham(n=1, m=0)
-        rows = np.array([[0.0, 0.3, 0.0, 0.0], [0.1, 0.0, 0.1, 0.1],
-                         [0.02, 1.0, -0.05, 0.03], [0.3, 0.2, 0.2, -0.1]])
-        cfg = IntegratorConfig(method="midpoint", h=0.5,
-                               midpoint_max_iter=2)
-        assert integrate(sys, MixedPoint.of(sys.layout, rows[0]), 3.0,
-                         cfg).times[-1] == 3.0
-        # the System steps the rows on compiled floats, its raw numpy
-        # field steps the batch as one array
+        # with hh * nu = 1 each fixed-point iteration turns the error in
+        # (x, y) by a right angle without shrinking it, so rows off the
+        # torus never settle and turn non-finite at the iteration cap; on
+        # the torus the first update is already exact
+        sys = build_control_system(omega=1.0, nu=1.0)
+        rows = np.array([[0.0, 0.3, 0.0, 0.0], [0.1, 0.0, 0.1, 0.0],
+                         [0.02, 1.0, 0.0, -0.05], [0.3, 0.2, 0.2, -0.1]])
+        cfg = IntegratorConfig(method="midpoint", h=2.0)
+        assert integrate(sys, MixedPoint.of(sys.layout, rows[0]), 6.0,
+                         cfg).times[-1] == 6.0
+        # 3 rows of the System step on compiled floats; 12 rows, and any
+        # batch of its raw numpy field, step as one array
         for field in (sys, sys.field):
-            res = integrate_batch(field, rows, 3.0, cfg)
-            assert res.escaped.tolist() == [False, True, True, True]
-            assert not integrate_batch(
-                field, rows, 3.0, IntegratorConfig(method="midpoint", h=0.5)
-            ).escaped.any()
-            for row, t in zip(rows[1:], res.escape_times[1:]):
-                with pytest.raises(NumericalBlowup) as info:
-                    integrate(sys, MixedPoint.of(sys.layout, row), 3.0, cfg)
-                assert info.value.time == t == 0.5
+            for batch in (rows[:3], np.tile(rows, (3, 1))):
+                res = integrate_batch(field, batch, 6.0, cfg)
+                assert res.escaped.tolist() == [
+                    b.any() for b in batch[:, 2:] != 0.0]
+                assert (res.escape_times[res.escaped] == 2.0).all()
+                assert not integrate_batch(
+                    field, batch, 6.0,
+                    IntegratorConfig(method="midpoint", h=1.0)
+                ).escaped.any()
+        for row in rows[1:]:
+            with pytest.raises(NumericalBlowup) as info:
+                integrate(sys, MixedPoint.of(sys.layout, row), 6.0, cfg)
+            assert info.value.time == 2.0
 
     def test_divergent_iteration_reports_time(self):
         sys = ham(n=1, m=0)
@@ -275,10 +289,14 @@ class TestEscape:
         assert 1.3 < info.value.time < 1.7
 
     def test_step_budget_enforced(self):
+        # 1e7 steps of 1e-2 are past the cap of 5e6, which is checked
+        # before the first step: the field is never called
+        def never(s):
+            raise AssertionError("stepped")
+
         p0 = MixedPoint.of(SCALAR, [0.1])
         with pytest.raises(StepBudgetExceeded):
-            integrate(quad_field, p0, 1.0,
-                      IntegratorConfig(h=1e-2, max_steps=10))
+            integrate(never, p0, 1e5, IntegratorConfig(h=1e-2))
 
 
 # a single state of a System, and a System batch of at most 8 rows, step
@@ -425,6 +443,15 @@ class TestBatch:
             with pytest.raises(InvalidValue, match="store_every"):
                 integrate_batch(ham(), np.zeros((rows, 4)), 1.0,
                                 store_every=store_every)
+
+    def test_config_store_every_rejected(self):
+        # a batch stores through its own store_every argument; a config
+        # asking for storage would otherwise store nothing
+        cfg = IntegratorConfig(store_every=10)
+        for field, shape in ((ham(), (3, 4)), (ham(), (20, 4)),
+                             (quad_field, (3, 1))):
+            with pytest.raises(InvalidValue, match="store_every argument"):
+                integrate_batch(field, np.zeros(shape), 1.0, cfg)
 
     def test_empty_batch_marches_the_whole_grid(self):
         res = integrate_batch(ham(), np.zeros((0, 4)), 1.0,
