@@ -13,7 +13,6 @@ parameters, and each docstring states its own.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import os
@@ -59,6 +58,7 @@ from .systems import (
     CONTROL,
     System,
     TorusSpec,
+    _check_point,
     build_system,
     canonical_torus,
     isolation_domain,
@@ -68,33 +68,6 @@ from .systems import (
 )
 
 TWO_PI = 2.0 * math.pi
-
-
-def _report_json(claim, parameters, verdict, metrics, seed=None) -> str:
-    """The text of one report.json."""
-    return _json_text(_report_doc(claim, parameters, verdict, metrics, seed))
-
-
-def _report_doc(claim, parameters, verdict, metrics, seed=None) -> dict:
-    return {"claim": claim, "parameters": parameters, "verdict": verdict,
-            "metrics": metrics, "seed": seed}
-
-
-def _json_text(doc) -> str:
-    """The one JSON writer: sorted, indented, with a trailing newline, and
-    strict, so a number that is not finite is written as null."""
-    return json.dumps(_finite_or_null(doc), sort_keys=True, default=float,
-                      indent=2) + "\n"
-
-
-def _finite_or_null(obj):
-    if isinstance(obj, dict):
-        return {k: _finite_or_null(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(v) for v in obj]
-    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
-        return None
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +184,12 @@ class KroneckerReport:
     max_pinned_dev: float
     max_angle_dev: float
     tol: float
-    horizon: float
     n_starts: int
-    seed: int
 
     @property
     def passed(self) -> bool:
         return self.max_pinned_dev <= self.tol \
             and self.max_angle_dev <= self.tol
-
-    @property
-    def doc(self) -> dict:
-        return _report_doc(
-            "torus is invariant and carries linear angle flow",
-            {"horizon": self.horizon, "tol": self.tol,
-             "n_starts": self.n_starts},
-            "pass" if self.passed else "fail",
-            {"max_pinned_dev": self.max_pinned_dev,
-             "max_angle_dev": self.max_angle_dev},
-            self.seed)
 
 
 def verify_kronecker(sys: System, spec, horizon: float = 100.0,
@@ -281,7 +241,7 @@ def verify_kronecker(sys: System, spec, horizon: float = 100.0,
                                         initial=0.0)),
             max_angle_dev=float(np.max(dev[..., list(s.free_angles)],
                                        initial=0.0)),
-            tol=tol, horizon=horizon, n_starts=n_starts, seed=seed))
+            tol=tol, n_starts=n_starts))
     return reports[0] if single else reports
 
 
@@ -372,10 +332,9 @@ def _first_return(sys, section, state, horizon):
 
     state is the system state, or the state followed by a tangent matrix,
     which then flows along (see integrators._compiled_for). Returns the
-    raw state on the section and the crossing time. sys must be a System.
+    raw state on the section and the crossing time. sys must be a System
+    (see systems._check_point).
     """
-    if not isinstance(sys, System):
-        raise InvalidValue(f"return maps need a System, not {sys!r}")
     if not sys.layout.is_angle(section.slot):
         raise InvalidValue(
             f"slot {section.slot} is not angular in this layout")
@@ -436,6 +395,7 @@ def poincare_map(sys: System, section: Section, p0: MixedPoint,
     is set to its value exactly. A crossing with angular rate below 1e-8
     is TangentCrossing.
     """
+    _check_point(sys, p0)
     s, t = _first_return(sys, section, p0.coords, horizon)
     return PoincareResult(point=MixedPoint.of(sys.layout, s), time=t)
 
@@ -460,6 +420,7 @@ def poincare_linearization(sys: System, section: Section,
     layout order. p should be (numerically) a fixed point of the map,
     whose orbit must return within a horizon of 100.
     """
+    _check_point(sys, p)
     slots = [i for i in range(sys.layout.dim) if i != section.slot]
     _, DP = _return_jacobian(sys, section, p.coords, 100.0)
     return DP[np.ix_(slots, slots)]
@@ -486,14 +447,6 @@ class FixedPointResult:
     singular: bool
     message: str = ""
 
-    def to_json(self) -> str:
-        return _report_json(
-            "periodic-orbit search on one energy level",
-            {"iterations": self.iterations},
-            self.status,
-            {"residual": self.residual, "singular": self.singular,
-             "message": self.message})
-
 
 def find_fixed_point(sys: System, section: Section, guess: MixedPoint,
                      energy: float = 0.0) -> FixedPointResult:
@@ -512,6 +465,7 @@ def find_fixed_point(sys: System, section: Section, guess: MixedPoint,
     step halving, an orbit that escapes or does not return within a time
     of 50, or 50 iterations without convergence give 'not-found'.
     """
+    _check_point(sys, guess)
     if not sys.is_hamiltonian:
         raise NotHamiltonian("fixed-point search needs an energy level")
     if sys.params.n != 1:
@@ -800,10 +754,6 @@ class SurveyReport:
     list is the corroboration of uniqueness at this sampling scale.
     """
 
-    family: str
-    n_samples: int
-    seed: int
-    horizon: float
     gains: np.ndarray
     gaps: np.ndarray
     escaped: np.ndarray
@@ -816,26 +766,10 @@ class SurveyReport:
 
     def to_csv(self) -> str:
         rows = ["index,gain,gap,escaped,skipped"]
-        for i in range(self.n_samples):
+        for i in range(len(self.gains)):
             rows.append(f"{i},{self.gains[i]:.17g},{self.gaps[i]:.17g},"
                         f"{int(self.escaped[i])},{int(self.skipped[i])}")
         return "\n".join(rows) + "\n"
-
-    def to_json(self) -> str:
-        finite = self.gains[np.isfinite(self.gains) & ~self.skipped]
-        return _report_json(
-            "no recurrent orbit off the canonical torus in the box",
-            {"family": self.family, "samples": self.n_samples,
-             "horizon": self.horizon, "gain_tol": _GAIN_TOL,
-             "gap_tol": _GAP_TOL},
-            "corroborated" if self.n_candidates == 0
-            else f"{self.n_candidates} candidates need review",
-            {"candidates": self.n_candidates,
-             "escaped": int(self.escaped.sum()),
-             "skipped": int(self.skipped.sum()),
-             "min_offtorus_gain":
-                 float(finite.min()) if len(finite) else None},
-            self.seed)
 
 
 # numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 (a 128-bit
@@ -1089,7 +1023,5 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
         cands.append(SurveyCandidate(index=int(i), point=finals[i],
                                      gain=float(gains[i]),
                                      gap=float(gaps[i])))
-    return SurveyReport(family=sys.family, n_samples=samples, seed=seed,
-                        horizon=horizon, gains=gains, gaps=gaps,
-                        escaped=escaped, skipped=skipped,
-                        candidates=tuple(cands))
+    return SurveyReport(gains=gains, gaps=gaps, escaped=escaped,
+                        skipped=skipped, candidates=tuple(cands))

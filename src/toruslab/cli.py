@@ -5,7 +5,8 @@ verification checks, and writes CSV/JSON/SVG artifacts plus a run
 manifest into the output directory. Every check prints one verdict line;
 the exit code is 0 when all verdicts are PASS, 1 on any FAIL, and 2 on
 usage errors. One table, `_COMMANDS`, gives each subcommand its handler
-and flags; the parser is built from it once per process.
+and flags; the parser is built from it once per process. Every report
+comes from `_report_doc` and all JSON from `_json_text`.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    _GAIN_TOL,
+    _GAP_TOL,
     Section,
-    _json_text,
-    _report_json as _doc,
     bracket_matrix,
     circulation_period,
     find_fixed_point,
@@ -127,6 +128,30 @@ def _parse_count(value):
     return count
 
 
+def _json_text(doc) -> str:
+    """The one JSON writer: sorted, indented, with a trailing newline, and
+    strict, so a number that is not finite is written as null."""
+    return json.dumps(_finite_or_null(doc), sort_keys=True, default=float,
+                      indent=2) + "\n"
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _report_doc(claim, parameters, verdict, metrics, seed) -> dict:
+    """The one report document: the claim checked, the parameters it was
+    checked at, its verdict, the metrics behind it and the seed."""
+    return {"claim": claim, "parameters": parameters, "verdict": verdict,
+            "metrics": metrics, "seed": seed}
+
+
 class _Run:
     """Output directory plus a hash ledger of everything written."""
 
@@ -138,12 +163,15 @@ class _Run:
         (self.out / name).write_text(text)
         self.outputs[name] = hashlib.sha256(text.encode()).hexdigest()
 
-    def report(self, checks, claim, parameters, metrics, seed=None):
-        """Write report.json for a claim that passes when every check
-        does, and return each check's PASS or FAIL."""
-        verdict = "pass" if all(checks.values()) else "fail"
-        self.write("report.json",
-                   _doc(claim, parameters, verdict, metrics, seed))
+    def report(self, checks, claim, parameters, metrics, seed=None,
+               verdict=None):
+        """Write report.json for one claim and return each check's PASS or
+        FAIL. The verdict is the command's own text if it gives one, else
+        "pass" when every check passes and "fail" otherwise."""
+        if verdict is None:
+            verdict = "pass" if all(checks.values()) else "fail"
+        self.write("report.json", _json_text(
+            _report_doc(claim, parameters, verdict, metrics, seed)))
         return {name: "PASS" if passed else "FAIL"
                 for name, passed in checks.items()}
 
@@ -220,13 +248,11 @@ def _cmd_simulate(cfg, run):
                        PlotStyle(title=f"{sys_.family} trajectory")))
     metrics = {"t_final": float(traj.times[-1]), "n_steps": traj.n_steps,
                "escaped": escaped, "escape_time": escape_time}
-    run.write("report.json",
-              _doc("trajectory computed", _params(cfg), "completed",
-                   metrics))
     tail = (f"escaped at t={escape_time:.6g}" if escaped
             else f"reached t={traj.times[-1]:g}")
     print(f"simulate: {tail}, {traj.n_steps} steps")
-    return {"simulate": "PASS"}
+    return run.report({"simulate": True}, "trajectory computed",
+                      _params(cfg), metrics, verdict="completed")
 
 
 def _delta_label(sys_, spec):
@@ -250,7 +276,14 @@ def _cmd_verify_torus(cfg, run):
                                horizon=cfg["t"], tol=cfg["tol"],
                                seed=cfg["seed"],
                                config=IntegratorConfig(h=cfg["h"]))
-    run.write("report.json", _json_text([rep.doc for rep in reports]))
+    docs = [_report_doc("torus is invariant and carries linear angle flow",
+                        {"horizon": cfg["t"], "tol": cfg["tol"],
+                         "n_starts": rep.n_starts},
+                        "pass" if rep.passed else "fail",
+                        {"max_pinned_dev": rep.max_pinned_dev,
+                         "max_angle_dev": rep.max_angle_dev}, cfg["seed"])
+            for rep in reports]
+    run.write("report.json", _json_text(docs))
     return {f"torus[{label}]": "PASS" if rep.passed else "FAIL"
             for (label, _), rep in zip(specs, reports)}
 
@@ -370,7 +403,6 @@ def _cmd_fixedpoint(cfg, run):
     else:
         guess = MixedPoint.of(sys_.layout, np.zeros(sys_.dim))
     res = find_fixed_point(sys_, section, guess, energy=cfg["energy"])
-    run.write("report.json", res.to_json())
     where = ""
     if res.point is not None:
         coords = ", ".join(f"{lab}={res.point[lab]:.6g}"
@@ -379,7 +411,11 @@ def _cmd_fixedpoint(cfg, run):
     print(f"fixedpoint: {res.status}{where}, "
           f"residual {res.residual:.3e}"
           + (", singular linearization" if res.singular else ""))
-    return {"fixedpoint": "PASS" if res.status == "found" else "FAIL"}
+    return run.report({"fixedpoint": res.status == "found"},
+                      "periodic-orbit search on one energy level",
+                      {"iterations": res.iterations},
+                      {"residual": res.residual, "singular": res.singular,
+                       "message": res.message}, verdict=res.status)
 
 
 def _cmd_freq(cfg, run):
@@ -428,13 +464,21 @@ def _cmd_survey(cfg, run):
                             seed=cfg["seed"], horizon=cfg["horizon"],
                             jobs=jobs)
     run.write("survey.csv", rep.to_csv())
-    run.write("report.json", rep.to_json())
-    ok = rep.n_candidates == 0
-    print(f"survey: {rep.n_candidates} candidates from "
-          f"{cfg['samples']} samples "
-          f"({int(rep.escaped.sum())} escaped, "
-          f"{int(rep.skipped.sum())} skipped)")
-    return {"survey": "PASS" if ok else "FAIL"}
+    found = rep.n_candidates
+    escaped, skipped = int(rep.escaped.sum()), int(rep.skipped.sum())
+    print(f"survey: {found} candidates from {cfg['samples']} samples "
+          f"({escaped} escaped, {skipped} skipped)")
+    gains = rep.gains[np.isfinite(rep.gains) & ~rep.skipped]
+    return run.report(
+        {"survey": found == 0},
+        "no recurrent orbit off the canonical torus in the box",
+        {"family": sys_.family, "samples": cfg["samples"],
+         "horizon": cfg["horizon"], "gain_tol": _GAIN_TOL,
+         "gap_tol": _GAP_TOL},
+        {"candidates": found, "escaped": escaped, "skipped": skipped,
+         "min_offtorus_gain": float(gains.min()) if len(gains) else None},
+        cfg["seed"], verdict="corroborated" if found == 0
+        else f"{found} candidates need review")
 
 
 def _cmd_dsl(cfg, run):

@@ -41,7 +41,7 @@ from .errors import (
 from .integrators import (_DP_A, _DP_B4, _DP_B5, _MIDPOINT_MAX_ITER,
                           _MIDPOINT_TOL)
 from .phase import CoordinateLayout
-from .systems import _on_states
+from .systems import System, _on_states
 
 
 # ---------------------------------------------------------------------------
@@ -1314,11 +1314,11 @@ class CrossCheckReport:
 
 
 def _as_field(obj):
+    # a System, or a field callable that may carry a .layout
+    if isinstance(obj, System):
+        return obj.field, obj.layout
     if callable(obj):
         return obj, getattr(obj, "layout", None)
-    # a System-like object with .field and .layout
-    if hasattr(obj, "field") and hasattr(obj, "layout"):
-        return obj.field, obj.layout
     raise InvalidValue(f"not a field: {obj!r}")
 
 
@@ -1326,11 +1326,12 @@ def cross_check_fields(f1, f2, samples: int = 256, seed: int = 0
                        ) -> CrossCheckReport:
     """Compare two fields on seeded random states; report the worst slot.
 
-    At least one field must carry a layout, and layouts must agree on
-    dimension and labels; angle-slot sets may differ, so a compactified
-    field can be checked against its non-compact source and simply show a
-    nonzero deviation. Angular slots sample the full circle, real slots
-    the box [-1, 1].
+    Each field is a System or a callable on states (..., dim). At least
+    one must carry a layout, and layouts must agree on dimension and
+    labels; angle-slot sets may differ, so a compactified field can be
+    checked against its non-compact source and simply show a nonzero
+    deviation. Angular slots sample the full circle, real slots the box
+    [-1, 1].
     """
     fn1, lay1 = _as_field(f1)
     fn2, lay2 = _as_field(f2)

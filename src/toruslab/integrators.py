@@ -660,12 +660,9 @@ def integrate_variational(sys: System, p0: MixedPoint, t_end: float,
     rk4 steps; anything that is not a System raises InvalidValue. t_end
     must be positive; monodromy conventions assume forward time.
     """
-    if not isinstance(sys, System):
-        raise InvalidValue(f"integrate_variational needs a System, "
-                           f"not {sys!r}")
+    _check_point(sys, p0)
     if not t_end > 0:
         raise InvalidValue("t_end must be positive")
-    _check_point(sys, p0)
     cfg = config or IntegratorConfig(h=1e-2)
     dim = sys.dim
     z0 = np.concatenate([p0.coords, np.eye(dim).ravel()])

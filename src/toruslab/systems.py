@@ -431,6 +431,8 @@ def build_control_system(omega: float = 1.0, nu: float = 0.3) -> System:
 
 
 def _check_point(sys: System, p: MixedPoint) -> None:
+    if not isinstance(sys, System):
+        raise InvalidValue(f"expected a System, not {sys!r}")
     if p.layout.labels != sys.layout.labels \
             or p.layout.angle_slots != sys.layout.angle_slots:
         raise LayoutMismatch("point layout does not match system layout")

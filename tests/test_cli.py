@@ -4,12 +4,15 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import toruslab
 from toruslab import cli
+from toruslab.analysis import SurveyCandidate
 from toruslab.cli import _build_parser, _parse_angles, _parse_omega, main
 from toruslab.dsl import shipped_hamiltonians
 
@@ -450,6 +453,80 @@ class TestManifestAndReplay:
         assert main(["--replay", str(tampered)]) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == ["replay: output report.json differs"]
+
+
+class TestReports:
+    """Every report.json comes from one builder and one JSON writer; these
+    are the commands whose verdict is their own text, not pass/fail."""
+
+    @pytest.mark.parametrize("argv, code, verdict, parameters, metrics", [
+        (["simulate", "--system", "rev-compact", "--n", "1", "--l", "1",
+          "--t", "1"], 0, "completed",
+         {"system", "n", "m", "l", "nu", "seed", "t", "method", "h"},
+         {"t_final", "n_steps", "escaped", "escape_time"}),
+        (["fixedpoint", "--system", "ham-unique", "--n", "1",
+          "--energy", "0"], 0, "found", {"iterations"},
+         {"residual", "singular", "message"}),
+        (["fixedpoint", "--system", "ham-unique", "--n", "1",
+          "--energy", "0.01"], 1, "not-found", {"iterations"},
+         {"residual", "singular", "message"}),
+        (["survey", "--system", "rev-unique", "--n", "1", "--l", "1",
+          "--samples", "20", "--seed", "7", "--jobs", "1"], 0,
+         "corroborated",
+         {"family", "samples", "horizon", "gain_tol", "gap_tol"},
+         {"candidates", "escaped", "skipped", "min_offtorus_gain"}),
+    ], ids=["simulate", "fixedpoint-found", "fixedpoint-not-found",
+            "survey"])
+    def test_verdict_parameters_and_metrics(self, tmp_path, capsys, argv,
+                                            code, verdict, parameters,
+                                            metrics):
+        assert main(argv + ["--out", str(tmp_path)]) == code
+        out = capsys.readouterr().out
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert set(doc) == {"claim", "parameters", "verdict", "metrics",
+                            "seed"}
+        assert doc["verdict"] == verdict
+        assert set(doc["parameters"]) == parameters
+        assert set(doc["metrics"]) == metrics
+        if argv[0] == "fixedpoint":  # the verdict is the search's status
+            assert f"fixedpoint: {verdict}" in out
+            assert doc["seed"] is None
+        if argv[0] == "survey":
+            assert doc["parameters"]["gain_tol"] == 1e-8
+            assert doc["parameters"]["gap_tol"] == 1e-3
+            assert doc["parameters"]["samples"] == 20
+            assert doc["seed"] == 7
+
+    def test_survey_with_candidates_needs_review(self, tmp_path, capsys,
+                                                 monkeypatch):
+        real = cli.survey_uniqueness
+
+        def with_candidates(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            found = SurveyCandidate(index=0, point=np.zeros(4), gain=0.0,
+                                    gap=0.0)
+            return replace(rep, candidates=(found, found))
+
+        monkeypatch.setattr(cli, "survey_uniqueness", with_candidates)
+        assert main(["survey", "--system", "rev-unique", "--n", "1",
+                     "--l", "1", "--samples", "10", "--jobs", "1",
+                     "--out", str(tmp_path)]) == 1
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["verdict"] == "2 candidates need review"
+        assert doc["metrics"]["candidates"] == 2
+        assert "survey: FAIL" in capsys.readouterr().out
+
+
+def test_report_writes_a_number_that_is_not_finite_as_null():
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    text = cli._json_text(cli._report_doc(
+        "c", {"t": math.inf}, "fail",
+        {"devs": [1.0, np.float64(np.nan), (-math.inf,)]}, None))
+    doc = json.loads(text, parse_constant=refuse)
+    assert doc["parameters"] == {"t": None}
+    assert doc["metrics"] == {"devs": [1.0, None, [None]]}
 
 
 def test_import_loads_no_network_or_process_modules():

@@ -1,6 +1,7 @@
 import math
 import operator
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -354,6 +355,13 @@ def test_cross_check_distinguishes_unique_from_compact():
     b = build_system(SystemParams(HAM_COMPACT, n=1, m=0, omega=(1.0,)))
     report = cross_check_fields(a, b, samples=200, seed=3)
     assert report.max_abs_deviation > 1e-3
+
+
+def test_cross_check_takes_a_system_not_a_lookalike():
+    sys = build_system(SystemParams(HAM_UNIQUE, n=1, m=0, omega=(1.0,)))
+    lookalike = SimpleNamespace(field=sys.field, layout=sys.layout)
+    with pytest.raises(InvalidValue):
+        cross_check_fields(lookalike, sys)
 
 
 def test_cross_check_layout_mismatch():
