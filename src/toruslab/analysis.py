@@ -766,9 +766,12 @@ class SurveyReport:
 
     def to_csv(self) -> str:
         rows = ["index,gain,gap,escaped,skipped"]
-        for i in range(len(self.gains)):
-            rows.append(f"{i},{self.gains[i]:.17g},{self.gaps[i]:.17g},"
-                        f"{int(self.escaped[i])},{int(self.skipped[i])}")
+        # Python floats format as numpy's do, at a fraction of the cost
+        for i, (gain, gap, escaped, skipped) in enumerate(zip(
+                self.gains.tolist(), self.gaps.tolist(),
+                self.escaped.tolist(), self.skipped.tolist())):
+            rows.append(f"{i},{gain:.17g},{gap:.17g},"
+                        f"{int(escaped)},{int(skipped)}")
         return "\n".join(rows) + "\n"
 
 

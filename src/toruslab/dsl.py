@@ -681,7 +681,7 @@ class _Dag:
         return f"c{len(self.consts) - 1}"
 
     def emit(self, known, fresh, lines, indent, keep=None, outputs=None,
-             targets=None) -> dict[int, str]:
+             targets=None, inplace=False) -> dict[int, str]:
         """Append one assignment per operation that `known`, a map from
         nodes to code names, lets the code compute and does not already
         name; return the code name of every node named.
@@ -690,18 +690,28 @@ class _Dag:
         computed elsewhere, which are then not computed again. Given
         `keep`, the nodes the caller reads afterwards, every other
         temporary is deleted after its last use, so that a numpy array
-        frees its memory for the next one. Given `outputs` instead, an
+        frees its memory for the next one. With `inplace` as well, an
+        operation that reads such a temporary for the last time writes
+        its value into it instead, as its ufunc's positional out, and
+        allocates nothing. Only a temporary that reads a slot is written
+        into, since one of constants alone is a number; the slots must
+        be whole arrays, as in the rows code, not the numpy scalars of
+        `_numpy_function`'s code of one state. Given `outputs` instead, an
         operation that no output is and that the code reads once is
         written into its reader, in parentheses, and not assigned.
         Given `targets`, a map from nodes to the code of a numpy array,
-        each of those operations writes its value there (out=).
+        each of those operations writes its value there (out).
         """
         names = dict(known)
         todo, queued = [], set()
+        varies = set()  # the nodes that read a slot
         for k, node in enumerate(self.nodes):
             if node[0] == "const":  # bound by value, never printed
                 names.setdefault(k, f"c{node[1]}")
-            elif node[0] != "in" and k not in names and all(
+            elif node[0] == "in" or any(a in varies
+                                        for a in self.operands(k)):
+                varies.add(k)
+            if node[0] not in ("in", "const") and k not in names and all(
                     a in names or a in queued for a in self.operands(k)):
                 todo.append(k)
                 queued.add(k)
@@ -721,9 +731,17 @@ class _Dag:
             elif op == "^":  # a*a is the square numpy's ** 2 computes
                 args += [args[0]] if node[2] == 2 else [str(node[2])]
                 op = "*" if node[2] == 2 else "**"
+            dead = [] if keep is None else [
+                j for j in dict.fromkeys(self.operands(k))
+                if last[j] == k and j not in keep and j in queued]
             out = (targets or {}).get(k)
+            into = next((j for j in dead if j in varies), None) \
+                if inplace and out is None else None
+            if into is not None:
+                out = names[into]
+                dead.remove(into)
             if out is not None:
-                code = f"{_UFUNCS[op]}({', '.join(args)}, out={out})"
+                code = f"{_UFUNCS[op]}({', '.join(args)}, {out})"
             elif len(args) == 2:
                 code = f"{args[0]} {op} {args[1]}"
             elif op == "Neg":
@@ -733,13 +751,15 @@ class _Dag:
             if outputs is not None and reads[k] == 1 and k not in outputs:
                 names[k] = f"({code})"
                 continue
-            names[k] = f"v{next(fresh)}"
-            lines.append(f"{indent}{names[k]} = {code}")
-            if keep is not None:
-                dead = [names[j] for j in dict.fromkeys(self.operands(k))
-                        if last[j] == k and j not in keep and j in queued]
-                if dead:
-                    lines.append(f"{indent}del {', '.join(dead)}")
+            if into is not None:
+                names[k] = out
+                lines.append(f"{indent}{code}")
+            else:
+                names[k] = f"v{next(fresh)}"
+                lines.append(f"{indent}{names[k]} = {code}")
+            if dead:
+                lines.append(f"{indent}del "
+                             f"{', '.join(names[j] for j in dead)}")
         return names
 
 
@@ -975,12 +995,18 @@ def _rk4_rows(dag: _Dag, rates: list[int], dim: int) -> str:
     """Source of rk4_step(s, h) over a slot-major batch s (dim, rows).
 
     It gives integrators._rk4_step with the field of `_numpy_function`
-    bit for bit, less the work that `_Rk4Slots` finds repeated. Each
-    stage writes the moving slots' rates (out=) into the rows of one
-    (moving, rows) array, so their stage states and weighted sum cost a
-    few operations on whole arrays; every slot's next value is written
-    into one new (dim, rows) array, which is returned, and temporaries
-    are deleted after their last use.
+    bit for bit, less the work that `_Rk4Slots` finds repeated, and
+    never writes into s. Each stage writes the moving slots' rates into
+    the rows of one (moving, rows) array, so their stage states and
+    weighted sum cost a few operations on whole arrays; every slot's next
+    value is written into one new (dim, rows) array, which is returned.
+    Every ufunc that writes into an array takes it as its positional out.
+    An operation that reads a temporary computed in the same emission (a
+    stage, or the terms that stages 2-4 share) for the last time writes
+    its value into that temporary (see `_Dag.emit`), so a stage allocates
+    only where no such temporary is free; the rows of s, the stage
+    states, the shared terms handed on and the rates are never written.
+    h * 0.0 is computed once.
     """
     slots = _Rk4Slots.of(dag, rates)
     fresh = itertools.count()
@@ -1000,15 +1026,16 @@ def _rk4_rows(dag: _Dag, rates: list[int], dim: int) -> str:
         say(f"s{i} = s[{i}]")
         rows[i] = f"s{i}"
     zero = {}
+    if slots.zero:
+        say("hz = h * 0.0")
     for i in slots.zero:
-        code = f"_add({rows[i]}, h * 0.0, out=out[{i}])"
+        code = f"_add({rows[i]}, hz, out[{i}])"
         if i in slots.read:
             zero[i] = assign(code)
         else:
             say(code)
     for i in slots.const:
-        say(f"_add({rows[i]}, h * {dag.constant(slots.step[i])}, "
-            f"out=out[{i}])")
+        say(f"_add({rows[i]}, h * {dag.constant(slots.step[i])}, out[{i}])")
     half, full = ({i: assign(f"{rows[i]} + {scale} * {c}")
                    for i, c in slots.const.items() if i in slots.read}
                   for scale in ("hh", "h"))
@@ -1024,7 +1051,7 @@ def _rk4_rows(dag: _Dag, rates: list[int], dim: int) -> str:
         for p, i in enumerate(moving):
             targets.setdefault(rates[i], f"{k}[{p}]")
         names = dag.emit(known, fresh, lines, "    ", keep=set(rates),
-                         targets=targets)
+                         targets=targets, inplace=True)
         for p, i in enumerate(moving):
             r = rates[i]
             if targets[r] != f"{k}[{p}]" or r in known \
@@ -1040,30 +1067,31 @@ def _rk4_rows(dag: _Dag, rates: list[int], dim: int) -> str:
         a, b = pos[0], pos[-1] + 1
         sr = sg if (a, b) == (0, len(moving)) else assign(f"{sg}[{a}:{b}]")
         say(f"T = _multiply(K1[{a}:{b}], hh)")
-        say(f"_add({sr}, T, out=T)")
+        say(f"_add({sr}, T, T)")
         moved = {moving[p]: assign(f"T[{p - a}]") for p in pos}
     say("K2 = _empty_like(K1)")
-    shared = dag.emit(dag.at(zero), fresh, lines, "    ", keep=slots.handed)
+    shared = dag.emit(dag.at(zero), fresh, lines, "    ", keep=slots.handed,
+                      inplace=True)
     # stages 2-4; after 2 and 3, T moves to the next stage's states,
     # s + scale * the rates just written
     for scale, at in (("hh", half), ("h", half), (None, full)):
         stage({**shared, **dag.at({**zero, **at, **moved})}, "K2")
         if scale is not None:
             if pos:
-                say(f"_multiply(K2[{a}:{b}], {scale}, out=T)")
-                say(f"_add({sr}, T, out=T)")
-            say("_multiply(K2, 2.0, out=K2)")
-            say("_add(K1, K2, out=K1)")
-    say("_add(K1, K2, out=K1)")
+                say(f"_multiply(K2[{a}:{b}], {scale}, T)")
+                say(f"_add({sr}, T, T)")
+            say("_multiply(K2, 2.0, K2)")
+            say("_add(K1, K2, K1)")
+    say("_add(K1, K2, K1)")
     dead = [shared[k] for k in slots.handed] + list(moved.values()) \
         + (["T"] if pos else []) + ["K2"]
     say(f"del {', '.join(dead)}")
-    say("_divide(K1, 6.0, out=K1)")
-    say("_multiply(K1, h, out=K1)")
+    say("_divide(K1, 6.0, K1)")
+    say("_multiply(K1, h, K1)")
     if dense:
-        say(f"_add({sg}, K1, out=out[{lo}:{hi}])")
+        say(f"_add({sg}, K1, out[{lo}:{hi}])")
     else:
-        say(f"_add({sg}, K1, out=K1)")
+        say(f"_add({sg}, K1, K1)")
         say(f"out[{list(moving)}] = K1")
     return "\n".join(lines + ["    return out", ""])
 

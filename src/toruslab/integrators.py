@@ -116,7 +116,7 @@ class Trajectory:
         """Header 't,<labels>' then one row per stored step."""
         header = "t," + ",".join(self.layout.labels)
         rows = [header]
-        for t, row in zip(self.times, self.states):
+        for t, row in zip(self.times.tolist(), self.states.tolist()):
             rows.append(",".join([f"{t:.17g}"]
                                  + [f"{v:.17g}" for v in row]))
         return "\n".join(rows) + "\n"
@@ -179,9 +179,9 @@ def _dp54_step(f, s, k1, h):
 
 
 def _escaping(trial, escape_norm):
-    # one test per state, down the slots of a slot-major batch: inf, nan
-    # and |x| > escape_norm all fail the <=
-    return ~(np.abs(trial).max(axis=0) <= escape_norm)
+    # the test on one state (dim,); inf, nan and |x| > escape_norm all fail
+    # the <=. _march tests a batch down its slots in the same way
+    return not np.abs(trial).max() <= escape_norm
 
 
 def _escaping_floats(trial, escape_norm):
@@ -355,9 +355,12 @@ def _march(step, state, t_end, cfg, observe=None):
                     escape_times[()] = direction * elapsed
                     break  # cur is the last finite state
             else:
-                bad = _escaping(trial, cfg.escape_norm)
+                # three calls when no row escapes, as nearly always; a nan
+                # makes the max nan, which fails the <= as inf does
+                top = np.abs(trial).max(axis=0)
                 dropped = None
-                if bad.any():
+                if not top.max(initial=0.0) <= cfg.escape_norm:
+                    bad = ~(top <= cfg.escape_norm)
                     keep = ~bad
                     rows = np.flatnonzero(bad) if live is None else live[bad]
                     frozen = cur[:, bad]
@@ -503,9 +506,10 @@ class BatchResult:
 
 # A System batch of 1 to _FLOAT_ROWS rows marches row by row on the
 # compiled float steps. Per step on ham-unique, ham-compact and rev-compact
-# (n = m = 1, 2 shared cores), the float rk4 step costs 1-7 us a row and
-# the generated rows step a near-flat 25-155 us at 2-16 rows, so the float
-# path is the cheaper at every size there; the two meet at 24-32 rows.
+# (n = m = 1, 2 shared cores), the float rk4 step costs 1-4 us a row and
+# the generated rows step a near-flat 21-24, 42-47 and 66-74 us at 2-32
+# rows, so the float path is the cheaper up to 16 rows; the two meet at
+# 24-32 rows.
 # For midpoint, float steps cost 3-9 us a row against 36-215 us for
 # _batch_midpoint, and meet it at 16-32 rows.
 _FLOAT_ROWS = 8

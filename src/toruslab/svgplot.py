@@ -164,7 +164,7 @@ def plot_svg(series: Sequence[tuple[str, Sequence]],
     for i, (label, arr) in enumerate(data):
         color = PALETTE[i % len(PALETTE)]
         pix = to_px(_thin(arr))
-        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pix)
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pix.tolist())
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="{style.stroke_width}" '
                      f'points="{coords}"/>')

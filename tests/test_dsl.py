@@ -526,16 +526,18 @@ def test_rk4_step_shares_the_terms_of_first_integrals(sys, sin, trig):
         assert new.startswith("return (s0 + h * c")
         [line] = [ln for ln in sys.compiled("rk4_rows").source.splitlines()
                   if "s0" in ln or "s[0]" in ln]
-        assert re.fullmatch(r"\s*_add\(s\[0\], h \* c\d+, out=out\[0\]\)",
+        assert re.fullmatch(r"\s*_add\(s\[0\], h \* c\d+, out\[0\]\)",
                             line)
 
 
 def test_rows_step_repeats_the_numpy_step_on_any_rates():
     # moving slots 1, 3, 4, 5 are not adjacent; their rates include a bare
-    # slot, a repeated rate and one that reads a zero-rate slot alone
+    # slot, a repeated rate and one that reads a zero-rate slot alone,
+    # after a term of constants alone (a number, not an array to write to)
     names = ("a", "b", "c", "d", "e", "f")
     rates = [parse(text) for text in
-             ("0", "b*c + sin(a)", "2.5", "a", "b*c + sin(a)", "sin(a)^2")]
+             ("0", "b*c + sin(a)", "2.5", "a", "b*c + sin(a)",
+              "cos(0.5)*sin(a)^2")]
     step = dsl.compile_rows(rates, names)
     field = compile_numpy(rates, names)
     floats = compile_rates(rates, names, functions=("rk4_step",))
@@ -548,6 +550,33 @@ def test_rows_step_repeats_the_numpy_step_on_any_rates():
         for row, col in zip(got.T, s.T):
             new = np.array(floats.rk4_step(tuple(col.tolist()), h))
             assert np.array_equal(new.view(np.int64), row.view(np.int64))
+
+
+def _rows_systems():
+    for family in (HAM_UNIQUE, HAM_COMPACT, REV_UNIQUE, REV_COMPACT):
+        for n in (1, 2):
+            l = None if family in (HAM_UNIQUE, HAM_COMPACT) else 1
+            yield pytest.param(build_system(SystemParams(
+                family, n=n, m=1, l=l, omega=(1.0, math.sqrt(2.0))[:n])),
+                id=f"{family}-n{n}")
+    yield pytest.param(build_control_system(), id="control")
+
+
+@pytest.mark.parametrize("rows", [9, 100])
+@pytest.mark.parametrize("sys", list(_rows_systems()))
+def test_rows_step_never_writes_into_its_input(sys, rows):
+    # the step writes into temporaries of its own; a write into s or a
+    # view of it raises on a read-only s, and one into a term that a
+    # later stage reads changes the bits
+    step = sys.compiled("rk4_rows")
+    rng = np.random.default_rng(rows)
+    s = rng.uniform(-1.0, 1.0, (sys.dim, rows))
+    s.setflags(write=False)
+    signed = np.where(rng.uniform(size=rows) < 0.5, -1e-2, 1e-2)
+    for h in (1e-2, -1e-2, signed):
+        want = _rk4_step(sys.compiled("field"), s, h)
+        got = step(s, h)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_tangent_slots_cannot_meet_a_source_name():

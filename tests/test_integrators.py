@@ -475,6 +475,33 @@ class TestBatch:
             assert 1.3 < res.escape_times[0] < 1.7
             assert np.isnan(res.escape_times[1:]).all()
 
+    def test_nan_rows_escape_as_they_would_alone(self):
+        # slots (x, a, b, y, z): the clock x' = 1 passes a row's own a
+        # inside some step, where y' = sqrt(a - x) turns nan, never inf;
+        # z' = b takes the one row with b = 1e9 past the escape norm
+        def field(s):
+            x, a, b = s[..., 0], s[..., 1], s[..., 2]
+            zero = np.zeros_like(x)
+            return np.stack([zero + 1.0, zero, zero, np.sqrt(a - x), b],
+                            axis=-1)
+
+        a = [0.05, 0.3, 5.0, 0.3, 0.123, 5.0, 0.555, 5.0, 0.9, 5.0]
+        b = [0.0] * 7 + [1e9] + [0.0] * 2
+        states = np.zeros((len(a), 5))
+        states[:, 1], states[:, 2] = a, b
+        cfg = IntegratorConfig(h=1e-2)
+        res = integrate_batch(field, states, 1.0, cfg)
+        alone = [_march(*_fixed_step(field, cfg, row), 1.0, cfg)
+                 for row in states]
+        assert res.escaped.tolist() == [x < 1.0 or y > 0.0
+                                        for x, y in zip(a, b)]
+        assert len(set(res.escape_times[res.escaped].tolist())) == 6
+        for i, (final, escaped, escape_time, _) in enumerate(alone):
+            assert res.escaped[i] == escaped
+            assert same_bits(res.escape_times[i], escape_time)
+            assert same_bits(res.final[i], final)
+        assert np.isfinite(res.final).all()
+
     def test_row_results_do_not_depend_on_the_batch(self):
         # rows leave the batch at their own steps, and a midpoint row
         # stops iterating at its own convergence; the rows that remain
