@@ -36,6 +36,7 @@ from .dsl import _numpy_sum
 from .integrators import (
     IntegratorConfig,
     Trajectory,
+    _CSV_BLOCK,
     _compiled_for,
     _fixed_step,
     _march,
@@ -766,12 +767,16 @@ class SurveyReport:
 
     def to_csv(self) -> str:
         rows = ["index,gain,gap,escaped,skipped"]
-        # Python floats format as numpy's do, at a fraction of the cost
-        for i, (gain, gap, escaped, skipped) in enumerate(zip(
-                self.gains.tolist(), self.gaps.tolist(),
-                self.escaped.tolist(), self.skipped.tolist())):
-            rows.append(f"{i},{gain:.17g},{gap:.17g},"
-                        f"{int(escaped)},{int(skipped)}")
+        # Python floats format as numpy's do, at a fraction of the cost;
+        # a block at a time, so that no whole column is held as a list
+        for a in range(0, len(self.gains), _CSV_BLOCK):
+            block = slice(a, a + _CSV_BLOCK)
+            for i, gain, gap, escaped, skipped in zip(
+                    range(a, a + _CSV_BLOCK), self.gains[block].tolist(),
+                    self.gaps[block].tolist(), self.escaped[block].tolist(),
+                    self.skipped[block].tolist()):
+                rows.append(f"{i},{gain:.17g},{gap:.17g},"
+                            f"{int(escaped)},{int(skipped)}")
         return "\n".join(rows) + "\n"
 
 
