@@ -515,7 +515,7 @@ class BatchResult:
 # A System batch of 1 to _FLOAT_ROWS rows marches row by row on the
 # compiled float steps. Per step on ham-unique, ham-compact and rev-compact
 # (n = m = 1, 2 shared cores), the float rk4 step costs 1-4 us a row and
-# the generated rows step a near-flat 21-24, 42-47 and 66-74 us at 2-32
+# the generated rows step a near-flat 42-47, 66-74 and 21-24 us at 2-32
 # rows, so the float path is the cheaper up to 16 rows; the two meet at
 # 24-32 rows.
 # For midpoint, float steps cost 3-9 us a row against 36-215 us for
