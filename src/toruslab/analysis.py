@@ -751,14 +751,19 @@ class SurveyCandidate:
 class SurveyReport:
     """Per-sample escape-certificate gains and recurrence gaps.
 
-    candidates lists the samples that defeated both thresholds; an empty
-    list is the corroboration of uniqueness at this sampling scale.
+    retired marks the rows of a compact family that left the isolation
+    domain, exit_t the time of the first step outside it (nan for every
+    other row). candidates lists the samples that defeated both
+    thresholds; an empty list is the corroboration of uniqueness at this
+    sampling scale.
     """
 
     gains: np.ndarray
     gaps: np.ndarray
     escaped: np.ndarray
     skipped: np.ndarray
+    retired: np.ndarray
+    exit_t: np.ndarray
     candidates: tuple[SurveyCandidate, ...]
 
     @property
@@ -766,17 +771,20 @@ class SurveyReport:
         return len(self.candidates)
 
     def to_csv(self) -> str:
-        rows = ["index,gain,gap,escaped,skipped"]
+        rows = ["index,gain,gap,escaped,skipped,retired,exit_t"]
         # Python floats format as numpy's do, at a fraction of the cost;
         # a block at a time, so that no whole column is held as a list
         for a in range(0, len(self.gains), _CSV_BLOCK):
             block = slice(a, a + _CSV_BLOCK)
-            for i, gain, gap, escaped, skipped in zip(
+            for i, gain, gap, escaped, skipped, retired, exit_t in zip(
                     range(a, a + _CSV_BLOCK), self.gains[block].tolist(),
                     self.gaps[block].tolist(), self.escaped[block].tolist(),
-                    self.skipped[block].tolist()):
+                    self.skipped[block].tolist(),
+                    self.retired[block].tolist(),
+                    self.exit_t[block].tolist()):
                 rows.append(f"{i},{gain:.17g},{gap:.17g},"
-                            f"{int(escaped)},{int(skipped)}")
+                            f"{int(escaped)},{int(skipped)},"
+                            f"{int(retired)},{exit_t:.17g}")
         return "\n".join(rows) + "\n"
 
 
@@ -900,6 +908,37 @@ def _sample_box(layout: CoordinateLayout, domain: ModularDomain,
     return samples if isinstance(index, range) else samples[0]
 
 
+def _domain_exit(sys, box):
+    """The survey's retire test for _march: None for a family without an
+    isolation domain, else a function of the live rows (dim, rows) that
+    gives None or the mask of rows outside the open domain.
+
+    Only the slots whose interval is narrower than a whole circle can be
+    left (x and p on ham-compact, none on rev-compact). They are tested
+    unwrapped: a row starts inside and moves about 1e-2 a step, so it
+    crosses the boundary before it could wrap back in. The domain is
+    read modulo 2*pi, so its copy that holds the sample box (the
+    intervals box) is the one tested.
+    """
+    if not sys.is_compact:
+        return None
+    iv = isolation_domain(sys).intervals
+    slots = [s for s, b in enumerate(iv)
+             if b is not None and b[1] - b[0] < TWO_PI]
+    if not slots:
+        return None
+    shift = [TWO_PI * round((sum(box[s]) - sum(iv[s])) / (2 * TWO_PI))
+             for s in slots]
+    lows = np.array([[iv[s][0] + d] for s, d in zip(slots, shift)])
+    highs = np.array([[iv[s][1] + d] for s, d in zip(slots, shift)])
+
+    def outside(zk):
+        w = zk[slots]
+        out = ((w <= lows) | (w >= highs)).any(axis=0)  # nan stays inside
+        return out if out.any() else None
+    return outside
+
+
 def _survey_block(params_json: str, intervals, seed: int, start: int,
                   stop: int, horizon: float):
     sys = build_system(params_from_json(params_json))
@@ -917,9 +956,11 @@ def _survey_block(params_json: str, intervals, seed: int, start: int,
 
     run = np.flatnonzero(~skipped)
     escaped = np.zeros(nb, dtype=bool)
-    # the closest squared return of each marched row, rooted at the end;
-    # origin, slot-major as the march, and gap2 follow its live rows
+    # the closest squared return of each marched row, rooted at the end,
+    # and the time it was dropped; origin, slot-major as the march, and
+    # gap2 follow its live rows
     run_gap2 = np.full(len(run), math.inf)
+    run_exit = np.full(len(run), math.nan)
     origin, gap2 = np.ascontiguousarray(states[run].T), run_gap2
 
     def track_gaps(k, t, zk, live, dropped):
@@ -927,6 +968,7 @@ def _survey_block(params_json: str, intervals, seed: int, start: int,
         if dropped is not None:
             rows, _, keep = dropped
             run_gap2[rows] = gap2[~keep]
+            run_exit[rows] = t
             origin, gap2 = origin[:, keep], gap2[keep]
         if t >= _T_MIN:
             # torus_distance_batch squared, its sum down the slots in the
@@ -938,20 +980,24 @@ def _survey_block(params_json: str, intervals, seed: int, start: int,
     z = states.copy()
     final, escaped[run], _, _ = _march(
         *_fixed_step(sys, _SURVEY_STEP, origin), horizon, _SURVEY_STEP,
-        track_gaps)
+        track_gaps, _domain_exit(sys, intervals))
     z[run] = final.T
-    run_gap2[~escaped[run]] = gap2
+    run_gap2[np.isnan(run_exit)] = gap2
     gaps = np.full(nb, math.inf)
     gaps[run] = np.sqrt(run_gap2)
+    # a dropped row that did not escape left the domain
+    exit_t = np.full(nb, math.nan)
+    exit_t[run] = np.where(escaped[run], math.nan, run_exit)
+    retired = ~np.isnan(exit_t)
     # the gain is the certificate's change: rk4 advances y + sum(q) by the
     # same combination of stage rates as it would an extra slot holding
     # the certificate's rate, so no such slot is needed
     gains = _certificate(sys, z) - _certificate(sys, states)
-    gains[escaped] = math.inf
+    gains[escaped | retired] = math.inf
     gains[skipped] = np.nan
     gaps[skipped] = np.nan
     final = wrap_angles(z, layout.angle_mask)
-    return gains, gaps, escaped, skipped, final
+    return gains, gaps, escaped, skipped, retired, exit_t, final
 
 
 def _certificate(sys, states):
@@ -976,6 +1022,15 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
     For the compact families the box must lie inside isolation_domain,
     where the certificate is one-signed; for the unbounded families any
     bounded box is admissible because the certificate identity is global.
+    A compact family's claim is isolation: its torus is the only
+    invariant torus inside that open domain. A row is therefore retired
+    at the first step that lands outside it, wherever the box lies: an
+    orbit that leaves the domain cannot lie on a torus inside it, so it
+    is refuted there, as an escape refutes an orbit of the unbounded
+    families. Like an escaped row it stops marching, is never a
+    candidate and gets an infinite gain; its gap is the closest return
+    before its exit. The gain test thus runs only on rows that stayed in
+    the domain, where the certificate is one-signed.
     """
     if sys.family == CONTROL:
         raise InvalidParams("the control fixture makes no uniqueness claim")
@@ -1018,18 +1073,16 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
                     for a, b in spans]
             blocks = [f.result() for f in futs]
 
-    gains = np.concatenate([b[0] for b in blocks])
-    gaps = np.concatenate([b[1] for b in blocks])
-    escaped = np.concatenate([b[2] for b in blocks])
-    skipped = np.concatenate([b[3] for b in blocks])
-    finals = np.concatenate([b[4] for b in blocks])
+    gains, gaps, escaped, skipped, retired, exit_t, finals = (
+        np.concatenate(parts) for parts in zip(*blocks))
 
     cands = []
-    flag = (~skipped) & (~escaped) & (gains <= _GAIN_TOL) \
+    flag = (~skipped) & (~escaped) & (~retired) & (gains <= _GAIN_TOL) \
         & (gaps < _GAP_TOL)
     for i in np.flatnonzero(flag):
         cands.append(SurveyCandidate(index=int(i), point=finals[i],
                                      gain=float(gains[i]),
                                      gap=float(gaps[i])))
     return SurveyReport(gains=gains, gaps=gaps, escaped=escaped,
-                        skipped=skipped, candidates=tuple(cands))
+                        skipped=skipped, retired=retired, exit_t=exit_t,
+                        candidates=tuple(cands))

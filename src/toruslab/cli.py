@@ -47,6 +47,7 @@ from .dsl import (
     free_variables,
     hamiltonian_vector_field,
     parse_hamiltonian_file,
+    prove_reversibility,
 )
 from .errors import (
     DslError,
@@ -334,11 +335,15 @@ def _cmd_verify_reversibility(cfg, run):
     pts = cfg["scale"] * rng.uniform(-1.0, 1.0, (cfg["points"], sys_.dim))
     devs = reversibility_deviations(sys_, pts, cfg["t"])
     worst = float(devs.max())
+    broken = prove_reversibility(sys_)
     print(f"reversibility: max deviation {worst:.3e} "
           f"over {cfg['points']} points, t={cfg['t']:g}")
     return run.report({"reversibility": worst <= cfg["tol"]},
                       "involution conjugates the flow to its reverse",
-                      _params(cfg), {"max_deviation": worst}, cfg["seed"])
+                      _params(cfg), {"max_deviation": worst,
+                                     "parity_proved": broken is None,
+                                     "parity_breaks_at": broken},
+                      cfg["seed"])
 
 
 def _cmd_verify_rank(cfg, run):
@@ -465,9 +470,11 @@ def _cmd_survey(cfg, run):
                             jobs=jobs)
     run.write("survey.csv", rep.to_csv())
     found = rep.n_candidates
-    escaped, skipped = int(rep.escaped.sum()), int(rep.skipped.sum())
+    escaped, retired, skipped = (int(rep.escaped.sum()),
+                                 int(rep.retired.sum()),
+                                 int(rep.skipped.sum()))
     print(f"survey: {found} candidates from {cfg['samples']} samples "
-          f"({escaped} escaped, {skipped} skipped)")
+          f"({escaped} escaped, {retired} retired, {skipped} skipped)")
     gains = rep.gains[np.isfinite(rep.gains) & ~rep.skipped]
     return run.report(
         {"survey": found == 0},
@@ -475,7 +482,8 @@ def _cmd_survey(cfg, run):
         {"family": sys_.family, "samples": cfg["samples"],
          "horizon": cfg["horizon"], "gain_tol": _GAIN_TOL,
          "gap_tol": _GAP_TOL},
-        {"candidates": found, "escaped": escaped, "skipped": skipped,
+        {"candidates": found, "escaped": escaped, "retired": retired,
+         "skipped": skipped,
          "min_offtorus_gain": float(gains.min()) if len(gains) else None},
         cfg["seed"], verdict="corroborated" if found == 0
         else f"{found} candidates need review")

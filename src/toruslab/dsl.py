@@ -1330,6 +1330,60 @@ def compile_system(kind: str, source, integrals: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
+# reversibility from the rate texts
+
+
+_ZERO = "zero"  # the constant 0, even and odd at once
+
+
+def _parity(e: Expr, odd: frozenset):
+    """The parity of e when the variables named in odd change sign: 0
+    even, 1 odd, _ZERO for the constant 0, None when e has neither."""
+    if isinstance(e, Const):
+        return _ZERO if e.value == 0.0 else 0
+    if isinstance(e, Var):
+        return int(e.name in odd)
+    if isinstance(e, (Neg, Sin)):
+        return _parity(e.child, odd)
+    if isinstance(e, Cos):
+        return None if _parity(e.child, odd) is None else 0
+    if isinstance(e, PowInt):
+        a = _parity(e.base, odd)
+        return a if a in (None, _ZERO) or e.exponent % 2 else 0
+    a, b = _parity(e.left, odd), _parity(e.right, odd)
+    if isinstance(e, (Mul, Div)):
+        return None if None in (a, b) else _ZERO if _ZERO in (a, b) \
+            else a ^ b
+    # + and - need equal parities; the constant 0 takes the other's
+    return b if a == _ZERO else a if b in (_ZERO, a) else None
+
+
+def prove_reversibility(sys: System) -> Optional[str]:
+    """Prove from the rate texts that the involution G reverses the flow.
+
+    G flips the sign of some slots, so f(Gx) = -G f(x) holds when the
+    rate of every fixed slot is odd and the rate of every flipped slot
+    is even under that flip. The parity of each rate is read off its
+    expression tree: a variable is odd when G flips it, * and / combine
+    parities by xor, + and - need equal ones, sin keeps its argument's
+    parity, cos is even and a power keeps its base's parity for an odd
+    exponent. Rounding commutes with a change of sign, so the proof
+    covers the computed rates too, with a sine that is odd in floating
+    point. Returns None when proved, else the label of the first rate
+    whose parity breaks. A rate can be reversible and still fail this
+    structural test, so a failure disproves nothing.
+    """
+    labels = sys.layout.labels
+    rates, _ = _source_exprs(sys.rates_source, labels)
+    odd = frozenset(lab for lab, g in zip(labels, sys.involution_signs)
+                    if g < 0)
+    for label, rate in zip(labels, rates):
+        if _parity(rate, odd) not in (_ZERO, int(label not in odd)):
+            return label
+    return None
+
+
+# ---------------------------------------------------------------------------
 # field cross-checking
 
 

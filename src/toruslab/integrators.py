@@ -7,8 +7,8 @@ stepping loop, `_march`, serves every fixed-step path: it lands exactly
 on the end time, freezes escaping rows instead of raising, and hands
 each step to an observer that stores, measures or stops; the adaptive
 loop of `integrate` is the only other. A batch marches only its live
-rows: an escaping row is written out once and dropped, and the observer
-sees the live rows, never the full state. The rows of a batch may run
+rows: an escaping row, or one its caller retires, is written out once
+and dropped, and the observer sees the live rows, never the full state. The rows of a batch may run
 in both directions of time at once: given one signed end time per row,
 all of one magnitude, they share one step grid, and each steps with a
 signed h of its own, which drops with the row when it escapes.
@@ -297,7 +297,7 @@ def _adaptive_step(field, cfg, state):
     return step, f, np.array(state, dtype=float)
 
 
-def _march(step, state, t_end, cfg, observe=None):
+def _march(step, state, t_end, cfg, observe=None, retire=None):
     """Advance state, shape (dim,) or slot-major (dim, rows), to t_end in
     fixed steps.
 
@@ -315,14 +315,23 @@ def _march(step, state, t_end, cfg, observe=None):
     A batch, copied to C order, steps only its live rows, kept dense as
     the columns of cur: a row that escapes is written to the full state
     once, at its last finite state, and dropped, from the step vector as
-    from cur. observe(k, t, cur, live, dropped), called after each step,
-    sees the live rows cur (dim, live rows), their batch indices live
-    (None while cur is the whole batch) and dropped, None or (indices,
-    last finite states (dim, rows), keep) of the rows that escaped at
-    this step, keep marking the previous cur's rows still live. A single
-    state is observed with live and dropped None; its escape ends the
-    march without a call. The march ends when no row is left or when
-    observe returns true.
+    from cur. retire, if given, is called on each step's result for the
+    live rows (dim, live rows) and returns None or a mask of rows to
+    retire: such a row leaves at that step exactly as an escaping row
+    does, at its state before the step, but is not marked escaped. The
+    survey retires the rows that leave the domain of its certificate: an
+    orbit outside the certified neighbourhood cannot lie on a torus
+    inside it, so it is refuted there as an escaping orbit is. Without
+    retire the loop makes no call for it.
+
+    observe(k, t, cur, live, dropped), called after each step, sees the
+    live rows cur (dim, live rows), their batch indices live (None while
+    cur is the whole batch) and dropped, None or (indices, last states
+    (dim, rows), keep) of the rows that escaped or were retired at this
+    step, keep marking the previous cur's rows still live. A single
+    state is observed with live and dropped None, and is never retired;
+    its escape ends the march without a call. The march ends when no row
+    is left or when observe returns true.
     """
     if np.ndim(t_end):
         direction = np.sign(t_end)
@@ -366,19 +375,24 @@ def _march(step, state, t_end, cfg, observe=None):
                 # three calls when no row escapes, as nearly always; a nan
                 # makes the max nan, which fails the <= as inf does
                 top = np.abs(trial).max(axis=0)
-                dropped = None
+                dropped = bad = None
+                out = None if retire is None else retire(trial)
                 if not top.max(initial=0.0) <= cfg.escape_norm:
                     bad = ~(top <= cfg.escape_norm)
-                    keep = ~bad
-                    rows = np.flatnonzero(bad) if live is None else live[bad]
-                    frozen = cur[:, bad]
+                    out = bad if out is None else out | bad
+                if out is not None:  # escapes and retirements leave alike
+                    keep = ~out
+                    rows = np.flatnonzero(out) if live is None else live[out]
+                    frozen = cur[:, out]
                     state[:, rows] = frozen
-                    escaped[rows] = True
+                    if bad is not None:
+                        gone = rows if out is bad else rows[bad[out]]
+                        escaped[gone] = True
+                        escape_times[gone] = (
+                            direction[bad] if np.ndim(direction)
+                            else direction) * elapsed
                     if np.ndim(direction):
-                        escape_times[rows] = direction[bad] * elapsed
                         direction, h_k = direction[keep], h_k[keep]
-                    else:
-                        escape_times[rows] = direction * elapsed
                     live = np.flatnonzero(keep) if live is None else live[keep]
                     trial = trial[:, keep]
                     dropped = (rows, frozen, keep)

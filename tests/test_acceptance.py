@@ -41,6 +41,7 @@ from toruslab.dsl import (
     eval_expr,
     hamiltonian_vector_field,
     parse_hamiltonian_file,
+    prove_reversibility,
     shipped_hamiltonians,
 )
 from toruslab.integrators import IntegratorConfig, integrate, integrate_batch
@@ -284,16 +285,21 @@ def test_acceptance_08_uniqueness_surveys(capsys):
 def test_acceptance_09_reversibility_conjugacy(capsys):
     t0 = time.perf_counter()
     worst = 0.0
+    broken = {}
     for family in ALL_FAMILIES:
         sys_ = _sys(family, n=1, m=1)
         rng = np.random.default_rng(11)
         pts = 0.05 * rng.uniform(-1.0, 1.0, (100, sys_.dim))
         devs = reversibility_deviations(sys_, pts, 5.0)
         worst = max(worst, float(devs.max()))
+        # the parity of the rate texts proves what the march samples
+        broken[family] = prove_reversibility(sys_)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-6 and elapsed < 20.0
+    proved = all(b is None for b in broken.values())
+    ok = worst <= 1e-6 and proved and elapsed < 20.0
     _verdict(capsys, 9, "reversibility-conjugacy", ok,
-             f"max deviation {worst:.2e} over 100x4 points, "
+             f"max deviation {worst:.2e} over 100x4 points, parity "
+             f"{'proved' if proved else f'breaks: {broken}'}, "
              f"{elapsed:.1f}s")
 
 

@@ -647,6 +647,21 @@ class TestCompactCertificate:
                 assert rate == 0.0
 
 
+def _exit_times(sys, times, states):
+    """The time of each row's first stored step outside ham-compact's
+    certified domain |x|, |p_j| < pi/2, nan for a row that stays inside.
+
+    states (steps, rows, slots) are stored on the grid times, from the
+    start on; x and p cannot wrap before they leave, so wrapped states
+    give the same first step as raw ones.
+    """
+    slots = [sys.layout.slot_of(lab) for lab in sys.layout.labels
+             if lab == "x" or lab.startswith("p_")]
+    out = (np.abs(states[1:, :, slots]) >= math.pi / 2).any(axis=2)
+    return np.where(out.any(axis=0), times[1:][out.argmax(axis=0)],
+                    math.nan)
+
+
 class TestSurvey:
     def box(self, sys, half=1.0):
         iv = []
@@ -753,12 +768,22 @@ class TestSurvey:
             IntegratorConfig(h=1e-2), store_every=1)
         assert not (rep.escaped.any() or rep.skipped.any()
                     or res.escaped.any())
-        assert np.max(np.abs(rep.gains - res.final[:, dim])) <= 1e-12
+        # a row that left the domain is retired from its exit on: its
+        # gain is not tested but infinite, and its later steps have no gap
+        exits = _exit_times(sys, res.stored_times, res.stored_states)
+        inside = np.isnan(exits)
+        assert inside.any() and not inside.all()
+        assert np.array_equal(rep.retired, ~inside)
+        assert np.array_equal(rep.exit_t, exits, equal_nan=True)
+        assert np.all(rep.gains[~inside] == math.inf)
+        assert np.max(np.abs(rep.gains[inside]
+                             - res.final[inside, dim])) <= 1e-12
         gaps = np.full(40, math.inf)
         for t, z in zip(res.stored_times, res.stored_states):
             if t >= 1.0:
-                gaps = np.minimum(gaps, torus_distance_batch(
-                    sys.layout, z[:, :dim], starts))
+                live = ~(exits <= t)
+                gaps[live] = np.minimum(gaps[live], torus_distance_batch(
+                    sys.layout, z[live, :dim], starts[live]))
         assert np.array_equal(rep.gaps, gaps)
 
     def test_samples_are_the_generators_uniform_draws(self):
@@ -795,8 +820,9 @@ class TestSurvey:
         # the survey keeps squared gaps on its live rows and roots their
         # minimum once; recompute them as the minimum over steps of the
         # rooted distance, leaving out each row's steps from its escape
-        # on. The reference marches chunks of 8 rows, which step row by
-        # row on the compiled floats, not through the survey's numpy march
+        # or its exit from the domain on. The reference marches chunks of
+        # 8 rows, which step row by row on the compiled floats, not
+        # through the survey's numpy march
         sys = make(family, n=n, m=m, omega=(1.0, SQRT2)[:n])
         dom = self.box(sys, half) if family == HAM_UNIQUE \
             else isolation_domain(sys)
@@ -804,18 +830,25 @@ class TestSurvey:
         starts = _sample_box(sys.layout, dom, 5, range(samples))
         assert not rep.skipped.any()
         assert rep.escaped.any() == (family == HAM_UNIQUE)
+        assert rep.retired.any() == (family == HAM_COMPACT)
         gaps = np.full(samples, math.inf)
+        exits = np.full(samples, math.nan)
         for a in range(0, samples, 8):
             rows = slice(a, a + 8)
             res = integrate_batch(sys, starts[rows], 20.0,
                                   IntegratorConfig(h=1e-2), store_every=1)
             assert np.array_equal(rep.escaped[rows], res.escaped)
+            if family == HAM_COMPACT:
+                exits[rows] = _exit_times(sys, res.stored_times,
+                                          res.stored_states)
             chunk = gaps[rows]
             for t, z in zip(res.stored_times, res.stored_states):
-                live = ~(res.escape_times <= t)
+                live = ~(res.escape_times <= t) & ~(exits[rows] <= t)
                 if t >= 1.0:
                     chunk[live] = np.minimum(chunk[live], torus_distance_batch(
                         sys.layout, z[live], starts[rows][live]))
+        assert np.array_equal(rep.retired, ~np.isnan(exits))
+        assert np.array_equal(rep.exit_t, exits, equal_nan=True)
         assert np.array_equal(rep.gaps, gaps)
 
     @pytest.mark.parametrize("family", [HAM_UNIQUE, HAM_COMPACT])
@@ -853,5 +886,69 @@ class TestSurvey:
         sys = make(REV_UNIQUE, n=1, l=1, m=0)
         rep = survey_uniqueness(sys, self.box(sys), samples=50, seed=9)
         lines = rep.to_csv().strip().split("\n")
-        assert lines[0] == "index,gain,gap,escaped,skipped"
+        assert lines[0] == "index,gain,gap,escaped,skipped,retired,exit_t"
         assert len(lines) == 51
+
+    @pytest.mark.parametrize("label, partner", [("x", "y"), ("p_1", "q_1")])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_row_is_retired_at_its_first_step_outside(self, label, partner,
+                                                      sign):
+        # x' = -2 sin(x) sin(y) cos(y), so at y = -pi/4 the row starts
+        # 0.045 inside the edge |x| < pi/2 and moves outward at about 1
+        # (p at q = -pi/4 likewise): still inside after 4 steps of 1e-2,
+        # outside after the 5th, where it is retired
+        sys = make(HAM_COMPACT, n=1, m=1)
+        start = np.zeros(sys.dim)
+        start[sys.layout.slot_of("x")] = start[
+            sys.layout.slot_of("p_1")] = 0.3
+        start[sys.layout.slot_of(label)] = sign * (math.pi / 2 - 0.045)
+        start[sys.layout.slot_of(partner)] = -math.pi / 4
+        box = ModularDomain(intervals=tuple(
+            (c - 1e-9, c + 1e-9) for c in start))
+        rep = survey_uniqueness(sys, box, samples=3, seed=0, horizon=2.0)
+        res = integrate_batch(sys, _sample_box(sys.layout, box, 0, range(3)),
+                              0.1, IntegratorConfig(h=1e-2), store_every=1)
+        edge = np.abs(res.stored_states[:, :, sys.layout.slot_of(label)]) \
+            >= math.pi / 2
+        assert edge.T.tolist() == [[False] * 5 + [True] * 6] * 3
+        assert rep.retired.all() and not rep.escaped.any()
+        assert np.all(rep.exit_t == 5 * 0.01)
+        assert np.all(rep.gains == math.inf)
+        assert np.all(rep.gaps == math.inf)  # it left before t = 1
+        assert rep.n_candidates == 0
+
+    def test_narrow_box_retires_on_the_domain_not_the_box(self):
+        # rows drawn from |x|, |p| < 1 that cross that edge live on until
+        # they reach |x| or |p| = pi/2, if they do
+        sys = make(HAM_COMPACT, n=1, m=1)
+        box = self.box(sys, half=1.0)
+        rep = survey_uniqueness(sys, box, samples=16, seed=2, horizon=5.0)
+        starts = _sample_box(sys.layout, box, 2, range(16))
+        exits, left_box = np.full(16, math.nan), np.zeros(16, dtype=bool)
+        for a in (0, 8):
+            res = integrate_batch(sys, starts[a:a + 8], 5.0,
+                                  IntegratorConfig(h=1e-2), store_every=1)
+            exits[a:a + 8] = _exit_times(sys, res.stored_times,
+                                         res.stored_states)
+            left_box[a:a + 8] = (np.abs(res.stored_states[:, :, [
+                sys.layout.slot_of("x"), sys.layout.slot_of("p_1")]])
+                >= 1.0).any(axis=(0, 2))
+        assert np.array_equal(rep.exit_t, exits, equal_nan=True)
+        assert rep.retired.any()
+        assert (left_box & ~rep.retired).any()
+
+    @pytest.mark.parametrize("turns", [1, -1])
+    def test_domain_copy_holds_the_box(self, turns):
+        # the domain is read modulo 2 pi: a box a turn away in x is
+        # certified by the copy of |x| < pi/2 a turn away, so its rows
+        # leave at the same steps as those of the box itself
+        sys = make(HAM_COMPACT, n=1, m=1)
+
+        def survey(shift):
+            iv = list(self.box(sys).intervals)
+            iv[sys.layout.slot_of("x")] = (shift + 1.0, shift + 1.4)
+            return survey_uniqueness(sys, ModularDomain(intervals=tuple(iv)),
+                                     samples=20, seed=1, horizon=5.0)
+        near, far = survey(0.0), survey(turns * 2 * math.pi)
+        assert near.retired.any()
+        assert np.array_equal(far.exit_t, near.exit_t, equal_nan=True)

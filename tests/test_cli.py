@@ -219,6 +219,9 @@ class TestVerify:
         assert main(["verify", "reversibility", "--system", "rev-unique",
                      "--n", "1", "--l", "1", "--points", "20",
                      "--t", "2", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["metrics"]["parity_proved"] is True
+        assert doc["metrics"]["parity_breaks_at"] is None
         # large amplitudes escape before t and the deviation is infinite
         rc = main(["verify", "reversibility", "--system", "ham-unique",
                    "--n", "1", "--scale", "0.8", "--points", "20",
@@ -308,6 +311,28 @@ class TestSurvey:
         assert rc == 0
         assert calls == ["ham-compact"]
         assert "0 candidates" in capsys.readouterr().out
+
+    def test_job_count_changes_no_byte_of_a_retiring_survey(self, tmp_path,
+                                                             capsys):
+        # ham-compact rows leave the isolation domain and are retired; the
+        # blocks of the process pool must retire the same rows at the
+        # same steps as one block
+        docs = []
+        for jobs in ("1", "4"):
+            out = tmp_path / jobs
+            assert main(["survey", "--system", "ham-compact", "--n", "1",
+                         "--m", "1", "--samples", "40", "--seed", "3",
+                         "--jobs", jobs, "--out", str(out)]) == 0
+            docs.append(((out / "survey.csv").read_bytes(),
+                         json.loads((out / "report.json").read_text())))
+        (csv1, rep1), (csv4, rep4) = docs
+        assert csv1 == csv4
+        assert rep1["metrics"] == rep4["metrics"]
+        assert rep1["metrics"]["retired"] > 0
+        assert rep1["metrics"]["escaped"] == 0
+        out = capsys.readouterr().out
+        assert (f"from 40 samples (0 escaped, {rep1['metrics']['retired']}"
+                " retired, 0 skipped)") in out
 
     def test_uncertified_box_is_a_usage_error(self, tmp_path, capsys):
         rc = main(["survey", "--system", "ham-compact", "--n", "1",
@@ -474,7 +499,8 @@ class TestReports:
           "--samples", "20", "--seed", "7", "--jobs", "1"], 0,
          "corroborated",
          {"family", "samples", "horizon", "gain_tol", "gap_tol"},
-         {"candidates", "escaped", "skipped", "min_offtorus_gain"}),
+         {"candidates", "escaped", "retired", "skipped",
+          "min_offtorus_gain"}),
     ], ids=["simulate", "fixedpoint-found", "fixedpoint-not-found",
             "survey"])
     def test_verdict_parameters_and_metrics(self, tmp_path, capsys, argv,

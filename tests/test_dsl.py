@@ -1,6 +1,8 @@
+import itertools
 import math
 import operator
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -588,3 +590,56 @@ def test_tangent_slots_cannot_meet_a_source_name():
 def test_compiled_rates_reject_an_unknown_variable():
     with pytest.raises(UnboundVar):
         compile_rates([parse("x + y")], ("x",))
+
+
+# ---------------------------------------------------------------------------
+# reversibility from the rate texts
+
+
+def test_parity_of_each_kind_of_node():
+    odd = frozenset({"y"})
+
+    def parity(text):
+        return dsl._parity(parse(text), odd)
+    assert [parity(t) for t in ("y", "x", "2.5", "-y", "x*y", "y/y")] \
+        == [1, 0, 0, 1, 1, 0]
+    assert [parity(t) for t in ("y^3", "y^2", "sin(y)", "cos(y)",
+                                "sin(x)*cos(y)")] == [1, 0, 1, 0, 0]
+    assert [parity(t) for t in ("x + y", "y - x", "cos(x + y)",
+                                "sin(x + y)")] == [None] * 4
+    # the constant zero has either parity, and so does what it makes
+    assert dsl._parity(Add(Const(0.0), Var("y")), odd) == 1
+    assert dsl._parity(Sub(Var("x"), Const(0.0)), odd) == 0
+    assert dsl._parity(Mul(Const(0.0), Var("y")), odd) == dsl._ZERO
+
+
+def _reversible_members():
+    for family in (HAM_UNIQUE, HAM_COMPACT, REV_UNIQUE, REV_COMPACT):
+        reversible = family in (REV_UNIQUE, REV_COMPACT)
+        for n, m, l in itertools.product(
+                (1, 2), (0, 1), (0, 1) if reversible else (None,)):
+            yield pytest.param(build_system(SystemParams(
+                family, n=n, m=m, l=l, omega=(1.0, math.sqrt(2.0))[:n])),
+                id=f"{family}-n{n}-m{m}" + (f"-l{l}" if reversible else ""))
+    yield pytest.param(build_control_system(), id="control")
+
+
+@pytest.mark.parametrize("sys", list(_reversible_members()))
+def test_parity_proves_every_family_member_reversible(sys):
+    assert dsl.prove_reversibility(sys) is None
+
+
+def test_parity_names_the_first_rate_that_breaks():
+    # a term 0.3*y in the y rate is odd under y -> -y, where the rate of
+    # the flipped slot y must be even; so is a y*x term in an energy,
+    # whose x rate -dH/dy then gains the even -x
+    sys = build_system(SystemParams(REV_UNIQUE, n=1, l=1, m=1,
+                                    omega=(1.0,)))
+    damped = replace(sys, rates_source=tuple(
+        f"{rate} + 0.3*y" if label == "y" else rate
+        for label, rate in zip(sys.layout.labels, sys.rates_source)))
+    assert dsl.prove_reversibility(damped) == "y"
+    ham = build_system(SystemParams(HAM_UNIQUE, n=1, m=1, omega=(1.0,)))
+    coupled = replace(ham, rates_source=ham.rates_source.rstrip()
+                      + " + y*x\n")
+    assert dsl.prove_reversibility(coupled) == "x"
