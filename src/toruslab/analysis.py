@@ -927,10 +927,11 @@ def _domain_exit(sys, box):
              if b is not None and b[1] - b[0] < TWO_PI]
     if not slots:
         return None
-    shift = [TWO_PI * round((sum(box[s]) - sum(iv[s])) / (2 * TWO_PI))
-             for s in slots]
-    lows = np.array([[iv[s][0] + d] for s, d in zip(slots, shift)])
-    highs = np.array([[iv[s][1] + d] for s, d in zip(slots, shift)])
+    bounds = []
+    for s in slots:  # the turns from the domain's centre to the box's
+        d = TWO_PI * round((sum(box[s]) - sum(iv[s])) / (2 * TWO_PI))
+        bounds.append((iv[s][0] + d, iv[s][1] + d))
+    lows, highs = np.array(bounds).T[:, :, None]
 
     def outside(zk):
         w = zk[slots]

@@ -470,9 +470,8 @@ def _cmd_survey(cfg, run):
                             jobs=jobs)
     run.write("survey.csv", rep.to_csv())
     found = rep.n_candidates
-    escaped, retired, skipped = (int(rep.escaped.sum()),
-                                 int(rep.retired.sum()),
-                                 int(rep.skipped.sum()))
+    escaped, retired, skipped = (int(rows.sum()) for rows in (
+        rep.escaped, rep.retired, rep.skipped))
     print(f"survey: {found} candidates from {cfg['samples']} samples "
           f"({escaped} escaped, {retired} retired, {skipped} skipped)")
     gains = rep.gains[np.isfinite(rep.gains) & ~rep.skipped]

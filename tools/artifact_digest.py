@@ -11,11 +11,6 @@ The data files are named by the relative path ``src/toruslab/data``, as
 from the repository root, wherever it is started:
 
     python3 tools/artifact_digest.py 1 2
-
-With --each it also prints one digest per operation, before the total,
-so that two trees' listings show which operations wrote other bits:
-
-    python3 tools/artifact_digest.py --each 1 2
 """
 
 import contextlib
@@ -35,7 +30,7 @@ import ops  # noqa: E402
 from toruslab import cli  # noqa: E402
 
 
-def main(seeds, each=False):
+def main(seeds):
     digest, items = hashlib.sha256(), 0
     for seed in seeds:
         for workload in sorted(ops.WORKLOADS):
@@ -45,22 +40,15 @@ def main(seeds, each=False):
                     sink = io.StringIO()
                     with contextlib.redirect_stdout(sink):
                         code = cli.main(list(op.argv) + ["--out", td])
-                    parts = [f"{code}\n{sink.getvalue()}\0".encode()]
+                    digest.update(f"{code}\n{sink.getvalue()}\0".encode())
                     files = sorted(p for p in Path(td).iterdir()
                                    if p.name != "manifest.json")
                     for path in files:
-                        parts.append(path.name.encode() + b"\0"
-                                     + path.read_bytes() + b"\0")
-                    for part in parts:
-                        digest.update(part)
-                    if each:
-                        one = hashlib.sha256(b"".join(parts)).hexdigest()
-                        print(f"{one[:16]} {seed} {' '.join(op.argv)}")
+                        digest.update(path.name.encode() + b"\0"
+                                      + path.read_bytes() + b"\0")
                     items += 1 + len(files)
     print(f"{digest.hexdigest()} {items} items")
 
 
 if __name__ == "__main__":
-    args = sys.argv[1:]
-    each = "--each" in args
-    main([int(s) for s in args if s != "--each"] or [1], each)
+    main([int(s) for s in sys.argv[1:]] or [1])
