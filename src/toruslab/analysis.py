@@ -60,11 +60,8 @@ from .systems import (
     System,
     TorusSpec,
     _check_point,
-    build_system,
     canonical_torus,
     isolation_domain,
-    params_from_json,
-    params_to_json,
     torus_point,
 )
 
@@ -877,8 +874,8 @@ def _raw_draws(seed: int, indices: np.ndarray, n: int) -> np.ndarray:
 
 
 def _sample_box(layout: CoordinateLayout, domain: ModularDomain,
-                seed: int, index: int | range) -> np.ndarray:
-    """Survey sample index (an int) or the samples of a range of them.
+                seed: int, span: range) -> np.ndarray:
+    """The survey samples of a range of indices, one row each.
 
     Sample i is default_rng(SeedSequence([seed, i])).uniform(lows,
     highs) to the bit. The raw words of every sample come from one pass
@@ -897,15 +894,13 @@ def _sample_box(layout: CoordinateLayout, domain: ModularDomain,
             lows[slot], highs[slot] = -math.pi, math.pi
         else:
             lows[slot], highs[slot] = iv
-    span = index if isinstance(index, range) else range(index, index + 1)
     if span and not 0 <= span[0] <= span[-1] < 2**32:
         raise InvalidValue("survey sample indices must lie in [0, 2^32)")
     raw = _raw_draws(seed, np.arange(span.start, span.stop, span.step),
                      layout.dim)
     # a Generator's double is the top 53 bits of a raw draw over 2^53
     u = (raw >> _U64(11)) * 2.0 ** -53
-    samples = lows + (highs - lows) * u
-    return samples if isinstance(index, range) else samples[0]
+    return lows + (highs - lows) * u
 
 
 def _domain_exit(sys, box):
@@ -940,14 +935,12 @@ def _domain_exit(sys, box):
     return outside
 
 
-def _survey_block(params_json: str, intervals, seed: int, start: int,
-                  stop: int, horizon: float):
-    sys = build_system(params_from_json(params_json))
-    domain = ModularDomain(intervals=intervals)
+def _survey_block(sys: System, domain: ModularDomain, seed: int,
+                  span: range, horizon: float):
     layout = sys.layout
     dim = layout.dim
-    nb = stop - start
-    states = _sample_box(layout, domain, seed, range(start, stop))
+    nb = len(span)
+    states = _sample_box(layout, domain, seed, span)
 
     off_slots = [s for s in range(dim)
                  if not (sys.slots.phi.start <= s < sys.slots.phi.stop)]
@@ -981,7 +974,7 @@ def _survey_block(params_json: str, intervals, seed: int, start: int,
     z = states.copy()
     final, escaped[run], _, _ = _march(
         *_fixed_step(sys, _SURVEY_STEP, origin), horizon, _SURVEY_STEP,
-        track_gaps, _domain_exit(sys, intervals))
+        track_gaps, _domain_exit(sys, domain.intervals))
     z[run] = final.T
     run_gap2[np.isnan(run_exit)] = gap2
     gaps = np.full(nb, math.inf)
@@ -1019,6 +1012,10 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
     of the torus in the non-angle directions are skipped as on-torus, and
     samples that leave the escape norm 1e8 are self-refuting. Results are
     deterministic in (seed, index) and independent of the job count.
+    jobs > 1 splits the samples into one range per job, each marched in
+    a process pool worker that receives the System itself (a System is
+    its texts and pickles as it is); jobs 1 marches them all in this
+    process.
 
     For the compact families the box must lie inside isolation_domain,
     where the certificate is one-signed; for the unbounded families any
@@ -1053,15 +1050,13 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
     if domain.dim != sys.dim:
         raise InvalidValue("domain dimension does not match the system")
 
-    pj = params_to_json(sys.params)
-    blocks = []
+    chunk = samples if jobs <= 1 else math.ceil(samples / jobs)
+    spans = [range(a, min(a + chunk, samples))
+             for a in range(0, samples, chunk)]
     if jobs <= 1:
-        blocks.append(_survey_block(pj, domain.intervals, seed, 0, samples,
-                                    horizon))
+        blocks = [_survey_block(sys, domain, seed, span, horizon)
+                  for span in spans]
     else:
-        chunk = max(1, math.ceil(samples / jobs))
-        spans = [(a, min(a + chunk, samples))
-                 for a in range(0, samples, chunk)]
         # the pool starts all its workers at once, so no more than there
         # are blocks or CPUs to run them
         workers = min(jobs, len(spans), len(os.sched_getaffinity(0)))
@@ -1069,9 +1064,9 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
         # multiprocessing import
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_survey_block, pj, domain.intervals, seed,
-                                a, b, horizon)
-                    for a, b in spans]
+            futs = [pool.submit(_survey_block, sys, domain, seed, span,
+                                horizon)
+                    for span in spans]
             blocks = [f.result() for f in futs]
 
     gains, gaps, escaped, skipped, retired, exit_t, finals = (

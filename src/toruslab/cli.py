@@ -4,9 +4,10 @@ Builds systems from flags or a JSON config, runs simulations and
 verification checks, and writes CSV/JSON/SVG artifacts plus a run
 manifest into the output directory. Every check prints one verdict line;
 the exit code is 0 when all verdicts are PASS, 1 on any FAIL, and 2 on
-usage errors. One table, `_COMMANDS`, gives each subcommand its handler
-and flags; the parser is built from it once per process. Every report
-comes from `_report_doc` and all JSON from `_json_text`.
+usage errors or a closed standard output. One table, `_COMMANDS`, gives
+each subcommand its handler and flags; the parser is built from it once
+per process. Every report comes from `_report_doc` and all JSON from
+`_json_text`.
 """
 
 from __future__ import annotations
@@ -720,6 +721,7 @@ def _write_manifest(run, key, cfg, verdicts, t0):
         "tool": "toruslab",
         "version": __version__,
         "argv": _argv_from(key, cfg),
+        "cwd": os.getcwd(),  # where a relative path in argv is read from
         "config": _params(cfg),
         "seed": cfg.get("seed"),
         "duration_s": round(time.perf_counter() - t0, 6),
@@ -732,10 +734,18 @@ def _write_manifest(run, key, cfg, verdicts, t0):
 def _replay(path: str) -> int:
     doc = json.loads(Path(path).read_text())
     if not (isinstance(doc, dict)
-            and {"argv", "verdicts", "outputs"} <= doc.keys()):
+            and {"argv", "verdicts", "outputs"} <= doc.keys()
+            and isinstance(doc.get("cwd", "."), str)):
         raise InvalidValue(f"{path} is not a toruslab manifest")
+    here = os.getcwd()
     with tempfile.TemporaryDirectory() as td:
-        code = main(list(doc["argv"]) + ["--out", td])
+        # from the run's own directory, so that a relative --file names
+        # the same file and report.json records it as it did
+        os.chdir(doc.get("cwd", "."))
+        try:
+            code = main(list(doc["argv"]) + ["--out", td])
+        finally:
+            os.chdir(here)
         if code not in (0, 1):  # bad input, already reported; no manifest
             return code
         fresh = json.loads((Path(td) / "manifest.json").read_text())
@@ -758,6 +768,24 @@ def _replay(path: str) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code: 0 when every
+    verdict is PASS, 1 on any FAIL, 2 on bad input. A closed standard
+    output ends the run with 2 as well."""
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull, so that the flush
+        # at the interpreter's exit has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output is closed", file=sys.stderr)
+        return 2
+    return code
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -777,8 +805,13 @@ def main(argv=None) -> int:
         run = _Run(out)
         handler, _ = _COMMANDS[key]
         verdicts = handler(cfg, run)
+    except BrokenPipeError:
+        raise  # for main, which owns standard output
     except (ToruslabError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nests too deeply to read", file=sys.stderr)
         return 2
     _write_manifest(run, key, cfg, verdicts, t0)
     for name, verdict in verdicts.items():

@@ -8,10 +8,11 @@ on the end time, freezes escaping rows instead of raising, and hands
 each step to an observer that stores, measures or stops; the adaptive
 loop of `integrate` is the only other. A batch marches only its live
 rows: an escaping row, or one its caller retires, is written out once
-and dropped, and the observer sees the live rows, never the full state. The rows of a batch may run
-in both directions of time at once: given one signed end time per row,
-all of one magnitude, they share one step grid, and each steps with a
-signed h of its own, which drops with the row when it escapes.
+and dropped, and the observer sees the live rows, never the full state.
+The rows of a batch may run in both directions of time at once: given
+one signed end time per row, all of one magnitude, they share one step
+grid, and each steps with a signed h of its own, which drops with the
+row when it escapes.
 A single state of a System steps on Python floats instead, because
 numpy's per-call cost dwarfs the arithmetic of one 4-8 slot state: the
 fused rk4, midpoint and Dormand-Prince steps compiled from the system's

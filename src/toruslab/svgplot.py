@@ -31,18 +31,17 @@ _TICKS = 6  # about this many ticks per axis
 MAX_POINTS_PER_SERIES = 2000
 
 
+# the canvas, its margins around the plot area and the series' lines
+WIDTH, HEIGHT = 800, 600
+MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 64, 20, 36, 48
+STROKE_WIDTH = 1.5
+
+
 @dataclass(frozen=True)
 class PlotStyle:
-    width: int = 800
-    height: int = 600
     title: str = ""
     x_label: str = "t"
     y_label: str = ""
-    margin_left: int = 64
-    margin_right: int = 20
-    margin_top: int = 36
-    margin_bottom: int = 48
-    stroke_width: float = 1.5
 
 
 def ticks(lo: float, hi: float) -> list[float]:
@@ -126,8 +125,8 @@ def plot_svg(series: Sequence[tuple[str, Sequence]],
     x_lo, x_hi = _expand(x_lo, x_hi)
     y_lo, y_hi = _expand(y_lo, y_hi)
 
-    px0, px1 = style.margin_left, style.width - style.margin_right
-    py0, py1 = style.height - style.margin_bottom, style.margin_top
+    px0, px1 = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
+    py0, py1 = HEIGHT - MARGIN_BOTTOM, MARGIN_TOP
 
     def to_px(a: np.ndarray) -> np.ndarray:
         x = px0 + (a[:, 0] - x_lo) / (x_hi - x_lo) * (px1 - px0)
@@ -136,10 +135,8 @@ def plot_svg(series: Sequence[tuple[str, Sequence]],
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{style.width}" height="{style.height}" '
-        f'viewBox="0 0 {style.width} {style.height}">',
-        f'<rect width="{style.width}" height="{style.height}" '
-        f'fill="#ffffff"/>',
+        f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
     ]
 
     for tx in ticks(x_lo, x_hi):
@@ -166,7 +163,7 @@ def plot_svg(series: Sequence[tuple[str, Sequence]],
         pix = to_px(_thin(arr))
         coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pix.tolist())
         parts.append(f'<polyline fill="none" stroke="{color}" '
-                     f'stroke-width="{style.stroke_width}" '
+                     f'stroke-width="{STROKE_WIDTH}" '
                      f'points="{coords}"/>')
 
     lx, ly = px1 - 150, py1 + 14
@@ -181,11 +178,11 @@ def plot_svg(series: Sequence[tuple[str, Sequence]],
                      f'{_escape(label)}</text>')
 
     if style.title:
-        parts.append(f'<text x="{style.width / 2:.2f}" y="22" '
+        parts.append(f'<text x="{WIDTH / 2:.2f}" y="22" '
                      f'font-size="15" text-anchor="middle" '
                      f'fill="#111111">{_escape(style.title)}</text>')
     parts.append(f'<text x="{(px0 + px1) / 2:.2f}" '
-                 f'y="{style.height - 12:.2f}" font-size="13" '
+                 f'y="{HEIGHT - 12:.2f}" font-size="13" '
                  f'text-anchor="middle" fill="#222222">'
                  f'{_escape(style.x_label)}</text>')
     if style.y_label:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple, Optional, Union
@@ -588,35 +587,3 @@ def isolation_domain(sys: System) -> ModularDomain:
     for s in range(sys.slots.v.start, sys.slots.v.stop):
         iv[s] = (-math.pi, math.pi)
     return ModularDomain(intervals=tuple(iv))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def params_to_json(params: SystemParams) -> str:
-    """Serialize to the canonical JSON object (sorted keys)."""
-    obj = {"family": params.family, "n": params.n, "m": params.m,
-           "l": params.l, "omega": list(params.omega)}
-    return json.dumps(obj, sort_keys=True)
-
-
-def params_from_json(text: str) -> SystemParams:
-    """Parse and validate the canonical JSON form of SystemParams."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidParams(f"bad params JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise InvalidParams("params JSON must be an object")
-    required = {"family", "n", "m", "l", "omega"}
-    if set(obj) != required:
-        raise InvalidParams(
-            f"params JSON must have exactly the keys {sorted(required)}")
-    if obj["family"] not in FAMILIES:
-        raise InvalidParams(f"unknown family {obj['family']!r}")
-    omega = obj["omega"]
-    if not isinstance(omega, list):
-        raise InvalidParams("omega must be a list")
-    return SystemParams(family=obj["family"], n=obj["n"], m=obj["m"],
-                        l=obj["l"], omega=tuple(float(w) for w in omega))

@@ -754,8 +754,7 @@ class TestSurvey:
         sys = make(HAM_COMPACT, n=1, m=1)
         dom = isolation_domain(sys)
         rep = survey_uniqueness(sys, dom, samples=40, seed=6)
-        starts = np.stack([_sample_box(sys.layout, dom, 6, i)
-                           for i in range(40)])
+        starts = _sample_box(sys.layout, dom, 6, range(40))
         dim = sys.dim
 
         def with_rate(z):
@@ -813,8 +812,9 @@ class TestSurvey:
                 for i in span])
             assert np.array_equal(got, want), (seed, span)
             i = span[123]
-            assert np.array_equal(_sample_box(sys.layout, dom, seed, i),
-                                  want[123])
+            assert np.array_equal(
+                _sample_box(sys.layout, dom, seed, range(i, i + 1)),
+                want[123:124])
 
     def _check_gaps(self, family, n, m, samples, half=1.0):
         # the survey keeps squared gaps on its live rows and roots their

@@ -89,6 +89,12 @@ class TestFlagParsing:
          "cap of 10,000,000 slots"),
         (["survey", "--system", "ham-unique", "--samples", "100000000000",
           "--out", "{tmp}"], "cap of 10,000,000 slots"),
+        (["dsl", "check", "--file", "{tmp}/long-sum.ham", "--out", "{tmp}"],
+         "nests too deeply"),
+        (["dsl", "check", "--file", "{tmp}/deep-parens.ham",
+          "--out", "{tmp}"], "nests too deeply"),
+        (["oracle", "period", "--config", "{tmp}/deep.json",
+          "--out", "{tmp}"], "nests too deeply"),
     ], ids=["h-zero", "t-nan", "replay-missing-file", "config-array",
             "config-omega-number", "config-n-list", "points-zero",
             "invariants-reversible", "config-n-fraction", "config-n-bool",
@@ -96,7 +102,8 @@ class TestFlagParsing:
             "replay-no-argv", "replay-bad-argv", "survey-jobs-zero",
             "survey-jobs-negative", "simulate-step-count-overflows",
             "invariants-step-count-overflows", "survey-step-count-huge",
-            "survey-samples-past-cap", "survey-pool-samples-past-cap"])
+            "survey-samples-past-cap", "survey-pool-samples-past-cap",
+            "dsl-long-sum", "dsl-deep-parens", "config-deep-json"])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                    argv, named):
         (tmp_path / "array.json").write_text("[1, 2]")
@@ -109,6 +116,12 @@ class TestFlagParsing:
             '{"verdicts": {}, "outputs": {}}')
         (tmp_path / "bad-argv.json").write_text(
             '{"argv": ["verify", "torus"], "verdicts": {}, "outputs": {}}')
+        # each parses to a tree deeper than Python's recursion limit
+        (tmp_path / "long-sum.ham").write_text(
+            "pairs: (q,p)\n" + "+".join(["p"] * 900) + "\n")
+        (tmp_path / "deep-parens.ham").write_text(
+            "pairs: (q,p)\n" + "(" * 3000 + "p" + ")" * 3000 + "\n")
+        (tmp_path / "deep.json").write_text("[" * 10**5 + "]" * 10**5)
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
@@ -334,6 +347,22 @@ class TestSurvey:
         assert (f"from 40 samples (0 escaped, {rep1['metrics']['retired']}"
                 " retired, 0 skipped)") in out
 
+    @pytest.mark.parametrize("flags", [
+        ["--system", "rev-compact", "--l", "1", "--m", "1"],
+        ["--system", "ham-unique", "--m", "1"]],
+        ids=["rev-compact", "ham-unique"])
+    def test_two_worker_pool_writes_the_bytes_of_one_block(self, tmp_path,
+                                                           capsys, flags):
+        # the pool's workers receive the System pickled, the in-process
+        # block the System itself
+        csvs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert main(["survey", *flags, "--samples", "40", "--seed", "3",
+                         "--jobs", jobs, "--out", str(out)]) == 0
+            csvs.append((out / "survey.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_uncertified_box_is_a_usage_error(self, tmp_path, capsys):
         rc = main(["survey", "--system", "ham-compact", "--n", "1",
                    "--samples", "10", "--box", "2.0",
@@ -456,6 +485,21 @@ class TestManifestAndReplay:
         assert rc == 0
         assert "replay: reproduced" in capsys.readouterr().out
 
+    def test_replay_runs_where_the_run_was_made(self, tmp_path, capsys,
+                                                monkeypatch):
+        # dsl check records its --file as given, a path relative to the
+        # run's directory; the replay re-runs there from anywhere
+        monkeypatch.chdir(Path(toruslab.__file__).parent)
+        out = tmp_path / "run"
+        assert main(["dsl", "check", "--file", "data/ham_compact_n1_m0.ham",
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["parameters"]["file"] == "data/ham_compact_n1_m0.ham"
+        monkeypatch.chdir(tmp_path)
+        assert main(["--replay", str(out / "manifest.json")]) == 0
+        assert "replay: reproduced" in capsys.readouterr().out
+        assert Path.cwd() == tmp_path
+
     def test_replay_detects_drift(self, tmp_path, capsys):
         assert main(["verify", "rank", "--system", "ham-unique",
                      "--n", "1", "--m", "0", "--points", "5",
@@ -555,16 +599,46 @@ def test_report_writes_a_number_that_is_not_finite_as_null():
     assert doc["metrics"] == {"devs": [1.0, None, [None]]}
 
 
+def _cli_env(**extra):
+    """The environment of a subprocess that imports this toruslab."""
+    src = str(Path(toruslab.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return {**env, **extra}
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    (["systems", "list"], False),
+    (["oracle", "period", "--zeta", "1"], False),
+    (["verify", "torus", "--system", "ham-unique", "--t", "1"], False),
+    # it prints only the verdict lines, each a write of its own here
+    (["verify", "torus", "--system", "ham-unique", "--t", "1"], True),
+], ids=["systems-list", "oracle-period", "verify-torus",
+        "verify-torus-unbuffered"])
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path, argv,
+                                                   unbuffered):
+    # standard output is a pipe whose reader has already gone
+    read, write = os.pipe()
+    os.close(read)
+    extra = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "toruslab.cli", *argv,
+             "--out", str(tmp_path)], stdout=write, stderr=subprocess.PIPE,
+            text=True, timeout=120, env=_cli_env(**extra))
+    finally:
+        os.close(write)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == "error: standard output is closed\n"
+
+
 def test_import_loads_no_network_or_process_modules():
     # each start of the CLI would pay for these, and no command needs them
     # until a survey starts a process pool
-    src = str(Path(toruslab.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys, toruslab.cli; print(sorted({'urllib.request', "
          "'http.client', 'multiprocessing'} & set(sys.modules)))"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path})
+        capture_output=True, text=True, timeout=120, env=_cli_env())
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

@@ -1,4 +1,6 @@
+import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from toruslab.systems import (
     REV_COMPACT,
     REV_UNIQUE,
     SystemParams,
+    _compiled,
     apply_involution,
     build_control_system,
     build_system,
@@ -32,8 +35,6 @@ from toruslab.systems import (
     isolation_domain,
     lyapunov_rate,
     nearby_torus,
-    params_from_json,
-    params_to_json,
     torus_point,
 )
 
@@ -480,25 +481,33 @@ def test_layout_mismatch_guard():
         eval_field(a, p)
 
 
-def test_params_json_round_trip():
-    par = SystemParams(REV_COMPACT, n=2, m=1, l=3, omega=(1.0, SQRT2))
-    text = params_to_json(par)
-    assert params_from_json(text) == par
-    par2 = SystemParams(HAM_UNIQUE, n=1, m=0, omega=(0.5,))
-    assert params_from_json(params_to_json(par2)) == par2
+# every member the survey takes: the four families at n = 1, 2 and
+# m = 0, 1, the reversible ones at l = 0, 1
+SURVEY_MEMBERS = [
+    make(family, n=n, m=m, l=l, omega=(1.0, SQRT2)[:n])
+    for family, n, m in itertools.product(FAMILIES, (1, 2), (0, 1))
+    for l in ((0, 1) if family in (REV_UNIQUE, REV_COMPACT) else (None,))]
 
 
-def test_params_json_validation():
-    with pytest.raises(InvalidParams):
-        params_from_json("not json")
-    with pytest.raises(InvalidParams):
-        params_from_json('{"family": "ham-unique"}')
-    with pytest.raises(InvalidParams):
-        params_from_json('{"family": "other", "n": 1, "m": 0, "l": null, '
-                         '"omega": [1.0]}')
-    with pytest.raises(InvalidParams):
-        params_from_json('{"family": "control", "n": 1, "m": 0, "l": null, '
-                         '"omega": [1.0]}')
+@pytest.mark.parametrize("sys", SURVEY_MEMBERS, ids=lambda s: (
+    f"{s.family}-n{s.params.n}-m{s.params.m}-l{s.params.l}"))
+def test_pickled_system_keeps_its_texts_and_its_step(sys):
+    # a survey's pool worker receives the System pickled
+    clone = pickle.loads(pickle.dumps(sys))
+    assert clone.params == sys.params
+    assert clone.rates_source == sys.rates_source
+    assert clone.integral_texts == sys.integral_texts
+    assert clone.integral_names == sys.integral_names
+    assert clone.layout == sys.layout and clone.slots == sys.slots
+    assert clone.canonical_pairing == sys.canonical_pairing
+    assert np.array_equal(clone.involution_signs, sys.involution_signs)
+    states = np.random.default_rng(0).uniform(-1.0, 1.0, (sys.dim, 16))
+    original = sys.compiled("rk4_rows")
+    _compiled.cache_clear()  # the clone compiles its texts afresh
+    step = clone.compiled("rk4_rows")
+    assert step is not original
+    assert np.array_equal(step(states.copy(), 1e-2),
+                          original(states.copy(), 1e-2))
 
 
 def test_control_system_basics():

@@ -6,6 +6,12 @@ given, and hashes each operation's exit code, standard output and
 artifacts, except ``manifest.json``, which records wall-clock time. Two
 trees that print the same digest wrote the same bits.
 
+It prints one line per operation, ``<sha256> <workload> <seed> <argv>``,
+the sha256 of that operation's bytes alone, so that two trees whose
+digests differ can be compared line by line to name the operations
+whose bits moved. The last line is the digest over them all and the
+number of items hashed.
+
 The data files are named by the relative path ``src/toruslab/data``, as
 ``dsl check`` records its ``--file`` as given; the script therefore runs
 from the repository root, wherever it is started:
@@ -40,13 +46,18 @@ def main(seeds):
                     sink = io.StringIO()
                     with contextlib.redirect_stdout(sink):
                         code = cli.main(list(op.argv) + ["--out", td])
-                    digest.update(f"{code}\n{sink.getvalue()}\0".encode())
+                    chunks = [f"{code}\n{sink.getvalue()}\0".encode()]
                     files = sorted(p for p in Path(td).iterdir()
                                    if p.name != "manifest.json")
-                    for path in files:
-                        digest.update(path.name.encode() + b"\0"
-                                      + path.read_bytes() + b"\0")
+                    chunks += [path.name.encode() + b"\0"
+                               + path.read_bytes() + b"\0" for path in files]
                     items += 1 + len(files)
+                one = hashlib.sha256()
+                for chunk in chunks:
+                    digest.update(chunk)
+                    one.update(chunk)
+                print(f"{one.hexdigest()} {workload} {seed} "
+                      f"{' '.join(op.argv)}")
     print(f"{digest.hexdigest()} {items} items")
 
 
