@@ -36,8 +36,8 @@ from .dsl import _numpy_sum
 from .integrators import (
     IntegratorConfig,
     Trajectory,
-    _CSV_BLOCK,
     _compiled_for,
+    _csv_text,
     _fixed_step,
     _march,
     _rk4_step,
@@ -191,12 +191,12 @@ class KroneckerReport:
 
 
 def verify_kronecker(sys: System, spec, horizon: float = 100.0,
-                     tol: float = 1e-8, seed: int = 0,
+                     seed: int = 0,
                      config: Optional[IntegratorConfig] = None):
     """Integrate from three starts on the torus and measure two deviations.
 
     Pinned slots must hold their values and each free angle must follow
-    wrap(phi0 + freq * t), both within tol over the whole horizon. The
+    wrap(phi0 + freq * t), both within 1e-8 over the whole horizon. The
     stored frequency is the signed per-slot rate, so flipped-sign tori
     are checked against their actual drift direction. spec may also be a
     list or tuple of TorusSpecs: the starts of all of them then march as
@@ -239,7 +239,7 @@ def verify_kronecker(sys: System, spec, horizon: float = 100.0,
                                         initial=0.0)),
             max_angle_dev=float(np.max(dev[..., list(s.free_angles)],
                                        initial=0.0)),
-            tol=tol, n_starts=n_starts))
+            tol=_KRONECKER_TOL, n_starts=n_starts))
     return reports[0] if single else reports
 
 
@@ -724,7 +724,8 @@ def reversibility_deviations(sys: System, points: np.ndarray,
 # uniqueness survey
 
 
-# the survey's step and thresholds, as survey_uniqueness describes them
+# verify_kronecker's tolerance, the survey's step and its thresholds
+_KRONECKER_TOL = 1e-8
 _SURVEY_STEP = IntegratorConfig(h=1e-2)
 _T_MIN = 1.0
 _GAIN_TOL = 1e-8
@@ -768,21 +769,10 @@ class SurveyReport:
         return len(self.candidates)
 
     def to_csv(self) -> str:
-        rows = ["index,gain,gap,escaped,skipped,retired,exit_t"]
-        # Python floats format as numpy's do, at a fraction of the cost;
-        # a block at a time, so that no whole column is held as a list
-        for a in range(0, len(self.gains), _CSV_BLOCK):
-            block = slice(a, a + _CSV_BLOCK)
-            for i, gain, gap, escaped, skipped, retired, exit_t in zip(
-                    range(a, a + _CSV_BLOCK), self.gains[block].tolist(),
-                    self.gaps[block].tolist(), self.escaped[block].tolist(),
-                    self.skipped[block].tolist(),
-                    self.retired[block].tolist(),
-                    self.exit_t[block].tolist()):
-                rows.append(f"{i},{gain:.17g},{gap:.17g},"
-                            f"{int(escaped)},{int(skipped)},"
-                            f"{int(retired)},{exit_t:.17g}")
-        return "\n".join(rows) + "\n"
+        return _csv_text("index,gain,gap,escaped,skipped,retired,exit_t",
+                         [np.arange(len(self.gains)), self.gains, self.gaps,
+                          self.escaped, self.skipped, self.retired,
+                          self.exit_t], "%d,%.17g,%.17g,%d,%d,%d,%.17g")
 
 
 # numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 (a 128-bit

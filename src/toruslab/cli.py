@@ -231,10 +231,9 @@ def _cmd_simulate(cfg, run):
     sys_ = _system_from(cfg)
     t = cfg["t"]
     ic = IntegratorConfig(method=cfg["method"], h=cfg["h"])
-    store = cfg.get("store_every")
-    if store is None:  # about 2000 rows; the cap keeps int() off inf
-        store = max(1, int(min(abs(t) / ic.h, _MAX_STEPS)) // 2000)
-    ic = replace(ic, store_every=store)
+    # about 2000 rows; the cap keeps int() off inf
+    ic = replace(ic, store_every=max(
+        1, int(min(abs(t) / ic.h, _MAX_STEPS)) // 2000))
     p0 = _initial_point(sys_, cfg)
     escaped = False
     escape_time = None
@@ -275,11 +274,10 @@ def _cmd_verify_torus(cfg, run):
                 continue  # same torus as the canonical one
             specs.append((_delta_label(sys_, spec), spec))
     reports = verify_kronecker(sys_, [spec for _, spec in specs],
-                               horizon=cfg["t"], tol=cfg["tol"],
-                               seed=cfg["seed"],
+                               horizon=cfg["t"], seed=cfg["seed"],
                                config=IntegratorConfig(h=cfg["h"]))
     docs = [_report_doc("torus is invariant and carries linear angle flow",
-                        {"horizon": cfg["t"], "tol": cfg["tol"],
+                        {"horizon": cfg["t"], "tol": rep.tol,
                          "n_starts": rep.n_starts},
                         "pass" if rep.passed else "fail",
                         {"max_pinned_dev": rep.max_pinned_dev,
@@ -563,43 +561,38 @@ _COMMON_SYSTEM = {
 }
 
 # every subcommand: (command, action) or (command,) -> (handler, flags),
-# where each flag maps to (default, converter); the parser, its action
-# choices and its flag order all come from here
+# where each flag maps to (default, converter) or, fixed, to a bare value;
+# the parser, its action choices and its flag order all come from here
 _COMMANDS = {
     ("systems", "list"): (_cmd_systems, {}),
     ("simulate",): (_cmd_simulate, {
         **_COMMON_SYSTEM,
         "t": (10.0, float), "method": ("rk4", str), "h": (1e-2, float),
         "point": (None, _parse_floats), "angles": (None, _parse_angles),
-        "store_every": (None, _parse_int),
     }),
     ("verify", "torus"): (_cmd_verify_torus, {
-        **_COMMON_SYSTEM, "t": (100.0, float), "tol": (1e-8, float),
+        **_COMMON_SYSTEM, "t": (100.0, float),
         # on the torus every stage derivative is exact, so the step only
         # paces the sampling grid; 0.05 keeps the sweep cheap
         "h": (0.05, float), "deltas": (None, _parse_switch),
     }),
     ("verify", "invariants"): (_cmd_verify_invariants, {
-        **_COMMON_SYSTEM,
-        "t": (1000.0, float), "h": (1e-2, float),
+        **_COMMON_SYSTEM, "t": (1000.0, float), "h": (1e-2, float),
         "method": ("midpoint", str), "points": (3, _parse_count),
-        "scale": (1e-3, float), "tol_h": (1e-8, float),
-        "tol_i": (1e-6, float),
+        "scale": (1e-3, float), "tol_h": 1e-8, "tol_i": 1e-6,
     }),
     ("verify", "brackets"): (_cmd_verify_brackets, {
         **_COMMON_SYSTEM, "points": (1000, _parse_count),
-        "tol": (1e-8, float), "scheme": ("exact", str),
+        "tol": 1e-8, "scheme": "exact",
     }),
     ("verify", "reversibility"): (_cmd_verify_reversibility, {
         **_COMMON_SYSTEM, "points": (100, _parse_count), "t": (5.0, float),
-        "scale": (0.05, float), "tol": (1e-6, float),
+        "scale": (0.05, float), "tol": 1e-6,
     }),
     ("verify", "rank"): (_cmd_verify_rank, {
         **_COMMON_SYSTEM, "points": (100, _parse_count),
     }),
-    ("monodromy",): (_cmd_monodromy, {
-        **_COMMON_SYSTEM, "tol": (1e-6, float),
-    }),
+    ("monodromy",): (_cmd_monodromy, {**_COMMON_SYSTEM, "tol": 1e-6}),
     ("fixedpoint",): (_cmd_fixedpoint, {
         **_COMMON_SYSTEM, "energy": (0.0, float),
         "guess": (None, _parse_floats),
@@ -607,7 +600,7 @@ _COMMANDS = {
     ("freq",): (_cmd_freq, {
         **_COMMON_SYSTEM, "offset": (None, _parse_angles),
         "t": (800.0, float), "h": (1e-2, float),
-        "store_every": (10, _parse_int), "tol": (1e-4, float),
+        "store_every": 10, "tol": 1e-4,
     }),
     ("survey",): (_cmd_survey, {
         **_COMMON_SYSTEM, "samples": (10000, _parse_int),
@@ -615,9 +608,7 @@ _COMMANDS = {
         "jobs": (None, _parse_count),
     }),
     ("dsl", "check"): (_cmd_dsl, {"file": (None, str)}),
-    ("oracle", "period"): (_cmd_oracle, {
-        "zeta": (None, float), "tol": (1e-8, float),
-    }),
+    ("oracle", "period"): (_cmd_oracle, {"zeta": (None, float), "tol": 1e-8}),
 }
 
 _FLAG_HELP = {
@@ -655,7 +646,7 @@ def _build_parser():
     for key, (_, flags) in _COMMANDS.items():
         actions, merged = commands.setdefault(key[0], ([], {}))
         actions += key[1:]
-        merged.update(flags)
+        merged.update(_settable(flags))
     for name, (actions, flags) in commands.items():
         sp = sub.add_parser(name)
         if actions:
@@ -672,6 +663,10 @@ def _key_of(args):
     return (args.cmd,)
 
 
+def _settable(spec):  # the flags of spec, less its fixed values
+    return {k: v for k, v in spec.items() if isinstance(v, tuple)}
+
+
 def _resolve(args, key):
     _, spec = _COMMANDS[key]
     file_cfg = {}
@@ -679,8 +674,12 @@ def _resolve(args, key):
         file_cfg = json.loads(Path(args.config).read_text())
     if not isinstance(file_cfg, dict):
         raise InvalidValue(f"{args.config} does not hold a JSON object")
-    cfg = {}
-    for name, (default, conv) in spec.items():
+    settable = _settable(spec)
+    for name in file_cfg:
+        if name.replace("-", "_") not in settable:
+            raise InvalidValue(f"{args.config}: no flag sets {name!r}")
+    cfg = dict(spec)  # a fixed value, set by no flag or file, as it is
+    for name, (default, conv) in settable.items():
         flag = "--" + name.replace("_", "-")
         value = getattr(args, name, None)
         if value is None:
@@ -702,7 +701,7 @@ def _params(cfg):
 
 def _argv_from(key, cfg):
     argv = list(key)
-    for name in sorted(cfg):
+    for name in sorted(_settable(_COMMANDS[key][1])):
         value = cfg[name]
         if value is None:
             continue

@@ -88,8 +88,18 @@ class IntegratorConfig:
             raise InvalidValue("store_every must be >= 1")
 
 
-# rows a CSV writer takes from its arrays at a time
 _CSV_BLOCK = 1024
+
+
+def _csv_text(header: str, columns, line: str) -> str:
+    """The one CSV writer: header, then `line % row` for each row of the
+    columns. Python floats format as numpy's do, at a fraction of the
+    cost, _CSV_BLOCK rows at a time, so no whole column is held as a list."""
+    rows = [header]
+    for a in range(0, len(columns[0]), _CSV_BLOCK):
+        rows += map(line.__mod__, zip(
+            *[col[a:a + _CSV_BLOCK].tolist() for col in columns]))
+    return "\n".join(rows) + "\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,16 +129,9 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """Header 't,<labels>' then one row per stored step."""
-        header = "t," + ",".join(self.layout.labels)
-        rows = [header]
-        # Python floats format as numpy's do, at a fraction of the cost;
-        # a block at a time, so that no whole array is held as lists
-        for a in range(0, len(self.times), _CSV_BLOCK):
-            for t, row in zip(self.times[a:a + _CSV_BLOCK].tolist(),
-                              self.states[a:a + _CSV_BLOCK].tolist()):
-                rows.append(",".join([f"{t:.17g}"]
-                                     + [f"{v:.17g}" for v in row]))
-        return "\n".join(rows) + "\n"
+        return _csv_text("t," + ",".join(self.layout.labels),
+                         [self.times, *self.states.T],
+                         ",".join(["%.17g"] * (1 + self.layout.dim)))
 
 
 FieldLike = Union[System, Callable[[np.ndarray], np.ndarray]]

@@ -144,6 +144,10 @@ class System:
     rates_source: Union[str, tuple[str, ...]]
     integral_texts: tuple[str, ...]
 
+    def __setstate__(self, state):  # numpy's pickle drops read-only
+        self.__dict__.update(state)
+        self.involution_signs.setflags(write=False)
+
     @property
     def family(self) -> str:
         return self.params.family

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import toruslab
-from toruslab import cli
+from toruslab import analysis, cli
 from toruslab.analysis import SurveyCandidate
 from toruslab.cli import _build_parser, _parse_angles, _parse_omega, main
 from toruslab.dsl import shipped_hamiltonians
@@ -95,6 +97,12 @@ class TestFlagParsing:
           "--out", "{tmp}"], "nests too deeply"),
         (["oracle", "period", "--config", "{tmp}/deep.json",
           "--out", "{tmp}"], "nests too deeply"),
+        (["verify", "torus", "--system", "ham-unique", "--config",
+          "{tmp}/tol.json", "--out", "{tmp}"], "'tol'"),
+        (["verify", "invariants", "--system", "ham-unique", "--config",
+          "{tmp}/tol-h.json", "--out", "{tmp}"], "'tol-h'"),
+        (["survey", "--system", "ham-unique", "--config",
+          "{tmp}/typo.json", "--out", "{tmp}"], "'sampels'"),
     ], ids=["h-zero", "t-nan", "replay-missing-file", "config-array",
             "config-omega-number", "config-n-list", "points-zero",
             "invariants-reversible", "config-n-fraction", "config-n-bool",
@@ -103,7 +111,9 @@ class TestFlagParsing:
             "survey-jobs-negative", "simulate-step-count-overflows",
             "invariants-step-count-overflows", "survey-step-count-huge",
             "survey-samples-past-cap", "survey-pool-samples-past-cap",
-            "dsl-long-sum", "dsl-deep-parens", "config-deep-json"])
+            "dsl-long-sum", "dsl-deep-parens", "config-deep-json",
+            "config-fixed-key", "config-fixed-key-dashed",
+            "config-unknown-key"])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                    argv, named):
         (tmp_path / "array.json").write_text("[1, 2]")
@@ -112,6 +122,9 @@ class TestFlagParsing:
         (tmp_path / "fraction.json").write_text('{"n": 1.5, "points": 2.9}')
         (tmp_path / "bool.json").write_text('{"n": true}')
         (tmp_path / "deltas.json").write_text('{"deltas": 0.5}')
+        (tmp_path / "tol.json").write_text('{"tol": 1e-3}')
+        (tmp_path / "tol-h.json").write_text('{"tol-h": 1}')
+        (tmp_path / "typo.json").write_text('{"sampels": 5}')
         (tmp_path / "no-argv.json").write_text(
             '{"verdicts": {}, "outputs": {}}')
         (tmp_path / "bad-argv.json").write_text(
@@ -128,6 +141,24 @@ class TestFlagParsing:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert named in lines[0]
         assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "torus", "--system", "ham-unique", "--tol", "1e-3"],
+        ["verify", "invariants", "--system", "ham-unique", "--tol-h", "1"],
+        ["verify", "brackets", "--system", "ham-unique", "--scheme", "fd"],
+        ["freq", "--system", "ham-compact", "--offset", "pi/2",
+         "--store-every", "5"],
+        ["simulate", "--system", "ham-unique", "--store-every", "5"],
+        ["oracle", "period", "--zeta", "1", "--tol", "1"],
+    ], ids=["verify-torus-tol", "verify-invariants-tol-h",
+            "verify-brackets-scheme", "freq-store-every",
+            "simulate-store-every", "oracle-period-tol"])
+    def test_fixed_setting_has_no_flag(self, tmp_path, capsys, argv):
+        # a verdict's tolerance is the paper's, not the run's to relax
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert (f"unrecognized arguments: {argv[-2]} {argv[-1]}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestParser:
@@ -448,7 +479,7 @@ class TestConfigFile:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
             "system": "ham-unique", "n": 1, "m": 0,
-            "omega": "1", "t": 50.0, "tol": 1e-8,
+            "omega": "1", "t": 50.0,
         }))
         rc = main(["verify", "torus", "--config", str(cfg),
                    "--t", "10", "--out", str(tmp_path)])
@@ -567,6 +598,31 @@ class TestReports:
             assert doc["parameters"]["samples"] == 20
             assert doc["seed"] == 7
 
+    @pytest.mark.parametrize("argv, fixed", [
+        (["verify", "torus", "--system", "ham-unique", "--t", "1"],
+         {"tol": 1e-8}),
+        (["verify", "invariants", "--system", "ham-unique", "--t", "1"],
+         {"tol_h": 1e-8, "tol_i": 1e-6}),
+        (["verify", "brackets", "--system", "ham-unique", "--points", "10"],
+         {"tol": 1e-8, "scheme": "exact"}),
+        (["verify", "reversibility", "--system", "rev-unique", "--l", "1",
+          "--points", "5", "--t", "1"], {"tol": 1e-6}),
+        (["monodromy", "--system", "control"], {"tol": 1e-6}),
+        (["freq", "--system", "ham-compact", "--offset", "pi/2"],
+         {"tol": 1e-4, "store_every": 10}),
+    ], ids=["verify-torus", "verify-invariants", "verify-brackets",
+            "verify-reversibility", "monodromy", "freq"])
+    def test_fixed_tolerances_are_recorded(self, tmp_path, argv, fixed):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        if argv[:2] == ["verify", "torus"]:
+            doc, defined = doc[0], {"tol": analysis._KRONECKER_TOL}
+        else:  # the command's one definition is its _COMMANDS entry
+            key = tuple(a for a in argv[:2] if not a.startswith("--"))
+            defined = cli._COMMANDS[key][1]
+        for name, value in fixed.items():
+            assert doc["parameters"][name] == value == defined[name]
+
     def test_survey_with_candidates_needs_review(self, tmp_path, capsys,
                                                  monkeypatch):
         real = cli.survey_uniqueness
@@ -585,6 +641,22 @@ class TestReports:
         assert doc["verdict"] == "2 candidates need review"
         assert doc["metrics"]["candidates"] == 2
         assert "survey: FAIL" in capsys.readouterr().out
+
+
+def test_readme_examples_parse():
+    # so that the docs cannot keep a flag the command line no longer has
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
+    lines = [line for line in "".join(blocks).replace("\\\n", " ")
+             .splitlines() if line.startswith("toruslab ")]
+    assert len(lines) >= 13
+    for line in lines:
+        try:
+            args = _build_parser().parse_args(
+                shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+        cli._resolve(args, cli._key_of(args))
 
 
 def test_report_writes_a_number_that_is_not_finite_as_null():

@@ -501,6 +501,7 @@ def test_pickled_system_keeps_its_texts_and_its_step(sys):
     assert clone.layout == sys.layout and clone.slots == sys.slots
     assert clone.canonical_pairing == sys.canonical_pairing
     assert np.array_equal(clone.involution_signs, sys.involution_signs)
+    assert not clone.involution_signs.flags.writeable
     states = np.random.default_rng(0).uniform(-1.0, 1.0, (sys.dim, 16))
     original = sys.compiled("rk4_rows")
     _compiled.cache_clear()  # the clone compiles its texts afresh
