@@ -53,13 +53,10 @@ from .analysis import (
     circulation_period,
     find_fixed_point,
     integral_jacobian_rank,
-    invariant_drift,
     measure_frequencies,
     monodromy,
     poincare_linearization,
     poincare_map,
-    poisson_bracket,
-    recurrence_gap,
     reversibility_deviations,
     survey_uniqueness,
     verify_kronecker,
@@ -115,13 +112,10 @@ __all__ = [
     "circulation_period",
     "find_fixed_point",
     "integral_jacobian_rank",
-    "invariant_drift",
     "measure_frequencies",
     "monodromy",
     "poincare_linearization",
     "poincare_map",
-    "poisson_bracket",
-    "recurrence_gap",
     "reversibility_deviations",
     "survey_uniqueness",
     "verify_kronecker",

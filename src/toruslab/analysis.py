@@ -1,11 +1,11 @@
 """Verification toolkit for the torus catalog.
 
-Conservation drift, Poisson brackets, integral rank, Kronecker-flow
-checks, recurrence gaps, Poincare sections, monodromy, frequency
-measurement, the circulation-period quadrature oracle, the uniqueness
-survey, and the reversibility check. Everything here is a measurement
-with an explicit tolerance; nothing is assumed from the construction of
-the systems themselves, which is the point.
+Poisson brackets, integral rank, Kronecker-flow checks, Poincare
+sections, monodromy, frequency measurement, the circulation-period
+quadrature oracle, the uniqueness survey, and the reversibility check.
+Everything here is a measurement with an explicit tolerance; nothing is
+assumed from the construction of the systems themselves, which is the
+point.
 
 The tolerances and steps the paper's checks fix are constants, not
 parameters, and each docstring states its own.
@@ -41,7 +41,6 @@ from .integrators import (
     _fixed_step,
     _march,
     _rk4_step,
-    integrate,
     integrate_batch,
     integrate_variational,
 )
@@ -69,23 +68,6 @@ TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# conservation
-
-
-def invariant_drift(sys: System, traj: Trajectory) -> np.ndarray:
-    """Max |I_k(t) - I_k(0)| over the stored states, one entry per integral.
-
-    The integrals of the compact families are built from sines, so
-    evaluating them on wrapped stored states is safe.
-    """
-    if not sys.is_hamiltonian:
-        raise NotHamiltonian(
-            f"family {sys.family!r} has no conserved-energy drift report")
-    vals = sys.integrals(traj.states)
-    return np.max(np.abs(vals - vals[0]), axis=0)
-
-
-# ---------------------------------------------------------------------------
 # Poisson brackets
 
 
@@ -102,30 +84,6 @@ def _central_differences(fn, x) -> np.ndarray:
         d = np.asarray(fn(x + e)) - np.asarray(fn(x - e))
         cols.append(d / (2.0 * h).reshape(h.shape + (1,) * (d.ndim - h.ndim)))
     return np.stack(cols, axis=-1)
-
-
-def poisson_bracket(f, g, p: MixedPoint, pairing) -> float:
-    """{f, g} at p for the canonical pairing ((pos, mom), ...).
-
-    f and g map raw coordinate arrays to scalars; their gradients are
-    taken by central differences (_central_differences).
-
-    Examples
-    --------
-    With the single pair ((y, x)), {y, x} = 1 identically:
-
-    >>> plane = CoordinateLayout(labels=("y", "x"), angle_slots=())
-    >>> p = MixedPoint.of(plane, [0.3, -0.7])
-    >>> round(poisson_bracket(lambda s: s[0], lambda s: s[1], p,
-    ...                       ((0, 1),)), 9)
-    1.0
-    """
-    gf = _central_differences(f, p.coords)
-    gg = _central_differences(g, p.coords)
-    total = 0.0
-    for pos, mom in pairing:
-        total += gf[pos] * gg[mom] - gf[mom] * gg[pos]
-    return float(total)
 
 
 def bracket_matrix(sys: System, states: np.ndarray,
@@ -244,61 +202,6 @@ def verify_kronecker(sys: System, spec, horizon: float = 100.0,
 
 
 # ---------------------------------------------------------------------------
-# recurrence
-
-
-def recurrence_gap(sys: System, p0: MixedPoint, t_min: float,
-                   horizon: float) -> float:
-    """Closest return distance min over t in [t_min, horizon] of
-    d(flow_t(p0), p0); +inf when the orbit escapes.
-
-    The distance is sampled on the grid of rk4 steps of 1e-2 and then
-    sharpened by a ternary search between the neighbors of the best
-    sample, so a true periodic return is resolved far below the grid
-    spacing.
-    """
-    if not (horizon > t_min > 0):
-        raise InvalidValue("need horizon > t_min > 0")
-    cfg = IntegratorConfig(h=1e-2)
-    try:
-        traj = integrate(sys, p0, horizon, cfg)
-    except NumericalBlowup:
-        return math.inf
-    mask = traj.times >= t_min - 1e-12
-    if not mask.any():
-        raise InvalidValue("no samples at or beyond t_min")
-    d = torus_distance_batch(sys.layout, traj.states[mask], p0.coords)
-    k = int(np.argmin(d)) + int(np.argmax(mask))
-    best = float(d.min())
-
-    # sharpen between the neighbors of the best sample; restarting from a
-    # wrapped stored state is legitimate because every field is periodic
-    # in its angle slots
-    lo_i = max(k - 1, 0)
-    step, s_lo = _fixed_step(sys, cfg, traj.states[lo_i])
-    t_lo = traj.times[lo_i]
-    width = traj.times[min(k + 1, len(traj) - 1)] - t_lo
-    if width <= 0:
-        return best
-
-    def dist_at(tau):
-        s = step(step(s_lo, 0.5 * tau), 0.5 * tau)
-        return float(torus_distance_batch(sys.layout, np.asarray(s),
-                                          p0.coords))
-
-    a = max(0.0, t_min - t_lo)
-    b = min(width, horizon - t_lo)
-    for _ in range(60):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if dist_at(m1) <= dist_at(m2):
-            b = m2
-        else:
-            a = m1
-    return min(best, dist_at(0.5 * (a + b)))
-
-
-# ---------------------------------------------------------------------------
 # Poincare section
 
 
@@ -355,7 +258,7 @@ def _first_return(sys, section, state, horizon):
         last = (w, t)
         return False
 
-    w, escaped, escape_time, _ = _march(
+    w, escaped, escape_time, _, _ = _march(
         *_fixed_step(sys, cfg, state), horizon, cfg, at_crossing)
     if sgn * (w[slot] - goal) < 0.0:
         if escaped:
@@ -962,7 +865,7 @@ def _survey_block(sys: System, domain: ModularDomain, seed: int,
             np.minimum(gap2, _numpy_sum(list(d), operator.add), out=gap2)
 
     z = states.copy()
-    final, escaped[run], _, _ = _march(
+    final, escaped[run], _, _, _ = _march(
         *_fixed_step(sys, _SURVEY_STEP, origin), horizon, _SURVEY_STEP,
         track_gaps, _domain_exit(sys, domain.intervals))
     z[run] = final.T

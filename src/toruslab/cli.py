@@ -641,26 +641,21 @@ def _build_parser():
     parser.add_argument("--replay", metavar="MANIFEST",
                         help="re-run a recorded manifest and compare")
     sub = parser.add_subparsers(dest="cmd")
-    # one parser per command, holding the flags of all its actions
-    commands = {}
+    # one parser per command line, holding only that line's own flags
+    nested = {}
     for key, (_, flags) in _COMMANDS.items():
-        actions, merged = commands.setdefault(key[0], ([], {}))
-        actions += key[1:]
-        merged.update(_settable(flags))
-    for name, (actions, flags) in commands.items():
-        sp = sub.add_parser(name)
-        if actions:
-            sp.add_argument("action", choices=actions)
-        for flag in [*flags, "out", "config"]:
-            sp.add_argument(f"--{flag.replace('_', '-')}", default=None,
-                            **_FLAG_HELP.get(flag, {}))
+        parent = sub
+        if key[1:]:
+            if key[0] not in nested:
+                nested[key[0]] = sub.add_parser(key[0]).add_subparsers(
+                    dest="action", required=True)
+            parent = nested[key[0]]
+        leaf = parent.add_parser(key[-1])
+        leaf.set_defaults(key=key)
+        for flag in [*_settable(flags), "out", "config"]:
+            leaf.add_argument(f"--{flag.replace('_', '-')}", default=None,
+                              **_FLAG_HELP.get(flag, {}))
     return parser
-
-
-def _key_of(args):
-    if getattr(args, "action", None) is not None:
-        return (args.cmd, args.action)
-    return (args.cmd,)
 
 
 def _settable(spec):  # the flags of spec, less its fixed values
@@ -793,11 +788,11 @@ def _main(argv) -> int:
     if not (args.replay or args.cmd):
         parser.print_usage(sys.stderr)
         return 2
-    key = _key_of(args)
     t0 = time.perf_counter()
     try:
         if args.replay:
             return _replay(args.replay)
+        key = args.key
         cfg = _resolve(args, key)
         out = Path(args.out) if args.out else Path(".")
         out.mkdir(parents=True, exist_ok=True)

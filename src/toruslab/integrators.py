@@ -4,11 +4,12 @@ The numpy steppers work on raw arrays so a batch of states integrates
 at numpy speed. A batch is slot-major, (dim, rows): each slot is a
 contiguous row, and the reductions over slots run down axis 0. One
 stepping loop, `_march`, serves every fixed-step path: it lands exactly
-on the end time, freezes escaping rows instead of raising, and hands
-each step to an observer that stores, measures or stops; the adaptive
-loop of `integrate` is the only other. A batch marches only its live
-rows: an escaping row, or one its caller retires, is written out once
-and dropped, and the observer sees the live rows, never the full state.
+on the end time, freezes escaping rows instead of raising, stores
+every store_every-th state, and hands each step to an observer that
+measures or stops; the adaptive loop of `integrate` is the only other.
+A batch marches only its live rows: an escaping row, or one its caller
+retires, is written out once and dropped, and the observer sees the
+live rows, never the full state.
 The rows of a batch may run in both directions of time at once: given
 one signed end time per row, all of one magnitude, they share one step
 grid, and each steps with a signed h of its own, which drops with the
@@ -301,13 +302,17 @@ def _adaptive_step(field, cfg, state):
     return step, f, np.array(state, dtype=float)
 
 
-def _march(step, state, t_end, cfg, observe=None, retire=None):
+def _march(step, state, t_end, cfg, observe=None, retire=None,
+           store_every=None):
     """Advance state, shape (dim,) or slot-major (dim, rows), to t_end in
     fixed steps.
 
     int(|t_end| / h) whole steps, then a remainder step if one is left;
     the last step ends exactly at t_end. Returns (state, escaped,
-    escape_times, steps taken). A state given as a tuple of floats is one
+    escape_times, steps taken, stored), stored holding (t, state) after
+    every store_every-th step and the last one when store_every is given,
+    and empty otherwise; a batch is stored whole, its escaped rows at
+    their last finite states. A state given as a tuple of floats is one
     row for a step compiled to Python floats (see _fixed_step).
 
     t_end may also be a (rows,) array of a batch's signed end times, all
@@ -361,6 +366,7 @@ def _march(step, state, t_end, cfg, observe=None, retire=None):
     escaped = np.zeros(() if single else state.shape[1], dtype=bool)
     escape_times = np.full(escaped.shape, np.nan)
     cur, live, dropped = state, None, None
+    stored = []
     h_k = direction * h
     k = -1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -401,15 +407,21 @@ def _march(step, state, t_end, cfg, observe=None, retire=None):
                     trial = trial[:, keep]
                     dropped = (rows, frozen, keep)
             cur = trial
+            if store_every and ((k + 1) % store_every == 0
+                                or k == total - 1):
+                if live is not None:
+                    state[:, live] = cur
+                stored.append((direction * elapsed,
+                               cur if live is None else state.copy()))
             if observe is not None and observe(k, direction * elapsed, cur,
                                                live, dropped):
                 break
             if live is not None and len(live) == 0:
                 break
     if single or live is None:
-        return cur, escaped, escape_times, k + 1
+        return cur, escaped, escape_times, k + 1, stored
     state[:, live] = cur
-    return state, escaped, escape_times, k + 1
+    return state, escaped, escape_times, k + 1, stored
 
 
 def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
@@ -449,12 +461,11 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
         stored.append(state)
 
     if cfg.method != ADAPTIVE:
-        def observe(k, t, state, live, dropped):
-            if (k + 1) % cfg.store_every == 0 or t == t_end:
-                store(t, state)
-
-        state, escaped, escape_time, n_steps = _march(
-            *_fixed_step(field, cfg, p0.coords), t_end, cfg, observe)
+        state, escaped, escape_time, n_steps, kept = _march(
+            *_fixed_step(field, cfg, p0.coords), t_end, cfg,
+            store_every=cfg.store_every)
+        for t, s in kept:
+            store(t, s)
         if escaped:
             t_escape = float(escape_time)
     else:
@@ -544,17 +555,13 @@ _FLOAT_ROWS = 8
 def _march_rows(field, cfg, states, t_end, mask, store_every):
     """integrate_batch's result with each row marched alone by _march,
     to its own entry of a per-row t_end."""
-    runs, kept = [], []
-    for row, t_end in zip(states, np.broadcast_to(t_end, len(states))
-                          .tolist()):
-        kept.append([])  # (t, state) at each store step the row lives past
-
-        def observe(k, t, cur, live, dropped, kept=kept[-1]):
-            if (k + 1) % store_every == 0 or t == t_end:
-                kept.append((t, cur))
-        runs.append(_march(*_fixed_step(field, cfg, row), t_end, cfg,
-                           observe if store_every else None))
-    final, escaped, escape_times, steps = map(np.array, zip(*runs))
+    runs = [_march(*_fixed_step(field, cfg, row), t_end, cfg,
+                   store_every=store_every)
+            for row, t_end in zip(states, np.broadcast_to(t_end, len(states))
+                                  .tolist())]
+    # kept: (t, state) at each store step a row lives past
+    *columns, kept = zip(*runs)
+    final, escaped, escape_times, steps = map(np.array, columns)
     result = BatchResult(final=final, escaped=escaped,
                          escape_times=escape_times, n_steps=int(steps.max()))
     if not store_every:
@@ -642,30 +649,18 @@ def integrate_batch(field: FieldLike, states0: np.ndarray,
         else np.zeros(states.shape[1], dtype=bool)
     if 1 <= len(states) <= _FLOAT_ROWS and isinstance(field, System):
         return _march_rows(field, cfg, states, t_end, mask, store_every)
-    stored_times = stored = observe = None
-    if store_every is not None:
-        stored_times = [0.0]
-        stored = [wrap_angles(states, mask)]
-
-        full = states.T.copy()  # the whole batch, brought up to date
-
-        def observe(k, t, cur, live, dropped):
-            if dropped is not None:
-                full[:, dropped[0]] = dropped[1]
-            if (k + 1) % store_every == 0 or t == t_end:
-                if live is not None:
-                    full[:, live] = cur
-                stored_times.append(t)
-                stored.append(wrap_angles((cur if live is None else full).T,
-                                          mask))
-
-    final, escaped, escape_times, n_steps = _march(
-        *_fixed_step(field, cfg, states.T), t_end, cfg, observe)
-    return BatchResult(
-        final=final.T, escaped=escaped, escape_times=escape_times,
-        n_steps=n_steps,
-        stored_times=None if stored is None else np.array(stored_times),
-        stored_states=None if stored is None else np.array(stored))
+    final, escaped, escape_times, n_steps, kept = _march(
+        *_fixed_step(field, cfg, states.T), t_end, cfg,
+        store_every=store_every)
+    result = BatchResult(final=final.T, escaped=escaped,
+                         escape_times=escape_times, n_steps=n_steps)
+    if store_every is None:
+        return result
+    times = np.array([0.0] + [t for t, _ in kept])
+    snapshots = np.array([states] + [s.T for _, s in kept])
+    del kept  # so that the wrapped copy is the second, not the third
+    return replace(result, stored_times=times,
+                   stored_states=wrap_angles(snapshots, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +693,7 @@ def integrate_variational(sys: System, p0: MixedPoint, t_end: float,
     z0 = np.concatenate([p0.coords, np.eye(dim).ravel()])
     # only a non-finite state is a blowup; the bound is the largest float
     # and not inf, because inf <= inf would let an infinity through
-    z, escaped, escape_time, steps = _march(
+    z, escaped, escape_time, steps, _ = _march(
         *_fixed_step(sys, replace(cfg, method=RK4), z0), t_end,
         replace(cfg, escape_norm=np.finfo(float).max))
     z = np.asarray(z)

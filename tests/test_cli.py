@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -168,6 +169,36 @@ class TestParser:
     def test_every_help_exits_0(self, capsys, argv):
         assert main(argv + ["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: toruslab")
+
+    @pytest.mark.parametrize("argv, foreign", [
+        (["verify", "rank", "--system", "ham-unique", "--points", "5",
+          "--t", "99"], "--t 99"),
+        (["verify", "torus", "--system", "ham-unique", "--t", "5",
+          "--points", "5"], "--points 5"),
+        (["verify", "brackets", "--system", "ham-unique", "--deltas"],
+         "--deltas"),
+    ], ids=["rank-t", "torus-points", "brackets-deltas"])
+    def test_flag_of_another_action_is_refused(self, tmp_path, capsys,
+                                               argv, foreign):
+        # a flag the run would ignore must not pass for one it obeyed
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert (f"unrecognized arguments: {foreign}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_each_command_line_takes_only_its_own_flags(self):
+        parser = _build_parser()
+        for key, (_, flags) in cli._COMMANDS.items():
+            leaf = parser
+            for word in key:
+                sub, = (a for a in leaf._actions
+                        if isinstance(a, argparse._SubParsersAction))
+                leaf = sub.choices[word]
+            options = {s for a in leaf._actions for s in a.option_strings}
+            assert options == {"-h", "--help", "--out", "--config", *(
+                "--" + name.replace("_", "-")
+                for name in cli._settable(flags))}, key
+            assert parser.parse_args(list(key)).key == key
 
     def test_built_once_per_process(self, tmp_path, capsys):
         parser = _build_parser()
@@ -656,7 +687,7 @@ def test_readme_examples_parse():
                 shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
-        cli._resolve(args, cli._key_of(args))
+        cli._resolve(args, args.key)
 
 
 def test_report_writes_a_number_that_is_not_finite_as_null():

@@ -496,7 +496,7 @@ class TestBatch:
         assert res.escaped.tolist() == [x < 1.0 or y > 0.0
                                         for x, y in zip(a, b)]
         assert len(set(res.escape_times[res.escaped].tolist())) == 6
-        for i, (final, escaped, escape_time, _) in enumerate(alone):
+        for i, (final, escaped, escape_time, _, _) in enumerate(alone):
             assert res.escaped[i] == escaped
             assert same_bits(res.escape_times[i], escape_time)
             assert same_bits(res.final[i], final)
@@ -570,7 +570,7 @@ class TestBatch:
                 seen["drops"] += 1
             seen["cur"] = cur
 
-        final, escaped, _, n_steps = _march(
+        final, escaped, _, n_steps, _ = _march(
             *_fixed_step(sys, cfg, states.T), 2.0, cfg, observe)
         assert seen["drops"] > 1
         assert np.array_equal(final, ref.final.T)
