@@ -52,7 +52,6 @@ from .phase import (
     subdomain_of,
     torus_distance_batch,
     wrap_angle,
-    wrap_angles,
 )
 from .systems import (
     CONTROL,
@@ -207,15 +206,12 @@ def verify_kronecker(sys: System, spec, horizon: float = 100.0,
 
 @dataclass(frozen=True)
 class Section:
-    """A transversal slice {angle slot = value}, crossed with the given sign."""
+    """A transversal slice {angle slot = value}, crossed increasing."""
 
     slot: int
     value: float
-    direction: int = 1
 
     def __post_init__(self):
-        if self.direction not in (1, -1):
-            raise InvalidValue("direction must be +1 or -1")
         if not math.isfinite(self.value):
             raise InvalidValue("section value must be finite")
 
@@ -229,7 +225,7 @@ class PoincareResult:
 
 
 def _first_return(sys, section, state, horizon):
-    """Flow state to its next directed crossing of the section.
+    """Flow state to its next increasing crossing of the section.
 
     state is the system state, or the state followed by a tangent matrix,
     which then flows along (see integrators._compiled_for). Returns the
@@ -243,24 +239,22 @@ def _first_return(sys, section, state, horizon):
         raise InvalidValue("horizon must be positive")
     cfg = IntegratorConfig(h=1e-2)
     slot = section.slot
-    sgn = float(section.direction)
     theta0 = wrap_angle(float(state[slot]) - section.value)
-    # the unwrapped angle of the next directed crossing; an orbit that
+    # the unwrapped angle of the next increasing crossing; an orbit that
     # starts on the section goes a full turn
-    goal = float(state[slot]) - theta0 \
-        + (0.0 if sgn * theta0 < -1e-12 else sgn * TWO_PI)
+    goal = float(state[slot]) - theta0 + (0.0 if theta0 < -1e-12 else TWO_PI)
     last = (state, 0.0)
 
     def at_crossing(k, t, w, live, dropped):
         nonlocal last
-        if sgn * (w[slot] - goal) >= 0.0:
+        if w[slot] - goal >= 0.0:
             return True
         last = (w, t)
         return False
 
     w, escaped, escape_time, _, _ = _march(
         *_fixed_step(sys, cfg, state), horizon, cfg, at_crossing)
-    if sgn * (w[slot] - goal) < 0.0:
+    if w[slot] - goal < 0.0:
         if escaped:
             raise NumericalBlowup(
                 f"orbit escaped near t={escape_time:.6g} before crossing",
@@ -286,7 +280,7 @@ def _first_return(sys, section, state, horizon):
 
 def poincare_map(sys: System, section: Section, p0: MixedPoint,
                  horizon: float = 1000.0) -> PoincareResult:
-    """Flow p0 to its next directed crossing of the section.
+    """Flow p0 to its next increasing crossing of the section.
 
     An orbit starting on the section is advanced a full turn, not
     reported at time zero. Fixed rk4 steps of 1e-2 scan past the
@@ -475,7 +469,6 @@ class MonodromyResult:
     multipliers: np.ndarray
     residuals: np.ndarray
     period: float
-    point: MixedPoint
 
 
 def monodromy(sys: System, point: Optional[MixedPoint] = None,
@@ -504,7 +497,7 @@ def monodromy(sys: System, point: Optional[MixedPoint] = None,
         v = vecs[:, i]
         res[i] = np.linalg.norm(M @ v - vals[i] * v)
     return MonodromyResult(matrix=M, multipliers=vals, residuals=res,
-                           period=period, point=point)
+                           period=period)
 
 
 # ---------------------------------------------------------------------------
@@ -641,22 +634,14 @@ _MAX_SURVEY_SLOTS = 10**7
 
 
 @dataclass(frozen=True, eq=False)
-class SurveyCandidate:
-    index: int
-    point: np.ndarray
-    gain: float
-    gap: float
-
-
-@dataclass(frozen=True, eq=False)
 class SurveyReport:
     """Per-sample escape-certificate gains and recurrence gaps.
 
-    retired marks the rows of a compact family that left the isolation
-    domain, exit_t the time of the first step outside it (nan for every
-    other row). candidates lists the samples that defeated both
-    thresholds; an empty list is the corroboration of uniqueness at this
-    sampling scale.
+    One entry per sample in every array. retired marks the rows of a
+    compact family that left the isolation domain, exit_t the time of the
+    first step outside it (nan for every other row). candidate marks the
+    samples that defeated both thresholds; none is the corroboration of
+    uniqueness at this sampling scale.
     """
 
     gains: np.ndarray
@@ -665,11 +650,11 @@ class SurveyReport:
     skipped: np.ndarray
     retired: np.ndarray
     exit_t: np.ndarray
-    candidates: tuple[SurveyCandidate, ...]
+    candidate: np.ndarray
 
     @property
     def n_candidates(self) -> int:
-        return len(self.candidates)
+        return int(self.candidate.sum())
 
     def to_csv(self) -> str:
         return _csv_text("index,gain,gap,escaped,skipped,retired,exit_t",
@@ -883,8 +868,7 @@ def _survey_block(sys: System, domain: ModularDomain, seed: int,
     gains[escaped | retired] = math.inf
     gains[skipped] = np.nan
     gaps[skipped] = np.nan
-    final = wrap_angles(z, layout.angle_mask)
-    return gains, gaps, escaped, skipped, retired, exit_t, final
+    return gains, gaps, escaped, skipped, retired, exit_t
 
 
 def _certificate(sys, states):
@@ -962,16 +946,10 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
                     for span in spans]
             blocks = [f.result() for f in futs]
 
-    gains, gaps, escaped, skipped, retired, exit_t, finals = (
+    gains, gaps, escaped, skipped, retired, exit_t = (
         np.concatenate(parts) for parts in zip(*blocks))
-
-    cands = []
-    flag = (~skipped) & (~escaped) & (~retired) & (gains <= _GAIN_TOL) \
-        & (gaps < _GAP_TOL)
-    for i in np.flatnonzero(flag):
-        cands.append(SurveyCandidate(index=int(i), point=finals[i],
-                                     gain=float(gains[i]),
-                                     gap=float(gaps[i])))
+    candidate = (~skipped) & (~escaped) & (~retired) \
+        & (gains <= _GAIN_TOL) & (gaps < _GAP_TOL)
     return SurveyReport(gains=gains, gaps=gaps, escaped=escaped,
                         skipped=skipped, retired=retired, exit_t=exit_t,
-                        candidates=tuple(cands))
+                        candidate=candidate)

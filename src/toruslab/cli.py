@@ -22,7 +22,6 @@ import re
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -185,16 +184,14 @@ def _need(cfg, key):
 
 
 def _system_from(cfg):
-    fam = _need(cfg, "system")
-    omega = cfg.get("omega")
-    if fam == CONTROL:
-        w = omega[0] if omega else 1.0
-        return build_control_system(omega=w, nu=cfg.get("nu", 0.3))
+    # SystemParams refuses the n, m, l or omega that control does not take
     n = cfg.get("n", 1)
-    if omega is None:
-        omega = (1.0,) * n
-    params = SystemParams(fam, n=n, m=cfg.get("m", 0),
-                          l=cfg.get("l"), omega=tuple(omega))
+    params = SystemParams(_need(cfg, "system"), n=n, m=cfg.get("m", 0),
+                          l=cfg.get("l"),
+                          omega=tuple(cfg.get("omega") or (1.0,) * n))
+    if params.family == CONTROL:
+        return build_control_system(omega=params.omega[0],
+                                    nu=cfg.get("nu", 0.3))
     return build_system(params)
 
 
@@ -232,13 +229,12 @@ def _cmd_simulate(cfg, run):
     t = cfg["t"]
     ic = IntegratorConfig(method=cfg["method"], h=cfg["h"])
     # about 2000 rows; the cap keeps int() off inf
-    ic = replace(ic, store_every=max(
-        1, int(min(abs(t) / ic.h, _MAX_STEPS)) // 2000))
+    every = max(1, int(min(abs(t) / ic.h, _MAX_STEPS)) // 2000)
     p0 = _initial_point(sys_, cfg)
     escaped = False
     escape_time = None
     try:
-        traj = integrate(sys_, p0, t, ic)
+        traj = integrate(sys_, p0, t, ic, every)
     except NumericalBlowup as e:
         traj = e.trajectory
         escaped = True
@@ -267,12 +263,10 @@ def _delta_label(sys_, spec):
 def _cmd_verify_torus(cfg, run):
     sys_ = _system_from(cfg)
     specs = [("canonical", canonical_torus(sys_))]
-    # the full delta sweep costs 2^pinned runs, so it is opt-in
-    if sys_.is_compact and cfg.get("deltas"):
-        for spec in delta_tori(sys_):
-            if all(v == 0.0 for _, v in spec.pinned):
-                continue  # same torus as the canonical one
-            specs.append((_delta_label(sys_, spec), spec))
+    # opt-in, as the sweep costs 2^pinned runs; [1:] skips the canonical
+    if cfg.get("deltas"):
+        specs += [(_delta_label(sys_, spec), spec)
+                  for spec in delta_tori(sys_)[1:]]
     reports = verify_kronecker(sys_, [spec for _, spec in specs],
                                horizon=cfg["t"], seed=cfg["seed"],
                                config=IntegratorConfig(h=cfg["h"]))
@@ -426,8 +420,8 @@ def _cmd_freq(cfg, run):
     sys_ = _system_from(cfg)
     spec = nearby_torus(sys_, _need(cfg, "offset"))
     p0 = torus_point(spec, (0.0,) * len(spec.free_slots))
-    ic = IntegratorConfig(h=cfg["h"], store_every=cfg["store_every"])
-    traj = integrate(sys_, p0, cfg["t"], ic)
+    traj = integrate(sys_, p0, cfg["t"], IntegratorConfig(h=cfg["h"]),
+                     cfg["store_every"])
     meas = measure_frequencies(traj, slots=spec.circulating)
     predicted = np.array(spec.predicted_frequency)
     gaps = np.abs(meas.values - predicted)

@@ -67,6 +67,7 @@ class IntegratorConfig:
     """Method selection and numerical knobs.
 
     h is the fixed step (rk4/midpoint) or the initial step (adaptive).
+    Storage is no knob here: see store_every of `integrate`.
     The adaptive controller scales steps by 0.9 * norm^(-1/5), clamped to
     [0.2, 5] per step; the implicit midpoint solve iterates to an absolute
     update of at most _MIDPOINT_TOL, or _MIDPOINT_MAX_ITER times, and no
@@ -77,7 +78,6 @@ class IntegratorConfig:
     h: float = 1e-2
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    store_every: int = 1
     escape_norm: float = 1e8
 
     def __post_init__(self):
@@ -85,8 +85,6 @@ class IntegratorConfig:
             raise InvalidValue(f"unknown method {self.method!r}")
         if not (self.h > 0 and math.isfinite(self.h)):
             raise InvalidValue("h must be positive and finite")
-        if self.store_every < 1:
-            raise InvalidValue("store_every must be >= 1")
 
 
 _CSV_BLOCK = 1024
@@ -192,14 +190,10 @@ def _dp54_step(f, s, k1, h):
 
 
 def _escaping(trial, escape_norm):
-    # the test on one state (dim,); inf, nan and |x| > escape_norm all fail
-    # the <=. _march tests a batch down its slots in the same way
-    return not np.abs(trial).max() <= escape_norm
-
-
-def _escaping_floats(trial, escape_norm):
-    # the same test on a tuple of floats; max() skips a nan that is not
-    # first, but the sum is nan whenever an entry is
+    # the test on one state, a tuple of floats or an array (dim,): inf and
+    # |x| > escape_norm fail the <=; max() skips a nan that is not first,
+    # but the sum is nan whenever an entry is. _march tests a batch down
+    # its slots in the same way
     total = sum(trial)
     return not (max(map(abs, trial)) <= escape_norm and total == total)
 
@@ -359,10 +353,9 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
         raise StepBudgetExceeded(
             f"{span / h:.3g} steps needed, cap is {_MAX_STEPS}")
 
-    floats = isinstance(state, tuple)
-    if not floats:
+    if not isinstance(state, tuple):
         state = np.array(state, dtype=float, order="C")
-    single = floats or state.ndim == 1
+    single = isinstance(state, tuple) or state.ndim == 1
     escaped = np.zeros(() if single else state.shape[1], dtype=bool)
     escape_times = np.full(escaped.shape, np.nan)
     cur, live, dropped = state, None, None
@@ -376,8 +369,7 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
             elapsed = span if k == total - 1 else (k + 1) * h
             trial = step(cur, h_k)
             if single:
-                if (_escaping_floats if floats else _escaping)(
-                        trial, cfg.escape_norm):
+                if _escaping(trial, cfg.escape_norm):
                     escaped[()] = True
                     escape_times[()] = direction * elapsed
                     break  # cur is the last finite state
@@ -425,8 +417,10 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
 
 
 def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
-              config: Optional[IntegratorConfig] = None) -> Trajectory:
-    """Advance p0 to time t_end (either sign) and record the trajectory.
+              config: Optional[IntegratorConfig] = None,
+              store_every: int = 1) -> Trajectory:
+    """Advance p0 to time t_end (either sign) and record the trajectory,
+    storing every store_every-th accepted step (see Trajectory).
 
     Raises NumericalBlowup when the state exceeds the escape norm or goes
     non-finite, a diverging midpoint iteration included (the exception
@@ -450,6 +444,8 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
     escaped near t = 1.01
     """
     cfg = config or IntegratorConfig()
+    if store_every < 1:
+        raise InvalidValue("store_every must be >= 1")
     layout = p0.layout
     times = [0.0]
     stored = [p0.coords]  # raw states, wrapped together at the end
@@ -463,7 +459,7 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
     if cfg.method != ADAPTIVE:
         state, escaped, escape_time, n_steps, kept = _march(
             *_fixed_step(field, cfg, p0.coords), t_end, cfg,
-            store_every=cfg.store_every)
+            store_every=store_every)
         for t, s in kept:
             store(t, s)
         if escaped:
@@ -474,8 +470,6 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
         direction = 1.0 if t_end > 0 else -1.0
         span = abs(t_end)
         step, rates, state = _adaptive_step(field, cfg, p0.coords)
-        escaping = _escaping_floats if isinstance(state, tuple) \
-            else _escaping
         t = 0.0
         n_steps = 0
         h = cfg.h
@@ -494,11 +488,11 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
                     t = t_end if abs(t) + h >= span - 1e-12 \
                         else t + direction * h
                     n_steps += 1
-                    if escaping(trial, cfg.escape_norm):
+                    if _escaping(trial, cfg.escape_norm):
                         t_escape = t
                         break
                     state, k1 = trial, k7
-                    if n_steps % cfg.store_every == 0 \
+                    if n_steps % store_every == 0 \
                             or abs(t) >= span - 1e-12:
                         store(t, state)
                     grow = 5.0 if norm == 0.0 \
@@ -589,8 +583,9 @@ def integrate_batch(field: FieldLike, states0: np.ndarray,
     """Advance a whole batch (B, dim) to t_end with a shared fixed step.
 
     Supports the rk4 and midpoint methods (a shared adaptive controller
-    would let one stiff row throttle everyone), and stores states through
-    its store_every argument, never config.store_every, which must be 1.
+    would let one stiff row throttle everyone). With store_every given,
+    it stores the states after every store_every-th step and the last,
+    as `integrate` does; without it, none.
     Escaping rows are frozen at their last finite state rather than
     raising; a midpoint row whose iteration diverges counts as escaped.
 
@@ -623,9 +618,6 @@ def integrate_batch(field: FieldLike, states0: np.ndarray,
     cfg = config or IntegratorConfig()
     if cfg.method == ADAPTIVE:
         raise InvalidValue("integrate_batch supports rk4 and midpoint")
-    if cfg.store_every != 1:
-        raise InvalidValue("integrate_batch stores through its store_every "
-                           "argument, not config.store_every")
     if store_every is not None and store_every < 1:
         raise InvalidValue("store_every must be >= 1")
     states = np.array(states0, dtype=float)

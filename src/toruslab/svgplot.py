@@ -39,8 +39,9 @@ STROKE_WIDTH = 1.5
 
 @dataclass(frozen=True)
 class PlotStyle:
+    """A plot's title and y-axis label; its x axis is time, t."""
+
     title: str = ""
-    x_label: str = "t"
     y_label: str = ""
 
 
@@ -183,8 +184,7 @@ def plot_svg(series: Sequence[tuple[str, Sequence]],
                      f'fill="#111111">{_escape(style.title)}</text>')
     parts.append(f'<text x="{(px0 + px1) / 2:.2f}" '
                  f'y="{HEIGHT - 12:.2f}" font-size="13" '
-                 f'text-anchor="middle" fill="#222222">'
-                 f'{_escape(style.x_label)}</text>')
+                 f'text-anchor="middle" fill="#222222">t</text>')
     if style.y_label:
         parts.append(f'<text x="16" y="{(py0 + py1) / 2:.2f}" '
                      f'font-size="13" text-anchor="middle" '

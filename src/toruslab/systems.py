@@ -243,7 +243,6 @@ class NearbyTorusSpec:
     layout: CoordinateLayout
     pinned: tuple[tuple[int, float], ...]
     circulating: tuple[int, ...]
-    offset: tuple[float, ...]
     zeta: float
     predicted_frequency: tuple[float, ...]
 
@@ -551,7 +550,7 @@ def nearby_torus(sys: System, offset) -> NearbyTorusSpec:
         + (sys.slots.y,)
     predicted = tuple(rates) + (math.sqrt(zeta * (zeta + 1.0)),)
     return NearbyTorusSpec(layout=sys.layout, pinned=pinned,
-                           circulating=circ, offset=offset, zeta=zeta,
+                           circulating=circ, zeta=zeta,
                            predicted_frequency=predicted)
 
 

@@ -221,9 +221,9 @@ class TestPoincare:
         assert abs(res.time - circulation_period(1.0)) < 1e-6
 
     def test_wrong_direction_never_returns(self):
-        sys = make(REV_UNIQUE, n=1, l=1, m=0)
-        sec = Section(slot=sys.layout.slot_of("phi_1"), value=0.0,
-                      direction=-1)
+        # phi falls at omega = -1, so an increasing crossing never comes
+        sys = make(REV_UNIQUE, n=1, l=1, m=0, omega=(-1.0,))
+        sec = Section(slot=sys.layout.slot_of("phi_1"), value=0.0)
         p0 = torus_point(canonical_torus(sys), [0.5])
         with pytest.raises(NoReturn):
             poincare_map(sys, sec, p0, horizon=10.0)
@@ -455,7 +455,7 @@ class TestFrequencies:
         sys = make(HAM_UNIQUE, n=1, m=0)
         p0 = torus_point(canonical_torus(sys), [0.3])
         traj = integrate(sys, p0, 100.0,
-                         IntegratorConfig(h=1e-2, store_every=10))
+                         IntegratorConfig(h=1e-2), store_every=10)
         meas = measure_frequencies(traj)
         assert meas.circulating.tolist() == [True]
         assert abs(meas.values[0] - 1.0) < 1e-6
@@ -466,7 +466,7 @@ class TestFrequencies:
         spec = nearby_torus(sys, (math.pi / 2,))
         p0 = torus_point(spec, [0.5, 0.0])
         traj = integrate(sys, p0, 800.0,
-                         IntegratorConfig(h=1e-2, store_every=10))
+                         IntegratorConfig(h=1e-2), store_every=10)
         meas = measure_frequencies(traj, slots=("phi_1", "y"))
         # phi freezes at this offset (cos(pi/2) = 0) while y circulates
         assert meas.circulating.tolist() == [False, True]
@@ -478,7 +478,7 @@ class TestFrequencies:
         spec = nearby_torus(sys, (math.pi / 2,))
         p0 = torus_point(spec, [0.5, 0.0])
         traj = integrate(sys, p0, 30.0,
-                         IntegratorConfig(h=1e-2, store_every=10))
+                         IntegratorConfig(h=1e-2), store_every=10)
         with pytest.raises(InsufficientData):
             measure_frequencies(traj, slots=("y",))
 
@@ -617,7 +617,7 @@ class TestSurvey:
         sys = make(HAM_UNIQUE, n=1, m=1)
         rep = survey_uniqueness(sys, self.box(sys), samples=200, seed=7)
         assert rep.n_candidates == 0
-        assert rep.candidates == ()
+        assert rep.candidate.shape == (200,) and not rep.candidate.any()
         assert rep.escaped.sum() > 0
         alive = ~rep.escaped & ~rep.skipped
         assert np.all(rep.gains[alive] > 1e-8)

@@ -7,7 +7,6 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +14,6 @@ import pytest
 
 import toruslab
 from toruslab import analysis, cli
-from toruslab.analysis import SurveyCandidate
 from toruslab.cli import _build_parser, _parse_angles, _parse_omega, main
 from toruslab.dsl import shipped_hamiltonians
 
@@ -104,6 +102,16 @@ class TestFlagParsing:
           "{tmp}/tol-h.json", "--out", "{tmp}"], "'tol-h'"),
         (["survey", "--system", "ham-unique", "--config",
           "{tmp}/typo.json", "--out", "{tmp}"], "'sampels'"),
+        (["verify", "torus", "--system", "ham-unique", "--deltas",
+          "--out", "{tmp}"], "has no delta-torus lattice"),
+        (["verify", "torus", "--system", "rev-unique", "--l", "1",
+          "--deltas", "--out", "{tmp}"], "has no delta-torus lattice"),
+        (["simulate", "--system", "control", "--n", "3", "--out", "{tmp}"],
+         "fixed at n=1, m=0"),
+        (["simulate", "--system", "control", "--l", "1", "--out", "{tmp}"],
+         "l is only meaningful"),
+        (["simulate", "--system", "control", "--omega", "1,2",
+          "--out", "{tmp}"], "omega must have length n=1"),
     ], ids=["h-zero", "t-nan", "replay-missing-file", "config-array",
             "config-omega-number", "config-n-list", "points-zero",
             "invariants-reversible", "config-n-fraction", "config-n-bool",
@@ -114,7 +122,8 @@ class TestFlagParsing:
             "survey-samples-past-cap", "survey-pool-samples-past-cap",
             "dsl-long-sum", "dsl-deep-parens", "config-deep-json",
             "config-fixed-key", "config-fixed-key-dashed",
-            "config-unknown-key"])
+            "config-unknown-key", "deltas-ham-unique", "deltas-rev-unique",
+            "control-n", "control-l", "control-omega-entries"])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                    argv, named):
         (tmp_path / "array.json").write_text("[1, 2]")
@@ -142,6 +151,7 @@ class TestFlagParsing:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert named in lines[0]
         assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["verify", "torus", "--system", "ham-unique", "--tol", "1e-3"],
@@ -660,9 +670,8 @@ class TestReports:
 
         def with_candidates(*args, **kwargs):
             rep = real(*args, **kwargs)
-            found = SurveyCandidate(index=0, point=np.zeros(4), gain=0.0,
-                                    gap=0.0)
-            return replace(rep, candidates=(found, found))
+            rep.candidate[:2] = True
+            return rep
 
         monkeypatch.setattr(cli, "survey_uniqueness", with_candidates)
         assert main(["survey", "--system", "rev-unique", "--n", "1",
@@ -688,6 +697,18 @@ def test_readme_examples_parse():
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
         cli._resolve(args, args.key)
+
+
+def test_readme_quick_start_runs(capsys):
+    # the first python block, as a reader would paste it
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert capsys.readouterr().out.strip()
+    # the printed rates match the closed form it quotes
+    assert np.allclose(scope["meas"].values,
+                       scope["spec"].predicted_frequency, atol=1e-4)
 
 
 def test_report_writes_a_number_that_is_not_finite_as_null():

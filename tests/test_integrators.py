@@ -113,8 +113,8 @@ class TestFixedStep:
     def test_store_every_thins_output(self):
         p0 = MixedPoint.of(SCALAR, [0.1])
         traj = integrate(quad_field, p0, 1.0,
-                         IntegratorConfig(method="rk4", h=1e-2,
-                                          store_every=10))
+                         IntegratorConfig(method="rk4", h=1e-2),
+                         store_every=10)
         assert len(traj) == 11
         assert traj.times[0] == 0.0
         assert traj.times[-1] == 1.0
@@ -151,8 +151,8 @@ class TestFixedStep:
         # feeds y' >= u^2 and the orbit escapes
         sys = ham(n=1, m=1)
         p0 = MixedPoint.of(sys.layout, [0.0, 1.3, 0.0, 0.0, 0.0, 0.0])
-        traj = integrate(sys, p0, 100.0, IntegratorConfig(h=1e-2,
-                                                          store_every=100))
+        traj = integrate(sys, p0, 100.0, IntegratorConfig(h=1e-2),
+                         store_every=100)
         for lab in ("u_1", "x", "y", "p_1", "q_1"):
             col = traj.states[:, sys.layout.slot_of(lab)]
             assert np.max(np.abs(col)) == 0.0
@@ -213,8 +213,8 @@ class TestMidpoint:
         drifts = []
         for h in (0.02, 0.01):
             traj = integrate(sys, p0, 50.0,
-                             IntegratorConfig(method="midpoint", h=h,
-                                              store_every=5))
+                             IntegratorConfig(method="midpoint", h=h),
+                             store_every=5)
             vals = sys.hamiltonian(traj.states)
             drifts.append(np.max(np.abs(vals - h0)))
         assert drifts[1] < 1e-6
@@ -337,8 +337,8 @@ class TestBatch:
             assert not res.escaped.any()
             for i in range(5):
                 traj = integrate(sys, MixedPoint.of(sys.layout, states[i]),
-                                 3.0, IntegratorConfig(h=1e-2,
-                                                       store_every=300))
+                                 3.0, IntegratorConfig(h=1e-2),
+                                 store_every=300)
                 # batch keeps raw angles; wrap before comparing
                 got = MixedPoint.of(sys.layout, res.final[i]).coords
                 assert np.max(np.abs(got - traj.final_point.coords)) \
@@ -443,15 +443,6 @@ class TestBatch:
             with pytest.raises(InvalidValue, match="store_every"):
                 integrate_batch(ham(), np.zeros((rows, 4)), 1.0,
                                 store_every=store_every)
-
-    def test_config_store_every_rejected(self):
-        # a batch stores through its own store_every argument; a config
-        # asking for storage would otherwise store nothing
-        cfg = IntegratorConfig(store_every=10)
-        for field, shape in ((ham(), (3, 4)), (ham(), (20, 4)),
-                             (quad_field, (3, 1))):
-            with pytest.raises(InvalidValue, match="store_every argument"):
-                integrate_batch(field, np.zeros(shape), 1.0, cfg)
 
     def test_empty_batch_marches_the_whole_grid(self):
         res = integrate_batch(ham(), np.zeros((0, 4)), 1.0,
@@ -744,7 +735,7 @@ class TestCsv:
         sys = ham(n=1, m=0)
         p0 = small_point(sys, scale=0.01, seed=2)
         traj = integrate(sys, p0, 1.0,
-                         IntegratorConfig(h=1e-2, store_every=20))
+                         IntegratorConfig(h=1e-2), store_every=20)
         text = traj.to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == "t,u_1,phi_1,x,y"
@@ -850,5 +841,6 @@ class TestConfig:
     def test_bad_step_rejected(self):
         with pytest.raises(InvalidValue):
             IntegratorConfig(h=0.0)
-        with pytest.raises(InvalidValue):
-            IntegratorConfig(store_every=0)
+        with pytest.raises(InvalidValue, match="store_every"):
+            integrate(quad_field, MixedPoint.of(SCALAR, [0.1]), 1.0,
+                      store_every=0)

@@ -85,7 +85,7 @@ class TestPlot:
         spec = nearby_torus(sys, (math.pi / 2,))
         p0 = torus_point(spec, [0.0, 0.0])
         traj = integrate(sys, p0, 200.0,
-                         IntegratorConfig(h=1e-2, store_every=10))
+                         IntegratorConfig(h=1e-2), store_every=10)
         (measured,) = trajectory_series(traj, labels=("y",))
         rate = spec.predicted_frequency[-1]
         overlay = np.stack([traj.times, rate * traj.times], axis=1)
@@ -112,11 +112,11 @@ class TestPlot:
         ET.fromstring(doc)  # stays well-formed
 
     def test_title_and_axis_labels(self):
-        style = PlotStyle(title="heights", x_label="time", y_label="y")
+        style = PlotStyle(title="heights", y_label="y")
         doc = plot_svg([("a", [(0.0, 0.0), (1.0, 1.0)])], style)
         texts = [el.text for el in
                  ET.fromstring(doc).findall("svg:text", NS)]
-        for want in ("heights", "time", "y"):
+        for want in ("heights", "t", "y"):
             assert want in texts
 
     def test_empty_rejected(self):
@@ -134,6 +134,6 @@ class TestPlot:
                                         omega=(1.0,)))
         p0 = torus_point(canonical_torus(sys), [0.0])
         traj = integrate(sys, p0, 50.0,
-                         IntegratorConfig(h=1e-2, store_every=10))
+                         IntegratorConfig(h=1e-2), store_every=10)
         (phi,) = trajectory_series(traj, labels=("phi_1",))
         assert phi[1][-1, 1] == pytest.approx(50.0, abs=1e-6)
