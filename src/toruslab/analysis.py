@@ -628,8 +628,7 @@ _GAIN_TOL = 1e-8
 _GAP_TOL = 1e-3
 _SKIP_TOL = 1e-6
 # The most samples x dim slots one survey takes: its rk4 march holds about
-# a dozen (dim, rows) float arrays at once, 12 x 8 bytes x 10^7 = 1 GB. It
-# keeps every sample index below 2^32, one entropy word for _sample_box.
+# a dozen (dim, rows) float arrays at once, 12 x 8 bytes x 10^7 = 1 GB.
 _MAX_SURVEY_SLOTS = 10**7
 
 
@@ -663,102 +662,14 @@ class SurveyReport:
                           self.exit_t], "%d,%.17g,%.17g,%d,%d,%d,%.17g")
 
 
-# numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 (a 128-bit
-# LCG with the XSL-RR output), restated on arrays of sample indices with
-# numpy's constants; as numpy scalars, so that arithmetic on uint32 and
-# uint64 arrays stays in those types and wraps
-_U32 = np.uint32
-_U64 = np.uint64
-_HASH_A = (0x43B0D7E5, 0x931E8875)  # (initial constant, multiplier)
-_HASH_B = (0x8B51F9DD, 0x58F38DED)
-_MIX_L, _MIX_R = _U32(0xCA01F9DD), _U32(0x4973F715)
-_PCG_MULT = (_U64(2549297995355413924), _U64(4865540595714422341))
-_MASK32 = 0xFFFFFFFF
-
-
-def _hashes(const, mult):
-    """The SeedSequence hash, as a function of a uint32 array, with the
-    running hash constant that numpy's hashes advance call by call."""
-    def hashmix(value):
-        nonlocal const
-        value = value ^ _U32(const)
-        const = const * mult & _MASK32
-        value = value * _U32(const)
-        return value ^ (value >> _U32(16))
-    return hashmix
-
-
-def _mix(x, y):
-    r = x * _MIX_L - y * _MIX_R
-    return r ^ (r >> _U32(16))
-
-
-def _lcg_step(state, inc):
-    """state * _PCG_MULT + inc mod 2^128, each a (high, low) uint64 pair;
-    the high word of the low product from 32-bit limbs."""
-    (hi, lo), (m_hi, m_lo) = state, _PCG_MULT
-    half, low32 = _U64(32), _U64(_MASK32)
-    a0, a1, b0, b1 = lo & low32, lo >> half, m_lo & low32, m_lo >> half
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> half) + (p01 & low32) + (p10 & low32)
-    hi = (a1 * b1 + (p01 >> half) + (p10 >> half) + (mid >> half)
-          + lo * m_hi + hi * m_lo)
-    lo = lo * m_lo
-    new_lo = lo + inc[1]
-    return hi + inc[0] + (new_lo < lo).astype(_U64), new_lo
-
-
-def _raw_draws(seed: int, indices: np.ndarray, n: int) -> np.ndarray:
-    """PCG64(SeedSequence([seed, i])).random_raw(n) for every index i,
-    each below 2^32, as an array (len(indices), n)."""
-    seed = operator.index(seed)  # a numpy integer too, as SeedSequence
-    if seed < 0:
-        raise InvalidValue("expected non-negative integer")
-    # the seed's uint32 words, low first, then the index's one
-    entropy = [np.full(len(indices), seed >> k & _MASK32, dtype=_U32)
-               for k in range(0, max(seed.bit_length(), 1), 32)]
-    entropy.append(indices.astype(_U32))
-    hashmix = _hashes(*_HASH_A)
-    # the entropy words fill the pool, zeros past their end; any left over
-    # are mixed in after the pool has mixed with itself
-    pool = [hashmix(entropy[k] if k < len(entropy)
-                    else np.zeros(len(indices), dtype=_U32))
-            for k in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    # generate_state(4, uint64): 8 more hashes of the pool, paired low
-    # word first into (state high, state low, sequence high, sequence low)
-    hashmix = _hashes(*_HASH_B)
-    w = [hashmix(pool[k % 4]).astype(_U64) for k in range(8)]
-    seeds = [w[2 * j] | w[2 * j + 1] << _U64(32) for j in range(4)]
-    # the increment is the sequence shifted left with its low bit set;
-    # seeding steps from 0, adds the state and steps again
-    one = _U64(1)
-    inc = (seeds[2] << one | seeds[3] >> _U64(63), seeds[3] << one | one)
-    lo = inc[1] + seeds[1]
-    state = _lcg_step((inc[0] + seeds[0] + (lo < inc[1]).astype(_U64), lo),
-                      inc)
-    draws = []
-    for _ in range(n):  # step, then the XSL-RR output of the new state
-        state = _lcg_step(state, inc)
-        x, r = state[0] ^ state[1], state[0] >> _U64(58)
-        draws.append(x >> r | x << ((_U64(64) - r) & _U64(63)))
-    return np.stack(draws, axis=-1)
-
-
 def _sample_box(layout: CoordinateLayout, domain: ModularDomain,
-                seed: int, span: range) -> np.ndarray:
-    """The survey samples of a range of indices, one row each.
+                seed: int, samples: int) -> np.ndarray:
+    """The survey's samples, one row each: default_rng(seed).uniform(lows,
+    highs, (samples, dim)).
 
-    Sample i is default_rng(SeedSequence([seed, i])).uniform(lows,
-    highs) to the bit. The raw words of every sample come from one pass
-    of array arithmetic (_raw_draws), not from a generator per sample;
-    every index must be below 2^32.
+    numpy fills the array in C order, so row i takes the stream's doubles
+    i*dim to (i+1)*dim - 1: each sample depends on (seed, i) and the box
+    alone, never on the sample count or the job count.
     """
     lows = np.empty(layout.dim)
     highs = np.empty(layout.dim)
@@ -769,16 +680,14 @@ def _sample_box(layout: CoordinateLayout, domain: ModularDomain,
                 raise InvalidValue(
                     f"slot {layout.labels[slot]} is unbounded; the "
                     "survey box must be bounded in every real slot")
-            lows[slot], highs[slot] = -math.pi, math.pi
-        else:
-            lows[slot], highs[slot] = iv
-    if span and not 0 <= span[0] <= span[-1] < 2**32:
-        raise InvalidValue("survey sample indices must lie in [0, 2^32)")
-    raw = _raw_draws(seed, np.arange(span.start, span.stop, span.step),
-                     layout.dim)
-    # a Generator's double is the top 53 bits of a raw draw over 2^53
-    u = (raw >> _U64(11)) * 2.0 ** -53
-    return lows + (highs - lows) * u
+            iv = (-math.pi, math.pi)
+        elif not math.isfinite(iv[1] - iv[0]):
+            raise InvalidValue(
+                f"slot {layout.labels[slot]} is too wide to sample: its "
+                "width overflows a double")
+        lows[slot], highs[slot] = iv
+    return np.random.default_rng(seed).uniform(lows, highs,
+                                               (samples, layout.dim))
 
 
 def _domain_exit(sys, box):
@@ -813,12 +722,11 @@ def _domain_exit(sys, box):
     return outside
 
 
-def _survey_block(sys: System, domain: ModularDomain, seed: int,
-                  span: range, horizon: float):
+def _survey_block(sys: System, states: np.ndarray, domain: ModularDomain,
+                  horizon: float):
     layout = sys.layout
     dim = layout.dim
-    nb = len(span)
-    states = _sample_box(layout, domain, seed, span)
+    nb = len(states)
 
     off_slots = [s for s in range(dim)
                  if not (sys.slots.phi.start <= s < sys.slots.phi.stop)]
@@ -849,11 +757,9 @@ def _survey_block(sys: System, domain: ModularDomain, seed: int,
             d *= d
             np.minimum(gap2, _numpy_sum(list(d), operator.add), out=gap2)
 
-    z = states.copy()
     final, escaped[run], _, _, _ = _march(
         *_fixed_step(sys, _SURVEY_STEP, origin), horizon, _SURVEY_STEP,
         track_gaps, _domain_exit(sys, domain.intervals))
-    z[run] = final.T
     run_gap2[np.isnan(run_exit)] = gap2
     gaps = np.full(nb, math.inf)
     gaps[run] = np.sqrt(run_gap2)
@@ -863,10 +769,12 @@ def _survey_block(sys: System, domain: ModularDomain, seed: int,
     retired = ~np.isnan(exit_t)
     # the gain is the certificate's change: rk4 advances y + sum(q) by the
     # same combination of stage rates as it would an extra slot holding
-    # the certificate's rate, so no such slot is needed
-    gains = _certificate(sys, z) - _certificate(sys, states)
+    # the certificate's rate, so no such slot is needed. The final states
+    # are made row-major first, so that sum(q) adds as it does on a row
+    gains = np.full(nb, math.nan)
+    gains[run] = (_certificate(sys, final.T.copy())
+                  - _certificate(sys, states[run]))
     gains[escaped | retired] = math.inf
-    gains[skipped] = np.nan
     gaps[skipped] = np.nan
     return gains, gaps, escaped, skipped, retired, exit_t
 
@@ -882,17 +790,18 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
     """Randomized search for recurrent orbits away from the canonical torus.
 
     Each seeded sample is integrated over the horizon in rk4 steps of
-    1e-2 while co-integrating the certificate gain (the integral of the
-    escape rate along the orbit) and tracking its closest return to the
-    start after t = 1. A sample is a candidate only when the gain stays
-    at most 1e-8 AND the return gap drops below 1e-3; samples within 1e-6
-    of the torus in the non-angle directions are skipped as on-torus, and
-    samples that leave the escape norm 1e8 are self-refuting. Results are
-    deterministic in (seed, index) and independent of the job count.
-    jobs > 1 splits the samples into one range per job, each marched in
-    a process pool worker that receives the System itself (a System is
-    its texts and pickles as it is); jobs 1 marches them all in this
-    process.
+    1e-2; its certificate gain is the change of y + sum(q) over the
+    march, and its gap the closest return to the start after t = 1. A
+    sample is a candidate only when the gain stays at most 1e-8 AND the
+    return gap drops below 1e-3; samples within 1e-6 of the torus in the
+    non-angle directions are skipped as on-torus, and samples that leave
+    the escape norm 1e8 are self-refuting. The samples are drawn at once
+    from one default_rng(seed) stream, row i from its doubles i*dim on,
+    so results are deterministic in (seed, index) and independent of the
+    job count. They are split into one contiguous block per worker,
+    min(jobs, samples, CPUs) of them, each marched in a process pool
+    worker that receives the System itself (a System is its texts and
+    pickles as it is); one worker marches them all in this process.
 
     For the compact families the box must lie inside isolation_domain,
     where the certificate is one-signed; for the unbounded families any
@@ -927,23 +836,19 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
     if domain.dim != sys.dim:
         raise InvalidValue("domain dimension does not match the system")
 
-    chunk = samples if jobs <= 1 else math.ceil(samples / jobs)
-    spans = [range(a, min(a + chunk, samples))
-             for a in range(0, samples, chunk)]
-    if jobs <= 1:
-        blocks = [_survey_block(sys, domain, seed, span, horizon)
-                  for span in spans]
+    states = _sample_box(sys.layout, domain, seed, samples)
+    # the pool starts all its workers at once, so no more than there are
+    # samples or CPUs to run them
+    workers = min(jobs, samples, len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        blocks = [_survey_block(sys, states, domain, horizon)]
     else:
-        # the pool starts all its workers at once, so no more than there
-        # are blocks or CPUs to run them
-        workers = min(jobs, len(spans), len(os.sched_getaffinity(0)))
         # imported here: a process pool costs each start of the CLI its
         # multiprocessing import
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_survey_block, sys, domain, seed, span,
-                                horizon)
-                    for span in spans]
+            futs = [pool.submit(_survey_block, sys, rows, domain, horizon)
+                    for rows in np.array_split(states, workers)]
             blocks = [f.result() for f in futs]
 
     gains, gaps, escaped, skipped, retired, exit_t = (

@@ -656,11 +656,12 @@ class TestSurvey:
         assert np.array_equal(rep1.gaps, rep3.gaps, equal_nan=True)
 
     @pytest.mark.parametrize("samples, jobs, cpus, workers", [
-        (40, 100_000, 3, 3), (40, 2, 3, 2), (5, 4, 8, 3)])
+        (40, 100_000, 3, 3), (40, 2, 3, 2), (5, 4, 8, 4)])
     def test_pool_starts_at_most_one_worker_per_block_and_cpu(
             self, monkeypatch, samples, jobs, cpus, workers):
-        # a stand-in pool that records its size and runs each block inline
-        started = []
+        # a stand-in pool that records its size and its blocks and runs
+        # each block inline
+        started, blocks = [], []
 
         class InlinePool:
             def __init__(self, max_workers):
@@ -673,6 +674,7 @@ class TestSurvey:
                 return False
 
             def submit(self, fn, *args):
+                blocks.append(len(args[1]))
                 fut = Future()
                 fut.set_result(fn(*args))
                 return fut
@@ -685,6 +687,9 @@ class TestSurvey:
         kw = dict(samples=samples, seed=3, horizon=2.0)
         rep = survey_uniqueness(sys, self.box(sys), jobs=jobs, **kw)
         assert started == [workers]
+        # one contiguous block per worker, of sizes a row apart at most
+        assert len(blocks) == workers and sum(blocks) == samples
+        assert max(blocks) - min(blocks) <= 1
         serial = survey_uniqueness(sys, self.box(sys), **kw)
         assert np.array_equal(rep.gains, serial.gains, equal_nan=True)
         assert np.array_equal(rep.gaps, serial.gaps, equal_nan=True)
@@ -695,7 +700,7 @@ class TestSurvey:
         sys = make(HAM_COMPACT, n=1, m=1)
         dom = isolation_domain(sys)
         rep = survey_uniqueness(sys, dom, samples=40, seed=6)
-        starts = _sample_box(sys.layout, dom, 6, range(40))
+        starts = _sample_box(sys.layout, dom, 6, 40)
         dim = sys.dim
 
         def with_rate(z):
@@ -726,36 +731,30 @@ class TestSurvey:
                     sys.layout, z[live, :dim], starts[live]))
         assert np.array_equal(rep.gaps, gaps)
 
-    def test_samples_are_the_generators_uniform_draws(self):
-        # the box is drawn from raw PCG64 words, seeded for all samples at
-        # once; pin it to the bit against default_rng's uniform on the
-        # same per-sample stream, for seeds of one to four entropy words
-        # and one of more words than SeedSequence's pool (3^70), from
-        # index 0 and from inside the range, as --jobs splits it
+    def test_sample_is_the_streams_row_at_every_sample_count(self):
+        # every sample is drawn from one default_rng(seed) stream in C
+        # order, so row i is the same for every sample count (and so for
+        # every split of the rows into blocks); pin it to the bit, for
+        # seeds of one to three entropy words, one of more words than
+        # SeedSequence's pool (3^70) and a numpy integer
         hc, rc, hu = (make(HAM_COMPACT, n=1, m=1),
                       make(REV_COMPACT, n=1, l=1, m=1),
                       make(HAM_UNIQUE, n=1, m=1))
-        cases = [(hc, isolation_domain(hc), 1, range(7000)),
-                 (rc, isolation_domain(rc), 2, range(7000)),
-                 (hu, self.box(hu), 42, range(7000))]
-        cases += [(hu, self.box(hu), seed, span)
-                  for seed in (0, 1, 42, 2**31 - 1, 2**32, 2**64 + 5, 3**70,
-                               np.int64(7))
-                  for span in (range(300), range(4567, 4867))]
-        for sys, dom, seed, span in cases:
+        cases = [(hc, isolation_domain(hc), 1), (rc, isolation_domain(rc), 2)]
+        cases += [(hu, self.box(hu), seed)
+                  for seed in (0, 42, 2**64 + 5, 3**70, np.int64(7))]
+        for sys, dom, seed in cases:
             lows = np.array([-math.pi if iv is None else iv[0]
                              for iv in dom.intervals])
             highs = np.array([math.pi if iv is None else iv[1]
                               for iv in dom.intervals])
-            got = _sample_box(sys.layout, dom, seed, span)
-            want = np.stack([np.random.default_rng(
-                np.random.SeedSequence([seed, i])).uniform(lows, highs)
-                for i in span])
-            assert np.array_equal(got, want), (seed, span)
-            i = span[123]
-            assert np.array_equal(
-                _sample_box(sys.layout, dom, seed, range(i, i + 1)),
-                want[123:124])
+            full = _sample_box(sys.layout, dom, seed, 7000)
+            assert np.array_equal(full, np.random.default_rng(seed).uniform(
+                lows, highs, (7000, sys.dim))), seed
+            assert np.all((lows <= full) & (full < highs))
+            for n in (1, 7, 300, 4567):
+                assert np.array_equal(
+                    _sample_box(sys.layout, dom, seed, n), full[:n]), (seed, n)
 
     def _check_gaps(self, family, n, m, samples, half=1.0):
         # the survey keeps squared gaps on its live rows and roots their
@@ -768,7 +767,7 @@ class TestSurvey:
         dom = self.box(sys, half) if family == HAM_UNIQUE \
             else isolation_domain(sys)
         rep = survey_uniqueness(sys, dom, samples=samples, seed=5)
-        starts = _sample_box(sys.layout, dom, 5, range(samples))
+        starts = _sample_box(sys.layout, dom, 5, samples)
         assert not rep.skipped.any()
         assert rep.escaped.any() == (family == HAM_UNIQUE)
         assert rep.retired.any() == (family == HAM_COMPACT)
@@ -847,7 +846,7 @@ class TestSurvey:
         box = ModularDomain(intervals=tuple(
             (c - 1e-9, c + 1e-9) for c in start))
         rep = survey_uniqueness(sys, box, samples=3, seed=0, horizon=2.0)
-        res = integrate_batch(sys, _sample_box(sys.layout, box, 0, range(3)),
+        res = integrate_batch(sys, _sample_box(sys.layout, box, 0, 3),
                               0.1, IntegratorConfig(h=1e-2), store_every=1)
         edge = np.abs(res.stored_states[:, :, sys.layout.slot_of(label)]) \
             >= math.pi / 2
@@ -864,7 +863,7 @@ class TestSurvey:
         sys = make(HAM_COMPACT, n=1, m=1)
         box = self.box(sys, half=1.0)
         rep = survey_uniqueness(sys, box, samples=16, seed=2, horizon=5.0)
-        starts = _sample_box(sys.layout, box, 2, range(16))
+        starts = _sample_box(sys.layout, box, 2, 16)
         exits, left_box = np.full(16, math.nan), np.zeros(16, dtype=bool)
         for a in (0, 8):
             res = integrate_batch(sys, starts[a:a + 8], 5.0,

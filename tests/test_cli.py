@@ -112,6 +112,11 @@ class TestFlagParsing:
          "l is only meaningful"),
         (["simulate", "--system", "control", "--omega", "1,2",
           "--out", "{tmp}"], "omega must have length n=1"),
+        (["--replay", "{tmp}/argv-number.json"], "argv-number.json"),
+        (["--replay", "{tmp}/argv-numbers.json"], "argv-numbers.json"),
+        (["--replay", "{tmp}/verdicts-list.json"], "verdicts-list.json"),
+        (["survey", "--system", "ham-unique", "--box", "1e308",
+          "--samples", "5", "--jobs", "1", "--out", "{tmp}"], "too wide"),
     ], ids=["h-zero", "t-nan", "replay-missing-file", "config-array",
             "config-omega-number", "config-n-list", "points-zero",
             "invariants-reversible", "config-n-fraction", "config-n-bool",
@@ -123,7 +128,9 @@ class TestFlagParsing:
             "dsl-long-sum", "dsl-deep-parens", "config-deep-json",
             "config-fixed-key", "config-fixed-key-dashed",
             "config-unknown-key", "deltas-ham-unique", "deltas-rev-unique",
-            "control-n", "control-l", "control-omega-entries"])
+            "control-n", "control-l", "control-omega-entries",
+            "replay-argv-number", "replay-argv-numbers",
+            "replay-verdicts-list", "survey-box-too-wide"])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                    argv, named):
         (tmp_path / "array.json").write_text("[1, 2]")
@@ -139,6 +146,12 @@ class TestFlagParsing:
             '{"verdicts": {}, "outputs": {}}')
         (tmp_path / "bad-argv.json").write_text(
             '{"argv": ["verify", "torus"], "verdicts": {}, "outputs": {}}')
+        (tmp_path / "argv-number.json").write_text(
+            '{"argv": 5, "verdicts": {}, "outputs": {}}')
+        (tmp_path / "argv-numbers.json").write_text(
+            '{"argv": [1, 2], "verdicts": {}, "outputs": {}}')
+        (tmp_path / "verdicts-list.json").write_text(
+            '{"argv": ["systems"], "verdicts": [], "outputs": {}}')
         # each parses to a tree deeper than Python's recursion limit
         (tmp_path / "long-sum.ham").write_text(
             "pairs: (q,p)\n" + "+".join(["p"] * 900) + "\n")
@@ -151,6 +164,20 @@ class TestFlagParsing:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert named in lines[0]
         assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_out_of_memory_exits_2_with_one_error_line(self, tmp_path,
+                                                       capsys, monkeypatch):
+        # a --points too large for the machine; raised, not allocated
+        def too_large(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "bracket_matrix", too_large)
+        assert main(["verify", "brackets", "--system", "ham-unique",
+                     "--points", "5", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: input needs more memory than this machine has"]
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("argv", [
@@ -299,6 +326,26 @@ class TestVerify:
         assert main(["verify", "rank", "--system", "ham-unique",
                      "--n", "1", "--m", "1", "--points", "10",
                      "--out", str(tmp_path)]) == 0
+
+    def test_rank_fail_reports_the_degenerate_point(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # the third of five generic points drops a rank; the report names
+        # that rank, not the full rank of the other four
+        real, calls = cli.integral_jacobian_rank, []
+
+        def one_degenerate(sys_, p):
+            calls.append(p)
+            return real(sys_, p) - (len(calls) == 3)
+
+        monkeypatch.setattr(cli, "integral_jacobian_rank", one_degenerate)
+        assert main(["verify", "rank", "--system", "ham-unique",
+                     "--n", "1", "--m", "1", "--points", "5",
+                     "--out", str(tmp_path)]) == 1
+        assert "rank: generic 2/3," in capsys.readouterr().out
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["verdict"] == "fail"
+        assert doc["metrics"]["generic_rank"] == 2
+        assert doc["metrics"]["expected"] == 3
 
     def test_reversibility_pass_and_fail(self, tmp_path):
         assert main(["verify", "reversibility", "--system", "rev-unique",
