@@ -245,7 +245,7 @@ def _first_return(sys, section, state, horizon):
     goal = float(state[slot]) - theta0 + (0.0 if theta0 < -1e-12 else TWO_PI)
     last = (state, 0.0)
 
-    def at_crossing(k, t, w, live, dropped):
+    def at_crossing(t, w, dropped):
         nonlocal last
         if w[slot] - goal >= 0.0:
             return True
@@ -743,10 +743,10 @@ def _survey_block(sys: System, states: np.ndarray, domain: ModularDomain,
     run_exit = np.full(len(run), math.nan)
     origin, gap2 = np.ascontiguousarray(states[run].T), run_gap2
 
-    def track_gaps(k, t, zk, live, dropped):
+    def track_gaps(t, zk, dropped):
         nonlocal origin, gap2
         if dropped is not None:
-            rows, _, keep = dropped
+            rows, keep = dropped
             run_gap2[rows] = gap2[~keep]
             run_exit[rows] = t
             origin, gap2 = origin[:, keep], gap2[keep]

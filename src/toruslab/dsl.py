@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -155,6 +156,42 @@ class Cos(Expr):
     child: Expr
 
 
+_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+# the fields of each node type that hold its children, in fold order
+_CHILDREN = {Const: (), Var: (), **dict.fromkeys(_BINARY, ("left", "right")),
+             PowInt: ("base",), Neg: ("child",), Sin: ("child",),
+             Cos: ("child",)}
+
+
+def _fold(e: Expr, visit: Callable):
+    """The value of visit(node, values) at the root e, values holding
+    those of node's children in the order of their fields.
+
+    visit is called once per node in post-order: every child before its
+    parent, a left child's subtree before its right sibling's. The work
+    is kept on lists, not on Python's call stack, so a tree of any depth
+    folds; a subtree that a tree holds twice is folded twice."""
+    order, todo = [], [e]
+    while todo:  # pre-order, right before left, so reversed is post-order
+        node = todo.pop()
+        order.append(node)
+        fields = _CHILDREN.get(type(node))
+        if fields is None:
+            raise InvalidValue(f"not an expression node: {node!r}")
+        for f in fields:
+            todo.append(getattr(node, f))
+    values = []
+    for node in reversed(order):
+        n = len(_CHILDREN[type(node)])
+        if n:
+            args = values[-n:]
+            del values[-n:]
+            values.append(visit(node, args))
+        else:
+            values.append(visit(node, ()))
+    return values[0]
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], length: int):
         self.toks = tokens
@@ -257,17 +294,8 @@ def parse(text: str) -> Expr:
 
 
 def free_variables(e: Expr) -> frozenset[str]:
-    if isinstance(e, Var):
-        return frozenset({e.name})
-    if isinstance(e, Const):
-        return frozenset()
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return free_variables(e.left) | free_variables(e.right)
-    if isinstance(e, PowInt):
-        return free_variables(e.base)
-    if isinstance(e, (Neg, Sin, Cos)):
-        return free_variables(e.child)
-    raise InvalidValue(f"not an expression node: {e!r}")
+    return _fold(e, lambda node, names: frozenset({node.name})
+                 if type(node) is Var else frozenset().union(*names))
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +353,20 @@ def _scaled(e: Expr, k: float) -> Optional[Expr]:
     """e / k with k folded into the constant at the bottom of e's left
     spine of products, ((c*e1)*e2)/k -> ((c/k)*e1)*e2; None when the
     spine ends in no constant."""
-    if _is_const(e):
-        return Const(e.value / k)
-    if isinstance(e, Mul) and (left := _scaled(e.left, k)) is not None:
-        return _mul(left, e.right)
-    return None
+    factors = []
+    while isinstance(e, Mul):
+        factors.append(e.right)
+        e = e.left
+    return functools.reduce(_mul, reversed(factors), Const(e.value / k)) \
+        if _is_const(e) else None
+
+
+def _power(x, k: int):
+    """x ** k, where a float's overflows to inf of its sign, as numpy's."""
+    try:
+        return x ** k
+    except OverflowError:
+        return math.copysign(math.inf, x) if k % 2 else math.inf
 
 
 def _pow(base: Expr, k: int) -> Expr:
@@ -338,7 +375,7 @@ def _pow(base: Expr, k: int) -> Expr:
     if k == 1:
         return base
     if _is_const(base):
-        return Const(base.value ** k)
+        return Const(_power(base.value, k))
     return PowInt(base, k)
 
 
@@ -350,32 +387,23 @@ def _neg(e: Expr) -> Expr:
     return Neg(e)
 
 
+_SMART = {Add: _add, Sub: _sub, Mul: _mul, Div: _div, Neg: _neg,
+          Sin: lambda c: Const(math.sin(c.value)) if _is_const(c) else Sin(c),
+          Cos: lambda c: Const(math.cos(c.value)) if _is_const(c) else Cos(c)}
+
+
+def _simplified(node: Expr, args: list) -> Expr:
+    if type(node) is PowInt:
+        return _pow(args[0], node.exponent)
+    return _SMART[type(node)](*args) if args else node
+
+
 def simplify(e: Expr) -> Expr:
     """Constant folding plus 0/1 identities, applied bottom-up.
 
     Idempotent, and preserves values everywhere both sides are defined.
     """
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Add):
-        return _add(simplify(e.left), simplify(e.right))
-    if isinstance(e, Sub):
-        return _sub(simplify(e.left), simplify(e.right))
-    if isinstance(e, Mul):
-        return _mul(simplify(e.left), simplify(e.right))
-    if isinstance(e, Div):
-        return _div(simplify(e.left), simplify(e.right))
-    if isinstance(e, PowInt):
-        return _pow(simplify(e.base), e.exponent)
-    if isinstance(e, Neg):
-        return _neg(simplify(e.child))
-    if isinstance(e, Sin):
-        c = simplify(e.child)
-        return Const(math.sin(c.value)) if _is_const(c) else Sin(c)
-    if isinstance(e, Cos):
-        c = simplify(e.child)
-        return Const(math.cos(c.value)) if _is_const(c) else Cos(c)
-    raise InvalidValue(f"not an expression node: {e!r}")
+    return _fold(e, _simplified)
 
 
 # ---------------------------------------------------------------------------
@@ -394,36 +422,28 @@ def differentiate(e: Expr, var: str) -> Expr:
 
 
 def _d(e: Expr, var: str) -> Expr:
-    if isinstance(e, Const):
-        return Const(0.0)
-    if isinstance(e, Var):
-        return Const(1.0) if e.name == var else Const(0.0)
-    if isinstance(e, Add):
-        return Add(_d(e.left, var), _d(e.right, var))
-    if isinstance(e, Sub):
-        return Sub(_d(e.left, var), _d(e.right, var))
-    if isinstance(e, Mul):
-        return Add(Mul(_d(e.left, var), e.right),
-                   Mul(e.left, _d(e.right, var)))
-    if isinstance(e, Div):
-        if isinstance(e.right, Const):
-            return Div(_d(e.left, var), e.right)
-        num = Sub(Mul(_d(e.left, var), e.right),
-                  Mul(e.left, _d(e.right, var)))
-        return Div(num, PowInt(e.right, 2))
-    if isinstance(e, PowInt):
-        if e.exponent == 0:
+    def visit(node, d):
+        t = type(node)
+        if t is Var:
+            return Const(1.0) if node.name == var else Const(0.0)
+        if t is Const or t is PowInt and node.exponent == 0:
             return Const(0.0)
-        return Mul(Mul(Const(float(e.exponent)),
-                       PowInt(e.base, e.exponent - 1)),
-                   _d(e.base, var))
-    if isinstance(e, Neg):
-        return Neg(_d(e.child, var))
-    if isinstance(e, Sin):
-        return Mul(Cos(e.child), _d(e.child, var))
-    if isinstance(e, Cos):
-        return Neg(Mul(Sin(e.child), _d(e.child, var)))
-    raise InvalidValue(f"not an expression node: {e!r}")
+        if t is Add or t is Sub or t is Neg:
+            return t(*d)
+        if t is Mul:
+            return Add(Mul(d[0], node.right), Mul(node.left, d[1]))
+        if t is Div:
+            if isinstance(node.right, Const):
+                return Div(d[0], node.right)
+            num = Sub(Mul(d[0], node.right), Mul(node.left, d[1]))
+            return Div(num, PowInt(node.right, 2))
+        if t is PowInt:
+            return Mul(Mul(Const(float(node.exponent)),
+                           PowInt(node.base, node.exponent - 1)), d[0])
+        if t is Sin:
+            return Mul(Cos(node.child), d[0])
+        return Neg(Mul(Sin(node.child), d[0]))
+    return _fold(e, visit)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +451,8 @@ def _d(e: Expr, var: str) -> Expr:
 
 
 Bindings = dict[str, Union[float, np.ndarray]]
+_ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+               Neg: operator.neg, Sin: np.sin, Cos: np.cos}
 
 
 def eval_expr(e: Expr, bindings: Bindings):
@@ -439,62 +461,42 @@ def eval_expr(e: Expr, bindings: Bindings):
     Array bindings broadcast; a scalar result is returned as float. Raises
     UnboundVar for missing names and EvalError on division by zero.
     """
-    val = _ev(e, bindings)
-    if np.ndim(val) == 0:
-        return float(val)
-    return val
-
-
-def _ev(e: Expr, b: Bindings):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return b[e.name]
-        except KeyError:
-            raise UnboundVar(f"no binding for variable {e.name!r}") from None
-    if isinstance(e, Add):
-        return _ev(e.left, b) + _ev(e.right, b)
-    if isinstance(e, Sub):
-        return _ev(e.left, b) - _ev(e.right, b)
-    if isinstance(e, Mul):
-        return _ev(e.left, b) * _ev(e.right, b)
-    if isinstance(e, Div):
-        den = _ev(e.right, b)
-        if np.any(np.asarray(den) == 0.0):
-            raise EvalError("division by zero during evaluation")
-        return _ev(e.left, b) / den
-    if isinstance(e, PowInt):
-        return _ev(e.base, b) ** e.exponent
-    if isinstance(e, Neg):
-        return -_ev(e.child, b)
-    if isinstance(e, Sin):
-        return np.sin(_ev(e.child, b))
-    if isinstance(e, Cos):
-        return np.cos(_ev(e.child, b))
-    raise InvalidValue(f"not an expression node: {e!r}")
+    def visit(node, v):
+        t = type(node)
+        if t is Const:
+            return node.value
+        if t is Var:
+            try:
+                return bindings[node.name]
+            except KeyError:
+                raise UnboundVar(
+                    f"no binding for variable {node.name!r}") from None
+        if t is Div:
+            if np.any(np.asarray(v[1]) == 0.0):
+                raise EvalError("division by zero during evaluation")
+            return v[0] / v[1]
+        if t is PowInt:
+            return _power(v[0], node.exponent)
+        return _ARITHMETIC[t](*v)
+    val = _fold(e, visit)
+    return float(val) if np.ndim(val) == 0 else val
 
 
 # ---------------------------------------------------------------------------
 # printing
 
 
+_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, PowInt: 4}
+
+
 def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return 1
-    if isinstance(e, (Mul, Div)):
-        return 2
-    if isinstance(e, Neg):
-        return 3
     if isinstance(e, Const) and e.value < 0:
         return 3  # prints with a leading minus
-    if isinstance(e, PowInt):
-        return 4
-    return 5
+    return _PREC.get(type(e), 5)
 
 
 def _fmt_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):
         return str(int(v))
     return repr(v)
 
@@ -502,40 +504,28 @@ def _fmt_number(v: float) -> str:
 def to_text(e: Expr) -> str:
     """Render compactly; parse(to_text(e)) evaluates to the same values,
     and printing is a fixed point on its own output."""
-    if isinstance(e, Const):
-        return _fmt_number(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        left = _wrap(e.left, 1, strict=False)
-        right = _wrap(e.right, 1, strict=isinstance(e, Sub))
-        return f"{left}{op}{right}"
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        left = _wrap(e.left, 2, strict=False)
-        right = _wrap(e.right, 2, strict=isinstance(e, Div))
-        return f"{left}{op}{right}"
-    if isinstance(e, Neg):
-        return "-" + _wrap(e.child, 3, strict=False)
-    if isinstance(e, PowInt):
-        base = to_text(e.base)
-        if _prec(e.base) < 5:
-            base = f"({base})"
-        return f"{base}^{e.exponent}"
-    if isinstance(e, Sin):
-        return f"sin({to_text(e.child)})"
-    if isinstance(e, Cos):
-        return f"cos({to_text(e.child)})"
-    raise InvalidValue(f"not an expression node: {e!r}")
+    def visit(node, texts):
+        t = type(node)
+        if t is Const:
+            return _fmt_number(node.value)
+        if t is Var:
+            return node.name
+        if t in _BINARY:
+            p = _prec(node)
+            return _wrap(node.left, texts[0], p, False) + _BINARY[t] \
+                + _wrap(node.right, texts[1], p, t is Sub or t is Div)
+        if t is Neg:
+            return "-" + _wrap(node.child, texts[0], 3, False)
+        if t is PowInt:
+            return _wrap(node.base, texts[0], 5, False) + f"^{node.exponent}"
+        return f"{t.__name__.lower()}({texts[0]})"
+    return _fold(e, visit)
 
 
-def _wrap(e: Expr, parent_prec: int, strict: bool) -> str:
-    text = to_text(e)
+def _wrap(e: Expr, text: str, parent_prec: int, strict: bool) -> str:
     p = _prec(e)
-    if p < parent_prec or (strict and p == parent_prec):
-        return f"({text})"
-    return text
+    return f"({text})" if p < parent_prec or strict and p == parent_prec \
+        else text
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +602,12 @@ def _rates_in_order(derived: DerivedField, labels) -> list[Expr]:
 # compilation to straight-line code over Python floats
 
 
-_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 # the numpy function of each operation, for code that names its output
 _UFUNCS = {"+": "_add", "-": "_subtract", "*": "_multiply", "/": "_divide",
            "**": "_power", "Neg": "_negative", "Sin": "_sin", "Cos": "_cos"}
+# the most operations written into one another; each adds at most two
+# parentheses, and CPython's parser refuses more than 200
+_NESTING = 50
 
 
 class _Dag:
@@ -635,28 +627,27 @@ class _Dag:
         self._number: dict[tuple, int] = {}
 
     def add(self, e: Expr) -> int:
-        if isinstance(e, Var):
-            if e.name not in self.slot:
-                raise UnboundVar(f"no slot for variable {e.name!r}")
-            key = node = ("in", self.slot[e.name])
-        elif isinstance(e, Const):
-            key = ("const", e.value.hex())  # hex tells 0.0 from -0.0
-            node = ("const", len(self.consts))
-        elif type(e) in _BINARY:
-            key = node = (_BINARY[type(e)], self.add(e.left),
-                          self.add(e.right))
-        elif isinstance(e, PowInt):
-            key = node = ("^", self.add(e.base), e.exponent)
-        elif isinstance(e, (Neg, Sin, Cos)):
-            key = node = (type(e).__name__, self.add(e.child))
-        else:
-            raise InvalidValue(f"not an expression node: {e!r}")
-        if key not in self._number:
-            if node[0] == "const":
-                self.consts.append(e.value)
-            self._number[key] = len(self.nodes)
-            self.nodes.append(node)
-        return self._number[key]
+        """The node of e, numbering those of its subexpressions first."""
+        def visit(expr, args):
+            t = type(expr)
+            if t is Var:
+                if expr.name not in self.slot:
+                    raise UnboundVar(f"no slot for variable {expr.name!r}")
+                key = node = ("in", self.slot[expr.name])
+            elif t is Const:
+                key = ("const", expr.value.hex())  # tells 0.0 from -0.0
+                node = ("const", len(self.consts))
+            elif t is PowInt:
+                key = node = ("^", args[0], expr.exponent)
+            else:
+                key = node = (_BINARY.get(t, t.__name__), *args)
+            if key not in self._number:
+                if node[0] == "const":
+                    self.consts.append(expr.value)
+                self._number[key] = len(self.nodes)
+                self.nodes.append(node)
+            return self._number[key]
+        return _fold(e, visit)
 
     def operands(self, k: int) -> tuple[int, ...]:
         node = self.nodes[k]
@@ -696,11 +687,13 @@ class _Dag:
         be whole arrays, as in the rows code, not the numpy scalars of
         `_numpy_function`'s code of one state. Given `outputs` instead, an
         operation that no output is and that the code reads once is
-        written into its reader, in parentheses, and not assigned.
+        written into its reader, in parentheses, and not assigned, up to
+        _NESTING operations deep.
         Given `targets`, a map from nodes to the code of a numpy array,
         each of those operations writes its value there (out).
         """
         names = dict(known)
+        depth = {}  # of the operations written into their readers
         todo, queued = [], set()
         varies = set()  # the nodes that read a slot
         for k, node in enumerate(self.nodes):
@@ -747,8 +740,10 @@ class _Dag:
             else:
                 code = f"_{op.lower()}({args[0]})"
             if outputs is not None and reads[k] == 1 and k not in outputs:
-                names[k] = f"({code})"
-                continue
+                nest = 1 + max(depth.get(a, 0) for a in self.operands(k))
+                if nest <= _NESTING:
+                    names[k], depth[k] = f"({code})", nest
+                    continue
             if into is not None:
                 names[k] = out
                 lines.append(f"{indent}{code}")
@@ -1336,23 +1331,26 @@ _ZERO = "zero"  # the constant 0, even and odd at once
 def _parity(e: Expr, odd: frozenset):
     """The parity of e when the variables named in odd change sign: 0
     even, 1 odd, _ZERO for the constant 0, None when e has neither."""
-    if isinstance(e, Const):
-        return _ZERO if e.value == 0.0 else 0
-    if isinstance(e, Var):
-        return int(e.name in odd)
-    if isinstance(e, (Neg, Sin)):
-        return _parity(e.child, odd)
-    if isinstance(e, Cos):
-        return None if _parity(e.child, odd) is None else 0
-    if isinstance(e, PowInt):
-        a = _parity(e.base, odd)
-        return a if a in (None, _ZERO) or e.exponent % 2 else 0
-    a, b = _parity(e.left, odd), _parity(e.right, odd)
-    if isinstance(e, (Mul, Div)):
-        return None if None in (a, b) else _ZERO if _ZERO in (a, b) \
-            else a ^ b
-    # + and - need equal parities; the constant 0 takes the other's
-    return b if a == _ZERO else a if b in (_ZERO, a) else None
+    def visit(node, parities):
+        t = type(node)
+        if t is Const:
+            return _ZERO if node.value == 0.0 else 0
+        if t is Var:
+            return int(node.name in odd)
+        a = parities[0]
+        if t is Neg or t is Sin:
+            return a
+        if t is Cos:
+            return None if a is None else 0
+        if t is PowInt:
+            return a if a in (None, _ZERO) or node.exponent % 2 else 0
+        b = parities[1]
+        if t is Mul or t is Div:
+            return None if None in (a, b) else _ZERO if _ZERO in (a, b) \
+                else a ^ b
+        # + and - need equal parities; the constant 0 takes the other's
+        return b if a == _ZERO else a if b in (_ZERO, a) else None
+    return _fold(e, visit)
 
 
 def prove_reversibility(sys: System) -> Optional[str]:

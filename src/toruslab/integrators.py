@@ -327,14 +327,13 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
     inside it, so it is refuted there as an escaping orbit is. Without
     retire the loop makes no call for it.
 
-    observe(k, t, cur, live, dropped), called after each step, sees the
-    live rows cur (dim, live rows), their batch indices live (None while
-    cur is the whole batch) and dropped, None or (indices, last states
-    (dim, rows), keep) of the rows that escaped or were retired at this
-    step, keep marking the previous cur's rows still live. A single
-    state is observed with live and dropped None, and is never retired;
-    its escape ends the march without a call. The march ends when no row
-    is left or when observe returns true.
+    observe(t, cur, dropped), called after each step, sees the time t,
+    the live rows cur (dim, live rows) and dropped, None or (indices,
+    keep) of the rows that escaped or were retired at this step, keep
+    marking the previous cur's rows still live. A single state is
+    observed with dropped None, and is never retired; its escape ends the
+    march without a call. The march ends when no row is left or when
+    observe returns true.
     """
     if np.ndim(t_end):
         direction = np.sign(t_end)
@@ -385,8 +384,7 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
                 if out is not None:  # escapes and retirements leave alike
                     keep = ~out
                     rows = np.flatnonzero(out) if live is None else live[out]
-                    frozen = cur[:, out]
-                    state[:, rows] = frozen
+                    state[:, rows] = cur[:, out]
                     if bad is not None:
                         gone = rows if out is bad else rows[bad[out]]
                         escaped[gone] = True
@@ -397,7 +395,7 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
                         direction, h_k = direction[keep], h_k[keep]
                     live = np.flatnonzero(keep) if live is None else live[keep]
                     trial = trial[:, keep]
-                    dropped = (rows, frozen, keep)
+                    dropped = (rows, keep)
             cur = trial
             if store_every and ((k + 1) % store_every == 0
                                 or k == total - 1):
@@ -405,8 +403,8 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
                     state[:, live] = cur
                 stored.append((direction * elapsed,
                                cur if live is None else state.copy()))
-            if observe is not None and observe(k, direction * elapsed, cur,
-                                               live, dropped):
+            if observe is not None and observe(direction * elapsed, cur,
+                                               dropped):
                 break
             if live is not None and len(live) == 0:
                 break

@@ -90,8 +90,6 @@ class TestFlagParsing:
          "cap of 10,000,000 slots"),
         (["survey", "--system", "ham-unique", "--samples", "100000000000",
           "--out", "{tmp}"], "cap of 10,000,000 slots"),
-        (["dsl", "check", "--file", "{tmp}/long-sum.ham", "--out", "{tmp}"],
-         "nests too deeply"),
         (["dsl", "check", "--file", "{tmp}/deep-parens.ham",
           "--out", "{tmp}"], "nests too deeply"),
         (["oracle", "period", "--config", "{tmp}/deep.json",
@@ -125,7 +123,7 @@ class TestFlagParsing:
             "survey-jobs-negative", "simulate-step-count-overflows",
             "invariants-step-count-overflows", "survey-step-count-huge",
             "survey-samples-past-cap", "survey-pool-samples-past-cap",
-            "dsl-long-sum", "dsl-deep-parens", "config-deep-json",
+            "dsl-deep-parens", "config-deep-json",
             "config-fixed-key", "config-fixed-key-dashed",
             "config-unknown-key", "deltas-ham-unique", "deltas-rev-unique",
             "control-n", "control-l", "control-omega-entries",
@@ -152,9 +150,7 @@ class TestFlagParsing:
             '{"argv": [1, 2], "verdicts": {}, "outputs": {}}')
         (tmp_path / "verdicts-list.json").write_text(
             '{"argv": ["systems"], "verdicts": [], "outputs": {}}')
-        # each parses to a tree deeper than Python's recursion limit
-        (tmp_path / "long-sum.ham").write_text(
-            "pairs: (q,p)\n" + "+".join(["p"] * 900) + "\n")
+        # each nests deeper than Python's recursion limit
         (tmp_path / "deep-parens.ham").write_text(
             "pairs: (q,p)\n" + "(" * 3000 + "p" + ")" * 3000 + "\n")
         (tmp_path / "deep.json").write_text("[" * 10**5 + "]" * 10**5)
@@ -516,10 +512,13 @@ class TestDsl:
         assert "dsl-parse: FAIL" in captured.out
         assert "Traceback" not in captured.out + captured.err
 
-    def test_energy_that_overflows_fails(self, tmp_path, capsys):
-        # both literals are finite, their product is not
+    @pytest.mark.parametrize("energy", ["1e300*1e300*x^2 + y",
+                                        "2^2000*x^2 + y"],
+                             ids=["product", "power"])
+    def test_energy_that_overflows_fails(self, tmp_path, capsys, energy):
+        # every literal is finite, the product or the power is not
         path = tmp_path / "inf.ham"
-        path.write_text("pairs: (y,x)\n1e300*1e300*x^2 + y\n")
+        path.write_text(f"pairs: (y,x)\n{energy}\n")
         rc = main(["dsl", "check", "--file", str(path),
                    "--out", str(tmp_path)])
         assert rc == 1
@@ -527,6 +526,36 @@ class TestDsl:
         assert "dsl-roundtrip: FAIL" in captured.out
         assert "dsl-gradients: FAIL" in captured.out
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("terms", [
+        ["0.0001*p*p"] * 5000,
+        [f"0.001*p^{a}*q^{b}" for a in range(1, 51) for b in range(100)]],
+        ids=["p-squared", "monomials"])
+    def test_a_text_of_5000_terms_passes(self, tmp_path, capsys, terms):
+        # far past Python's recursion limit: no walker of an expression
+        # tree takes a frame per node
+        path = tmp_path / "long.ham"
+        path.write_text("pairs: (q,p)\n" + "+".join(terms) + "\n")
+        rc = main(["dsl", "check", "--file", str(path),
+                   "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_a_long_sum_of_p_parses_and_round_trips(self, tmp_path, capsys):
+        # good input, so exit 1, not 2: only the gradient check fails,
+        # as it compares its central difference with an absolute 1e-6,
+        # and the difference's rounding grows with |H| = 900|p|
+        path = tmp_path / "long-sum.ham"
+        path.write_text("pairs: (q,p)\n" + "+".join(["p"] * 900) + "\n")
+        rc = main(["dsl", "check", "--file", str(path),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "dsl-parse: PASS" in captured.out
+        assert "dsl-roundtrip: PASS" in captured.out
+        assert "dsl-gradients: FAIL" in captured.out
+        assert captured.err == ""
 
     def test_overflow_report_is_strict_json(self, tmp_path, capsys):
         path = tmp_path / "inf.ham"

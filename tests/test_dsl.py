@@ -3,6 +3,7 @@ import math
 import operator
 import re
 from dataclasses import replace
+from sys import getrecursionlimit
 from types import SimpleNamespace
 
 import numpy as np
@@ -643,3 +644,105 @@ def test_parity_names_the_first_rate_that_breaks():
     coupled = replace(ham, rates_source=ham.rates_source.rstrip()
                       + " + y*x\n")
     assert dsl.prove_reversibility(coupled) == "x"
+
+
+# ---------------------------------------------------------------------------
+# texts of any length
+
+
+def _sum_text(terms):
+    """An energy text of the given terms summed, in one pair (q, p)."""
+    return "pairs: (q,p)\n" + "+".join(terms) + "\n"
+
+
+def _monomials(count):
+    """count distinct monomials 0.001*p^a*q^b."""
+    return [f"0.001*p^{a}*q^{b}" for a, b in itertools.islice(
+        itertools.product(range(1, 100), range(100)), count)]
+
+
+def _nesting(source):
+    """The deepest parenthesis nesting of a source text."""
+    depth = deepest = 0
+    for c in source:
+        depth += (c == "(") - (c == ")")
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def test_fold_visits_children_left_to_right_before_their_parent():
+    seen = []
+
+    def visit(node, values):
+        seen.append(getattr(node, "name", type(node).__name__))
+        return 1 + sum(values)
+
+    assert dsl._fold(parse("(x - sin(y))*z^2"), visit) == 7
+    assert seen == ["x", "y", "Sin", "Sub", "z", "PowInt", "Mul"]
+
+
+@pytest.mark.parametrize("walk", [
+    free_variables, simplify, lambda e: differentiate(e, "x"),
+    lambda e: eval_expr(e, {"x": 1.0}), to_text,
+    lambda e: dsl._parity(e, frozenset()),
+    lambda e: compile_numpy([e], ("x",))],
+    ids=["free_variables", "simplify", "differentiate", "eval_expr",
+         "to_text", "parity", "compile_numpy"])
+def test_every_walker_refuses_a_node_that_is_not_an_expression(walk):
+    with pytest.raises(InvalidValue, match="not an expression node: 3"):
+        walk(Add(Var("x"), 3))
+
+
+def test_a_sum_past_the_parser_nesting_limit_compiles_to_floats():
+    # written into its reader, each single-use sum of the float code
+    # would nest one parenthesis deeper, past the 200 CPython parses;
+    # the code names a temporary every _NESTING levels instead
+    text = _sum_text(["p*p"] * 203)
+    for kind, state in (("rates", (0.0, 0.5)),
+                        ("tangent", (0.0, 0.5, 1.0, 0.0, 0.0, 1.0))):
+        compiled = dsl.compile_system(kind, text, (), ("q", "p"))
+        assert _nesting(compiled.source) <= 2 * dsl._NESTING + 1
+        # 406 exact additions of p = 0.5
+        assert compiled.field(state)[:2] == (203.0, 0.0)
+
+
+def test_a_sum_past_the_recursion_limit_prints_as_it_reads():
+    # a printer taking two frames per term (to_text and _wrap) would
+    # pass Python's recursion limit here
+    text = _sum_text(["p*p"] * 499)
+    assert format_hamiltonian_file(*parse_hamiltonian_file(text)) == text
+
+
+@pytest.mark.parametrize("kind", ["rates", "tangent", "field", "rk4_rows",
+                                  "jacobian", "hamiltonian", "integrals",
+                                  "integral_gradients"])
+def test_every_kind_compiles_from_a_text_past_the_recursion_limit(kind):
+    terms = ["0.001*p*q^2"] * 2000
+    assert len(terms) > getrecursionlimit()
+    compiled = dsl.compile_system(kind, _sum_text(terms), ("q",), ("q", "p"))
+    assert compiled.source.startswith("def ")
+
+
+def test_long_texts_walk_in_every_walker():
+    # a sum of 3,000 terms, three times Python's default recursion limit
+    e = parse("+".join(_monomials(3000)))
+    assert free_variables(e) == {"p", "q"}
+    simple = simplify(e)  # p^1 and q^0 fold
+    assert to_text(simplify(simple)) == to_text(simple)
+    at = {"p": 0.5, "q": 0.25}
+    assert eval_expr(differentiate(e, "q"), at) == pytest.approx(sum(
+        0.001 * 0.5 ** a * b * 0.25 ** (b - 1) for a, b in itertools.islice(
+            itertools.product(range(1, 100), range(100)), 3000)),
+        rel=1e-12)
+    assert dsl._parity(parse("+".join(["q*p"] * 3000)),
+                       frozenset({"q"})) == 1
+
+
+def test_a_constant_power_that_overflows_is_infinite():
+    # as numpy's power is, where Python's float power raises
+    assert simplify(parse("2^2000")) == Const(math.inf)
+    assert simplify(PowInt(Const(-2.0), 2001)) == Const(-math.inf)
+    assert simplify(PowInt(Const(-2.0), 2000)) == Const(math.inf)
+    assert eval_expr(parse("2^2000*x"), {"x": 1.0}) == math.inf
+    assert eval_expr(parse("x^2001"), {"x": -2.0}) == -math.inf
+    assert eval_expr(parse("x^3"), {"x": 1.1}) == 1.1 ** 3

@@ -533,33 +533,28 @@ class TestBatch:
             assert (stored.stored_states[n:, i] == frozen).all()
 
     def test_observer_sees_only_live_rows(self):
-        # the march keeps its batch slot-major: cur and frozen are
-        # (dim, rows); the reference is the row path
+        # the march keeps its batch slot-major: cur is (dim, live rows);
+        # the reference is the row path
         sys = ham(n=1, m=1)
         states = np.random.default_rng(5).uniform(-2.0, 2.0, (64, sys.dim))
         cfg = IntegratorConfig(h=1e-2)
         ref = row_path(sys, states, 2.0, cfg)
-        seen = {"cur": states.T, "drops": 0}
+        # the batch indices of the live rows, followed through keep
+        seen = {"live": np.arange(len(states)), "drops": 0}
 
-        def observe(k, t, cur, live, dropped):
+        def observe(t, cur, dropped):
             gone = ref.escape_times <= t  # nan for a row that never left
-            if live is None:
-                assert not gone.any()
-            else:
-                assert np.array_equal(live, np.flatnonzero(~gone))
-            assert cur.shape == (sys.dim, (~gone).sum())
             now = np.flatnonzero(ref.escape_times == t)
             if dropped is None:
                 assert len(now) == 0
             else:
-                rows, frozen, keep = dropped
+                rows, keep = dropped
                 assert np.array_equal(rows, now)
-                # a dropped row keeps its state from before this step
-                assert np.array_equal(frozen, seen["cur"][:, ~keep])
-                assert np.array_equal(frozen, ref.final[rows].T)
-                assert keep.sum() == cur.shape[1]
+                assert np.array_equal(seen["live"][~keep], rows)
+                seen["live"] = seen["live"][keep]
                 seen["drops"] += 1
-            seen["cur"] = cur
+            assert np.array_equal(seen["live"], np.flatnonzero(~gone))
+            assert cur.shape == (sys.dim, len(seen["live"]))
 
         final, escaped, _, n_steps, _ = _march(
             *_fixed_step(sys, cfg, states.T), 2.0, cfg, observe)
