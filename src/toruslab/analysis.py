@@ -243,17 +243,10 @@ def _first_return(sys, section, state, horizon):
     # the unwrapped angle of the next increasing crossing; an orbit that
     # starts on the section goes a full turn
     goal = float(state[slot]) - theta0 + (0.0 if theta0 < -1e-12 else TWO_PI)
-    last = (state, 0.0)
-
-    def at_crossing(t, w, dropped):
-        nonlocal last
-        if w[slot] - goal >= 0.0:
-            return True
-        last = (w, t)
-        return False
-
-    w, escaped, escape_time, _, _ = _march(
-        *_fixed_step(sys, cfg, state), horizon, cfg, at_crossing)
+    # the march stops at the first state past the goal, and hands on the
+    # state before it
+    w, escaped, escape_time, _, [last] = _march(
+        *_fixed_step(sys, cfg, state), horizon, cfg, stop=(slot, goal))
     if w[slot] - goal < 0.0:
         if escaped:
             raise NumericalBlowup(
@@ -272,7 +265,7 @@ def _first_return(sys, section, state, horizon):
 
     # one rk4 step in the angle from the last state before the crossing
     # lands on the section (Henon, Physica D 5 (1982) 412-414)
-    w, t = last
+    t, w = last
     v = _rk4_step(per_angle, np.append(w, t), goal - w[slot])
     v[slot] = section.value
     return v[:-1], float(v[-1])

@@ -23,7 +23,7 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, Optional, Sequence, Union
 
@@ -40,7 +40,7 @@ from .errors import (
     UnboundVar,
 )
 from .integrators import (_DP_A, _DP_B4, _DP_B5, _MIDPOINT_MAX_ITER,
-                          _MIDPOINT_TOL)
+                          _MIDPOINT_TOL, _run)
 from .phase import CoordinateLayout
 from .systems import System, _on_states
 
@@ -789,7 +789,7 @@ _DP_NAMES = {f"_a{i}_{j}": a for i, row in enumerate(_DP_A)
 _DP_NAMES.update({f"_e{j}": b5 - b4 for j, (b5, b4)
                   in enumerate(zip(_DP_B5, _DP_B4))}, _b6=_DP_B5[6])
 
-_FUNCTIONS = ("field", "rk4_step", "midpoint_step", "dp54_step")
+_FUNCTIONS = ("field", "rk4_step", "midpoint_step", "dp54_step", "run")
 
 
 @dataclass(frozen=True)
@@ -844,7 +844,7 @@ class _Rk4Slots:
 def _generate(dag: _Dag, rates: list[int], dim: int,
               functions: Sequence[str] = _FUNCTIONS) -> list[str]:
     """Source of each named function of one state tuple, among field,
-    rk4_step, midpoint_step and dp54_step.
+    rk4_step, midpoint_step, dp54_step and run.
 
     The steps repeat the arithmetic of integrators._rk4_step,
     _batch_midpoint and the adaptive loop's _dp54_step with its error
@@ -852,6 +852,11 @@ def _generate(dag: _Dag, rates: list[int], dim: int,
     repeats a value already computed (see `_Rk4Slots`): a zero-rate slot
     advances by h*0.0, a constant-rate one by the folded constant h *
     ((c + 2c + 2c + c) / 6), and each shares its stage states.
+
+    run marches a state in a stretch of steps (see `CompiledRates`). Its
+    escape test is integrators._escaping as one chain of comparisons
+    -escape_norm <= a_i <= escape_norm over the unpacked slots, which a
+    nan or an infinity fails as it fails _escaping.
     """
     fresh = itertools.count()
     s = [f"s{i}" for i in range(dim)]
@@ -979,8 +984,27 @@ def _generate(dag: _Dag, rates: list[int], dim: int,
         return lines + ["    except _FAILS:",
                         "        return _NAN, _INF, _NAN", ""]
 
+    def run():
+        a = [f"a{i}" for i in range(dim)]
+        return ["def run(step, s, h, n, escape_norm, slot, goal):",
+                "    low = -escape_norm",
+                "    prev = s",
+                "    for k in range(n):",
+                "        t = step(s, h)",
+                f"        {_tuple(a)} = t",
+                "        if not ("
+                + " and ".join(f"low <= {x} <= escape_norm" for x in a)
+                + "):",
+                "            return prev, s, k + 1, 'escape'",
+                "        prev = s",
+                "        s = t",
+                "        if t[slot] - goal >= 0.0:",
+                "            return prev, s, k + 1, 'stop'",
+                "    return prev, s, n, 'end'", ""]
+
     makers = {"field": field, "rk4_step": rk4_step,
-              "midpoint_step": midpoint_step, "dp54_step": dp54_step}
+              "midpoint_step": midpoint_step, "dp54_step": dp54_step,
+              "run": run}
     return ["\n".join(makers[name]()) for name in functions]
 
 
@@ -1103,7 +1127,18 @@ class CompiledRates:
     next step's k1. Where that arithmetic raises (sin of inf, a division
     by zero, an overflowing power) every slot comes back NaN (and the
     norm inf), as numpy would give inf or nan, so the integrators' escape
-    test sees it either way. Functions not compiled are None.
+    test sees it either way.
+
+    run(step, s, h, n, escape_norm, slot, goal) takes a whole stretch of
+    up to n steps s = step(s, h) in one call, one of the steps above, so
+    that the march of one state makes one call per stretch. It ends at
+    the first state that fails the integrators' escape test, or whose
+    entry slot minus goal is >= 0.0 (goal inf never stops), and returns
+    (previous state, state, steps taken, reason): reason 'escape' keeps
+    the last finite state and counts the escaping step, 'stop' and 'end'
+    (n steps taken) give the new state and the one before it. The run
+    of a tangent flow is integrators._run (see `compile_tangent`).
+    Functions not compiled are None.
     """
 
     source: str
@@ -1112,6 +1147,7 @@ class CompiledRates:
     midpoint_step: Optional[Callable[[tuple, float], tuple]]
     dp54_step: Optional[Callable[[tuple, tuple, float, float, float],
                                  tuple]]
+    run: Optional[Callable[..., tuple]]
 
 
 def _dag_of(rates: Sequence[Expr], names: Sequence[str]):
@@ -1130,10 +1166,11 @@ def compile_rates(rates: Sequence[Expr], names: Sequence[str],
     """Compile one rate expression per name, in the order of `names`.
 
     functions names what to generate among field, rk4_step,
-    midpoint_step and dp54_step; the others are None. The generated
-    code names slots s0, s1, ... and constants c0, c1, ..., and binds
-    the constants by value, so no identifier or number of the source
-    text reaches it. Raises UnboundVar for a variable outside `names`.
+    midpoint_step, dp54_step and run; the others are None. The
+    generated code names slots s0, s1, ... and constants c0, c1, ...,
+    and binds the constants by value, so no identifier or number of the
+    source text reaches it. Raises UnboundVar for a variable outside
+    `names`.
     """
     names, dag, outs = _dag_of(rates, names)
     sources = _generate(dag, outs, len(names), functions)
@@ -1151,7 +1188,7 @@ def compile_rates(rates: Sequence[Expr], names: Sequence[str],
 
 def compile_tangent(rates: Sequence[Expr],
                     names: Sequence[str]) -> CompiledRates:
-    """The tangent flow of the rates, compiled: field and rk4_step.
+    """The tangent flow of the rates, compiled: field, rk4_step and run.
 
     Its state is the dim slots of `names` followed by the dim x dim
     tangent matrix M row by row, and its rates are the given ones
@@ -1159,6 +1196,9 @@ def compile_tangent(rates: Sequence[Expr],
     the products of J @ M in the order k = 0, 1, ..., with the zero
     entries of the exact Jacobian left out. The matrix slots have
     generated names, which no identifier of a source text can spell.
+    Its run is integrators._run, whose escape test, the builtin max and
+    sum of _escaping, costs less on dim + dim^2 slots than one
+    comparison per slot.
     """
     names = tuple(names)
     dim = len(names)
@@ -1170,9 +1210,10 @@ def compile_tangent(rates: Sequence[Expr],
             terms = [_mul(jac[i, k], m[k][j]) for k in range(dim)
                      if not _is_const(jac[i, k], 0.0)]
             products.append(functools.reduce(_add, terms, Const(0.0)))
-    return compile_rates(list(rates) + products,
-                         names + tuple(v.name for row in m for v in row),
-                         functions=("field", "rk4_step"))
+    return replace(compile_rates(
+        list(rates) + products,
+        names + tuple(v.name for row in m for v in row),
+        functions=("field", "rk4_step")), run=_run)
 
 
 # ---------------------------------------------------------------------------
@@ -1262,14 +1303,12 @@ def compile_rows(rates: Sequence[Expr], names: Sequence[str]) -> Callable:
 # one system from its texts
 
 
-def _source_exprs(source, labels) -> tuple[list[Expr], Optional[Expr]]:
-    """The rates of a rate source in label order, and its simplified
-    energy (None for rate texts)."""
+def _source_rates(source, labels) -> list[Expr]:
+    """The rates of a rate source in label order."""
     if isinstance(source, str):
-        energy, pairing = parse_hamiltonian_file(source)
-        derived = hamiltonian_vector_field(energy, pairing)
-        return _rates_in_order(derived, labels), simplify(energy)
-    return [simplify(parse(text)) for text in source], None
+        derived = hamiltonian_vector_field(*parse_hamiltonian_file(source))
+        return _rates_in_order(derived, labels)
+    return [simplify(parse(text)) for text in source]
 
 
 def _gradients(exprs, names) -> dict:
@@ -1293,10 +1332,12 @@ def compile_system(kind: str, source, integrals: Sequence[str],
     the (dim, dim, ...) derivatives d rate_i / d slot_j, 'hamiltonian'
     the energy, 'integrals' the (k, ...) integral values and
     'integral_gradients' their (k, dim, ...) gradients. Every derivative
-    is exact, taken by `differentiate`.
+    is exact, taken by `differentiate`. The last three kinds derive no
+    rates.
     """
     labels = tuple(labels)
-    rates, energy = _source_exprs(source, labels)
+    if kind in ("rates", "tangent", "field", "rk4_rows", "jacobian"):
+        rates = _source_rates(source, labels)
     if kind == "rates":
         return compile_rates(rates, labels)
     if kind == "tangent":
@@ -1308,6 +1349,8 @@ def compile_system(kind: str, source, integrals: Sequence[str],
     if kind == "jacobian":
         return _numpy_function(kind, _gradients(rates, labels),
                                (len(labels),) * 2, labels)
+    energy = simplify(parse_hamiltonian_file(source)[0]) \
+        if isinstance(source, str) else None
     if kind == "hamiltonian" and energy is not None:
         return _numpy_function(kind, {(): energy}, (), labels)
     exprs = [] if energy is None else [energy]
@@ -1369,7 +1412,7 @@ def prove_reversibility(sys: System) -> Optional[str]:
     structural test, so a failure disproves nothing.
     """
     labels = sys.layout.labels
-    rates, _ = _source_exprs(sys.rates_source, labels)
+    rates = _source_rates(sys.rates_source, labels)
     odd = frozenset(lab for lab, g in zip(labels, sys.involution_signs)
                     if g < 0)
     for label, rate in zip(labels, rates):

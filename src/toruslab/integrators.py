@@ -4,12 +4,15 @@ The numpy steppers work on raw arrays so a batch of states integrates
 at numpy speed. A batch is slot-major, (dim, rows): each slot is a
 contiguous row, and the reductions over slots run down axis 0. One
 stepping loop, `_march`, serves every fixed-step path: it lands exactly
-on the end time, freezes escaping rows instead of raising, stores
-every store_every-th state, and hands each step to an observer that
-measures or stops; the adaptive loop of `integrate` is the only other.
-A batch marches only its live rows: an escaping row, or one its caller
-retires, is written out once and dropped, and the observer sees the
-live rows, never the full state.
+on the end time, freezes escaping rows instead of raising, and stores
+every store_every-th state; the adaptive loop of `integrate` is the only
+other. A single state marches in stretches, each one call of a runner
+that takes the stretch's steps, tests each new state for escape and
+stops at a section crossing (see `dsl.CompiledRates`). A batch hands
+each step to an observer that measures or stops, and marches only its
+live rows: an escaping row, or one its caller retires, is written out
+once and dropped, and the observer sees the live rows, never the full
+state.
 The rows of a batch may run in both directions of time at once: given
 one signed end time per row, all of one magnitude, they share one step
 grid, and each steps with a signed h of its own, which drops with the
@@ -198,6 +201,22 @@ def _escaping(trial, escape_norm):
     return not (max(map(abs, trial)) <= escape_norm and total == total)
 
 
+def _run(step, s, h, n, escape_norm, slot, goal):
+    """The run of dsl.CompiledRates on any step, with _escaping's test:
+    for a tangent flow's state, and for one state of a plain field on
+    the numpy steps."""
+    prev = s
+    for k in range(n):
+        t = step(s, h)
+        if _escaping(t, escape_norm):
+            return prev, s, k + 1, "escape"
+        prev = s
+        s = t
+        if t[slot] - goal >= 0.0:
+            return prev, s, k + 1, "stop"
+    return prev, s, n, "end"
+
+
 _MIDPOINT_TOL = 1e-12
 _MIDPOINT_MAX_ITER = 50
 _MAX_STEPS = 5_000_000
@@ -249,25 +268,29 @@ def _compiled_for(field, state):
 
 
 def _fixed_step(field, cfg, state):
-    """The rk4 or midpoint step of cfg, a function step(state, h), and
-    the state for _march to start from.
+    """The rk4 or midpoint step of cfg and the state for _march to start
+    from: for a batch (dim, rows), a function step(state, h); for a single
+    state (dim,), that step bound into a runner run(state, h, n,
+    escape_norm, slot, goal), which takes up to n steps in one call (see
+    `dsl.CompiledRates`).
 
-    A state with compiled code (see _compiled_for) steps through it and
-    starts as a tuple. A System batch (dim, rows) takes rk4 steps through
-    the system's generated code for batches (see `dsl.compile_rows`),
-    which gives _rk4_step's result bit for bit at a fraction of its cost;
-    any other state steps numpy arrays.
+    A state with compiled code (see _compiled_for) steps and runs through
+    it and starts as a tuple. A System batch takes rk4 steps through the
+    system's generated code for batches (see `dsl.compile_rows`), which
+    gives _rk4_step's result bit for bit at a fraction of its cost; any
+    other state steps numpy arrays, and a single one runs through _run.
     """
     code = _compiled_for(field, state)
     if code is not None:
         start = tuple(np.asarray(state, dtype=float).tolist())
-        return (code.midpoint_step if cfg.method == MIDPOINT
-                else code.rk4_step), start
+        return partial(code.run, code.midpoint_step if cfg.method == MIDPOINT
+                       else code.rk4_step), start
     if cfg.method == RK4 and isinstance(field, System) \
             and np.ndim(state) == 2 and len(state) == field.dim:
         return field.compiled("rk4_rows"), state
-    return partial(_batch_midpoint if cfg.method == MIDPOINT else _rk4_step,
-                   _as_field_fn(field)), state
+    step = partial(_batch_midpoint if cfg.method == MIDPOINT else _rk4_step,
+                   _as_field_fn(field))
+    return (partial(_run, step) if np.ndim(state) == 1 else step), state
 
 
 def _adaptive_step(field, cfg, state):
@@ -297,7 +320,7 @@ def _adaptive_step(field, cfg, state):
 
 
 def _march(step, state, t_end, cfg, observe=None, retire=None,
-           store_every=None):
+           store_every=None, stop=None):
     """Advance state, shape (dim,) or slot-major (dim, rows), to t_end in
     fixed steps.
 
@@ -306,8 +329,16 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
     escape_times, steps taken, stored), stored holding (t, state) after
     every store_every-th step and the last one when store_every is given,
     and empty otherwise; a batch is stored whole, its escaped rows at
-    their last finite states. A state given as a tuple of floats is one
-    row for a step compiled to Python floats (see _fixed_step).
+    their last finite states.
+
+    A single state, an array (dim,) or a tuple of floats for compiled
+    code, is marched by the runner that _fixed_step gives in place of
+    its step, one call per stretch of whole steps up to the next store
+    point and one for the remainder step. Its escape ends the march at
+    its last finite state, the escaping step counted. stop, (slot,
+    goal), ends it also at the first state whose entry slot minus goal
+    is >= 0.0; stored then holds only (t, state) of the state before the
+    last step taken: the start state at t = 0 if that step was the first.
 
     t_end may also be a (rows,) array of a batch's signed end times, all
     of one magnitude (integrate_batch checks them): every row steps on
@@ -327,13 +358,11 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
     inside it, so it is refuted there as an escaping orbit is. Without
     retire the loop makes no call for it.
 
-    observe(t, cur, dropped), called after each step, sees the time t,
-    the live rows cur (dim, live rows) and dropped, None or (indices,
-    keep) of the rows that escaped or were retired at this step, keep
-    marking the previous cur's rows still live. A single state is
-    observed with dropped None, and is never retired; its escape ends the
-    march without a call. The march ends when no row is left or when
-    observe returns true.
+    observe(t, cur, dropped), called after each step of a batch, sees the
+    time t, the live rows cur (dim, live rows) and dropped, None or
+    (indices, keep) of the rows that escaped or were retired at this
+    step, keep marking the previous cur's rows still live. The march of
+    a batch ends when no row is left or when observe returns true.
     """
     if np.ndim(t_end):
         direction = np.sign(t_end)
@@ -357,8 +386,31 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
     single = isinstance(state, tuple) or state.ndim == 1
     escaped = np.zeros(() if single else state.shape[1], dtype=bool)
     escape_times = np.full(escaped.shape, np.nan)
-    cur, live, dropped = state, None, None
     stored = []
+    if single:
+        slot, goal = (0, math.inf) if stop is None else stop
+        cur = prev = state
+        k, reason = 0, "end"  # k: the steps taken
+        with np.errstate(over="ignore", invalid="ignore"):
+            while k < total and reason == "end":
+                # whole steps up to the next store point, of which k is
+                # one here, then the remainder step
+                n, h_k = ((min(n_whole - k, store_every or n_whole), h)
+                          if k < n_whole else (1, remainder))
+                prev, cur, taken, reason = step(
+                    cur, direction * h_k, n, cfg.escape_norm, slot, goal)
+                k += taken
+                elapsed = span if k == total else k * h
+                if reason == "escape":
+                    escaped[()] = True
+                    escape_times[()] = direction * elapsed
+                elif store_every and (k % store_every == 0 or k == total):
+                    stored.append((direction * elapsed, cur))
+        if stop is not None:
+            stored = [(direction * ((k - 1) * h), prev)]
+        return cur, escaped, escape_times, k, stored
+
+    cur, live, dropped = state, None, None
     h_k = direction * h
     k = -1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -367,35 +419,29 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
                 h_k = direction * remainder
             elapsed = span if k == total - 1 else (k + 1) * h
             trial = step(cur, h_k)
-            if single:
-                if _escaping(trial, cfg.escape_norm):
-                    escaped[()] = True
-                    escape_times[()] = direction * elapsed
-                    break  # cur is the last finite state
-            else:
-                # three calls when no row escapes, as nearly always; a nan
-                # makes the max nan, which fails the <= as inf does
-                top = np.abs(trial).max(axis=0)
-                dropped = bad = None
-                out = None if retire is None else retire(trial)
-                if not top.max(initial=0.0) <= cfg.escape_norm:
-                    bad = ~(top <= cfg.escape_norm)
-                    out = bad if out is None else out | bad
-                if out is not None:  # escapes and retirements leave alike
-                    keep = ~out
-                    rows = np.flatnonzero(out) if live is None else live[out]
-                    state[:, rows] = cur[:, out]
-                    if bad is not None:
-                        gone = rows if out is bad else rows[bad[out]]
-                        escaped[gone] = True
-                        escape_times[gone] = (
-                            direction[bad] if np.ndim(direction)
-                            else direction) * elapsed
-                    if np.ndim(direction):
-                        direction, h_k = direction[keep], h_k[keep]
-                    live = np.flatnonzero(keep) if live is None else live[keep]
-                    trial = trial[:, keep]
-                    dropped = (rows, keep)
+            # three calls when no row escapes, as nearly always; a nan
+            # makes the max nan, which fails the <= as inf does
+            top = np.abs(trial).max(axis=0)
+            dropped = bad = None
+            out = None if retire is None else retire(trial)
+            if not top.max(initial=0.0) <= cfg.escape_norm:
+                bad = ~(top <= cfg.escape_norm)
+                out = bad if out is None else out | bad
+            if out is not None:  # escapes and retirements leave alike
+                keep = ~out
+                rows = np.flatnonzero(out) if live is None else live[out]
+                state[:, rows] = cur[:, out]
+                if bad is not None:
+                    gone = rows if out is bad else rows[bad[out]]
+                    escaped[gone] = True
+                    escape_times[gone] = (
+                        direction[bad] if np.ndim(direction)
+                        else direction) * elapsed
+                if np.ndim(direction):
+                    direction, h_k = direction[keep], h_k[keep]
+                live = np.flatnonzero(keep) if live is None else live[keep]
+                trial = trial[:, keep]
+                dropped = (rows, keep)
             cur = trial
             if store_every and ((k + 1) % store_every == 0
                                 or k == total - 1):
@@ -408,7 +454,7 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
                 break
             if live is not None and len(live) == 0:
                 break
-    if single or live is None:
+    if live is None:
         return cur, escaped, escape_times, k + 1, stored
     state[:, live] = cur
     return state, escaped, escape_times, k + 1, stored
@@ -534,13 +580,15 @@ class BatchResult:
 
 
 # A System batch of 1 to _FLOAT_ROWS rows marches row by row on the
-# compiled float steps. Per step on ham-unique, ham-compact and rev-compact
-# (n = m = 1, 2 shared cores), the float rk4 step costs 1-4 us a row and
-# the generated rows step a near-flat 42-47, 66-74 and 21-24 us at 2-32
-# rows, so the float path is the cheaper up to 16 rows; the two meet at
-# 24-32 rows.
-# For midpoint, float steps cost 3-9 us a row against 36-215 us for
-# _batch_midpoint, and meet it at 16-32 rows.
+# compiled float steps. Per step of 0.01 on ham-unique, ham-compact and
+# rev-compact (n = m = 1, 50 steps, Python 3.11, 2 shared cores), the
+# float rk4 path costs 1.7-1.9, 2.6-3.0 and 0.9-1.0 us a row, its
+# stretch march included, and the generated rows step a near-flat 36-42,
+# 53-70 and 20-23 us at 2-48 rows, so the float path is the cheaper up
+# to 16 rows; the two meet at 20-24 rows. For midpoint, the float path
+# costs 2.6-3.1, 3.6-4.5 and 1.8-2.2 us a row against 48-72, 64-106 and
+# 36-49 us for _batch_midpoint, and meets it at 20-32 rows. The value
+# is to be re-picked together with a generated midpoint step for rows.
 _FLOAT_ROWS = 8
 
 
@@ -594,8 +642,9 @@ def integrate_batch(field: FieldLike, states0: np.ndarray,
     of its own direction, bit for bit. A per-row t_end stores no states.
 
     A System batch of 1 to _FLOAT_ROWS (8) rows marches each row alone on
-    the system's compiled float step, where numpy's per-call cost would
-    dwarf the arithmetic; any other batch, and any field that is not a
+    the system's compiled float step, in stretches of steps that each
+    take one call of its compiled runner, where numpy's per-call cost
+    would dwarf the arithmetic; any other batch, and any field that is not a
     System, steps a numpy array (dim, rows), transposed once each way,
     through the system's generated rk4 step of such arrays or through
     the numpy steps on the field. All give the same result, bit for bit.

@@ -220,6 +220,25 @@ class TestPoincare:
         res = poincare_map(sys, sec, p0)
         assert abs(res.time - circulation_period(1.0)) < 1e-6
 
+    def test_crossing_on_the_first_step_lands_from_the_start(self):
+        # phi_1 starts 0.001 short of the section and advances near 1: the
+        # first step of 0.01 crosses, and Henon's step starts from the
+        # start state at t = 0
+        sys = make(HAM_UNIQUE, n=1, m=0)
+        slot = sys.layout.slot_of("phi_1")
+        p0 = MixedPoint.of(sys.layout, [0.01, -0.001, 0.02, -0.03])
+        res = poincare_map(sys, Section(slot=slot, value=0.0), p0)
+        rates = sys.compiled().field
+
+        def per_angle(v):
+            r = np.array(rates(tuple(v[:-1].tolist())))
+            return np.append(r, 1.0) / r[slot]
+
+        want = _rk4_step(per_angle, np.append(p0.coords, 0.0), 0.001)
+        assert 0.0 < res.time == want[-1] < 0.01
+        want[slot] = 0.0
+        assert np.array_equal(res.point.coords, want[:-1])
+
     def test_wrong_direction_never_returns(self):
         # phi falls at omega = -1, so an increasing crossing never comes
         sys = make(REV_UNIQUE, n=1, l=1, m=0, omega=(-1.0,))

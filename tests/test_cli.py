@@ -315,6 +315,17 @@ class TestVerify:
                    "--out", str(tmp_path)])
         assert rc == 0
 
+    def test_invariants_at_twelve_slots(self, tmp_path):
+        # n = 3, m = 2: each of the 3 points marches alone through the
+        # compiled runner of 12 slots
+        rc = main(["verify", "invariants", "--system", "ham-compact",
+                   "--n", "3", "--m", "2", "--method", "midpoint",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["parameters"]["tol_h"] == 1e-8
+        assert report["metrics"]["escaped"] == 0
+
     def test_brackets_and_rank(self, tmp_path):
         assert main(["verify", "brackets", "--system", "ham-unique",
                      "--n", "1", "--m", "1", "--points", "100",
@@ -405,6 +416,16 @@ class TestFreq:
         assert abs(report["metrics"]["measured"]["y"] - SQRT2) < 1e-4
         assert report["metrics"]["zeta"] == pytest.approx(1.0)
         assert (tmp_path / "frequencies.svg").exists()
+
+    def test_compact_torus_of_ten_slots(self, tmp_path):
+        # n = 3, m = 1: one state of 10 slots through the compiled runner
+        rc = main(["freq", "--system", "ham-compact", "--n", "3", "--m",
+                   "1", "--omega", "1,sqrt2,sqrt3", "--offset",
+                   "pi/2,pi/3,pi/6", "--out", str(tmp_path)])
+        assert rc == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["parameters"]["tol"] == 1e-4
+        assert report["metrics"]["max_gap"] <= 1e-4
 
     def test_unique_family_rejected(self, tmp_path, capsys):
         rc = main(["freq", "--system", "ham-unique", "--n", "1",

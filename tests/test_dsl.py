@@ -713,6 +713,23 @@ def test_a_sum_past_the_recursion_limit_prints_as_it_reads():
     assert format_hamiltonian_file(*parse_hamiltonian_file(text)) == text
 
 
+def test_energy_kinds_derive_no_rates(monkeypatch):
+    sys = build_system(SystemParams(HAM_COMPACT, n=2, m=1,
+                                    omega=(1.0, math.sqrt(2.0))))
+    args = (sys.rates_source, sys.integral_texts, sys.layout.labels)
+    kinds = ("hamiltonian", "integrals", "integral_gradients")
+    want = [dsl.compile_system(kind, *args).source for kind in kinds]
+
+    def no_rates(*args):
+        raise AssertionError("rates derived")
+
+    monkeypatch.setattr(dsl, "hamiltonian_vector_field", no_rates)
+    assert [dsl.compile_system(kind, *args).source
+            for kind in kinds] == want
+    with pytest.raises(AssertionError, match="rates derived"):
+        dsl.compile_system("rates", *args)
+
+
 @pytest.mark.parametrize("kind", ["rates", "tangent", "field", "rk4_rows",
                                   "jacobian", "hamiltonian", "integrals",
                                   "integral_gradients"])

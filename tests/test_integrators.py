@@ -1,11 +1,14 @@
 import math
 import types
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from catalog_oracle import tangent_field
 
 from toruslab.analysis import _central_differences
+from toruslab.dsl import compile_rates, parse
 from toruslab.errors import (
     ConvergenceFailure,
     InvalidValue,
@@ -17,6 +20,7 @@ from toruslab.integrators import (
     BatchResult,
     IntegratorConfig,
     Trajectory,
+    _escaping,
     _fixed_step,
     _march,
     _rk4_step,
@@ -723,6 +727,183 @@ class TestCompiledStep:
         assert want.n_rejected > 0
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.states, want.states)
+
+
+def one_step_at_a_time(step, state, t_end, cfg, store_every=None,
+                       stop=None):
+    """_march of one state, as a loop that calls step(state, h) once a
+    step and makes the escape test of `_escaping` on each new state."""
+    span, sign = abs(t_end), math.copysign(1.0, t_end)
+    n_whole = int(span / cfg.h + 1e-9)
+    remainder = span - n_whole * cfg.h
+    total = n_whole + (1 if remainder > 1e-12 else 0)
+    cur = prev = state
+    stored = []
+    for k in range(1, total + 1):
+        t = sign * (span if k == total else k * cfg.h)
+        trial = step(cur, sign * (cfg.h if k <= n_whole else remainder))
+        if _escaping(trial, cfg.escape_norm):
+            return cur, True, t, k, stored
+        prev, cur = cur, trial
+        if store_every and (k % store_every == 0 or k == total):
+            stored.append((t, cur))
+        if stop is not None and cur[stop[0]] - stop[1] >= 0.0:
+            break
+    if stop is not None:
+        stored = [(sign * ((k - 1) * cfg.h), prev)]
+    return cur, False, math.nan, k, stored
+
+
+def assert_same_march(got, want):
+    state, escaped, escape_time, steps, stored = got
+    assert same_bits(state, want[0])
+    assert (bool(escaped), steps) == (want[1], want[3])
+    assert same_bits(escape_time, want[2])
+    assert len(stored) == len(want[4])
+    for (t, s), (t_want, s_want) in zip(stored, want[4]):
+        assert same_bits(t, t_want) and same_bits(s, s_want)
+
+
+def escape_norm_at(step, state, t_end, cfg, k):
+    """An escape norm that the k-th state of the march passes first."""
+    stored = one_step_at_a_time(step, state, t_end, cfg, store_every=1)[4]
+    tops = [max(map(abs, s)) for s in [state] + [s for _, s in stored]]
+    assert tops[k] > max(tops[:k])
+    return 0.5 * (tops[k] + max(tops[:k]))
+
+
+class TestStretchMarch:
+    """A single state marches in stretches of steps, each one call of the
+    runner; the result is that of one call of the step per step."""
+
+    @staticmethod
+    def _unique(coords=(0.8, 0.0, 0.2, 0.3)):
+        # u = 0.8 pins y' >= 0.64 + y^2: escape near t = 1.5
+        sys = ham(n=1, m=0)
+        return sys, sys.compiled().rk4_step, tuple(coords)
+
+    @pytest.mark.parametrize("store_every", [None, 7])
+    def test_escape_inside_a_stretch(self, store_every):
+        cfg = IntegratorConfig(h=1e-3)
+        sys, step, start = self._unique()
+        got = _march(*_fixed_step(sys, cfg, start), 10.0, cfg,
+                     store_every=store_every)
+        want = one_step_at_a_time(step, start, 10.0, cfg, store_every)
+        assert want[1] and want[3] % 7 and 1000 < want[3] < 2000
+        assert_same_march(got, want)
+
+    @pytest.mark.parametrize("method", ["rk4", "midpoint"])
+    def test_escape_on_the_remainder_step(self, method):
+        cfg = IntegratorConfig(method=method, h=1e-2)
+        sys, _, start = self._unique()
+        code = sys.compiled()
+        step = code.midpoint_step if method == "midpoint" else code.rk4_step
+        # 123 whole steps and one of 0.0045
+        t_end = 1.2345
+        cfg = replace(cfg, escape_norm=escape_norm_at(step, start, t_end,
+                                                      cfg, 124))
+        want = one_step_at_a_time(step, start, t_end, cfg, store_every=10)
+        assert want[1] and want[2] == t_end and want[3] == 124
+        assert_same_march(_march(*_fixed_step(sys, cfg, start), t_end, cfg,
+                                 store_every=10), want)
+        # a plain field runs through the numpy steps
+        field = np.array(start)
+        got = _march(*_fixed_step(sys.field, cfg, field), t_end, cfg)
+        assert got[1] and got[2] == t_end and got[3] == 124
+
+    @pytest.mark.parametrize("t_end", [1.0, -1.0, 1.005])
+    def test_store_every_that_does_not_divide_the_steps(self, t_end):
+        cfg = IntegratorConfig(h=1e-2)
+        sys, step, start = self._unique((0.01, 0.0, 0.02, -0.03))
+        got = _march(*_fixed_step(sys, cfg, start), t_end, cfg,
+                     store_every=7)
+        want = one_step_at_a_time(step, start, t_end, cfg, store_every=7)
+        assert not want[1] and len(want[4]) == 15
+        assert_same_march(got, want)
+
+    @pytest.mark.parametrize("order", [("t", "y", "z"), ("y", "t", "z")])
+    @pytest.mark.parametrize("rate, bad", [
+        # the product overflows past t = 1.34: inf - inf, or inf
+        ("t*t*1e300*1e8 - t*t*1e300*1e8", "nan"),
+        ("t*t*1e300*1e8*1e-302", "inf"),
+    ], ids=["nan", "inf"])
+    def test_one_slot_turns_non_finite(self, order, rate, bad):
+        texts = {"t": "1", "y": rate, "z": "t"}
+        code = compile_rates([parse(texts[x]) for x in order], order)
+        cfg = IntegratorConfig(h=1e-2)
+        start = (0.0, 0.0, 0.0)
+        got = _march(partial(code.run, code.rk4_step), start, 2.0, cfg,
+                     store_every=10)
+        want = one_step_at_a_time(code.rk4_step, start, 2.0, cfg, 10)
+        assert want[1] and want[3] == 135
+        trial = code.rk4_step(want[0], 1e-2)
+        y = order.index("y")
+        assert str(trial[y]) == bad
+        assert all(math.isfinite(v) for i, v in enumerate(trial) if i != y)
+        assert_same_march(got, want)
+
+    def test_crossing_on_the_first_step(self):
+        cfg = IntegratorConfig(h=1e-2)
+        sys, step, start = self._unique((0.01, 0.5, 0.02, -0.03))
+        slot = sys.layout.slot_of("phi_1")
+        stop = (slot, start[slot] + 0.001)  # phi_1' is near 1
+        got = _march(*_fixed_step(sys, cfg, start), 100.0, cfg, stop=stop)
+        want = one_step_at_a_time(step, start, 100.0, cfg, stop=stop)
+        assert want[3] == 1 and want[4] == [(0.0, start)]
+        assert_same_march(got, want)
+
+    def test_crossing_on_the_remainder_step(self):
+        cfg = IntegratorConfig(h=1e-2)
+        sys, step, start = self._unique((0.01, 0.5, 0.02, -0.03))
+        slot = sys.layout.slot_of("phi_1")
+        phi = [s[slot] for _, s in
+               one_step_at_a_time(step, start, 0.5, cfg, store_every=1)[4]]
+        # between the 29th and the 30th state, so that a remainder step
+        # of 0.9 h after 29 whole steps crosses
+        stop = (slot, 0.5 * (phi[28] + phi[29]))
+        t_end = 0.299
+        got = _march(*_fixed_step(sys, cfg, start), t_end, cfg, stop=stop)
+        want = one_step_at_a_time(step, start, t_end, cfg, stop=stop)
+        assert want[3] == 30 and want[0][slot] - stop[1] >= 0.0
+        assert_same_march(got, want)
+
+    def test_tangent_state_of_42_slots(self):
+        sys = ham(n=1, m=1)
+        step = sys.compiled("tangent").rk4_step
+        z = np.concatenate([small_point(sys, 0.5, seed=3).coords,
+                            np.eye(sys.dim).ravel()])
+        start = tuple(z.tolist())
+        assert len(start) == 42
+        cfg = IntegratorConfig(h=1e-2)
+        for k in (None, 57):
+            if k is not None:  # an escape inside the stretch
+                cfg = replace(cfg, escape_norm=escape_norm_at(
+                    step, start, 1.0, cfg, k))
+            got = _march(*_fixed_step(sys, cfg, start), 1.0, cfg,
+                         store_every=25)
+            want = one_step_at_a_time(step, start, 1.0, cfg, 25)
+            assert want[1] == (k is not None)
+            assert want[3] == (k or 100)
+            assert_same_march(got, want)
+
+    def test_tangent_state_with_a_nan_past_the_first_slot(self):
+        # max() skips a nan that is not first; the sum catches it. phi_1
+        # (slot 1) passes 0.3 past its start near step 30
+        sys = ham(n=1, m=1)
+        code = sys.compiled("tangent")
+        start = tuple(np.concatenate([small_point(sys, 0.5, seed=3).coords,
+                                      np.eye(sys.dim).ravel()]).tolist())
+
+        def step(s, h):
+            t = code.rk4_step(s, h)
+            return t[:9] + (math.nan,) + t[10:] if t[1] > start[1] + 0.3 \
+                else t
+
+        cfg = IntegratorConfig(h=1e-2)
+        want = one_step_at_a_time(step, start, 1.0, cfg, 25)
+        assert want[1] and 1 < want[3] < 100
+        assert_same_march(_march(partial(code.run, step), start, 1.0, cfg,
+                                 store_every=25), want)
 
 
 class TestCsv:
