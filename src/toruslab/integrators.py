@@ -203,8 +203,9 @@ def _escaping(trial, escape_norm):
 
 def _run(step, s, h, n, escape_norm, slot, goal):
     """The run of dsl.CompiledRates on any step, with _escaping's test:
-    for a tangent flow's state, and for one state of a plain field on
-    the numpy steps."""
+    for compiled code that has no run (a tangent flow's, whose builtin
+    max and sum cost less on dim + dim^2 slots than one comparison per
+    slot), and for one state of a plain field on the numpy steps."""
     prev = s
     for k in range(n):
         t = step(s, h)
@@ -275,7 +276,8 @@ def _fixed_step(field, cfg, state):
     `dsl.CompiledRates`).
 
     A state with compiled code (see _compiled_for) steps and runs through
-    it and starts as a tuple. A System batch takes rk4 steps through the
+    it and starts as a tuple; code compiled without a run (a tangent
+    flow's) runs through _run. A System batch takes rk4 steps through the
     system's generated code for batches (see `dsl.compile_rows`), which
     gives _rk4_step's result bit for bit at a fraction of its cost; any
     other state steps numpy arrays, and a single one runs through _run.
@@ -283,7 +285,8 @@ def _fixed_step(field, cfg, state):
     code = _compiled_for(field, state)
     if code is not None:
         start = tuple(np.asarray(state, dtype=float).tolist())
-        return partial(code.run, code.midpoint_step if cfg.method == MIDPOINT
+        return partial(code.run or _run,
+                       code.midpoint_step if cfg.method == MIDPOINT
                        else code.rk4_step), start
     if cfg.method == RK4 and isinstance(field, System) \
             and np.ndim(state) == 2 and len(state) == field.dim:

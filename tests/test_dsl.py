@@ -730,6 +730,22 @@ def test_energy_kinds_derive_no_rates(monkeypatch):
         dsl.compile_system("rates", *args)
 
 
+def test_only_rate_kinds_check_the_pairing():
+    # the pairing (q, p) leaves the label x out: the rates miss a slot,
+    # the energy and the integrals do not
+    args = (_sum_text(["p*p", "q*q"]), ("x",), ("q", "p", "x"))
+    for kind in ("rates", "tangent", "field", "rk4_rows", "jacobian"):
+        with pytest.raises(PairingError, match=r"\['x'\]"):
+            dsl.compile_system(kind, *args)
+    state = np.array([[0.5], [2.0], [3.0]])
+    assert dsl.compile_system("hamiltonian", *args)(state).tolist() \
+        == [4.25]
+    assert dsl.compile_system("integrals", *args)(state).tolist() \
+        == [[4.25], [3.0]]
+    assert dsl.compile_system("integral_gradients", *args)(state).shape \
+        == (2, 3, 1)
+
+
 @pytest.mark.parametrize("kind", ["rates", "tangent", "field", "rk4_rows",
                                   "jacobian", "hamiltonian", "integrals",
                                   "integral_gradients"])

@@ -24,6 +24,7 @@ from toruslab.integrators import (
     _fixed_step,
     _march,
     _rk4_step,
+    _run,
     integrate,
     integrate_batch,
     integrate_variational,
@@ -902,7 +903,8 @@ class TestStretchMarch:
         cfg = IntegratorConfig(h=1e-2)
         want = one_step_at_a_time(step, start, 1.0, cfg, 25)
         assert want[1] and 1 < want[3] < 100
-        assert_same_march(_march(partial(code.run, step), start, 1.0, cfg,
+        assert code.run is None
+        assert_same_march(_march(partial(_run, step), start, 1.0, cfg,
                                  store_every=25), want)
 
 
