@@ -49,6 +49,7 @@ from .phase import (
     MixedPoint,
     ModularDomain,
     component_distances,
+    shortest_arcs,
     subdomain_of,
     torus_distance_batch,
     wrap_angle,
@@ -622,6 +623,10 @@ _GAP_TOL = 1e-3
 _SKIP_TOL = 1e-6
 # The most samples x dim slots one survey takes: its rk4 march holds about
 # a dozen (dim, rows) float arrays at once, 12 x 8 bytes x 10^7 = 1 GB.
+# Its blocks of steps add nothing there: a step of more than
+# integrators._BLOCK_BYTES (256 KiB) is a block of its own, the step's
+# result. Blocks of more steps hold at most that much, and the pass over
+# a block copies it about three times (its abs, and the distances).
 _MAX_SURVEY_SLOTS = 10**7
 
 
@@ -634,6 +639,13 @@ class SurveyReport:
     first step outside it (nan for every other row). candidate marks the
     samples that defeated both thresholds; none is the corroboration of
     uniqueness at this sampling scale.
+
+    telemetry counts the march's work, summed over the workers: steps,
+    the march's step count (up to its last drop when no row is left);
+    row_steps, each block's steps times its live rows; of those,
+    row_steps_past_drop, the steps a row took in its block past the
+    step it escaped or was retired at, whose results were thrown away;
+    and the escaped and retired rows.
     """
 
     gains: np.ndarray
@@ -643,6 +655,7 @@ class SurveyReport:
     retired: np.ndarray
     exit_t: np.ndarray
     candidate: np.ndarray
+    telemetry: dict
 
     @property
     def n_candidates(self) -> int:
@@ -685,8 +698,9 @@ def _sample_box(layout: CoordinateLayout, domain: ModularDomain,
 
 def _domain_exit(sys, box):
     """The survey's retire test for _march: None for a family without an
-    isolation domain, else a function of the live rows (dim, rows) that
-    gives None or the mask of rows outside the open domain.
+    isolation domain, else a function of a block of the live rows (steps,
+    dim, rows) that gives None or the (steps, rows) mask of the states
+    outside the open domain.
 
     Only the slots whose interval is narrower than a whole circle can be
     left (x and p on ham-compact, none on rev-compact). They are tested
@@ -708,15 +722,17 @@ def _domain_exit(sys, box):
         bounds.append((iv[s][0] + d, iv[s][1] + d))
     lows, highs = np.array(bounds).T[:, :, None]
 
-    def outside(zk):
-        w = zk[slots]
-        out = ((w <= lows) | (w >= highs)).any(axis=0)  # nan stays inside
+    def outside(block):
+        w = block[:, slots]
+        out = ((w <= lows) | (w >= highs)).any(axis=1)  # nan stays inside
         return out if out.any() else None
     return outside
 
 
 def _survey_block(sys: System, states: np.ndarray, domain: ModularDomain,
                   horizon: float):
+    """One worker's rows of the survey: their six arrays of the report,
+    in order, and the march's work counts (see SurveyReport)."""
     layout = sys.layout
     dim = layout.dim
     nb = len(states)
@@ -730,27 +746,44 @@ def _survey_block(sys: System, states: np.ndarray, domain: ModularDomain,
     run = np.flatnonzero(~skipped)
     escaped = np.zeros(nb, dtype=bool)
     # the closest squared return of each marched row, rooted at the end,
-    # and the time it was dropped; origin, slot-major as the march, and
-    # gap2 follow its live rows
+    # and the time it was dropped; origin, slot-major as the march, gap2
+    # and ids, the rows' places in run, follow its live rows
     run_gap2 = np.full(len(run), math.inf)
     run_exit = np.full(len(run), math.nan)
     origin, gap2 = np.ascontiguousarray(states[run].T), run_gap2
+    ids = np.arange(len(run))
+    angles = [s for s in range(dim) if layout.is_angle(s)]
+    work = {"row_steps": 0, "row_steps_past_drop": 0}
 
-    def track_gaps(t, zk, dropped):
-        nonlocal origin, gap2
-        if dropped is not None:
-            rows, keep = dropped
-            run_gap2[rows] = gap2[~keep]
-            run_exit[rows] = t
-            origin, gap2 = origin[:, keep], gap2[keep]
-        if t >= _T_MIN:
-            # torus_distance_batch squared, its sum down the slots in the
-            # order numpy sums each state's row
-            d = component_distances(layout, zk.T, origin.T).T
+    def track_gaps(t, block, first):
+        nonlocal origin, gap2, ids
+        n = len(t)
+        work["row_steps"] += n * len(gap2)
+        j0 = int(np.searchsorted(t, _T_MIN))  # the steps from t_min on
+        if j0 < n:
+            # torus_distance_batch squared, slot by slot, its sum down the
+            # slots in the order numpy sums each state's row; the square
+            # makes the distance's abs needless
+            d = np.subtract(block[j0:], origin)
+            for s in angles:
+                shortest_arcs(d[:, s])
             d *= d
-            np.minimum(gap2, _numpy_sum(list(d), operator.add), out=gap2)
+            d2 = _numpy_sum([d[:, s] for s in range(dim)], operator.add)
+            if first is not None:  # no return at or past a row's drop
+                np.copyto(d2, math.inf,
+                          where=np.arange(j0, n)[:, None] >= first)
+            np.minimum(gap2, d2.min(axis=0), out=gap2)
+        if first is not None:
+            out = first < n
+            work["row_steps_past_drop"] += int((n - 1 - first[out]).sum())
+            rows = ids[out]
+            run_gap2[rows] = gap2[out]
+            run_exit[rows] = t[first[out]]
+            keep = np.flatnonzero(~out)
+            origin, gap2, ids = (origin.take(keep, axis=1), gap2.take(keep),
+                                 ids.take(keep))
 
-    final, escaped[run], _, _, _ = _march(
+    final, escaped[run], _, work["steps"], _ = _march(
         *_fixed_step(sys, _SURVEY_STEP, origin), horizon, _SURVEY_STEP,
         track_gaps, _domain_exit(sys, domain.intervals))
     run_gap2[np.isnan(run_exit)] = gap2
@@ -769,7 +802,7 @@ def _survey_block(sys: System, states: np.ndarray, domain: ModularDomain,
                   - _certificate(sys, states[run]))
     gains[escaped | retired] = math.inf
     gaps[skipped] = np.nan
-    return gains, gaps, escaped, skipped, retired, exit_t
+    return (gains, gaps, escaped, skipped, retired, exit_t), work
 
 
 def _certificate(sys, states):
@@ -844,10 +877,13 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
                     for rows in np.array_split(states, workers)]
             blocks = [f.result() for f in futs]
 
+    results, works = zip(*blocks)
     gains, gaps, escaped, skipped, retired, exit_t = (
-        np.concatenate(parts) for parts in zip(*blocks))
+        np.concatenate(parts) for parts in zip(*results))
     candidate = (~skipped) & (~escaped) & (~retired) \
         & (gains <= _GAIN_TOL) & (gaps < _GAP_TOL)
+    telemetry = {key: sum(w[key] for w in works) for key in works[0]}
+    telemetry.update(escaped=int(escaped.sum()), retired=int(retired.sum()))
     return SurveyReport(gains=gains, gaps=gaps, escaped=escaped,
                         skipped=skipped, retired=retired, exit_t=exit_t,
-                        candidate=candidate)
+                        candidate=candidate, telemetry=telemetry)

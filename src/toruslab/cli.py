@@ -154,11 +154,13 @@ def _report_doc(claim, parameters, verdict, metrics, seed) -> dict:
 
 
 class _Run:
-    """Output directory plus a hash ledger of everything written."""
+    """Output directory plus a hash ledger of everything written, and
+    the work a command counted, for the manifest's telemetry."""
 
     def __init__(self, out: Path):
         self.out = out
         self.outputs: dict[str, str] = {}
+        self.telemetry: dict | None = None
 
     def write(self, name: str, text: str) -> None:
         (self.out / name).write_text(text)
@@ -464,6 +466,7 @@ def _cmd_survey(cfg, run):
                             seed=cfg["seed"], horizon=cfg["horizon"],
                             jobs=jobs)
     run.write("survey.csv", rep.to_csv())
+    run.telemetry = rep.telemetry
     found = rep.n_candidates
     escaped, retired, skipped = (int(rows.sum()) for rows in (
         rep.escaped, rep.retired, rep.skipped))
@@ -718,6 +721,8 @@ def _write_manifest(run, key, cfg, verdicts, t0):
         "verdicts": verdicts,
         "outputs": run.outputs,
     }
+    if run.telemetry is not None:
+        doc["telemetry"] = run.telemetry
     (run.out / "manifest.json").write_text(_json_text(doc))
 
 

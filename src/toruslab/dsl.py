@@ -1013,14 +1013,16 @@ def _generate(dag: _Dag, rates: list[int], dim: int,
 
 
 def _rk4_rows(dag: _Dag, rates: list[int], dim: int) -> str:
-    """Source of rk4_step(s, h) over a slot-major batch s (dim, rows).
+    """Source of rk4_step(s, h, out=None) over a slot-major batch s
+    (dim, rows).
 
     It gives integrators._rk4_step with the field of `_numpy_function`
     bit for bit, less the work that `_Rk4Slots` finds repeated, and
     never writes into s. Each stage writes the moving slots' rates into
     the rows of one (moving, rows) array, so their stage states and
     weighted sum cost a few operations on whole arrays; every slot's next
-    value is written into one new (dim, rows) array, which is returned.
+    value is written into one (dim, rows) array, out or a new one, which
+    is returned.
     Every ufunc that writes into an array takes it as its positional out.
     An operation that reads a temporary computed in the same emission (a
     stage, or the terms that stages 2-4 share) for the last time writes
@@ -1031,8 +1033,8 @@ def _rk4_rows(dag: _Dag, rates: list[int], dim: int) -> str:
     """
     slots = _Rk4Slots.of(dag, rates)
     fresh = itertools.count()
-    lines = ["def rk4_step(s, h):", "    hh = 0.5 * h",
-             "    out = _empty(s.shape)"]
+    lines = ["def rk4_step(s, h, out=None):", "    hh = 0.5 * h",
+             "    out = _empty(s.shape) if out is None else out"]
 
     def say(code):
         lines.append(f"    {code}")
@@ -1286,8 +1288,9 @@ def compile_numpy(rates: Sequence[Expr], names: Sequence[str]) -> Callable:
 def compile_rows(rates: Sequence[Expr], names: Sequence[str]) -> Callable:
     """Compile the rk4 step of slot-major batches of the rates.
 
-    rk4_step(s, h) takes states s (len(names), rows) and returns the
-    states one step on, a new array of that shape: to the bit what
+    rk4_step(s, h, out=None) takes states s (len(names), rows) and
+    returns the states one step on, written into out, an array of that
+    shape that is not s, or else into a new one: to the bit what
     integrators._rk4_step gives with the field of compile_numpy, at
     about half its cost on a system with first integrals (see
     `_rk4_rows`). Constants are bound by value as in compile_rates, and

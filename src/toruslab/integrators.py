@@ -8,11 +8,13 @@ on the end time, freezes escaping rows instead of raising, and stores
 every store_every-th state; the adaptive loop of `integrate` is the only
 other. A single state marches in stretches, each one call of a runner
 that takes the stretch's steps, tests each new state for escape and
-stops at a section crossing (see `dsl.CompiledRates`). A batch hands
-each step to an observer that measures or stops, and marches only its
-live rows: an escaping row, or one its caller retires, is written out
-once and dropped, and the observer sees the live rows, never the full
-state.
+stops at a section crossing (see `dsl.CompiledRates`). A batch marches
+only its live rows, in blocks of up to K steps taken back to back (K
+bounded by _BLOCK_BYTES and _BLOCK_STEPS, and a block ends at a store
+point), and settles each block once: one escape test gives each row its
+first escaping or retired step, an escaping row, or one its caller
+retires, is written out once at its state before that step and dropped,
+and the block, live rows only, goes to an observer that measures it.
 The rows of a batch may run in both directions of time at once: given
 one signed end time per row, all of one magnitude, they share one step
 grid, and each steps with a signed h of its own, which drops with the
@@ -31,7 +33,9 @@ same generated step over the rows of the slot-major array (see
 callables, for a System's midpoint batch of more than _FLOAT_ROWS rows
 (_batch_midpoint), and for the one rk4 step of the Henon landing in
 `analysis`.
-Every fixed step, on floats, rows or arrays, is step(state, h). A
+Every fixed step, on floats, rows or arrays, is step(state, h); one of
+a batch also takes an out array, which it writes the next states into
+and returns. A
 midpoint row iterates until its own update is at most _MIDPOINT_TOL, in
 a batch as alone; one that diverges or is not converged after
 _MIDPOINT_MAX_ITER iterations is reported as an escape. No run takes
@@ -149,14 +153,14 @@ def _as_field_fn(field: FieldLike) -> Callable[[np.ndarray], np.ndarray]:
     return lambda s: np.asarray(field(s.T)).T
 
 
-def _rk4_step(f, s, h):
+def _rk4_step(f, s, h, out=None):
     k1 = f(s)
     k2 = f(s + 0.5 * h * k1)
     k3 = f(s + 0.5 * h * k2)
     k4 = f(s + h * k3)
     # divide the stage sum, not h, so a constant field advances by
     # exactly h per step
-    return s + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+    return np.add(s, h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0), out=out)
 
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6
@@ -221,9 +225,17 @@ def _run(step, s, h, n, escape_norm, slot, goal):
 _MIDPOINT_TOL = 1e-12
 _MIDPOINT_MAX_ITER = 50
 _MAX_STEPS = 5_000_000
+# A batch marches in blocks of K steps (see _march). _BLOCK_BYTES bounds
+# the states one block holds, K x dim x live rows doubles, K at least 1:
+# a 500-row survey of 6 slots takes blocks of 10 steps, a 10^4-row one
+# single steps until 5,000 rows are left. _BLOCK_STEPS bounds K when few
+# rows are left: a block runs on past the step its last row leaves at,
+# and 16 steps amortize the block's few dozen calls of bookkeeping.
+_BLOCK_BYTES = 256 * 1024
+_BLOCK_STEPS = 16
 
 
-def _batch_midpoint(f, s, h):
+def _batch_midpoint(f, s, h, out=None):
     # solve m = s + (h/2) f(m) by fixed-point iteration, then reflect; rows
     # that refuse to converge turn non-finite, which the escape test catches.
     # A row stops at its own convergence, as alone (dsl's midpoint_step),
@@ -249,7 +261,7 @@ def _batch_midpoint(f, s, h):
     else:
         stuck = np.max(np.abs(s + hh * f(m) - m), axis=0) > _MIDPOINT_TOL
         m[..., stuck if act is None else stuck & act] = np.nan
-    return 2.0 * m - s
+    return np.subtract(2.0 * m, s, out=out)
 
 
 def _compiled_for(field, state):
@@ -270,10 +282,11 @@ def _compiled_for(field, state):
 
 def _fixed_step(field, cfg, state):
     """The rk4 or midpoint step of cfg and the state for _march to start
-    from: for a batch (dim, rows), a function step(state, h); for a single
-    state (dim,), that step bound into a runner run(state, h, n,
-    escape_norm, slot, goal), which takes up to n steps in one call (see
-    `dsl.CompiledRates`).
+    from: for a batch (dim, rows), a function step(state, h, out=None),
+    which writes the next states into out, when given, and returns it;
+    for a single state (dim,), that step bound into a runner run(state,
+    h, n, escape_norm, slot, goal), which takes up to n steps in one call
+    (see `dsl.CompiledRates`).
 
     A state with compiled code (see _compiled_for) steps and runs through
     it and starts as a tuple; code compiled without a run (a tangent
@@ -347,25 +360,35 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
     of one magnitude (integrate_batch checks them): every row steps on
     the same grid, each in the direction of its own sign, with h a
     (rows,) vector of signed steps. Each row's escape time carries its
-    sign, and observe is then given the live rows' signed times.
+    sign.
 
     A batch, copied to C order, steps only its live rows, kept dense as
-    the columns of cur: a row that escapes is written to the full state
-    once, at its last finite state, and dropped, from the step vector as
-    from cur. retire, if given, is called on each step's result for the
-    live rows (dim, live rows) and returns None or a mask of rows to
-    retire: such a row leaves at that step exactly as an escaping row
-    does, at its state before the step, but is not marked escaped. The
-    survey retires the rows that leave the domain of its certificate: an
-    orbit outside the certified neighbourhood cannot lie on a torus
-    inside it, so it is refuted there as an escaping orbit is. Without
-    retire the loop makes no call for it.
+    the columns of cur, in blocks: K steps back to back, each written
+    into its slice of one (K, dim, live rows) block, then one pass over
+    the block. K is at most _BLOCK_STEPS and the steps whose states fit
+    in _BLOCK_BYTES, at least 1, and a block ends at a store point and at
+    the last step; the remainder step may fall inside it. The pass finds
+    each row's first bad step: one that escapes, or one that retire
+    marks. retire, if given, is called on each block (K, dim, live rows)
+    and returns None or a (K, live rows) mask of the steps that leave the
+    caller's domain. A row leaves at its state before its first bad step,
+    written to the full state once, and is dropped, from the step vector
+    as from cur; it is marked escaped, with that step's time, if the step
+    escapes, retired or not, and is otherwise not marked. Rows step
+    independently, so a row stepped on past its drop inside the block
+    changes no other row; those steps are thrown away. When no row is
+    left, the march ends at the last drop's step. The survey retires the
+    rows that leave the domain of its certificate: an orbit outside the
+    certified neighbourhood cannot lie on a torus inside it, so it is
+    refuted there as an escaping orbit is. Without retire the loop makes
+    no call for it.
 
-    observe(t, cur, dropped), called after each step of a batch, sees the
-    time t, the live rows cur (dim, live rows) and dropped, None or
-    (indices, keep) of the rows that escaped or were retired at this
-    step, keep marking the previous cur's rows still live. The march of
-    a batch ends when no row is left or when observe returns true.
+    observe(t, block, first), called after each block of a batch, sees
+    the signed times t of its K steps ((K,), or (K, live rows) for a
+    per-row t_end), the block of the rows live at its start and first,
+    None when no row leaves in it, else each row's first bad step, K for
+    a row that stays. A row's states in the block past its first bad
+    step are not its own.
     """
     if np.ndim(t_end):
         direction = np.sign(t_end)
@@ -413,54 +436,77 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
             stored = [(direction * ((k - 1) * h), prev)]
         return cur, escaped, escape_times, k, stored
 
-    cur, live, dropped = state, None, None
-    h_k = direction * h
-    k = -1
+    cur, live = state, None
+    h_whole, h_last = direction * h, direction * remainder
+    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(total):
-            if k == n_whole:
-                h_k = direction * remainder
-            elapsed = span if k == total - 1 else (k + 1) * h
-            trial = step(cur, h_k)
+        while k < total:
+            # the block's K steps: up to the cap, the next store point and
+            # the end; the remainder step may be among them
+            n = min(total - k, store_every - k % store_every
+                    if store_every else total,
+                    max(1, min(_BLOCK_STEPS,
+                               _BLOCK_BYTES // (8 * cur.size or 1))))
+            block = np.empty((n,) + cur.shape)
+            trial = cur
+            for j in range(n):
+                trial = step(trial, h_whole if k + j < n_whole else h_last,
+                             block[j])
+            elapsed = np.arange(k + 1, k + n + 1) * h
+            if k + n == total:
+                elapsed[-1] = span
             # three calls when no row escapes, as nearly always; a nan
             # makes the max nan, which fails the <= as inf does
-            top = np.abs(trial).max(axis=0)
-            dropped = bad = None
-            out = None if retire is None else retire(trial)
+            top = np.abs(block).max(axis=1)
+            bad = first = None
+            out = None if retire is None else retire(block)
             if not top.max(initial=0.0) <= cfg.escape_norm:
                 bad = ~(top <= cfg.escape_norm)
                 out = bad if out is None else out | bad
             if out is not None:  # escapes and retirements leave alike
-                keep = ~out
-                rows = np.flatnonzero(out) if live is None else live[out]
-                state[:, rows] = cur[:, out]
+                hit = out.any(axis=0)
+                first = np.where(hit, out.argmax(axis=0), n)
+                at = np.flatnonzero(hit)
+                j = first[at]
+                # each leaving row at its state before its first bad step
+                before = block[j - 1, :, at].T
+                if not j.all():
+                    before[:, j == 0] = cur[:, at[j == 0]]
+                rows = at if live is None else live[at]
+                state[:, rows] = before
                 if bad is not None:
-                    gone = rows if out is bad else rows[bad[out]]
-                    escaped[gone] = True
-                    escape_times[gone] = (
-                        direction[bad] if np.ndim(direction)
-                        else direction) * elapsed
+                    esc = bad[j, at]
+                    escaped[rows[esc]] = True
+                    escape_times[rows[esc]] = (
+                        direction[at[esc]] if np.ndim(direction)
+                        else direction) * elapsed[j[esc]]
+            cur = trial  # and the block before this one is freed
+            if observe is not None:
+                observe(elapsed * direction if not np.ndim(direction)
+                        else np.multiply.outer(elapsed, direction),
+                        block, first)
+            end = k + n
+            if first is not None:
+                keep = np.flatnonzero(~hit)
                 if np.ndim(direction):
-                    direction, h_k = direction[keep], h_k[keep]
-                live = np.flatnonzero(keep) if live is None else live[keep]
-                trial = trial[:, keep]
-                dropped = (rows, keep)
-            cur = trial
-            if store_every and ((k + 1) % store_every == 0
-                                or k == total - 1):
+                    direction, h_whole, h_last = (
+                        v.take(keep) for v in (direction, h_whole, h_last))
+                live = keep if live is None else live.take(keep)
+                cur = cur.take(keep, axis=1)
+                if not len(keep):
+                    end = k + int(j.max()) + 1
+            if store_every and (end % store_every == 0 or end == total):
                 if live is not None:
                     state[:, live] = cur
-                stored.append((direction * elapsed,
-                               cur if live is None else state.copy()))
-            if observe is not None and observe(direction * elapsed, cur,
-                                               dropped):
-                break
-            if live is not None and len(live) == 0:
+                stored.append((direction * elapsed[end - k - 1],
+                               cur.copy() if live is None else state.copy()))
+            k = end
+            if live is not None and not len(live):
                 break
     if live is None:
-        return cur, escaped, escape_times, k + 1, stored
+        return cur, escaped, escape_times, k, stored
     state[:, live] = cur
-    return state, escaped, escape_times, k + 1, stored
+    return state, escaped, escape_times, k, stored
 
 
 def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
@@ -584,14 +630,16 @@ class BatchResult:
 
 # A System batch of 1 to _FLOAT_ROWS rows marches row by row on the
 # compiled float steps. Per step of 0.01 on ham-unique, ham-compact and
-# rev-compact (n = m = 1, 50 steps, Python 3.11, 2 shared cores), the
-# float rk4 path costs 1.7-1.9, 2.6-3.0 and 0.9-1.0 us a row, its
-# stretch march included, and the generated rows step a near-flat 36-42,
-# 53-70 and 20-23 us at 2-48 rows, so the float path is the cheaper up
-# to 16 rows; the two meet at 20-24 rows. For midpoint, the float path
-# costs 2.6-3.1, 3.6-4.5 and 1.8-2.2 us a row against 48-72, 64-106 and
-# 36-49 us for _batch_midpoint, and meets it at 20-32 rows. The value
-# is to be re-picked together with a generated midpoint step for rows.
+# rev-compact (n = m = 1, states within 1e-3 of 0, 50 steps, Python
+# 3.11, 2 shared cores, best of 5), the float rk4 path costs 1.8-2.0,
+# 2.9-3.0 and 0.9-1.1 us a row, its stretch march included, and the
+# batch march of the generated rows step, in blocks of 16 steps, a
+# near-flat 36-40, 57-69 and 19-25 us at 2-48 rows: the float path is
+# the cheaper up to 16 rows, and the two meet at 20-24 rows. For
+# midpoint, the float path costs 1.8-2.4, 2.4-2.6 and 1.3-1.5 us a row
+# against 29-36, 40-48 and 17-20 us a step for _batch_midpoint, which
+# it meets at 13-19 rows. The value is to be re-picked together with a
+# generated midpoint step for rows.
 _FLOAT_ROWS = 8
 
 

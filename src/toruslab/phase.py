@@ -167,6 +167,20 @@ def check_same_layout(a: MixedPoint, b: MixedPoint) -> None:
         raise LayoutMismatch("points use different coordinate layouts")
 
 
+def shortest_arcs(d: np.ndarray) -> np.ndarray:
+    """The angle differences d, a float array, wrapped in place to the
+    signed shortest arc: pi - remainder(pi - d, 2*pi), bit for bit.
+
+    The remainder, the costly part, is skipped when every pi - d lies in
+    [0, 2*pi), where it returns pi - d itself; a zero of either sign
+    then gives pi, as the remainder's +0 does.
+    """
+    a = np.subtract(np.pi, d, out=d)
+    if not (a.min(initial=0.0) >= 0.0 and a.max(initial=0.0) < TWO_PI):
+        np.remainder(a, TWO_PI, out=a)
+    return np.subtract(np.pi, a, out=a)
+
+
 def component_distances(layout: CoordinateLayout,
                         a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-slot distances |a - b|, shortest-arc on angular slots.
@@ -175,7 +189,7 @@ def component_distances(layout: CoordinateLayout,
     """
     d = np.subtract(a, b, dtype=float)
     idx = layout.angle_index
-    d[..., idx] = np.pi - np.remainder(np.pi - d[..., idx], TWO_PI)
+    d[..., idx] = shortest_arcs(d[..., idx])
     return np.abs(d, out=d)
 
 

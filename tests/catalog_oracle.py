@@ -8,6 +8,8 @@ chain rule turns the unique field into the compact one.
 
 The numpy tangent flow of a System is here too: the library steps only
 the tangent flow it compiles, and the tests compare that against this.
+So is the march of a batch one step at a time, the reference for the
+library's march in blocks of steps.
 """
 
 import numpy as np
@@ -87,3 +89,76 @@ def tangent_field(sys):
         return np.concatenate([sys.field(s), (sys.jacobian(s) @ M).ravel()])
 
     return field
+
+
+def march_per_step(step, state, t_end, cfg, observe=None, retire=None,
+                   store_every=None):
+    """integrators._march of a batch (dim, rows), one step at a time: the
+    reference for its march in blocks of steps.
+
+    Each step's result for the live rows is tested for escape and handed
+    to retire (a mask of the live rows to retire, or None), and observe
+    is called after each step with (t, cur, dropped): the time, the live
+    rows and None or (indices, keep) of the rows dropped at that step.
+    Returns (state, escaped, escape_times, steps taken, stored) as
+    _march does.
+    """
+    if np.ndim(t_end):
+        direction = np.sign(t_end)
+        span = float(abs(t_end[0])) if len(t_end) else 0.0
+    else:
+        direction = 1.0 if t_end > 0 else -1.0
+        span = abs(t_end)
+    h = cfg.h
+    n_whole = int(span / h + 1e-9)
+    remainder = span - n_whole * h
+    total = n_whole + (1 if remainder > 1e-12 else 0)
+    state = np.array(state, dtype=float, order="C")
+    escaped = np.zeros(state.shape[1], dtype=bool)
+    escape_times = np.full(escaped.shape, np.nan)
+    stored = []
+    cur, live, dropped = state, None, None
+    h_k = direction * h
+    k = -1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(total):
+            if k == n_whole:
+                h_k = direction * remainder
+            elapsed = span if k == total - 1 else (k + 1) * h
+            trial = step(cur, h_k)
+            top = np.abs(trial).max(axis=0)
+            dropped = bad = None
+            out = None if retire is None else retire(trial)
+            if not top.max(initial=0.0) <= cfg.escape_norm:
+                bad = ~(top <= cfg.escape_norm)
+                out = bad if out is None else out | bad
+            if out is not None:
+                keep = ~out
+                rows = np.flatnonzero(out) if live is None else live[out]
+                state[:, rows] = cur[:, out]
+                if bad is not None:
+                    gone = rows if out is bad else rows[bad[out]]
+                    escaped[gone] = True
+                    escape_times[gone] = (
+                        direction[bad] if np.ndim(direction)
+                        else direction) * elapsed
+                if np.ndim(direction):
+                    direction, h_k = direction[keep], h_k[keep]
+                live = np.flatnonzero(keep) if live is None else live[keep]
+                trial = trial[:, keep]
+                dropped = (rows, keep)
+            cur = trial
+            if store_every and ((k + 1) % store_every == 0
+                                or k == total - 1):
+                if live is not None:
+                    state[:, live] = cur
+                stored.append((direction * elapsed,
+                               cur if live is None else state.copy()))
+            if observe is not None:
+                observe(direction * elapsed, cur, dropped)
+            if live is not None and len(live) == 0:
+                break
+    if live is None:
+        return cur, escaped, escape_times, k + 1, stored
+    state[:, live] = cur
+    return state, escaped, escape_times, k + 1, stored

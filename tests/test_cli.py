@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import toruslab
-from toruslab import analysis, cli
+from toruslab import analysis, cli, integrators
 from toruslab.cli import _build_parser, _parse_angles, _parse_omega, main
 from toruslab.dsl import shipped_hamiltonians
 
@@ -498,6 +498,31 @@ class TestSurvey:
                          "--jobs", jobs, "--out", str(out)]) == 0
             csvs.append((out / "survey.csv").read_bytes())
         assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_manifest_counts_the_marchs_work(self, tmp_path, capsys, jobs):
+        # each marched row takes the steps up to the one it leaves at (its
+        # exit_t over h), or all 2,000; the block march takes a few more
+        # past a row's drop, which row_steps counts and the last key names
+        assert main(["survey", "--system", "ham-compact", "--n", "1",
+                     "--m", "1", "--samples", "40", "--seed", "3",
+                     "--jobs", jobs, "--out", str(tmp_path)]) == 0
+        work = json.loads((tmp_path / "manifest.json").read_text())[
+            "telemetry"]
+        metrics = json.loads((tmp_path / "report.json").read_text())[
+            "metrics"]
+        rows = np.loadtxt(tmp_path / "survey.csv", delimiter=",",
+                          skiprows=1, ndmin=2)
+        exit_t = rows[:, 6]
+        lived = np.where(np.isnan(exit_t), 2000, np.round(exit_t / 1e-2))
+        assert work["escaped"] == metrics["escaped"] == 0
+        assert work["retired"] == metrics["retired"] > 0
+        workers = min(int(jobs), len(os.sched_getaffinity(0)))
+        assert work["steps"] == 2000 * workers
+        assert work["row_steps"] - work["row_steps_past_drop"] \
+            == lived.sum()
+        assert 0 <= work["row_steps_past_drop"] \
+            <= (integrators._BLOCK_STEPS - 1) * work["retired"]
 
     def test_uncertified_box_is_a_usage_error(self, tmp_path, capsys):
         rc = main(["survey", "--system", "ham-compact", "--n", "1",

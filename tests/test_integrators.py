@@ -5,10 +5,11 @@ from functools import partial
 
 import numpy as np
 import pytest
-from catalog_oracle import tangent_field
+from catalog_oracle import march_per_step, tangent_field
 
 from toruslab.analysis import _central_differences
 from toruslab.dsl import compile_rates, parse
+from toruslab import integrators
 from toruslab.errors import (
     ConvergenceFailure,
     InvalidValue,
@@ -538,34 +539,41 @@ class TestBatch:
             assert (stored.stored_states[n:, i] == frozen).all()
 
     def test_observer_sees_only_live_rows(self):
-        # the march keeps its batch slot-major: cur is (dim, live rows);
-        # the reference is the row path
+        # the march hands observe each block of steps of the rows live at
+        # its start, slot-major (steps, dim, live rows), and each row's
+        # first step that escapes; the reference is the march one step
+        # at a time, whose observer sees each step's live rows
         sys = ham(n=1, m=1)
         states = np.random.default_rng(5).uniform(-2.0, 2.0, (64, sys.dim))
         cfg = IntegratorConfig(h=1e-2)
+        steps = []
+        march_per_step(*_fixed_step(sys, cfg, states.T), 2.0, cfg,
+                       lambda t, cur, dropped: steps.append((t, cur)))
         ref = row_path(sys, states, 2.0, cfg)
-        # the batch indices of the live rows, followed through keep
-        seen = {"live": np.arange(len(states)), "drops": 0}
+        # the batch indices of the live rows, followed through first
+        seen = {"live": np.arange(len(states)), "k": 0, "drops": 0}
 
-        def observe(t, cur, dropped):
-            gone = ref.escape_times <= t  # nan for a row that never left
-            now = np.flatnonzero(ref.escape_times == t)
-            if dropped is None:
-                assert len(now) == 0
-            else:
-                rows, keep = dropped
-                assert np.array_equal(rows, now)
-                assert np.array_equal(seen["live"][~keep], rows)
-                seen["live"] = seen["live"][keep]
+        def observe(t, block, first):
+            n, live = len(t), seen["live"]
+            assert block.shape == (n, sys.dim, len(live))
+            left = np.full(len(live), n) if first is None else first
+            for j in range(n):
+                t_ref, cur_ref = steps[seen["k"] + j]
+                assert t[j] == t_ref
+                # the rows still live after step j are the reference's
+                assert same_bits(block[j][:, left > j], cur_ref)
+                assert np.array_equal(
+                    live[left == j], np.flatnonzero(ref.escape_times == t[j]))
+            if first is not None:
                 seen["drops"] += 1
-            assert np.array_equal(seen["live"], np.flatnonzero(~gone))
-            assert cur.shape == (sys.dim, len(seen["live"]))
+                seen["live"] = live[first == n]
+            seen["k"] += n
 
         final, escaped, _, n_steps, _ = _march(
             *_fixed_step(sys, cfg, states.T), 2.0, cfg, observe)
-        assert seen["drops"] > 1
+        assert seen["drops"] > 1 and seen["k"] >= n_steps
         assert np.array_equal(final, ref.final.T)
-        assert n_steps == ref.n_steps
+        assert n_steps == ref.n_steps == len(steps)
 
     def test_batch_storage_is_wrapped(self):
         sys = ham(n=1, m=0)
@@ -906,6 +914,162 @@ class TestStretchMarch:
         assert code.run is None
         assert_same_march(_march(partial(_run, step), start, 1.0, cfg,
                                  store_every=25), want)
+
+
+def drift(s):
+    # every slot moves at rate 1, so a slot that starts at b - (k - 0.5) h
+    # passes b inside step k
+    return np.ones_like(s)
+
+
+def crossing_at(bound, k, h=1e-2):
+    """The start of a drift slot that passes bound inside step k, or 0.0
+    for k None."""
+    return 0.0 if k is None else bound - (k - 0.5) * h
+
+
+def past_five(x):
+    # the retire test of either march: slot 1 at or past 5.0, down the
+    # slot axis of a step (dim, rows) or a block (steps, dim, rows)
+    out = x[..., 1, :] >= 5.0
+    return out if out.any() else None
+
+
+def assert_same_batch(got, want):
+    state, escaped, escape_times, steps, stored = got
+    assert same_bits(state, want[0])
+    assert np.array_equal(escaped, want[1])
+    assert same_bits(escape_times, want[2])
+    assert steps == want[3]
+    assert len(stored) == len(want[4])
+    for (t, s), (t_want, s_want) in zip(stored, want[4]):
+        assert same_bits(t, t_want) and same_bits(s, s_want)
+
+
+class TestBlockMarch:
+    """A batch marches in blocks of steps and settles escapes, retirements
+    and storage once a block; the result is that of the march one step
+    at a time (catalog_oracle.march_per_step), bit for bit."""
+
+    @staticmethod
+    def _drift_march(rows, t_end, store_every=None, retire=None):
+        # rows: (escape step, retire step) of each row, None for never;
+        # slot 0 escapes past the norm 10, slot 1 retires past 5
+        cfg = IntegratorConfig(h=1e-2, escape_norm=10.0)
+        states = np.array([[crossing_at(10.0, e), crossing_at(5.0, r)]
+                           for e, r in rows])
+        step, start = _fixed_step(drift, cfg, states.T)
+        got = _march(step, start, t_end, cfg, retire=retire,
+                     store_every=store_every)
+        want = march_per_step(step, start, t_end, cfg, retire=retire,
+                              store_every=store_every)
+        assert_same_batch(got, want)
+        return got
+
+    # store_every=5 ends the blocks after steps 5, 10, ...
+    @pytest.mark.parametrize("store_every", [None, 5])
+    def test_escape_on_the_first_and_last_step_of_a_block(self,
+                                                          store_every):
+        assert integrators._BLOCK_STEPS >= 5
+        rows = [(1, None), (6, None), (10, None), (None, None)]
+        _, escaped, times, steps, _ = self._drift_march(rows, 1.0,
+                                                        store_every)
+        assert escaped.tolist() == [True, True, True, False]
+        assert np.allclose(times[:3], [0.01, 0.06, 0.1], rtol=1e-12)
+        assert steps == 100
+
+    @pytest.mark.parametrize("store_every", [None, 5])
+    def test_escape_and_exit_on_one_step_counts_as_escaped(self,
+                                                           store_every):
+        # the last row leaves the domain at step 7 and would escape at
+        # step 9, in the same block: it is retired, not escaped
+        rows = [(8, 8), (None, 3), (None, None), (9, 12), (9, 7)]
+        final, escaped, times, _, _ = self._drift_march(
+            rows, 1.0, store_every, past_five)
+        assert escaped.tolist() == [True, False, False, True, False]
+        assert np.isnan(times[[1, 2, 4]]).all()
+        # a retired row leaves at its state before the step, as an
+        # escaping one does; final is slot-major (slot, row)
+        assert final[1, 1] < 5.0 and final[0, 0] < 10.0
+        assert final[1, 4] < 5.0 and final[0, 4] < 10.0
+
+    def test_every_row_gone_inside_a_block(self):
+        _, escaped, _, steps, stored = self._drift_march(
+            [(6, None), (7, None), (None, 7)], 1.0, 5, past_five)
+        assert escaped.tolist() == [True, True, False]
+        assert steps == 7 and len(stored) == 1
+
+    @pytest.mark.parametrize("store_every", [None, 5])
+    def test_remainder_step_inside_a_block(self, store_every):
+        # 12 whole steps and one of 0.0034; the second row passes the
+        # norm on the remainder step
+        cfg = IntegratorConfig(h=1e-2, escape_norm=10.0)
+        states = np.array([[0.0, 0.0], [10.0 - 0.1217, 0.0]])
+        step, start = _fixed_step(drift, cfg, states.T)
+        got = _march(step, start, 0.1234, cfg, store_every=store_every)
+        want = march_per_step(step, start, 0.1234, cfg,
+                              store_every=store_every)
+        assert want[1].tolist() == [False, True] and want[2][1] == 0.1234
+        assert want[3] == 13
+        assert_same_batch(got, want)
+
+    @pytest.mark.parametrize("store_every", [None, 7, 20, 1000])
+    @pytest.mark.parametrize("method", ["rk4", "midpoint"])
+    def test_system_batch_with_escaping_rows(self, store_every, method):
+        # 12 rows: the generated rows step (rk4) or _batch_midpoint; a
+        # block ends at each store point, so 20 and 1000 do not divide
+        # the blocks of the cap
+        sys = ham(n=1, m=1)
+        states = np.random.default_rng(4).uniform(-2.0, 2.0, (12, sys.dim))
+        states[0] *= 1e-3  # lives to the end
+        cfg = IntegratorConfig(method=method, h=1e-2)
+        step, start = _fixed_step(sys, cfg, states.T)
+        got = _march(step, start, 2.0, cfg, store_every=store_every)
+        want = march_per_step(step, start, 2.0, cfg,
+                              store_every=store_every)
+        assert 0 < want[1].sum() < 12
+        assert_same_batch(got, want)
+
+    def test_plain_field_callable(self):
+        sys = ham(n=1, m=1)
+        states = np.random.default_rng(9).uniform(-2.0, 2.0, (40, sys.dim))
+        cfg = IntegratorConfig(h=1e-2)
+        step, start = _fixed_step(sys.field, cfg, states.T)
+        for store_every in (None, 9):
+            got = _march(step, start, 1.5, cfg, store_every=store_every)
+            want = march_per_step(step, start, 1.5, cfg,
+                                  store_every=store_every)
+            assert 0 < want[1].sum() < 40
+            assert_same_batch(got, want)
+
+    @pytest.mark.parametrize("method", ["rk4", "midpoint"])
+    def test_per_row_signed_t_end(self, method):
+        sys, fwd, back = TestPerRowDirection._points(20)
+        cfg = IntegratorConfig(method=method, h=1e-2)
+        t_end = np.repeat([5.0, -5.0], 20)
+        step, start = _fixed_step(sys, cfg, np.concatenate([fwd, back]).T)
+        got = _march(step, start, t_end, cfg)
+        want = march_per_step(step, start, t_end, cfg)
+        assert want[1][:20].any() and want[1][20:].any()
+        assert not want[1].all()
+        assert_same_batch(got, want)
+
+    def test_block_holds_at_most_the_cap(self):
+        # 10^4 rows of 6 slots take single steps; fewer rows, longer
+        # blocks, up to the step cap
+        sys = ham(n=1, m=1)
+        cfg = IntegratorConfig(h=1e-2)
+        for rows in (10_000, 500, 9):
+            sizes = []
+            _march(*_fixed_step(sys, cfg, np.zeros((sys.dim, rows))), 0.5,
+                   cfg, lambda t, block, first: sizes.append(block.shape))
+            assert sum(n for n, _, _ in sizes) == 50
+            n = sizes[0][0]
+            assert n == max(1, min(integrators._BLOCK_STEPS,
+                                   integrators._BLOCK_BYTES
+                                   // (8 * sys.dim * rows)))
+            assert n * 8 * sys.dim * rows <= integrators._BLOCK_BYTES \
+                or n == 1
 
 
 class TestCsv:

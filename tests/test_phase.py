@@ -6,10 +6,13 @@ from hypothesis import given, strategies as st
 
 from toruslab.errors import InvalidValue, LayoutMismatch
 from toruslab.phase import (
+    TWO_PI,
     CoordinateLayout,
     MixedPoint,
     ModularDomain,
+    component_distances,
     in_modular_domain,
+    shortest_arcs,
     subdomain_of,
     torus_distance,
     torus_distance_batch,
@@ -135,6 +138,72 @@ def test_torus_distance_batch_matches_scalar():
     for i in range(40):
         d = torus_distance(MixedPoint.of(CYL, A[i]), MixedPoint.of(CYL, B[i]))
         assert batch[i] == pytest.approx(d)
+
+
+# the differences where the wrap is easiest to get wrong: signed zeros,
+# +-pi and +-2 pi and the floats either side of them, whole turns, and
+# the non-finite values
+_ARC_EDGES = [0.0, -0.0, math.nan, math.inf, -math.inf] + [
+    x for c in (math.pi, TWO_PI)
+    for v in (c, -c)
+    for x in (v, np.nextafter(v, math.inf), np.nextafter(v, -math.inf))
+] + [k * TWO_PI for k in (-3, 2, 5, 1e6)]
+
+
+def _remainder_wrap(d):
+    return np.pi - np.remainder(np.pi - d, TWO_PI)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                  b.view(np.int64))
+
+
+@given(st.lists(st.one_of(st.sampled_from(_ARC_EDGES), st.floats(),
+                          st.floats(-20.0, 20.0)), max_size=40),
+       st.booleans())
+def test_shortest_arcs_is_the_remainder_wrap_bit_for_bit(values, in_range):
+    # in_range keeps every pi - d inside [0, 2 pi], where the remainder is
+    # skipped but at 2 pi, edges included: d = pi gives pi - d = 0, and
+    # d = -pi gives 2 pi, which wraps to pi, not -pi
+    d = np.array(values, dtype=float)
+    if in_range:
+        d = d[(np.pi - d >= 0.0) & (np.pi - d <= TWO_PI)]
+    with np.errstate(invalid="ignore"):
+        want = _remainder_wrap(d)
+        got = shortest_arcs(d.copy())
+    assert _same_bits(got, want)
+
+
+def test_shortest_arcs_of_the_half_turns():
+    for d in ([math.pi], [-math.pi], [-math.pi, 0.5], [math.pi, -0.0]):
+        got = shortest_arcs(np.array(d))
+        assert _same_bits(got, _remainder_wrap(np.array(d)))
+        assert got[0] == math.pi
+
+
+def test_shortest_arcs_works_in_place_on_a_strided_view():
+    d = np.random.default_rng(3).uniform(-10.0, 10.0, (5, 4, 7))
+    d[1, 2, :2] = [-0.0, math.pi]
+    want = _remainder_wrap(d[:, 2])
+    view = d[:, 2]
+    assert shortest_arcs(view) is view
+    assert _same_bits(d[:, 2], want)
+    d[:, 2] = np.random.default_rng(4).uniform(-math.pi, math.pi, (5, 7))
+    want = _remainder_wrap(d[:, 2])
+    assert _same_bits(shortest_arcs(d[:, 2]), want)
+
+
+@given(st.lists(st.sampled_from(_ARC_EDGES + [0.5, -3.0, 7.0]),
+                min_size=4, max_size=4))
+def test_component_distances_wrap_bit_for_bit(values):
+    a = np.array(values, dtype=float).reshape(2, 2)
+    b = np.array([0.25, -0.0])
+    with np.errstate(invalid="ignore"):
+        want = np.subtract(a, b)
+        want[..., 1] = _remainder_wrap(want[..., 1])
+        got = component_distances(CYL, a, b)
+    assert _same_bits(got, np.abs(want))
 
 
 def test_modular_domain_membership_real_and_angular():
