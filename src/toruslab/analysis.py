@@ -636,16 +636,17 @@ class SurveyReport:
 
     One entry per sample in every array. retired marks the rows of a
     compact family that left the isolation domain, exit_t the time of the
-    first step outside it (nan for every other row). candidate marks the
-    samples that defeated both thresholds; none is the corroboration of
+    first step outside it (nan for every other row). skipped marks the
+    samples on the torus (nan gain and gap). candidate marks the samples
+    that defeated both thresholds; none is the corroboration of
     uniqueness at this sampling scale.
 
     telemetry counts the march's work, summed over the workers: steps,
     the march's step count (up to its last drop when no row is left);
-    row_steps, each block's steps times its live rows; of those,
-    row_steps_past_drop, the steps a row took in its block past the
-    step it escaped or was retired at, whose results were thrown away;
-    and the escaped and retired rows.
+    row_steps, each block's steps times its live rows, skipped ones
+    too; of those, row_steps_past_drop, the steps a row took in its
+    block past the step it escaped or was retired at, whose results were
+    thrown away; and the escaped and retired rows.
     """
 
     gains: np.ndarray
@@ -732,10 +733,10 @@ def _domain_exit(sys, box):
 def _survey_block(sys: System, states: np.ndarray, domain: ModularDomain,
                   horizon: float):
     """One worker's rows of the survey: their six arrays of the report,
-    in order, and the march's work counts (see SurveyReport)."""
+    in order, and the march's work counts (see SurveyReport). Skipped
+    rows are marched too, then reported as skipped."""
     layout = sys.layout
     dim = layout.dim
-    nb = len(states)
 
     off_slots = [s for s in range(dim)
                  if not (sys.slots.phi.start <= s < sys.slots.phi.stop)]
@@ -743,22 +744,20 @@ def _survey_block(sys: System, states: np.ndarray, domain: ModularDomain,
     off_dist = np.sqrt((d0[:, off_slots] ** 2).sum(axis=1))
     skipped = off_dist <= _SKIP_TOL
 
-    run = np.flatnonzero(~skipped)
-    escaped = np.zeros(nb, dtype=bool)
-    # the closest squared return of each marched row, rooted at the end,
-    # and the time it was dropped; origin, slot-major as the march, gap2
-    # and ids, the rows' places in run, follow its live rows
-    run_gap2 = np.full(len(run), math.inf)
-    run_exit = np.full(len(run), math.nan)
-    origin, gap2 = np.ascontiguousarray(states[run].T), run_gap2
-    ids = np.arange(len(run))
+    # the closest squared return of each row, rooted at the end, and the
+    # time it was dropped; origin, slot-major as the march, and gap2
+    # (all_gap2 itself up to the first drop) follow its live rows,
+    # compacted at each drop
+    all_gap2 = np.full(len(states), math.inf)
+    exit_t = np.full(len(states), math.nan)
+    origin, gap2 = np.ascontiguousarray(states.T), all_gap2
     angles = [s for s in range(dim) if layout.is_angle(s)]
     work = {"row_steps": 0, "row_steps_past_drop": 0}
 
-    def track_gaps(t, block, first):
-        nonlocal origin, gap2, ids
+    def track_gaps(t, block, live, first):
+        nonlocal origin, gap2
         n = len(t)
-        work["row_steps"] += n * len(gap2)
+        work["row_steps"] += n * len(live)
         j0 = int(np.searchsorted(t, _T_MIN))  # the steps from t_min on
         if j0 < n:
             # torus_distance_batch squared, slot by slot, its sum down the
@@ -776,32 +775,28 @@ def _survey_block(sys: System, states: np.ndarray, domain: ModularDomain,
         if first is not None:
             out = first < n
             work["row_steps_past_drop"] += int((n - 1 - first[out]).sum())
-            rows = ids[out]
-            run_gap2[rows] = gap2[out]
-            run_exit[rows] = t[first[out]]
+            all_gap2[live[out]] = gap2[out]
+            exit_t[live[out]] = t[first[out]]
             keep = np.flatnonzero(~out)
-            origin, gap2, ids = (origin.take(keep, axis=1), gap2.take(keep),
-                                 ids.take(keep))
+            origin, gap2 = origin.take(keep, axis=1), gap2.take(keep)
 
-    final, escaped[run], _, work["steps"], _ = _march(
+    final, escaped, _, work["steps"], _ = _march(
         *_fixed_step(sys, _SURVEY_STEP, origin), horizon, _SURVEY_STEP,
         track_gaps, _domain_exit(sys, domain.intervals))
-    run_gap2[np.isnan(run_exit)] = gap2
-    gaps = np.full(nb, math.inf)
-    gaps[run] = np.sqrt(run_gap2)
-    # a dropped row that did not escape left the domain
-    exit_t = np.full(nb, math.nan)
-    exit_t[run] = np.where(escaped[run], math.nan, run_exit)
+    all_gap2[np.isnan(exit_t)] = gap2
+    gaps = np.sqrt(all_gap2)
+    # a dropped row that did not escape left the domain; a skipped row
+    # reads as neither
+    exit_t[escaped | skipped] = math.nan
     retired = ~np.isnan(exit_t)
+    escaped &= ~skipped
     # the gain is the certificate's change: rk4 advances y + sum(q) by the
     # same combination of stage rates as it would an extra slot holding
     # the certificate's rate, so no such slot is needed. The final states
     # are made row-major first, so that sum(q) adds as it does on a row
-    gains = np.full(nb, math.nan)
-    gains[run] = (_certificate(sys, final.T.copy())
-                  - _certificate(sys, states[run]))
+    gains = _certificate(sys, final.T.copy()) - _certificate(sys, states)
     gains[escaped | retired] = math.inf
-    gaps[skipped] = np.nan
+    gains[skipped] = gaps[skipped] = np.nan
     return (gains, gaps, escaped, skipped, retired, exit_t), work
 
 
@@ -820,14 +815,15 @@ def survey_uniqueness(sys: System, domain: ModularDomain, samples: int,
     march, and its gap the closest return to the start after t = 1. A
     sample is a candidate only when the gain stays at most 1e-8 AND the
     return gap drops below 1e-3; samples within 1e-6 of the torus in the
-    non-angle directions are skipped as on-torus, and samples that leave
-    the escape norm 1e8 are self-refuting. The samples are drawn at once
-    from one default_rng(seed) stream, row i from its doubles i*dim on,
-    so results are deterministic in (seed, index) and independent of the
-    job count. They are split into one contiguous block per worker,
-    min(jobs, samples, CPUs) of them, each marched in a process pool
-    worker that receives the System itself (a System is its texts and
-    pickles as it is); one worker marches them all in this process.
+    non-angle directions are marched but reported as skipped, on-torus,
+    and samples that leave the escape norm 1e8 are self-refuting. The
+    samples are drawn at once from one default_rng(seed) stream, row i
+    from its doubles i*dim on, so results are deterministic in (seed,
+    index) and independent of the job count. They are split into one
+    contiguous block per worker, min(jobs, samples, CPUs) of them, each
+    marched in a process pool worker that receives the System itself (a
+    System is its texts and pickles as it is); one worker marches them
+    all in this process.
 
     For the compact families the box must lie inside isolation_domain,
     where the certificate is one-signed; for the unbounded families any

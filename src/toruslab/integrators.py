@@ -14,11 +14,13 @@ bounded by _BLOCK_BYTES and _BLOCK_STEPS, and a block ends at a store
 point), and settles each block once: one escape test gives each row its
 first escaping or retired step, an escaping row, or one its caller
 retires, is written out once at its state before that step and dropped,
-and the block, live rows only, goes to an observer that measures it.
+and the block, live rows only, goes with their indices in the batch to
+an observer that measures it; the live rows are written back into the
+batch's own array, the result, at each store point and at the end.
 The rows of a batch may run in both directions of time at once: given
 one signed end time per row, all of one magnitude, they share one step
 grid, and each steps with a signed h of its own, which drops with the
-row when it escapes.
+row when it escapes; such a march takes no observer.
 A single state of a System steps on Python floats instead, because
 numpy's per-call cost dwarfs the arithmetic of one 4-8 slot state: the
 fused rk4, midpoint and Dormand-Prince steps compiled from the system's
@@ -341,11 +343,13 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
     fixed steps.
 
     int(|t_end| / h) whole steps, then a remainder step if one is left;
-    the last step ends exactly at t_end. Returns (state, escaped,
-    escape_times, steps taken, stored), stored holding (t, state) after
-    every store_every-th step and the last one when store_every is given,
-    and empty otherwise; a batch is stored whole, its escaped rows at
-    their last finite states.
+    the last step ends exactly at t_end; a t_end too short for any step
+    (|t_end| <= 1e-12) would check nothing and raises InvalidValue.
+    Returns (state, escaped, escape_times, steps taken, stored), stored
+    holding (t, state) after every store_every-th step and the last one
+    when store_every is given, and empty otherwise; a batch, returned in
+    an array of its own, is stored whole, its escaped rows at their last
+    finite states.
 
     A single state, an array (dim,) or a tuple of floats for compiled
     code, is marched by the runner that _fixed_step gives in place of
@@ -381,14 +385,14 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
     rows that leave the domain of its certificate: an orbit outside the
     certified neighbourhood cannot lie on a torus inside it, so it is
     refuted there as an escaping orbit is. Without retire the loop makes
-    no call for it.
+    no call for it. live holds the batch index of each column of cur.
 
-    observe(t, block, first), called after each block of a batch, sees
-    the signed times t of its K steps ((K,), or (K, live rows) for a
-    per-row t_end), the block of the rows live at its start and first,
-    None when no row leaves in it, else each row's first bad step, K for
-    a row that stays. A row's states in the block past its first bad
-    step are not its own.
+    observe(t, block, live, first), called after each block of a batch
+    with one t_end for every row, sees the signed times t of its K
+    steps, the block of the rows live at its start, live, their indices
+    in the batch, and first, None when no row leaves in it, else each
+    row's first bad step, K for a row that stays. A row's states in the
+    block past its first bad step are not its own.
     """
     if np.ndim(t_end):
         direction = np.sign(t_end)
@@ -406,6 +410,8 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
     if total > _MAX_STEPS:
         raise StepBudgetExceeded(
             f"{span / h:.3g} steps needed, cap is {_MAX_STEPS}")
+    if span and not total:  # a run that takes no step checks nothing
+        raise InvalidValue(f"t_end {span:g} is too short to take a step")
 
     if not isinstance(state, tuple):
         state = np.array(state, dtype=float, order="C")
@@ -436,7 +442,7 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
             stored = [(direction * ((k - 1) * h), prev)]
         return cur, escaped, escape_times, k, stored
 
-    cur, live = state, None
+    cur, live = state, np.arange(state.shape[1])
     h_whole, h_last = direction * h, direction * remainder
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -472,7 +478,7 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
                 before = block[j - 1, :, at].T
                 if not j.all():
                     before[:, j == 0] = cur[:, at[j == 0]]
-                rows = at if live is None else live[at]
+                rows = live[at]
                 state[:, rows] = before
                 if bad is not None:
                     esc = bad[j, at]
@@ -482,29 +488,24 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
                         else direction) * elapsed[j[esc]]
             cur = trial  # and the block before this one is freed
             if observe is not None:
-                observe(elapsed * direction if not np.ndim(direction)
-                        else np.multiply.outer(elapsed, direction),
-                        block, first)
+                observe(direction * elapsed, block, live, first)
             end = k + n
             if first is not None:
                 keep = np.flatnonzero(~hit)
                 if np.ndim(direction):
                     direction, h_whole, h_last = (
                         v.take(keep) for v in (direction, h_whole, h_last))
-                live = keep if live is None else live.take(keep)
+                live = live.take(keep)
                 cur = cur.take(keep, axis=1)
                 if not len(keep):
                     end = k + int(j.max()) + 1
             if store_every and (end % store_every == 0 or end == total):
-                if live is not None:
-                    state[:, live] = cur
+                state[:, live] = cur
                 stored.append((direction * elapsed[end - k - 1],
-                               cur.copy() if live is None else state.copy()))
+                               state.copy()))
             k = end
-            if live is not None and not len(live):
+            if first is not None and not len(live):
                 break
-    if live is None:
-        return cur, escaped, escape_times, k, stored
     state[:, live] = cur
     return state, escaped, escape_times, k, stored
 
@@ -518,7 +519,8 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
     Raises NumericalBlowup when the state exceeds the escape norm or goes
     non-finite, a diverging midpoint iteration included (the exception
     carries the escape time and the partial trajectory as attributes),
-    and StepBudgetExceeded past _MAX_STEPS steps.
+    StepBudgetExceeded past _MAX_STEPS steps, and InvalidValue for a
+    t_end too short for any step (|t_end| <= 1e-12).
 
     Examples
     --------
@@ -562,6 +564,8 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
             raise InvalidValue("t_end must be finite and nonzero")
         direction = 1.0 if t_end > 0 else -1.0
         span = abs(t_end)
+        if span <= 1e-12:  # as in _march: a run of no step checks nothing
+            raise InvalidValue(f"t_end {span:g} is too short to take a step")
         step, rates, state = _adaptive_step(field, cfg, p0.coords)
         t = 0.0
         n_steps = 0
@@ -594,9 +598,6 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
                 else:
                     n_rejected += 1
                     h *= max(0.2, 0.9 * norm ** -0.2)
-
-    if t_escape is None and times[-1] != t_end:
-        store(t_end, state)  # zero-length span edge; keep endpoint exact
     traj = Trajectory(layout=layout, times=np.array(times),
                       states=wrap_angles(np.array(stored, dtype=float),
                                          layout.angle_mask),

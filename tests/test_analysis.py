@@ -12,6 +12,8 @@ from toruslab import analysis
 from toruslab.analysis import (
     FixedPointResult,
     _sample_box,
+    _SKIP_TOL,
+    _survey_block,
     KroneckerReport,
     Section,
     bracket_matrix,
@@ -835,6 +837,43 @@ class TestSurvey:
                                 samples=30, seed=4)
         assert rep.skipped.all()
         assert rep.n_candidates == 0
+
+    @pytest.mark.parametrize("family, drop_all", [
+        (HAM_COMPACT, None), (HAM_UNIQUE, None), (HAM_COMPACT, "retire"),
+        (HAM_UNIQUE, "escape")])
+    def test_skipped_row_is_marched_and_reported_as_skipped(
+            self, monkeypatch, family, drop_all):
+        # row 5 lies within _SKIP_TOL of the torus; the other rows escape
+        # or leave the domain around it. With drop_all every row, row 5
+        # too, leaves the domain or escapes (past a norm of 1e-3) at its
+        # first step, and row 5 still reads as skipped only
+        sys = make(family, n=1, m=1)
+        dom = isolation_domain(sys) if family == HAM_COMPACT \
+            else self.box(sys)
+        if drop_all == "retire":
+            monkeypatch.setattr(analysis, "_domain_exit", lambda sys, box: (
+                lambda block: np.ones(block.shape[::2], dtype=bool)))
+        if drop_all == "escape":
+            monkeypatch.setattr(analysis, "_SURVEY_STEP", IntegratorConfig(
+                h=1e-2, escape_norm=1e-3))
+        states = _sample_box(sys.layout, dom, 6, 40)
+        off = [s for s in range(sys.dim)
+               if not sys.slots.phi.start <= s < sys.slots.phi.stop]
+        states[5, off] = 0.0
+        states[5, off[0]] = _SKIP_TOL / 2
+        got, work = _survey_block(sys, states, dom, 20.0)
+        want, want_work = _survey_block(sys, np.delete(states, 5, axis=0),
+                                        dom, 20.0)
+        gains, gaps, escaped, skipped, retired, exit_t = got
+        assert np.flatnonzero(skipped).tolist() == [5]
+        assert np.isnan([gains[5], gaps[5], exit_t[5]]).all()
+        assert not (escaped[5] or retired[5])
+        assert (want[2] | want[4]).any()  # the other rows drop
+        for a, b in zip(got, want):  # bit for bit
+            assert np.delete(a, 5).tobytes() == b.tobytes()
+        if drop_all is None:  # the skipped row's steps count, all 2000
+            assert work["row_steps"] - want_work["row_steps"] \
+                == work["steps"] == 2000
 
     def test_control_fixture_rejected(self):
         sys = build_control_system()

@@ -115,6 +115,14 @@ class TestFlagParsing:
         (["--replay", "{tmp}/verdicts-list.json"], "verdicts-list.json"),
         (["survey", "--system", "ham-unique", "--box", "1e308",
           "--samples", "5", "--jobs", "1", "--out", "{tmp}"], "too wide"),
+        (["verify", "torus", "--system", "ham-unique", "--t", "1e-13",
+          "--out", "{tmp}"], "too short to take a step"),
+        (["verify", "invariants", "--system", "ham-unique", "--t", "1e-13",
+          "--out", "{tmp}"], "too short to take a step"),
+        (["verify", "reversibility", "--system", "rev-unique", "--l", "1",
+          "--t", "1e-13", "--out", "{tmp}"], "too short to take a step"),
+        (["simulate", "--system", "ham-unique", "--method", "adaptive",
+          "--t", "1e-13", "--out", "{tmp}"], "too short to take a step"),
     ], ids=["h-zero", "t-nan", "replay-missing-file", "config-array",
             "config-omega-number", "config-n-list", "points-zero",
             "invariants-reversible", "config-n-fraction", "config-n-bool",
@@ -128,7 +136,9 @@ class TestFlagParsing:
             "config-unknown-key", "deltas-ham-unique", "deltas-rev-unique",
             "control-n", "control-l", "control-omega-entries",
             "replay-argv-number", "replay-argv-numbers",
-            "replay-verdicts-list", "survey-box-too-wide"])
+            "replay-verdicts-list", "survey-box-too-wide",
+            "torus-no-step", "invariants-no-step", "reversibility-no-step",
+            "adaptive-no-step"])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                    argv, named):
         (tmp_path / "array.json").write_text("[1, 2]")

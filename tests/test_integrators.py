@@ -540,33 +540,39 @@ class TestBatch:
 
     def test_observer_sees_only_live_rows(self):
         # the march hands observe each block of steps of the rows live at
-        # its start, slot-major (steps, dim, live rows), and each row's
-        # first step that escapes; the reference is the march one step
-        # at a time, whose observer sees each step's live rows
+        # its start, slot-major (steps, dim, live rows), those rows'
+        # indices in the batch, and each row's first step that escapes;
+        # the reference is the march one step at a time, whose observer
+        # sees each step's live rows, followed here through its drops
         sys = ham(n=1, m=1)
         states = np.random.default_rng(5).uniform(-2.0, 2.0, (64, sys.dim))
         cfg = IntegratorConfig(h=1e-2)
-        steps = []
-        march_per_step(*_fixed_step(sys, cfg, states.T), 2.0, cfg,
-                       lambda t, cur, dropped: steps.append((t, cur)))
-        ref = row_path(sys, states, 2.0, cfg)
-        # the batch indices of the live rows, followed through first
-        seen = {"live": np.arange(len(states)), "k": 0, "drops": 0}
+        steps, alive = [], np.arange(len(states))
 
-        def observe(t, block, first):
-            n, live = len(t), seen["live"]
+        def per_step(t, cur, dropped):
+            nonlocal alive
+            if dropped is not None:
+                alive = alive[dropped[1]]
+            steps.append((t, cur, alive))
+
+        march_per_step(*_fixed_step(sys, cfg, states.T), 2.0, cfg, per_step)
+        ref = row_path(sys, states, 2.0, cfg)
+        seen = {"k": 0, "drops": 0}
+
+        def observe(t, block, live, first):
+            n = len(t)
             assert block.shape == (n, sys.dim, len(live))
             left = np.full(len(live), n) if first is None else first
             for j in range(n):
-                t_ref, cur_ref = steps[seen["k"] + j]
+                t_ref, cur_ref, live_ref = steps[seen["k"] + j]
                 assert t[j] == t_ref
-                # the rows still live after step j are the reference's
+                # the rows still live after step j are the reference's,
+                # at the reference's indices in the batch
+                assert np.array_equal(live[left > j], live_ref)
                 assert same_bits(block[j][:, left > j], cur_ref)
                 assert np.array_equal(
                     live[left == j], np.flatnonzero(ref.escape_times == t[j]))
-            if first is not None:
-                seen["drops"] += 1
-                seen["live"] = live[first == n]
+            seen["drops"] += first is not None
             seen["k"] += n
 
         final, escaped, _, n_steps, _ = _march(
@@ -1054,6 +1060,22 @@ class TestBlockMarch:
         assert not want[1].all()
         assert_same_batch(got, want)
 
+    @pytest.mark.parametrize("scale, store_every", [
+        (1e-3, None), (1.0, None), (1e-3, 7)],
+        ids=["no-drop", "escapes", "store-every"])
+    def test_batch_result_owns_its_memory(self, scale, store_every):
+        # the final states are an array of their own, not a view that
+        # keeps the whole last block of steps alive
+        sys = ham(n=1, m=1)
+        states = scale * np.random.default_rng(4).uniform(
+            -2.0, 2.0, (12, sys.dim))
+        cfg = IntegratorConfig(h=1e-2)
+        final, escaped, _, _, _ = _march(
+            *_fixed_step(sys, cfg, states.T), 2.0, cfg,
+            store_every=store_every)
+        assert escaped.any() == (scale == 1.0)
+        assert final.base is None and final.shape == (sys.dim, 12)
+
     def test_block_holds_at_most_the_cap(self):
         # 10^4 rows of 6 slots take single steps; fewer rows, longer
         # blocks, up to the step cap
@@ -1062,7 +1084,8 @@ class TestBlockMarch:
         for rows in (10_000, 500, 9):
             sizes = []
             _march(*_fixed_step(sys, cfg, np.zeros((sys.dim, rows))), 0.5,
-                   cfg, lambda t, block, first: sizes.append(block.shape))
+                   cfg, lambda t, block, live, first:
+                   sizes.append(block.shape))
             assert sum(n for n, _, _ in sizes) == 50
             n = sizes[0][0]
             assert n == max(1, min(integrators._BLOCK_STEPS,
