@@ -585,8 +585,8 @@ def circulation_period(zeta: float) -> float:
 # reversibility
 
 
-def reversibility_deviations(sys: System, points: np.ndarray,
-                             t: float) -> np.ndarray:
+def reversibility_deviations(sys: System, points: np.ndarray, t: float,
+                             work: Optional[dict] = None) -> np.ndarray:
     """Conjugacy deviation for a batch of start points (rows).
 
     Batch rk4 integration at step 1e-3, the points forward to t and their
@@ -596,6 +596,9 @@ def reversibility_deviations(sys: System, points: np.ndarray,
     G(p) mirror p's forward steps bit for bit and the deviation is
     exactly 0.0: this tests the parity of the rates, not the integrator's
     error (adding +0.3*y to rev-unique's y rate reads 0.238 at t = 2).
+
+    work, if given, is updated with the march's steps and its row_steps,
+    each row's steps up to its escape, the escaping step included.
     """
     if not t > 0:
         raise InvalidValue("t must be positive")
@@ -604,6 +607,12 @@ def reversibility_deviations(sys: System, points: np.ndarray,
     n = len(pts)
     res = integrate_batch(sys, np.concatenate([pts, sys.involution(pts)]),
                           np.repeat([t, -t], n), cfg, layout=sys.layout)
+    if work is not None:
+        # an escape on the last step takes every step, as a live row does
+        ahead = np.abs(res.escape_times) < t
+        lived = np.where(ahead, np.rint(np.abs(res.escape_times) / cfg.h),
+                         res.n_steps)
+        work.update(steps=res.n_steps, row_steps=int(lived.sum()))
     fwd, back = res.final[:n], res.final[n:]
     dev = torus_distance_batch(sys.layout, back, sys.involution(fwd))
     dev[res.escaped[:n] | res.escaped[n:]] = math.inf

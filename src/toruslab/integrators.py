@@ -31,13 +31,16 @@ A System batch of at most _FLOAT_ROWS (8) rows marches each row alone
 as such a state, and `integrate_batch` assembles the batch's result. A
 larger System batch, and the survey's, takes its rk4 steps through the
 same generated step over the rows of the slot-major array (see
-`dsl.compile_rows`). The numpy steps on the field remain for plain field
-callables, for a System's midpoint batch of more than _FLOAT_ROWS rows
-(_batch_midpoint), and for the one rk4 step of the Henon landing in
-`analysis`.
+`dsl.compile_rows`). That step reads the terms of the slots whose rate
+is zero, the first integrals, from two arguments, which _march computes
+once per march and compacts with the rows at each drop. The numpy steps
+on the field remain for plain field callables, for a System's midpoint
+batch of more than _FLOAT_ROWS rows (_batch_midpoint), and for the one
+rk4 step of the Henon landing in `analysis`.
 Every fixed step, on floats, rows or arrays, is step(state, h); one of
 a batch also takes an out array, which it writes the next states into
-and returns. A
+and returns, and the rows step takes the two arrays of terms before it,
+step(state, h, first, rest, out). A
 midpoint row iterates until its own update is at most _MIDPOINT_TOL, in
 a batch as alone; one that diverges or is not converged after
 _MIDPOINT_MAX_ITER iterations is reported as an escape. No run takes
@@ -294,8 +297,10 @@ def _fixed_step(field, cfg, state):
     it and starts as a tuple; code compiled without a run (a tangent
     flow's) runs through _run. A System batch takes rk4 steps through the
     system's generated code for batches (see `dsl.compile_rows`), which
-    gives _rk4_step's result bit for bit at a fraction of its cost; any
-    other state steps numpy arrays, and a single one runs through _run.
+    gives _rk4_step's result bit for bit at a fraction of its cost; it
+    also takes the terms of the zero-rate slots, step(state, h, first,
+    rest, out), which _march computes. Any other state steps numpy
+    arrays, and a single one runs through _run.
     """
     code = _compiled_for(field, state)
     if code is not None:
@@ -365,6 +370,16 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
     the same grid, each in the direction of its own sign, with h a
     (rows,) vector of signed steps. Each row's escape time carries its
     sign.
+
+    A step with a conserved attribute, the rows step of
+    `dsl.compile_rows`, reads the terms of the zero-rate slots from its
+    arguments first and rest. They are computed twice per march, however
+    many rows drop: first = conserved(state) for the first stage of the
+    first step, and rest = conserved(state + h*0.0), the zero of h's
+    sign, for every other stage; from the second step on, first is
+    rest, since a zero-rate slot holds state + h*0.0 after any step.
+    At each drop rest is compacted with cur. The steps are thus the
+    step's own, which computes both at its state, bit for bit.
 
     A batch, copied to C order, steps only its live rows, kept dense as
     the columns of cur, in blocks: K steps back to back, each written
@@ -444,8 +459,17 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
 
     cur, live = state, np.arange(state.shape[1])
     h_whole, h_last = direction * h, direction * remainder
+    conserved = getattr(step, "conserved", None)
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        if conserved is not None:
+            # the terms of the zero-rate slots: at the state for the first
+            # stage of the first step, and for every other stage at the
+            # state plus h*0.0, the zero of h's sign, which such a slot
+            # holds after any step (the terms read no other slot, so the
+            # whole state is shifted)
+            first_terms = conserved(cur)
+            rest_terms = conserved(cur + h_whole * 0.0)
         while k < total:
             # the block's K steps: up to the cap, the next store point and
             # the end; the remainder step may be among them
@@ -456,8 +480,13 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
             block = np.empty((n,) + cur.shape)
             trial = cur
             for j in range(n):
-                trial = step(trial, h_whole if k + j < n_whole else h_last,
-                             block[j])
+                h_j = h_whole if k + j < n_whole else h_last
+                if conserved is None:
+                    trial = step(trial, h_j, block[j])
+                else:
+                    trial = step(trial, h_j, first_terms, rest_terms,
+                                 block[j])
+                    first_terms = rest_terms
             elapsed = np.arange(k + 1, k + n + 1) * h
             if k + n == total:
                 elapsed[-1] = span
@@ -497,6 +526,8 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
                         v.take(keep) for v in (direction, h_whole, h_last))
                 live = live.take(keep)
                 cur = cur.take(keep, axis=1)
+                if conserved is not None:
+                    first_terms = rest_terms = rest_terms.take(keep, axis=1)
                 if not len(keep):
                     end = k + int(j.max()) + 1
             if store_every and (end % store_every == 0 or end == total):
@@ -632,11 +663,14 @@ class BatchResult:
 # A System batch of 1 to _FLOAT_ROWS rows marches row by row on the
 # compiled float steps. Per step of 0.01 on ham-unique, ham-compact and
 # rev-compact (n = m = 1, states within 1e-3 of 0, 50 steps, Python
-# 3.11, 2 shared cores, best of 5), the float rk4 path costs 1.8-2.0,
-# 2.9-3.0 and 0.9-1.1 us a row, its stretch march included, and the
-# batch march of the generated rows step, in blocks of 16 steps, a
-# near-flat 36-40, 57-69 and 19-25 us at 2-48 rows: the float path is
-# the cheaper up to 16 rows, and the two meet at 20-24 rows. For
+# 3.11, 2 shared cores, best of 10), the float rk4 path costs 1.8-1.9,
+# 2.9-3.0 and 0.9-1.0 us a row, its stretch march included, and the
+# batch march of the generated rows step, in blocks of 16 steps, with
+# the terms of the zero-rate slots computed once per march, a near-flat
+# 37-39, 55-65 and 18-19 us at 2-48 rows: at so few rows the per-call
+# cost of numpy, not the trig the march saves, sets the rows step's
+# cost. The float path is the cheaper up to 16 rows, and the two meet
+# at about 20 rows. For
 # midpoint, the float path costs 1.8-2.4, 2.4-2.6 and 1.3-1.5 us a row
 # against 29-36, 40-48 and 17-20 us a step for _batch_midpoint, which
 # it meets at 13-19 rows. The value is to be re-picked together with a

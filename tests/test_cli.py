@@ -15,7 +15,7 @@ import pytest
 import toruslab
 from toruslab import analysis, cli, integrators
 from toruslab.cli import _build_parser, _parse_angles, _parse_omega, main
-from toruslab.dsl import shipped_hamiltonians
+from toruslab.dsl import Add, Const, DerivedField, shipped_hamiltonians
 
 SQRT2 = math.sqrt(2.0)
 
@@ -377,6 +377,36 @@ class TestVerify:
                    "--t", "5", "--out", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("family, scale, points, rc, steps, row_steps", [
+        ("rev-compact", "0.05", 2, 0, 5000, 20000),
+        ("rev-unique", "0.5", 2, 1, 4705, 14788),
+        ("rev-unique", "0.5", 20, 1, 5000, 142790)],
+        ids=["every-row-lives", "rows-escape", "rows-escape-in-a-batch"])
+    def test_reversibility_manifest_counts_the_marchs_work(
+            self, tmp_path, capsys, family, scale, points, rc, steps,
+            row_steps):
+        # the points and their images, 5,000 steps of 1e-3 each way, row
+        # by row on floats at 2 points and as one batch at 20; a row that
+        # escapes takes the steps up to its escape, counted here by
+        # marching each row alone
+        assert main(["verify", "reversibility", "--system", family,
+                     "--n", "1", "--l", "1", "--m", "1",
+                     "--points", str(points), "--scale", scale,
+                     "--seed", "3", "--out", str(tmp_path)]) == rc
+        work = json.loads((tmp_path / "manifest.json").read_text())[
+            "telemetry"]
+        assert work == {"steps": steps, "row_steps": row_steps}
+        sys_ = toruslab.build_system(toruslab.SystemParams(
+            family, n=1, l=1, m=1, omega=(1.0,)))
+        pts = float(scale) * np.random.default_rng(3).uniform(
+            -1.0, 1.0, (points, sys_.dim))
+        cfg = integrators.IntegratorConfig(h=1e-3)
+        taken = [integrators._march(*integrators._fixed_step(
+            sys_, cfg, row), t_end, cfg)[3]
+            for row, t_end in zip([*pts, *sys_.involution(pts)],
+                                  [5.0] * points + [-5.0] * points)]
+        assert (max(taken), sum(taken)) == (steps, row_steps)
+
 
 class TestMonodromy:
     def test_torus_family_is_identity(self, tmp_path):
@@ -598,20 +628,53 @@ class TestDsl:
         assert rc == 0, captured.out
         assert "Traceback" not in captured.out + captured.err
 
-    def test_a_long_sum_of_p_parses_and_round_trips(self, tmp_path, capsys):
-        # good input, so exit 1, not 2: only the gradient check fails,
-        # as it compares its central difference with an absolute 1e-6,
-        # and the difference's rounding grows with |H| = 900|p|
+    @staticmethod
+    def _passes_every_check(tmp_path, capsys, text):
         path = tmp_path / "long-sum.ham"
-        path.write_text("pairs: (q,p)\n" + "+".join(["p"] * 900) + "\n")
+        path.write_text(f"pairs: (q,p)\n{text}\n")
+        rc = main(["dsl", "check", "--file", str(path),
+                   "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.out
+        assert "dsl-gradients: PASS" in captured.out
+        assert captured.err == ""
+        doc = json.loads((tmp_path / "report.json").read_text())
+        return doc["metrics"]["gradient_dev"]
+
+    def test_a_long_sum_of_p_parses_and_round_trips(self, tmp_path, capsys):
+        # and differentiates: the gradient check's reference is the
+        # complex step, which takes no difference of two values of H, so
+        # its error does not grow with |H| = 900|p|. A central difference
+        # of step 1e-6 missed the absolute 1e-6 here
+        text = "+".join(["p"] * 900)
+        assert self._passes_every_check(tmp_path, capsys, text) <= 1e-10
+
+    def test_a_long_sum_of_p_squared_differentiates(self, tmp_path, capsys):
+        # |H| = 5000 p^2, where a central difference erred by 4e-4
+        text = "+".join(["p*p"] * 5000)
+        assert self._passes_every_check(tmp_path, capsys, text) <= 1e-7
+
+    def test_a_wrong_rate_fails_the_gradient_check(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # the rate of q, dH/dp, off by 1e-5 at every point
+        right = cli.hamiltonian_vector_field
+
+        def wrong(energy, pairing):
+            rates = dict(right(energy, pairing).rate_exprs)
+            rates["q"] = Add(rates["q"], Const(1e-5))
+            return DerivedField(rate_exprs=rates)
+
+        monkeypatch.setattr(cli, "hamiltonian_vector_field", wrong)
+        path = tmp_path / "h.ham"
+        path.write_text("pairs: (q,p)\np*p + sin(q)\n")
         rc = main(["dsl", "check", "--file", str(path),
                    "--out", str(tmp_path)])
         assert rc == 1
         captured = capsys.readouterr()
-        assert "dsl-parse: PASS" in captured.out
         assert "dsl-roundtrip: PASS" in captured.out
         assert "dsl-gradients: FAIL" in captured.out
-        assert captured.err == ""
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["metrics"]["gradient_dev"] == pytest.approx(1e-5)
 
     def test_overflow_report_is_strict_json(self, tmp_path, capsys):
         path = tmp_path / "inf.ham"

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from catalog_oracle import oracle_field
+from catalog_oracle import oracle_field, step_alone
 
 from toruslab import dsl
 from toruslab.dsl import (
@@ -504,21 +504,32 @@ def test_compiled_code_never_sees_a_source_identifier():
     assert norm == pytest.approx(float(np.sqrt(np.mean(r * r))), rel=1e-12)
 
 
-@pytest.mark.parametrize("sys, sin, trig", [
+@pytest.mark.parametrize("sys, sin, trig, rows_sin, rows_trig", [
     (build_system(SystemParams(REV_COMPACT, n=1, l=1, m=1, omega=(1.0,))),
-     8, 8),
+     8, 8, 4, 4),
     (build_system(SystemParams(HAM_COMPACT, n=1, m=1, omega=(1.0,))),
-     18, 36),
+     18, 36, 16, 32),
 ], ids=["rev-compact", "ham-compact"])
-def test_rk4_step_shares_the_terms_of_first_integrals(sys, sin, trig):
+def test_rk4_step_shares_the_terms_of_first_integrals(sys, sin, trig,
+                                                      rows_sin, rows_trig):
     # four stages evaluate sin(v_1), sin(q_1) of rev-compact and sin(u_1),
     # cos(u_1) of ham-compact twice: at the state, and at the state plus
-    # h*0, which stages 2-4 share; 12 sin and 40 trig calls without that
+    # h*0, which stages 2-4 share; 12 sin and 40 trig calls without that.
+    # The rows step reads both from its arguments, which a march computes
+    # once, by two calls of conserved: it holds the rest of the float
+    # step's calls
     text = sys.compiled().source
     floats = text[text.index("def rk4_step"):text.index("def midpoint")]
-    for source in (floats, sys.compiled("rk4_rows").source):
-        assert source.count("_sin(") == sin
-        assert source.count("_sin(") + source.count("_cos(") == trig
+    rows = sys.compiled("rk4_rows")
+
+    def counts(source):
+        return source.count("_sin("), source.count("_cos(")
+
+    assert counts(floats) == (sin, trig - sin)
+    assert counts(rows.source) == (rows_sin, rows_trig - rows_sin)
+    held = counts(rows.conserved.source)
+    assert (rows_sin + 2 * held[0], rows_trig + 2 * sum(held)) \
+        == (sin, trig)
     if sys.family == REV_COMPACT:
         # phi_1 (slot 0) is read by no rate, so it has no stage states:
         # the float step reads it in its return alone, the batch step in
@@ -548,7 +559,7 @@ def test_rows_step_repeats_the_numpy_step_on_any_rates():
     s[0, ::3] = -0.0
     for h in (0.1, -0.1):
         want = _rk4_step(field, s, h)
-        got = step(s, h)
+        got = step_alone(step, s, h)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         for row, col in zip(got.T, s.T):
             new = np.array(floats.rk4_step(tuple(col.tolist()), h))
@@ -578,7 +589,7 @@ def test_rows_step_never_writes_into_its_input(sys, rows):
     signed = np.where(rng.uniform(size=rows) < 0.5, -1e-2, 1e-2)
     for h in (1e-2, -1e-2, signed):
         want = _rk4_step(sys.compiled("field"), s, h)
-        got = step(s, h)
+        got = step_alone(step, s, h)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -769,6 +780,19 @@ def test_long_texts_walk_in_every_walker():
         rel=1e-12)
     assert dsl._parity(parse("+".join(["q*p"] * 3000)),
                        frozenset({"q"})) == 1
+
+
+def test_eval_passes_complex_scalars_through():
+    # dsl check takes its reference derivative as Im H(x + i eps) / eps
+    e = parse("x^3 + sin(y)*x")
+    val = eval_expr(e, {"x": 2.0 + 1e-30j, "y": 0.5})
+    assert isinstance(val, complex)
+    assert val.imag / 1e-30 == pytest.approx(12.0 + math.sin(0.5),
+                                             rel=1e-15)
+    assert isinstance(eval_expr(e, {"x": 2.0, "y": 0.5}), float)
+    # an overflowing power gives numpy's value, as a float's gives inf
+    assert eval_expr(parse("x^3"), {"x": 1e200 + 1j}) \
+        == complex(math.inf, math.inf)
 
 
 def test_a_constant_power_that_overflows_is_infinite():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import types
 from dataclasses import replace
@@ -5,10 +6,10 @@ from functools import partial
 
 import numpy as np
 import pytest
-from catalog_oracle import march_per_step, tangent_field
+from catalog_oracle import march_per_step, step_alone, tangent_field
 
 from toruslab.analysis import _central_differences
-from toruslab.dsl import compile_rates, parse
+from toruslab.dsl import compile_numpy, compile_rates, compile_rows, parse
 from toruslab import integrators
 from toruslab.errors import (
     ConvergenceFailure,
@@ -383,9 +384,11 @@ class TestBatch:
             if kind != batch_kind:
                 return code
 
-            def numpy_code(s, *h):  # a batch marches slot-major
+            def numpy_code(s, *args):  # a batch marches slot-major
                 calls.append(s.shape)
-                return code(s, *h)
+                return code(s, *args)
+            if kind == "rk4_rows":
+                numpy_code.conserved = code.conserved
             return numpy_code
 
         monkeypatch.setattr(System, "compiled", counted)
@@ -1093,6 +1096,135 @@ class TestBlockMarch:
                                    // (8 * sys.dim * rows)))
             assert n * 8 * sys.dim * rows <= integrators._BLOCK_BYTES \
                 or n == 1
+
+
+# the four families at n in {1, 2, 3}, m in {0, 1, 2} and, for the
+# reversible ones, l in {0, 1}, and the control
+ALL_SIZES = pytest.mark.parametrize("family, n, m, l", [
+    *((family, n, m, l) for family in FAMILIES
+      for n, m, l in itertools.product(
+          (1, 2, 3), (0, 1, 2),
+          (None,) if family in (HAM_UNIQUE, HAM_COMPACT) else (0, 1))),
+    ("control", 1, 0, None)])
+
+
+class TestConservedTerms:
+    """A batch's rows step reads the terms of its zero-rate slots, which
+    the march computes once: at the start state for the first stage of
+    the first step, and at it plus h*0.0 for every other stage. The
+    result is that of the step that computes them afresh at every step
+    (catalog_oracle.step_alone), and so of _rk4_step, bit for bit."""
+
+    # values for the zero-rate slots: a step keeps each, but takes a
+    # signed zero to the zero of 0 + h*0; inf and nan escape at once
+    SPECIAL = (-0.0, 0.0, math.pi, -math.pi, 1e6, math.inf, math.nan)
+
+    @ALL_SIZES
+    def test_march_repeats_the_step_alone(self, family, n, m, l):
+        sys = build_control_system() if family == "control" else \
+            build_system(SystemParams(family, n=n, m=m, l=l, omega=(
+                1.0, math.sqrt(2.0), math.sqrt(3.0))[:n]))
+        rng = np.random.default_rng(sys.dim)
+        states = rng.uniform(-0.3, 0.3, (40, sys.dim))
+        zero = np.flatnonzero((sys.field(states) == 0.0).all(axis=0))
+        special = np.array(self.SPECIAL)
+        k = len(special)
+        states[:k, zero] = special[:, None]  # every zero-rate slot
+        if len(zero):  # the first alone
+            states[k:2 * k, zero[0]] = special
+        # forward and backward rows on one grid of 55 steps of 1e-2 and a
+        # remainder of 5e-3; rows 14-19 leave |phi_1| <= 0.5 in the first
+        # block, and the last row escapes on the first step
+        t_end = np.where(np.arange(40) % 2, -0.555, 0.555)
+        phi = sys.slots.phi.start
+        states[14:20, phi] = np.sign(t_end[14:20]) * np.linspace(
+            0.49, 0.44, 6)
+        states[-1, phi] = math.inf
+        marks = []
+
+        def past(x):
+            out = np.abs(x[..., phi, :]) >= 0.5
+            marks.append(out.any())
+            return out if out.any() else None
+
+        cfg = IntegratorConfig(h=1e-2)
+        step, start = _fixed_step(sys, cfg, states.T)
+        assert hasattr(step, "conserved")
+        got = _march(step, start, t_end, cfg, retire=past)
+        assert marks[0]  # rows retire in the first block
+        want = march_per_step(step, start, t_end, cfg, retire=past)
+        assert_same_batch(got, want)
+        escaped, times = got[1], got[2]
+        assert escaped[-1] and times[-1] == -0.01
+        assert not escaped[14:20].any()
+        # each start state steps alone as _rk4_step with the numpy field
+        h = np.sign(t_end) * cfg.h
+        with np.errstate(all="ignore"):
+            assert same_bits(step_alone(step, start, h),
+                             _rk4_step(sys.compiled("field"), start, h))
+
+    @pytest.mark.parametrize("t_end", [0.1, -0.1])
+    @pytest.mark.parametrize("rate, escapes", [("1/a", 2), ("x*(-a)", 0)])
+    def test_a_signed_zero_reaches_the_first_stage_alone(self, rate,
+                                                         escapes, t_end):
+        # rates that read the sign of the zero-rate slot a, which a step
+        # of h > 0 takes from -0.0 to +0.0. The first step's stage 1 sees
+        # a = -0.0 and its stages 2-4 +0.0: 1/a is -inf, then +inf, and b
+        # turns nan. Every later step sees +0.0 alone: x*(-a), with x
+        # past 0 from the second stage on, is -0.0 at every stage of the
+        # second step, so b keeps the sign of -0.0 + -0.0. Each step of
+        # each block is the step alone at the state before it
+        names = ("a", "b", "x")
+        rates = [parse(r) for r in ("0", rate, "1")]
+        step = compile_rows(rates, names)
+        start = np.array([[-0.0, 0.0, 1.0, -1.0], [-0.0] * 4, [-1e-3] * 4])
+        cfg = IntegratorConfig(h=1e-2)
+        h = math.copysign(cfg.h, t_end)
+        prev = start
+
+        def observe(t, block, live, first):
+            nonlocal prev
+            for states in block:
+                assert same_bits(states, step_alone(step, prev, h))
+                prev = states
+            if first is not None:
+                prev = prev[:, first == len(t)]
+
+        with np.errstate(all="ignore"):
+            want = _rk4_step(compile_numpy(rates, names), start, h)
+            assert same_bits(step_alone(step, start, h), want)
+            got = _march(step, start, t_end, cfg, observe)
+            assert_same_batch(got, march_per_step(step, start, t_end, cfg))
+        assert got[1].tolist() == [True] * escapes + [False] * (4 - escapes)
+        if escapes:
+            assert np.isnan(want[1, 0]) == (h > 0)
+        else:  # backward, x < 0 makes each stage -0.0, and h times it +0.0
+            assert np.signbit(got[0][1, 0]) == (h > 0)
+
+    @pytest.mark.parametrize("scale, drops", [(1e-3, 0), (1.0, 3), (3.0, 5)])
+    def test_computed_twice_a_march(self, scale, drops):
+        # whatever the number of blocks in which rows leave
+        sys = ham(n=1, m=1)
+        rows = 50
+        states = scale * np.random.default_rng(2).uniform(
+            -1.0, 1.0, (sys.dim, rows))
+        cfg = IntegratorConfig(h=1e-2)
+        step = sys.compiled("rk4_rows")
+        calls, blocks = [], []
+
+        def conserved(s):
+            calls.append(s.shape)
+            return step.conserved(s)
+
+        def counted(s, h, first, rest, out):
+            return step(s, h, first, rest, out)
+
+        counted.conserved = conserved
+        got = _march(counted, states, 2.0, cfg, lambda t, block, live, first:
+                     blocks.append(first is not None))
+        assert calls == [(sys.dim, rows)] * 2
+        assert sum(blocks) >= drops and (drops or not any(blocks))
+        assert_same_batch(got, march_per_step(step, states, 2.0, cfg))
 
 
 class TestCsv:
