@@ -15,8 +15,6 @@ from .phase import (
     CoordinateLayout,
     MixedPoint,
     ModularDomain,
-    in_modular_domain,
-    torus_distance,
     wrap_angle,
 )
 from .systems import (
@@ -30,13 +28,11 @@ from .systems import (
     System,
     SystemParams,
     TorusSpec,
-    apply_involution,
     build_control_system,
     build_system,
     canonical_torus,
     delta_tori,
     isolation_domain,
-    lyapunov_rate,
     nearby_torus,
     torus_point,
 )
@@ -55,14 +51,12 @@ from .analysis import (
     integral_jacobian_rank,
     measure_frequencies,
     monodromy,
-    poincare_linearization,
     poincare_map,
     reversibility_deviations,
     survey_uniqueness,
     verify_kronecker,
 )
 from .dsl import (
-    cross_check_fields,
     differentiate,
     eval_expr,
     format_hamiltonian_file,
@@ -70,7 +64,6 @@ from .dsl import (
     hamiltonian_vector_field,
     parse_hamiltonian_file,
     prove_reversibility,
-    shipped_hamiltonians,
 )
 from .svgplot import PlotStyle, plot_svg, trajectory_series
 
@@ -80,8 +73,6 @@ __all__ = [
     "CoordinateLayout",
     "MixedPoint",
     "ModularDomain",
-    "in_modular_domain",
-    "torus_distance",
     "wrap_angle",
     "CONTROL",
     "FAMILIES",
@@ -93,13 +84,11 @@ __all__ = [
     "System",
     "SystemParams",
     "TorusSpec",
-    "apply_involution",
     "build_control_system",
     "build_system",
     "canonical_torus",
     "delta_tori",
     "isolation_domain",
-    "lyapunov_rate",
     "nearby_torus",
     "torus_point",
     "IntegratorConfig",
@@ -114,12 +103,10 @@ __all__ = [
     "integral_jacobian_rank",
     "measure_frequencies",
     "monodromy",
-    "poincare_linearization",
     "poincare_map",
     "reversibility_deviations",
     "survey_uniqueness",
     "verify_kronecker",
-    "cross_check_fields",
     "differentiate",
     "eval_expr",
     "format_hamiltonian_file",
@@ -127,7 +114,6 @@ __all__ = [
     "hamiltonian_vector_field",
     "parse_hamiltonian_file",
     "prove_reversibility",
-    "shipped_hamiltonians",
     "PlotStyle",
     "plot_svg",
     "trajectory_series",

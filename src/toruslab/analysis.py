@@ -301,20 +301,6 @@ def _return_jacobian(sys, section, s, horizon):
     return x, M - np.outer(f, M[section.slot] / f[section.slot])
 
 
-def poincare_linearization(sys: System, section: Section,
-                           p: MixedPoint) -> np.ndarray:
-    """Jacobian of the return map at p, from the tangent flow.
-
-    Rows and columns run over every slot except the section angle, in
-    layout order. p should be (numerically) a fixed point of the map,
-    whose orbit must return within a horizon of 100.
-    """
-    _check_point(sys, p)
-    slots = [i for i in range(sys.layout.dim) if i != section.slot]
-    _, DP = _return_jacobian(sys, section, p.coords, 100.0)
-    return DP[np.ix_(slots, slots)]
-
-
 # ---------------------------------------------------------------------------
 # fixed points of the return map on an energy level
 
@@ -597,8 +583,8 @@ def reversibility_deviations(sys: System, points: np.ndarray, t: float,
     exactly 0.0: this tests the parity of the rates, not the integrator's
     error (adding +0.3*y to rev-unique's y rate reads 0.238 at t = 2).
 
-    work, if given, is updated with the march's steps and its row_steps,
-    each row's steps up to its escape, the escaping step included.
+    work, if given, is updated with the march's work (see
+    BatchResult.work).
     """
     if not t > 0:
         raise InvalidValue("t must be positive")
@@ -608,11 +594,7 @@ def reversibility_deviations(sys: System, points: np.ndarray, t: float,
     res = integrate_batch(sys, np.concatenate([pts, sys.involution(pts)]),
                           np.repeat([t, -t], n), cfg, layout=sys.layout)
     if work is not None:
-        # an escape on the last step takes every step, as a live row does
-        ahead = np.abs(res.escape_times) < t
-        lived = np.where(ahead, np.rint(np.abs(res.escape_times) / cfg.h),
-                         res.n_steps)
-        work.update(steps=res.n_steps, row_steps=int(lived.sum()))
+        work.update(res.work(t, cfg.h))
     fwd, back = res.final[:n], res.final[n:]
     dev = torus_distance_batch(sys.layout, back, sys.involution(fwd))
     dev[res.escaped[:n] | res.escaped[n:]] = math.inf

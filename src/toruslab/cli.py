@@ -294,6 +294,7 @@ def _cmd_verify_invariants(cfg, run):
     ic = IntegratorConfig(method=cfg["method"], h=cfg["h"])
     res = integrate_batch(sys_, pts, cfg["t"], ic, layout=sys_.layout,
                           store_every=100)
+    run.telemetry = res.work(cfg["t"], ic.h)
     vals = sys_.integrals(res.stored_states)
     drift = np.max(np.abs(vals - vals[0]), axis=0)
     names = sys_.integral_names

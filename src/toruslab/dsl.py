@@ -24,7 +24,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from importlib import resources
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -32,7 +31,6 @@ import numpy as np
 from .errors import (
     EvalError,
     InvalidValue,
-    LayoutMismatch,
     LexError,
     PairingError,
     ParseError,
@@ -570,14 +568,12 @@ class DerivedField:
         """A vectorized field callable on states laid out per `layout`.
 
         The rates are compiled once by `compile_numpy`, and the callable
-        takes states (..., dim) as a System's field does. Every layout
-        label must have a rate expression, i.e. the pairing must cover
-        the layout exactly.
+        takes states (..., dim) as a System's field does, with no layout
+        check of its own. Every layout label must have a rate expression,
+        i.e. the pairing must cover the layout exactly.
         """
-        field = functools.partial(_on_states, compile_numpy(
+        return functools.partial(_on_states, compile_numpy(
             _rates_in_order(self, layout.labels), layout.labels))
-        field.layout = layout
-        return field
 
 
 def hamiltonian_vector_field(energy: Expr,
@@ -1469,49 +1465,6 @@ def prove_reversibility(sys: System) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# field cross-checking
-
-
-def _as_field(obj):
-    # a System, or a field callable that may carry a .layout
-    if isinstance(obj, System):
-        return obj.field, obj.layout
-    if callable(obj):
-        return obj, getattr(obj, "layout", None)
-    raise InvalidValue(f"not a field: {obj!r}")
-
-
-def cross_check_fields(f1, f2, samples: int = 256, seed: int = 0
-                       ) -> float:
-    """The largest absolute deviation between two fields, slot by slot,
-    over seeded random states.
-
-    Each field is a System or a callable on states (..., dim). At least
-    one must carry a layout, and layouts must agree on dimension and
-    labels; angle-slot sets may differ, so a compactified field can be
-    checked against its non-compact source and simply show a nonzero
-    deviation. Angular slots sample the full circle, real slots the box
-    [-1, 1].
-    """
-    fn1, lay1 = _as_field(f1)
-    fn2, lay2 = _as_field(f2)
-    layouts = [la for la in (lay1, lay2) if la is not None]
-    if not layouts:
-        raise InvalidValue("neither field carries a layout")
-    ref = layouts[0]
-    for la in layouts[1:]:
-        if la.labels != ref.labels:
-            raise LayoutMismatch("fields disagree on layout labels")
-    rng = np.random.default_rng(seed)
-    states = rng.uniform(-1.0, 1.0, size=(samples, ref.dim))
-    states[:, ref.angle_mask] = rng.uniform(-math.pi, math.pi,
-                                            size=(samples,
-                                                  int(ref.angle_mask.sum())))
-    return float(np.max(np.abs(np.asarray(fn1(states))
-                               - np.asarray(fn2(states)))))
-
-
-# ---------------------------------------------------------------------------
 # Hamiltonian text files
 
 
@@ -1536,13 +1489,3 @@ def parse_hamiltonian_file(text: str) -> tuple[Expr, CanonicalPairing]:
         raise ParseError("malformed pairing header", position=0)
     expr = parse(" ".join(lines[1:]))
     return expr, CanonicalPairing(pairs=pairs)
-
-
-def shipped_hamiltonians() -> dict[str, str]:
-    """The four energy texts installed with the package, keyed by stem."""
-    out = {}
-    base = resources.files(__package__) / "data"
-    for entry in sorted(base.iterdir()):
-        if entry.name.endswith(".ham"):
-            out[entry.name[:-4]] = entry.read_text()
-    return out

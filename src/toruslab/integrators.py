@@ -550,8 +550,10 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
     Raises NumericalBlowup when the state exceeds the escape norm or goes
     non-finite, a diverging midpoint iteration included (the exception
     carries the escape time and the partial trajectory as attributes),
-    StepBudgetExceeded past _MAX_STEPS steps, and InvalidValue for a
-    t_end too short for any step (|t_end| <= 1e-12).
+    StepBudgetExceeded past _MAX_STEPS steps, InvalidValue for a
+    t_end too short for any step (|t_end| <= 1e-12), and LayoutMismatch
+    when field is a System whose layout p0 does not share; a plain
+    callable is not checked.
 
     Examples
     --------
@@ -569,6 +571,8 @@ def integrate(field: FieldLike, p0: MixedPoint, t_end: float,
     ...     print(f"escaped near t = {exc.time:.2f}")
     escaped near t = 1.01
     """
+    if isinstance(field, System):
+        _check_point(field, p0)
     cfg = config or IntegratorConfig()
     if store_every < 1:
         raise InvalidValue("store_every must be >= 1")
@@ -658,6 +662,16 @@ class BatchResult:
     n_steps: int
     stored_times: Optional[np.ndarray] = None
     stored_states: Optional[np.ndarray] = None
+
+    def work(self, t: float, h: float) -> dict:
+        """The march's work for a run of time magnitude t in steps of h:
+        steps, and row_steps, each row's steps up to its escape, the
+        escaping step included."""
+        # an escape on the last step takes every step, as a live row does
+        ahead = np.abs(self.escape_times) < t
+        lived = np.where(ahead, np.rint(np.abs(self.escape_times) / h),
+                         self.n_steps)
+        return {"steps": self.n_steps, "row_steps": int(lived.sum())}
 
 
 # A System batch of 1 to _FLOAT_ROWS rows marches row by row on the

@@ -161,12 +161,6 @@ class MixedPoint:
         return f"MixedPoint({inner})"
 
 
-def check_same_layout(a: MixedPoint, b: MixedPoint) -> None:
-    if a.layout.labels != b.layout.labels \
-            or a.layout.angle_slots != b.layout.angle_slots:
-        raise LayoutMismatch("points use different coordinate layouts")
-
-
 def shortest_arcs(d: np.ndarray) -> np.ndarray:
     """The angle differences d, a float array, wrapped in place to the
     signed shortest arc: pi - remainder(pi - d, 2*pi), bit for bit.
@@ -195,21 +189,16 @@ def component_distances(layout: CoordinateLayout,
 
 def torus_distance_batch(layout: CoordinateLayout,
                          a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product-metric distance for stacked states; returns shape (...)."""
+    """Distance on R^a x T^b for stacked states; returns shape (...).
+
+    The root-sum-square of the per-slot distances: shortest-arc length on
+    angular slots, |a_i - b_i| on real slots. A product of metrics, so
+    symmetric, zero iff the states coincide mod 2*pi, and satisfying the
+    triangle inequality.
+    """
     d = component_distances(layout, a, b)
     d *= d
     return np.sqrt(d.sum(axis=-1))
-
-
-def torus_distance(a: MixedPoint, b: MixedPoint) -> float:
-    """Distance on R^a x T^b: root-sum-square of per-slot distances.
-
-    Angular slots contribute shortest-arc length, real slots |a_i - b_i|.
-    Symmetric, zero iff the points coincide, and satisfies the triangle
-    inequality (product of metrics).
-    """
-    check_same_layout(a, b)
-    return float(torus_distance_batch(a.layout, a.coords, b.coords))
 
 
 Interval = tuple[float, float]
@@ -220,8 +209,9 @@ class ModularDomain:
     """A per-slot box, open in every constrained slot.
 
     intervals has one entry per slot: either None (unconstrained) or an open
-    interval (lo, hi). On angular slots the interval is read modulo 2*pi and
-    must have width <= 2*pi.
+    interval (lo, hi). On angular slots the interval is read modulo 2*pi, so
+    one at least 2*pi wide admits every angle, as None does (`subdomain_of`
+    and the survey's retire test read it so).
     """
 
     intervals: tuple[Optional[Interval], ...]
@@ -237,34 +227,6 @@ class ModularDomain:
     @property
     def dim(self) -> int:
         return len(self.intervals)
-
-
-def in_modular_domain(p: MixedPoint, domain: ModularDomain) -> bool:
-    """Membership test; angular slots are compared modulo 2*pi.
-
-    Adding 2*pi*k to any angular slot of the input leaves the verdict
-    unchanged. Raises LayoutMismatch if dimensions disagree and InvalidValue
-    if an angular interval is wider than 2*pi.
-    """
-    if domain.dim != p.layout.dim:
-        raise LayoutMismatch(
-            f"domain has {domain.dim} slots, point has {p.layout.dim}")
-    for slot, iv in enumerate(domain.intervals):
-        if iv is None:
-            continue
-        lo, hi = iv
-        v = p.coords[slot]
-        if p.layout.is_angle(slot):
-            width = hi - lo
-            if width > TWO_PI + 1e-15:
-                raise InvalidValue(
-                    f"angular interval wider than 2*pi on slot {slot}")
-            if not 0.0 < (v - lo) % TWO_PI < width:
-                return False
-        else:
-            if not lo < v < hi:
-                return False
-    return True
 
 
 def subdomain_of(inner: ModularDomain, outer: ModularDomain,

@@ -131,8 +131,7 @@ class System:
     integral_texts are the first integrals besides the energy, which leads
     integral_names when there is one. Every evaluator is generated from
     these texts on first use (see `compiled`). The evaluators take raw
-    arrays of shape (..., dim); point-level wrappers with layout checking
-    live at module level (eval_field and friends).
+    arrays of shape (..., dim); a MixedPoint's coords is one such state.
     """
 
     params: SystemParams
@@ -204,7 +203,13 @@ class System:
                          self.layout.labels)
 
     def lyapunov_rate(self, states: np.ndarray) -> np.ndarray:
-        """Time derivative of the escape certificate y + sum(q)."""
+        """Time derivative of the escape certificate y + sum(q).
+
+        For ham-unique this equals the squared Euclidean distance of the
+        non-angular part from the canonical torus, so it is positive off
+        the torus; for the compact variants it is non-negative on the
+        isolation domain.
+        """
         r = self.field(states)
         out = r[..., self.slots.y]
         if self.slots.q.stop > self.slots.q.start:
@@ -438,42 +443,6 @@ def _check_point(sys: System, p: MixedPoint) -> None:
     if p.layout.labels != sys.layout.labels \
             or p.layout.angle_slots != sys.layout.angle_slots:
         raise LayoutMismatch("point layout does not match system layout")
-
-
-def eval_field(sys: System, p: MixedPoint) -> np.ndarray:
-    """Tangent vector of the flow at p."""
-    _check_point(sys, p)
-    return sys.field(p.coords)
-
-
-def eval_hamiltonian(sys: System, p: MixedPoint) -> float:
-    """Energy at p; NotHamiltonian for the reversible families."""
-    _check_point(sys, p)
-    return float(sys.hamiltonian(p.coords))
-
-
-def eval_integrals(sys: System, p: MixedPoint) -> np.ndarray:
-    """All first-integral values at p, ordered as sys.integral_names."""
-    _check_point(sys, p)
-    return sys.integrals(p.coords)
-
-
-def apply_involution(sys: System, p: MixedPoint) -> MixedPoint:
-    """The reversing involution G (negates phi, y, q) as a point map."""
-    _check_point(sys, p)
-    return MixedPoint.of(sys.layout, sys.involution(p.coords))
-
-
-def lyapunov_rate(sys: System, p: MixedPoint) -> float:
-    """d/dt of the certificate y + sum(q_j) along the flow at p.
-
-    For ham-unique this equals the squared Euclidean distance of the
-    non-angular part from the canonical torus, so it is positive off the
-    torus; for the compact variants it is non-negative on the isolation
-    domain.
-    """
-    _check_point(sys, p)
-    return float(sys.lyapunov_rate(p.coords))
 
 
 def canonical_torus(sys: System) -> TorusSpec:

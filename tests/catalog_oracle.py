@@ -12,10 +12,19 @@ So is the march of a batch one step at a time, the reference for the
 library's march in blocks of steps, with each step as it stands alone:
 the generated rows step computes its conserved terms afresh at every
 step (see `step_alone`), where the library's march computes them once.
+
+Last come the helpers only claims and tests need: the largest deviation
+between two fields, membership of a point in a `ModularDomain`, and the
+energy texts installed with the package.
 """
+
+import math
+from importlib import resources
 
 import numpy as np
 
+from toruslab.errors import InvalidValue, LayoutMismatch
+from toruslab.phase import TWO_PI
 from toruslab.systems import HAM_COMPACT, HAM_UNIQUE, REV_COMPACT
 
 
@@ -173,3 +182,52 @@ def march_per_step(step, state, t_end, cfg, observe=None, retire=None,
         return cur, escaped, escape_times, k + 1, stored
     state[:, live] = cur
     return state, escaped, escape_times, k + 1, stored
+
+
+def field_deviation(f1, f2, layout, samples, seed):
+    """The largest absolute deviation between two fields on states
+    (..., dim), slot by slot, over seeded random states of layout: real
+    slots from [-1, 1], angular slots from the full circle."""
+    rng = np.random.default_rng(seed)
+    states = rng.uniform(-1.0, 1.0, size=(samples, layout.dim))
+    mask = layout.angle_mask
+    states[:, mask] = rng.uniform(-math.pi, math.pi,
+                                  size=(samples, int(mask.sum())))
+    return float(np.max(np.abs(f1(states) - f2(states))))
+
+
+def in_modular_domain(p, domain):
+    """Whether the MixedPoint p lies in the open box of the ModularDomain;
+    angular slots are compared modulo 2*pi.
+
+    Adding 2*pi*k to any angular slot of the input leaves the verdict
+    unchanged. Raises LayoutMismatch if dimensions disagree and
+    InvalidValue if an angular interval is wider than 2*pi.
+    """
+    if domain.dim != p.layout.dim:
+        raise LayoutMismatch(
+            f"domain has {domain.dim} slots, point has {p.layout.dim}")
+    for slot, iv in enumerate(domain.intervals):
+        if iv is None:
+            continue
+        lo, hi = iv
+        v = p.coords[slot]
+        if p.layout.is_angle(slot):
+            width = hi - lo
+            if width > TWO_PI + 1e-15:
+                raise InvalidValue(
+                    f"angular interval wider than 2*pi on slot {slot}")
+            if not 0.0 < (v - lo) % TWO_PI < width:
+                return False
+        elif not lo < v < hi:
+            return False
+    return True
+
+
+def shipped_hamiltonians():
+    """The energy texts installed with the package (its data/*.ham),
+    keyed by stem."""
+    base = resources.files("toruslab") / "data"
+    return {entry.name[:-4]: entry.read_text()
+            for entry in sorted(base.iterdir())
+            if entry.name.endswith(".ham")}

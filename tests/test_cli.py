@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from catalog_oracle import shipped_hamiltonians
 
 import toruslab
 from toruslab import analysis, cli, integrators
 from toruslab.cli import _build_parser, _parse_angles, _parse_omega, main
-from toruslab.dsl import Add, Const, DerivedField, shipped_hamiltonians
+from toruslab.dsl import Add, Const, DerivedField
 
 SQRT2 = math.sqrt(2.0)
 
@@ -405,6 +406,29 @@ class TestVerify:
             sys_, cfg, row), t_end, cfg)[3]
             for row, t_end in zip([*pts, *sys_.involution(pts)],
                                   [5.0] * points + [-5.0] * points)]
+        assert (max(taken), sum(taken)) == (steps, row_steps)
+
+    @pytest.mark.parametrize("scale, t, rc, steps, row_steps", [
+        ("1e-3", "1", 0, 100, 300), ("2", "2", 1, 150, 361)],
+        ids=["every-row-lives", "every-row-escapes"])
+    def test_invariants_manifest_counts_the_marchs_work(
+            self, tmp_path, capsys, scale, t, rc, steps, row_steps):
+        # 3 points, midpoint steps of 1e-2, row by row on floats; a row
+        # that escapes takes the steps up to its escape, counted here by
+        # marching each row alone
+        assert main(["verify", "invariants", "--system", "ham-unique",
+                     "--points", "3", "--t", t, "--scale", scale,
+                     "--seed", "3", "--out", str(tmp_path)]) == rc
+        work = json.loads((tmp_path / "manifest.json").read_text())[
+            "telemetry"]
+        assert work == {"steps": steps, "row_steps": row_steps}
+        sys_ = toruslab.build_system(toruslab.SystemParams(
+            "ham-unique", n=1, omega=(1.0,)))
+        pts = float(scale) * np.random.default_rng(3).uniform(
+            -1.0, 1.0, (3, sys_.dim))
+        cfg = integrators.IntegratorConfig(method="midpoint", h=1e-2)
+        taken = [integrators._march(*integrators._fixed_step(
+            sys_, cfg, row), float(t), cfg)[3] for row in pts]
         assert (max(taken), sum(taken)) == (steps, row_steps)
 
 

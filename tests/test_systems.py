@@ -4,7 +4,12 @@ import pickle
 
 import numpy as np
 import pytest
-from catalog_oracle import oracle_field, step_alone, tangent_field
+from catalog_oracle import (
+    in_modular_domain,
+    oracle_field,
+    step_alone,
+    tangent_field,
+)
 
 from toruslab.errors import (
     DegenerateOffset,
@@ -14,7 +19,8 @@ from toruslab.errors import (
     NotCompact,
     NotHamiltonian,
 )
-from toruslab.phase import MixedPoint, in_modular_domain
+from toruslab.integrators import integrate
+from toruslab.phase import MixedPoint
 from toruslab.systems import (
     CONTROL,
     FAMILIES,
@@ -24,16 +30,11 @@ from toruslab.systems import (
     REV_UNIQUE,
     SystemParams,
     _compiled,
-    apply_involution,
     build_control_system,
     build_system,
     canonical_torus,
     delta_tori,
-    eval_field,
-    eval_hamiltonian,
-    eval_integrals,
     isolation_domain,
-    lyapunov_rate,
     nearby_torus,
     torus_point,
 )
@@ -124,7 +125,7 @@ def test_dimensions_and_counts():
 def test_ham_unique_field_oracle():
     sys = make(HAM_UNIQUE, n=1, m=1)
     p = MixedPoint.of(sys.layout, [0.5, 0.0, 0.2, 0.3, 0.1, 0.4])
-    rate = eval_field(sys, p)
+    rate = sys.field(p.coords)
     # order (u_1, phi_1, x, y, p_1, q_1)
     np.testing.assert_allclose(
         rate, [0.0, 1.2, -0.12, 0.38, -0.08, 0.17], rtol=0, atol=1e-15)
@@ -133,28 +134,28 @@ def test_ham_unique_field_oracle():
 def test_ham_unique_hamiltonian_and_integrals_oracle():
     sys = make(HAM_UNIQUE, n=1, m=1)
     p = MixedPoint.of(sys.layout, [0.5, 0.0, 0.2, 0.3, 0.1, 0.4])
-    assert eval_hamiltonian(sys, p) == pytest.approx(0.587, abs=1e-15)
-    vals = eval_integrals(sys, p)
+    assert sys.hamiltonian(p.coords) == pytest.approx(0.587, abs=1e-15)
+    vals = sys.integrals(p.coords)
     np.testing.assert_allclose(
         vals, [0.587, 0.5, 0.001 / 3 + 0.016], rtol=0, atol=1e-15)
     # certificate rate equals the squared off-torus distance here
-    assert lyapunov_rate(sys, p) == pytest.approx(0.55, abs=1e-15)
+    assert sys.lyapunov_rate(p.coords) == pytest.approx(0.55, abs=1e-15)
 
 
 def test_ham_compact_field_oracle():
     sys = make(HAM_COMPACT, n=1, m=0)
     p = MixedPoint.of(sys.layout, [math.pi / 2, 0.0, 0.0, 0.0])
-    rate = eval_field(sys, p)
+    rate = sys.field(p.coords)
     np.testing.assert_allclose(rate, [0.0, 0.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_rev_unique_field_oracle():
     sys = make(REV_UNIQUE, n=1, l=1, m=1, omega=(SQRT2,))
     p = MixedPoint.of(sys.layout, [0.3, 0.7, -0.2, 0.5])
-    rate = eval_field(sys, p)
+    rate = sys.field(p.coords)
     np.testing.assert_allclose(rate, [SQRT2, 0.0, 0.78, 0.0], atol=1e-15)
     with pytest.raises(NotHamiltonian):
-        eval_hamiltonian(sys, p)
+        sys.hamiltonian(p.coords)
 
 
 def test_field_matches_hand_written_oracle():
@@ -254,8 +255,8 @@ def test_involution_is_an_involution():
     for sys in ALL_SYSTEMS:
         for s in rand_states(sys, 20, seed=8):
             p = MixedPoint.of(sys.layout, s)
-            q = apply_involution(sys, apply_involution(sys, p))
-            np.testing.assert_allclose(q.coords, p.coords, atol=1e-15)
+            q = sys.involution(sys.involution(p.coords))
+            np.testing.assert_allclose(q, p.coords, atol=1e-15)
 
 
 def test_field_anticommutes_with_involution():
@@ -280,7 +281,7 @@ def test_canonical_torus_is_invariant_with_linear_flow():
         for _ in range(4):
             ang = rng.uniform(-math.pi, math.pi, size=n_free)
             p = torus_point(spec, ang)
-            rate = eval_field(sys, p)
+            rate = sys.field(p.coords)
             for slot, _ in spec.pinned:
                 assert rate[slot] == 0.0
             for k, slot in enumerate(spec.free_angles):
@@ -293,7 +294,7 @@ def test_canonical_torus_sits_on_zero_energy():
                                                  omega=(1, SQRT2))]:
         spec = canonical_torus(sys)
         p = torus_point(spec, [0.4] * len(spec.free_angles))
-        assert eval_hamiltonian(sys, p) == pytest.approx(0.0, abs=1e-15)
+        assert sys.hamiltonian(p.coords) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_degeneracy_of_integrals_at_torus():
@@ -323,7 +324,7 @@ def test_delta_tori_counts_and_invariance():
 
     for spec in tori:
         p = torus_point(spec, [0.7])
-        rate = eval_field(sys, p)
+        rate = sys.field(p.coords)
         for slot, _ in spec.pinned:
             assert abs(rate[slot]) < 1e-15
         # the phi rate is the stored signed frequency
@@ -377,7 +378,7 @@ def test_nearby_torus_invariance():
     for _ in range(5):
         vals = rng.uniform(-math.pi, math.pi, size=len(spec.circulating))
         p = torus_point(spec, vals)
-        rate = eval_field(sys, p)
+        rate = sys.field(p.coords)
         for slot, _ in spec.pinned:
             if slot in range(sys.slots.u.start, sys.slots.u.stop):
                 continue  # u slots are pinned at the offset, rate 0 anyway
@@ -390,7 +391,7 @@ def test_nearby_torus_invariance():
     assert rspec.zeta == pytest.approx(
         math.sin(0.9) ** 2 + math.sin(0.4) ** 2)
     p = torus_point(rspec, [0.2, 2.2])
-    rate = eval_field(rev, p)
+    rate = rev.field(p.coords)
     for slot, _ in rspec.pinned:
         assert rate[slot] == 0.0
 
@@ -401,7 +402,7 @@ def test_nearby_torus_y_rate_on_the_torus():
     spec = nearby_torus(sys, (math.pi / 2,))
     for yv in (0.0, 0.5, -2.0):
         p = torus_point(spec, [0.3, yv])
-        rate = eval_field(sys, p)
+        rate = sys.field(p.coords)
         assert rate[sys.slots.y] == pytest.approx(
             spec.zeta + math.sin(yv) ** 2, abs=1e-14)
 
@@ -476,9 +477,15 @@ def test_torus_point_wraps_and_validates():
 def test_layout_mismatch_guard():
     a = make(HAM_UNIQUE, n=1, m=0)      # dim 4, labels u/phi/x/y
     b = make(REV_UNIQUE, n=1, l=1, m=1)  # dim 4, labels phi/v/y/q
+    c = make(REV_UNIQUE, n=1, l=2, m=1)  # dim 5
+    for other, coords in ((b, [0.1, 0.2, 0.3, 0.4]),
+                          (c, [0.1, 0.2, 0.3, 0.4, 0.5])):
+        p = MixedPoint.of(other.layout, coords)
+        with pytest.raises(LayoutMismatch):
+            integrate(a, p, 0.1)
+    # a plain callable carries no layout to check against
     p = MixedPoint.of(b.layout, [0.1, 0.2, 0.3, 0.4])
-    with pytest.raises(LayoutMismatch):
-        eval_field(a, p)
+    assert integrate(a.field, p, 0.1).final_point.layout == b.layout
 
 
 # every member the survey takes: the four families at n = 1, 2 and
@@ -515,9 +522,9 @@ def test_control_system_basics():
     sys = build_control_system(omega=1.0, nu=0.3)
     assert sys.family == CONTROL
     p = MixedPoint.of(sys.layout, [0.2, 0.0, 0.5, -0.1])
-    rate = eval_field(sys, p)
+    rate = sys.field(p.coords)
     np.testing.assert_allclose(rate, [0.0, 1.0, 0.03, 0.15], atol=1e-15)
-    assert eval_hamiltonian(sys, p) == pytest.approx(
+    assert sys.hamiltonian(p.coords) == pytest.approx(
         0.2 + 0.5 * 0.3 * (0.25 + 0.01))
     with pytest.raises(InvalidParams):
         build_system(sys.params)
