@@ -41,6 +41,8 @@ from .integrators import (
     _fixed_step,
     _march,
     _rk4_step,
+    _tangent_matrix,
+    _tangent_start,
     integrate_batch,
     integrate_variational,
 )
@@ -122,6 +124,7 @@ def integral_jacobian_rank(sys: System, p: MixedPoint) -> int:
     if not sys.is_hamiltonian:
         raise NotHamiltonian(
             f"family {sys.family!r} has no integral-rank claim")
+    _check_point(sys, p)
     G = sys.integral_gradients(p.coords)
     sigma = np.linalg.svd(G, compute_uv=False)
     if sigma[0] == 0.0:
@@ -166,6 +169,8 @@ def verify_kronecker(sys: System, spec, horizon: float = 100.0,
         raise InvalidValue("verify_kronecker takes a TorusSpec; "
                            "nearby tori drift nonuniformly and are "
                            "checked through measure_frequencies")
+    for s in specs:
+        _check_point(sys, s)
     cfg = config or IntegratorConfig(h=1e-2)
     n_starts = 3
     # every spec draws its starts from a fresh generator, as it would alone
@@ -228,10 +233,10 @@ class PoincareResult:
 def _first_return(sys, section, state, horizon):
     """Flow state to its next increasing crossing of the section.
 
-    state is the system state, or the state followed by a tangent matrix,
-    which then flows along (see integrators._compiled_for). Returns the
-    raw state on the section and the crossing time. sys must be a System
-    (see systems._check_point).
+    state is the system state, or a tangent state, the state plus the
+    moving entries of M from the identity, which then flow along (see
+    integrators._compiled_for). Returns the raw state on the section and
+    the crossing time. sys must be a System (see systems._check_point).
     """
     if not sys.layout.is_angle(section.slot):
         raise InvalidValue(
@@ -290,13 +295,12 @@ def poincare_map(sys: System, section: Section, p0: MixedPoint,
 
 
 def _return_jacobian(sys, section, s, horizon):
-    # one tangent run gives x_T and DP = M - f(x_T) M[sigma, :] / f_sigma,
-    # whose second term moves the perturbed orbit back onto the section;
-    # entries of M past the escape norm count as an escape, like the state's
-    dim = len(s)
-    w, _ = _first_return(sys, section,
-                         np.concatenate([s, np.eye(dim).ravel()]), horizon)
-    x, M = w[:dim], w[dim:].reshape(dim, dim)
+    # one tangent run from M = I, the state plus the entries of M that
+    # move, gives x_T and DP = M - f(x_T) M[sigma, :] / f_sigma, whose
+    # second term moves the perturbed orbit back onto the section; moving
+    # entries past the escape norm count as an escape, like the state's
+    w, _ = _first_return(sys, section, _tangent_start(sys, s), horizon)
+    x, M = _tangent_matrix(sys, w)
     f = sys.field(x)
     return x, M - np.outer(f, M[section.slot] / f[section.slot])
 
@@ -443,12 +447,14 @@ def find_fixed_point(sys: System, section: Section, guess: MixedPoint,
 
 @dataclass(frozen=True, eq=False)
 class MonodromyResult:
-    """Fundamental matrix over one period with its eigen-decomposition."""
+    """Fundamental matrix over one period with its eigen-decomposition,
+    and the rk4 steps of the tangent flow that gave it."""
 
     matrix: np.ndarray
     multipliers: np.ndarray
     residuals: np.ndarray
     period: float
+    n_steps: int
 
 
 def monodromy(sys: System, point: Optional[MixedPoint] = None,
@@ -477,7 +483,7 @@ def monodromy(sys: System, point: Optional[MixedPoint] = None,
         v = vecs[:, i]
         res[i] = np.linalg.norm(M @ v - vals[i] * v)
     return MonodromyResult(matrix=M, multipliers=vals, residuals=res,
-                           period=period)
+                           period=period, n_steps=var.n_steps)
 
 
 # ---------------------------------------------------------------------------

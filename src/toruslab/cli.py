@@ -241,6 +241,7 @@ def _cmd_simulate(cfg, run):
         traj = e.trajectory
         escaped = True
         escape_time = e.time
+    run.telemetry = {"steps": traj.n_steps, "rejected_steps": traj.n_rejected}
     run.write("trajectory.csv", traj.to_csv())
     run.write("trajectory.svg",
               plot_svg(trajectory_series(traj),
@@ -369,6 +370,9 @@ def _cmd_verify_rank(cfg, run):
 def _cmd_monodromy(cfg, run):
     sys_ = _system_from(cfg)
     res = monodromy(sys_)
+    # the slots of the tangent state: the system's and the moving entries
+    run.telemetry = {"steps": res.n_steps, "tangent_slots": sys_.dim
+                     + len(sys_.compiled("tangent").moving)}
     mults = res.multipliers
     if sys_.family == CONTROL:
         w = sys_.params.omega[0]

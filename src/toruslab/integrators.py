@@ -24,9 +24,11 @@ row when it escapes; such a march takes no observer.
 A single state of a System steps on Python floats instead, because
 numpy's per-call cost dwarfs the arithmetic of one 4-8 slot state: the
 fused rk4, midpoint and Dormand-Prince steps compiled from the system's
-rates, and the fused rk4 step of its tangent flow, which carries a
-tangent matrix for `integrate_variational` and the return maps of
-`analysis`. Each repeats the numpy step's arithmetic in the same order.
+rates, and the fused rk4 step of its tangent flow, which carries the
+state plus the moving entries of a tangent matrix M from the identity
+(see `dsl.compile_tangent`) for `integrate_variational` and the return
+maps of `analysis`. Each repeats the numpy step's arithmetic in the same
+order.
 A System batch of at most _FLOAT_ROWS (8) rows marches each row alone
 as such a state, and `integrate_batch` assembles the batch's result. A
 larger System batch, and the survey's, takes its rk4 steps through the
@@ -212,9 +214,7 @@ def _escaping(trial, escape_norm):
 
 def _run(step, s, h, n, escape_norm, slot, goal):
     """The run of dsl.CompiledRates on any step, with _escaping's test:
-    for compiled code that has no run (a tangent flow's, whose builtin
-    max and sum cost less on dim + dim^2 slots than one comparison per
-    slot), and for one state of a plain field on the numpy steps."""
+    for one state of a plain field on the numpy steps."""
     prev = s
     for k in range(n):
         t = step(s, h)
@@ -272,17 +272,36 @@ def _batch_midpoint(f, s, h, out=None):
 def _compiled_for(field, state):
     """The compiled code that steps one state of a System on Python floats.
 
-    A state of the system's dim slots gets its compiled rates; one of
-    dim + dim^2 slots, the state followed by a tangent matrix row by row,
-    gets its compiled tangent flow (see `dsl.compile_system`). A batch,
-    another length, or a field that is not a System gets None and steps
-    numpy arrays.
+    A state of the system's dim slots gets its compiled rates; a tangent
+    state, the state plus the moving entries of M from the identity (see
+    _tangent_start), gets its compiled tangent flow. A tangent flow that
+    moves no entry is the rates' own. A batch, another length, or a field
+    that is not a System gets None and steps numpy arrays.
     """
     if not isinstance(field, System) or np.ndim(state) != 1:
         return None
-    dim = field.dim
-    kind = {dim: "rates", dim * (dim + 1): "tangent"}.get(len(state))
-    return None if kind is None else field.compiled(kind)
+    if len(state) == field.dim:
+        return field.compiled()
+    code = field.compiled("tangent")
+    return code if len(state) == field.dim + len(code.moving) else None
+
+
+def _tangent_start(sys, coords):
+    """coords followed by the entries of the identity matrix that the
+    System's tangent flow moves (see `dsl.compile_tangent`): the state it
+    marches from M = I."""
+    eye = [float(i == j) for i, j in sys.compiled("tangent").moving]
+    return np.concatenate([coords, eye])
+
+
+def _tangent_matrix(sys, z):
+    """The state and the tangent matrix of a tangent state z marched from
+    _tangent_start: its moving entries scattered into the identity."""
+    dim = sys.dim
+    M = np.eye(dim)
+    for (i, j), value in zip(sys.compiled("tangent").moving, z[dim:]):
+        M[i, j] = value
+    return z[:dim], M
 
 
 def _fixed_step(field, cfg, state):
@@ -294,8 +313,7 @@ def _fixed_step(field, cfg, state):
     (see `dsl.CompiledRates`).
 
     A state with compiled code (see _compiled_for) steps and runs through
-    it and starts as a tuple; code compiled without a run (a tangent
-    flow's) runs through _run. A System batch takes rk4 steps through the
+    it and starts as a tuple. A System batch takes rk4 steps through the
     system's generated code for batches (see `dsl.compile_rows`), which
     gives _rk4_step's result bit for bit at a fraction of its cost; it
     also takes the terms of the zero-rate slots, step(state, h, first,
@@ -305,9 +323,8 @@ def _fixed_step(field, cfg, state):
     code = _compiled_for(field, state)
     if code is not None:
         start = tuple(np.asarray(state, dtype=float).tolist())
-        return partial(code.run or _run,
-                       code.midpoint_step if cfg.method == MIDPOINT
-                       else code.rk4_step), start
+        return partial(code.run, code.midpoint_step
+                       if cfg.method == MIDPOINT else code.rk4_step), start
     if cfg.method == RK4 and isinstance(field, System) \
             and np.ndim(state) == 2 and len(state) == field.dim:
         return field.compiled("rk4_rows"), state
@@ -821,24 +838,24 @@ def integrate_variational(sys: System, p0: MixedPoint, t_end: float,
     """Co-integrate state and tangent matrix M' = J(state(t)) M, M(0) = I.
 
     Steps the System's compiled tangent flow (see _compiled_for) in fixed
-    rk4 steps; anything that is not a System raises InvalidValue. t_end
-    must be positive; monodromy conventions assume forward time.
+    rk4 steps, on the state plus the moving entries of M from the
+    identity (see `dsl.compile_tangent`); M is those entries scattered
+    into the identity. Anything that is not a System raises InvalidValue.
+    t_end must be positive; monodromy conventions assume forward time.
     """
     _check_point(sys, p0)
     if not t_end > 0:
         raise InvalidValue("t_end must be positive")
     cfg = config or IntegratorConfig(h=1e-2)
-    dim = sys.dim
-    z0 = np.concatenate([p0.coords, np.eye(dim).ravel()])
+    z0 = _tangent_start(sys, p0.coords)
     # only a non-finite state is a blowup; the bound is the largest float
     # and not inf, because inf <= inf would let an infinity through
     z, escaped, escape_time, steps, _ = _march(
         *_fixed_step(sys, replace(cfg, method=RK4), z0), t_end,
         replace(cfg, escape_norm=np.finfo(float).max))
-    z = np.asarray(z)
     if escaped:
         raise NumericalBlowup("variational state left the finite range",
                               time=float(escape_time))
-    return VariationalResult(
-        end_point=MixedPoint.of(p0.layout, z[:dim]),
-        matrix=z[dim:].reshape(dim, dim), n_steps=steps)
+    x, M = _tangent_matrix(sys, np.asarray(z))
+    return VariationalResult(end_point=MixedPoint.of(p0.layout, x),
+                             matrix=M, n_steps=steps)

@@ -163,23 +163,33 @@ class System:
     def is_compact(self) -> bool:
         return self.family in (HAM_COMPACT, REV_COMPACT)
 
+    def _states(self, states) -> np.ndarray:
+        """states as floats, which must end in an axis of dim slots."""
+        s = np.asarray(states, dtype=float)
+        if s.shape[-1:] != (self.dim,):
+            raise LayoutMismatch(f"states of shape {s.shape} for a system "
+                                 f"of {self.dim} slots")
+        return s
+
     def field(self, states: np.ndarray) -> np.ndarray:
         """Right-hand side at one state or a batch of states."""
-        return _on_states(self.compiled("field"), states)
+        return _on_states(self.compiled("field"), self._states(states))
 
     def hamiltonian(self, states: np.ndarray) -> np.ndarray:
         if not self.is_hamiltonian:
             raise NotHamiltonian(
                 f"family {self.family!r} has no Hamiltonian")
-        return _on_states(self.compiled("hamiltonian"), states, 0)
+        return _on_states(self.compiled("hamiltonian"),
+                          self._states(states), 0)
 
     def integrals(self, states: np.ndarray) -> np.ndarray:
         """Values of all first integrals, stacked on a trailing axis."""
-        return _on_states(self.compiled("integrals"), states)
+        return _on_states(self.compiled("integrals"), self._states(states))
 
     def integral_gradients(self, states: np.ndarray) -> np.ndarray:
         """Exact gradients, shape (..., n_integrals, dim)."""
-        return _on_states(self.compiled("integral_gradients"), states, 2)
+        return _on_states(self.compiled("integral_gradients"),
+                          self._states(states), 2)
 
     def involution(self, states: np.ndarray) -> np.ndarray:
         """The reversing involution applied to raw states (no wrapping)."""
@@ -187,8 +197,8 @@ class System:
 
     def jacobian(self, state: np.ndarray) -> np.ndarray:
         """Exact field Jacobian at a single state, shape (dim, dim)."""
-        state = np.asarray(state, dtype=float)
-        if state.shape != (self.dim,):
+        state = self._states(state)
+        if state.ndim != 1:
             raise InvalidValue("jacobian takes a single state")
         return self.compiled("jacobian")(state)
 
@@ -438,6 +448,8 @@ def build_control_system(omega: float = 1.0, nu: float = 0.3) -> System:
 
 
 def _check_point(sys: System, p: MixedPoint) -> None:
+    """Raise unless sys is a System and p, a point or a torus spec, has
+    its layout."""
     if not isinstance(sys, System):
         raise InvalidValue(f"expected a System, not {sys!r}")
     if p.layout.labels != sys.layout.labels \

@@ -6,8 +6,11 @@ test that compares the two checks the derivation against an independent
 route. The compact families are the unique ones read through sin; the
 chain rule turns the unique field into the compact one.
 
-The numpy tangent flow of a System is here too: the library steps only
-the tangent flow it compiles, and the tests compare that against this.
+The numpy tangent flow of a System is here too, and the every-product
+tangent compiled over the whole matrix: the library steps only the
+tangent flow it compiles over the entries of M that move, and the tests
+compare that against these, in the full layout (the state, then M row
+by row) that `full_state` and `moving_state` convert from and to.
 So is the march of a batch one step at a time, the reference for the
 library's march in blocks of steps, with each step as it stands alone:
 the generated rows step computes its conserved terms afresh at every
@@ -18,12 +21,16 @@ between two fields, membership of a point in a `ModularDomain`, and the
 energy texts installed with the package.
 """
 
+import functools
 import math
 from importlib import resources
 
 import numpy as np
 
+from toruslab import dsl
+from toruslab.dsl import Const, Var
 from toruslab.errors import InvalidValue, LayoutMismatch
+from toruslab.integrators import _tangent_matrix
 from toruslab.phase import TWO_PI
 from toruslab.systems import HAM_COMPACT, HAM_UNIQUE, REV_COMPACT
 
@@ -100,6 +107,40 @@ def tangent_field(sys):
         return np.concatenate([sys.field(s), (sys.jacobian(s) @ M).ravel()])
 
     return field
+
+
+def full_tangent(sys):
+    """The System's tangent flow over every entry of M, compiled as
+    `dsl.compile_tangent` did before it kept the moving entries alone:
+    each entry's rate sums every product d rate_i / d slot_k * M[k, j]
+    whose derivative is not identically zero, over the full layout."""
+    labels = sys.layout.labels
+    rates = dsl._source_rates(sys.rates_source, labels)
+    jac = dsl._gradients(rates, labels)
+    dim = len(labels)
+    m = [[Var(f"M[{k},{j}]") for j in range(dim)] for k in range(dim)]
+    products = [functools.reduce(dsl._add, [
+        dsl._mul(jac[i, k], m[k][j]) for k in range(dim)
+        if not dsl._is_const(jac[i, k], 0.0)], Const(0.0))
+        for i in range(dim) for j in range(dim)]
+    return dsl.compile_rates(rates + products, labels + tuple(
+        v.name for row in m for v in row), functions=("field", "rk4_step"))
+
+
+def full_state(sys, z):
+    """The library's tangent state z (the state plus the moving entries
+    of M) in the full layout, every other entry at the identity."""
+    x, M = _tangent_matrix(sys, np.asarray(z, dtype=float))
+    return np.concatenate([x, M.ravel()])
+
+
+def moving_state(sys, z):
+    """The library's tangent state of z in the full layout: its state and
+    the entries of M that the System's tangent flow moves."""
+    dim = sys.dim
+    M = np.asarray(z, dtype=float)[dim:].reshape(dim, dim)
+    return np.concatenate([z[:dim], [M[i, j] for i, j in
+                                     sys.compiled("tangent").moving]])
 
 
 def step_alone(step, s, h):

@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from catalog_oracle import (
     field_deviation,
     in_modular_domain,

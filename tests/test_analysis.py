@@ -6,11 +6,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from catalog_oracle import tangent_field
+from catalog_oracle import full_state, moving_state, tangent_field
 
 from toruslab import analysis
 from toruslab.analysis import (
-    FixedPointResult,
     _sample_box,
     _SKIP_TOL,
     _survey_block,
@@ -154,6 +153,14 @@ class TestIntegralRank:
         with pytest.raises(NotHamiltonian):
             integral_jacobian_rank(sys, small_point(sys))
 
+    def test_point_of_another_layout_rejected(self):
+        # a 6-slot point once gave rank 2 from its first 4 slots, and so
+        # did a 4-slot point of other labels
+        sys = make(HAM_UNIQUE, n=1, m=0)
+        for other in (make(HAM_UNIQUE, n=1, m=1), make(REV_UNIQUE)):
+            with pytest.raises(LayoutMismatch):
+                integral_jacobian_rank(sys, small_point(other, scale=0.5))
+
 
 class TestKronecker:
     def test_canonical_torus_all_families(self):
@@ -193,6 +200,14 @@ class TestKronecker:
         spec = nearby_torus(sys, (0.5,))
         with pytest.raises(InvalidValue):
             verify_kronecker(sys, spec)
+
+    def test_spec_of_another_layout_rejected(self):
+        # a rev-unique torus once marched on ham-unique and escaped
+        sys = make(HAM_UNIQUE, n=1, m=0)
+        other = canonical_torus(make(REV_UNIQUE, n=1, l=1, m=1))
+        for spec in (other, [canonical_torus(sys), other]):
+            with pytest.raises(LayoutMismatch):
+                verify_kronecker(sys, spec)
 
 
 def _return_linearization(sys, sec, p):
@@ -380,7 +395,9 @@ class TestFixedPoint:
 
 def _compiled_and_numpy_tangent(monkeypatch, run):
     """run() on the compiled tangent flow, where the numpy Jacobian must
-    not be called, then on the numpy tangent step marched in its place."""
+    not be called, then on the numpy tangent step marched in its place:
+    over the full matrix, from and to the compiled flow's state, the
+    state plus the moving entries of M."""
     def jacobian(self, state):
         raise AssertionError("numpy jacobian called")
 
@@ -394,9 +411,15 @@ def _compiled_and_numpy_tangent(monkeypatch, run):
         if kind != "tangent":
             return code
         f = tangent_field(self)
-        return replace(code, field=lambda s: tuple(f(np.array(s))),
-                       rk4_step=lambda s, h: tuple(_rk4_step(
-                           f, np.array(s), h)))
+
+        def field(s):
+            return tuple(moving_state(self, f(full_state(self, s))))
+
+        def rk4_step(s, h):
+            return tuple(moving_state(
+                self, _rk4_step(f, full_state(self, s), h)))
+
+        return replace(code, field=field, rk4_step=rk4_step)
 
     monkeypatch.setattr(System, "compiled", numpy_tangent)
     return got, run()

@@ -284,6 +284,27 @@ class TestSimulate:
         assert rc == 0
         assert "reached t=20" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("method, steps, rejected", [
+        ("rk4", 328, 0), ("adaptive", 279, 1)])
+    def test_manifest_counts_the_steps(self, tmp_path, capsys, method,
+                                       steps, rejected):
+        # an escaping run; its trajectory counts the steps up to the
+        # escape, and the adaptive one the steps it rejected
+        argv = ["simulate", "--system", "ham-unique", "--n", "1",
+                "--point", "0.4,0,0.1,0.1", "--t", "5", "--method", method]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        work = json.loads((tmp_path / "manifest.json").read_text())[
+            "telemetry"]
+        assert work == {"steps": steps, "rejected_steps": rejected}
+        sys_ = toruslab.build_system(toruslab.SystemParams(
+            "ham-unique", n=1, omega=(1.0,)))
+        with pytest.raises(toruslab.errors.NumericalBlowup) as blowup:
+            integrators.integrate(sys_, toruslab.MixedPoint.of(
+                sys_.layout, [0.4, 0.0, 0.1, 0.1]), 5.0,
+                integrators.IntegratorConfig(method=method, h=1e-2))
+        traj = blowup.value.trajectory
+        assert (traj.n_steps, traj.n_rejected) == (steps, rejected)
+
 
 class TestVerify:
     def test_torus_passes_with_sqrt2(self, tmp_path):
@@ -446,6 +467,21 @@ class TestMonodromy:
                    "--out", str(tmp_path)])
         assert rc == 0
         assert "0.951057" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, slots", [
+        (["ham-unique", "--n", "1", "--m", "0"], 4 + 9),
+        (["ham-unique", "--n", "1", "--m", "1"], 6 + 13),
+        (["control"], 4 + 4)], ids=["ham-unique-m0", "ham-unique-m1",
+                                    "control"])
+    def test_manifest_counts_the_tangent_work(self, tmp_path, capsys,
+                                              flags, slots):
+        # one period 2 pi in rk4 steps of 1e-3, 6,283 whole steps and a
+        # short last one, on the state and the entries of M that move
+        assert main(["monodromy", "--system", *flags,
+                     "--out", str(tmp_path)]) == 0
+        work = json.loads((tmp_path / "manifest.json").read_text())[
+            "telemetry"]
+        assert work == {"steps": 6284, "tangent_slots": slots}
 
 
 class TestFixedpoint:

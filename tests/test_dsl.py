@@ -471,7 +471,8 @@ def test_compiled_code_never_sees_a_source_identifier():
     want = [eval_expr(e, b) for e in rates]
     assert np.max(np.abs(np.subtract(compiled.field(state), want))) <= 1e-15
     assert np.max(np.abs(field(np.array(state)) - want)) <= 1e-15
-    # the tangent flow: the rates, then J @ M
+    # the tangent flow: the rates, then J @ M, whose every entry moves
+    assert tangent.moving == tuple(itertools.product(range(4), repeat=2))
     M = np.arange(16.0).reshape(4, 4) / 8.0 - 1.0
     J = np.array([[eval_expr(differentiate(e, name), b) for name in names]
                   for e in rates])
@@ -696,9 +697,10 @@ def test_a_sum_past_the_parser_nesting_limit_compiles_to_floats():
     # would nest one parenthesis deeper, past the 200 CPython parses;
     # the code names a temporary every _NESTING levels instead
     text = _sum_text(["p*p"] * 203)
-    for kind, state in (("rates", (0.0, 0.5)),
-                        ("tangent", (0.0, 0.5, 1.0, 0.0, 0.0, 1.0))):
+    # the tangent state is (q, p) and M[0, 1], the one entry that moves
+    for kind, state in (("rates", (0.0, 0.5)), ("tangent", (0.0, 0.5, 0.0))):
         compiled = dsl.compile_system(kind, text, (), ("q", "p"))
+        assert compiled.moving == (((0, 1),) if kind == "tangent" else ())
         assert _nesting(compiled.source) <= 2 * dsl._NESTING + 1
         # 406 exact additions of p = 0.5
         assert compiled.field(state)[:2] == (203.0, 0.0)

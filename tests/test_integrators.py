@@ -6,9 +6,15 @@ from functools import partial
 
 import numpy as np
 import pytest
-from catalog_oracle import march_per_step, step_alone, tangent_field
+from catalog_oracle import (
+    full_state,
+    full_tangent,
+    march_per_step,
+    step_alone,
+    tangent_field,
+)
 
-from toruslab.analysis import _central_differences
+from toruslab.analysis import _central_differences, monodromy
 from toruslab.dsl import compile_numpy, compile_rates, compile_rows, parse
 from toruslab import integrators
 from toruslab.errors import (
@@ -27,6 +33,7 @@ from toruslab.integrators import (
     _march,
     _rk4_step,
     _run,
+    _tangent_start,
     integrate,
     integrate_batch,
     integrate_variational,
@@ -687,17 +694,20 @@ class TestCompiledStep:
             assert np.signbit(got[zero_slot]) == (h < 0)
             if not sys.is_hamiltonian:
                 continue
-            # the tangent step against the numpy tangent flow, stepped
+            # the tangent step against the numpy tangent flow over the
+            # full matrix, the compiled state scattered into it, stepped
             # alone and marched by the same loop as integrate_variational
             oracle = tangent_field(sys)
-            z = np.concatenate([state, np.eye(sys.dim).ravel()])
-            assert same_bits(tangent.rk4_step(tuple(z.tolist()), h),
-                             _rk4_step(oracle, z, h))
+            z = _tangent_start(sys, state)
+            assert same_bits(full_state(sys, tangent.rk4_step(
+                tuple(z.tolist()), h)), _rk4_step(oracle, full_state(sys, z),
+                                                  h))
             if h > 0:
                 cfg = IntegratorConfig(h=h)
                 got = integrate_variational(
                     sys, MixedPoint.of(sys.layout, state), 0.5, cfg)
-                want = _march(*_fixed_step(oracle, cfg, z), 0.5, cfg)[0]
+                want = _march(*_fixed_step(oracle, cfg, full_state(sys, z)),
+                              0.5, cfg)[0]
                 assert same_bits(got.matrix,
                                  want[sys.dim:].reshape(sys.dim, sys.dim))
                 assert same_bits(got.end_point.coords, MixedPoint.of(
@@ -885,13 +895,13 @@ class TestStretchMarch:
         assert want[3] == 30 and want[0][slot] - stop[1] >= 0.0
         assert_same_march(got, want)
 
-    def test_tangent_state_of_42_slots(self):
+    def test_tangent_state_of_19_slots(self):
+        # 6 slots and the 13 entries of M that move
         sys = ham(n=1, m=1)
         step = sys.compiled("tangent").rk4_step
-        z = np.concatenate([small_point(sys, 0.5, seed=3).coords,
-                            np.eye(sys.dim).ravel()])
-        start = tuple(z.tolist())
-        assert len(start) == 42
+        start = tuple(_tangent_start(
+            sys, small_point(sys, 0.5, seed=3).coords).tolist())
+        assert len(start) == 19
         cfg = IntegratorConfig(h=1e-2)
         for k in (None, 57):
             if k is not None:  # an escape inside the stretch
@@ -909,8 +919,8 @@ class TestStretchMarch:
         # (slot 1) passes 0.3 past its start near step 30
         sys = ham(n=1, m=1)
         code = sys.compiled("tangent")
-        start = tuple(np.concatenate([small_point(sys, 0.5, seed=3).coords,
-                                      np.eye(sys.dim).ravel()]).tolist())
+        start = tuple(_tangent_start(
+            sys, small_point(sys, 0.5, seed=3).coords).tolist())
 
         def step(s, h):
             t = code.rk4_step(s, h)
@@ -920,9 +930,9 @@ class TestStretchMarch:
         cfg = IntegratorConfig(h=1e-2)
         want = one_step_at_a_time(step, start, 1.0, cfg, 25)
         assert want[1] and 1 < want[3] < 100
-        assert code.run is None
-        assert_same_march(_march(partial(_run, step), start, 1.0, cfg,
-                                 store_every=25), want)
+        for run in (_run, code.run):
+            assert_same_march(_march(partial(run, step), start, 1.0, cfg,
+                                     store_every=25), want)
 
 
 def drift(s):
@@ -1312,6 +1322,105 @@ class TestVariational:
         for sys in (ham(n=1, m=1), compact):
             with pytest.raises(LayoutMismatch):
                 integrate_variational(sys, small_point(ham()), 1.0)
+
+
+# ham-unique and ham-compact at n = 1, 2 and m = 0, 1, 2, rev-unique and
+# rev-compact at l = 0, 1, and the control
+TANGENT_GRID = [
+    build_system(SystemParams(family, n=n, m=m,
+                              omega=(1.0, math.sqrt(2.0))[:n]))
+    for family in (HAM_UNIQUE, HAM_COMPACT) for n in (1, 2)
+    for m in (0, 1, 2)] + [
+    build_system(SystemParams(family, n=1, l=l, m=1, omega=(1.0,)))
+    for family in (REV_UNIQUE, REV_COMPACT) for l in (0, 1)] + [
+    build_control_system(omega=1.0, nu=0.3)]
+
+
+def scattered(sys, march):
+    """A march of the tangent flow with its states in the full layout."""
+    state, escaped, escape_time, steps, stored = march
+    return (full_state(sys, state), escaped, escape_time, steps,
+            [(t, full_state(sys, s)) for t, s in stored])
+
+
+class TestMovingTangent:
+    """The tangent flow carries the entries of M that can move from the
+    identity; the oracle's full_tangent carries all dim^2 of them, as the
+    flow did before."""
+
+    @pytest.mark.parametrize("sys, moving", [
+        (ham(n=1, m=0), 9), (ham(n=1, m=1), 13), (ham(n=1, m=2), 17),
+        (build_control_system(omega=1.0, nu=0.3), 4),
+        (build_system(SystemParams(REV_COMPACT, n=1, l=1, m=1,
+                                   omega=(1.0,))), 3),
+    ], ids=["ham-unique-m0", "ham-unique-m1", "ham-unique-m2", "control",
+            "rev-compact"])
+    def test_moving_counts(self, sys, moving):
+        code = sys.compiled("tangent")
+        assert len(code.moving) == moving
+        assert len(_tangent_start(sys, np.zeros(sys.dim))) \
+            == sys.dim + moving
+
+    @pytest.mark.parametrize(
+        "sys", TANGENT_GRID, ids=lambda s: f"{s.family}-n{s.params.n}"
+        f"-m{s.params.m}" + ("" if s.params.l is None else f"-l{s.params.l}"))
+    def test_steps_and_marches_match_the_full_tangent(self, sys):
+        full = full_tangent(sys)
+        step = sys.compiled("tangent").rk4_step
+        slot = sys.layout.slot_of("phi_1")
+        rng = np.random.default_rng(7)
+        big = np.finfo(float).max
+        for special in (None, -0.0, math.pi, -math.pi, 1e150, math.nan):
+            x = 0.3 * rng.uniform(-1.0, 1.0, sys.dim)
+            if special is not None:
+                x[rng.choice(sys.dim, 2, replace=False)] = special
+            z = tuple(_tangent_start(sys, x).tolist())
+            start = tuple(full_state(sys, z).tolist())
+            for h in (1e-2, -1e-2):
+                want = np.array(full.rk4_step(start, h))
+                got = full_state(sys, step(z, h))
+                # a term left out is J * +0.0, which is +-0.0 while the
+                # step stays finite; past that, both steps escape
+                if np.isfinite(want).all():
+                    assert same_bits(got, want), special
+                else:
+                    assert not np.isfinite(got).all(), special
+            # to the end, to an escape (phi_1 passes 4 before t = 8) and
+            # to a section stop, as _first_return marches
+            for cfg, t_end, stop in (
+                    (IntegratorConfig(h=1e-2, escape_norm=big), 1.0, None),
+                    (IntegratorConfig(h=5e-2, escape_norm=4.0), 10.0, None),
+                    (IntegratorConfig(h=1e-2), 5.0, (slot, x[slot] + 0.3))):
+                every = None if stop else 25
+                got = _march(*_fixed_step(sys, cfg, z), t_end, cfg,
+                             store_every=every, stop=stop)
+                want = _march(partial(_run, full.rk4_step), start, t_end,
+                              cfg, store_every=every, stop=stop)
+                assert_same_march(scattered(sys, got), want)
+                # the escape or the stop ends the march before its end
+                if t_end > 1.0:
+                    assert got[3] < round(t_end / cfg.h)
+
+    def test_a_tangent_that_moves_no_entry_is_the_rates_flow(self):
+        # nu = 0 leaves every rate constant, so no entry of M moves: the
+        # tangent state is the state alone, which marches on the rates
+        sys = build_control_system(omega=1.0, nu=0.0)
+        assert sys.compiled("tangent").moving == ()
+        p0 = MixedPoint.of(sys.layout, [0.3, 0.5, -0.2, 0.1])
+        z = _tangent_start(sys, p0.coords)
+        assert same_bits(z, p0.coords)
+        assert integrators._compiled_for(sys, z) is sys.compiled()
+        cfg = IntegratorConfig(h=1e-2)
+        got = integrate_variational(sys, p0, 2.0, cfg)
+        want = _march(partial(_run, full_tangent(sys).rk4_step),
+                      tuple(full_state(sys, z).tolist()), 2.0,
+                      replace(cfg, escape_norm=np.finfo(float).max))[0]
+        assert same_bits(want[4:], np.eye(4).ravel())
+        assert same_bits(got.matrix, np.eye(4))
+        assert same_bits(got.end_point.coords,
+                         MixedPoint.of(sys.layout, want[:4]).coords)
+        assert got.n_steps == 200
+        assert np.all(monodromy(sys).multipliers == 1.0)
 
 
 class TestFlowInvolution:

@@ -59,3 +59,25 @@ def test_every_export_has_a_library_or_readme_caller():
     # an export that only tests call is a second API to keep in step
     known = _library_references() | _readme_names()
     assert [name for name in toruslab.__all__ if name not in known] == []
+
+
+def _unused_imports(tree):
+    """The names a module imports and never reads."""
+    imported = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and n.module == "__future__":
+            continue
+        if isinstance(n, (ast.Import, ast.ImportFrom)):
+            imported.update(a.asname or a.name.split(".")[0]
+                            for a in n.names)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    return sorted(imported - read)
+
+
+def test_every_import_of_the_tests_and_tools_is_read():
+    here = Path(__file__).parent
+    paths = sorted([*here.glob("*.py"), *(here.parent / "tools").glob("*.py")])
+    unused = {path.name: names for path in paths
+              if (names := _unused_imports(ast.parse(path.read_text())))}
+    assert unused == {}

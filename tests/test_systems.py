@@ -5,7 +5,9 @@ import pickle
 import numpy as np
 import pytest
 from catalog_oracle import (
+    full_state,
     in_modular_domain,
+    moving_state,
     oracle_field,
     step_alone,
     tangent_field,
@@ -233,18 +235,25 @@ def test_jacobian_matches_fd():
 
 
 def test_compiled_tangent_matches_the_numpy_tangent_field():
-    # real slots in [-1, 1], angles around the circle, M in [-1, 1]
+    # real slots in [-1, 1], angles around the circle, the moving entries
+    # of M in [-1, 1] and the others at the identity
     for sys in ALL_SYSTEMS + [build_control_system()]:
         rng = np.random.default_rng(12)
         dim = sys.dim
-        z = rng.uniform(-1.0, 1.0, (256, dim + dim * dim))
+        tangent = sys.compiled("tangent")
+        z = rng.uniform(-1.0, 1.0, (256, dim + len(tangent.moving)))
         angles = np.flatnonzero(sys.layout.angle_mask)
         z[:, angles] = rng.uniform(-math.pi, math.pi, (256, len(angles)))
         want = tangent_field(sys)
-        tangent = sys.compiled("tangent")
+        full = np.array([want(full_state(sys, row)) for row in z])
         got = np.array([tangent.field(tuple(row)) for row in z.tolist()])
-        dev = np.abs(got - np.array([want(row) for row in z]))
+        dev = np.abs(got - np.array([moving_state(sys, row)
+                                     for row in full]))
         assert np.max(dev) <= 1e-15, sys.family
+        # an entry that does not move has the rate 0
+        still = np.ones((dim, dim), dtype=bool)
+        still[tuple(np.transpose(tangent.moving))] = False
+        assert not full[:, dim:][:, still.ravel()].any(), sys.family
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +481,19 @@ def test_torus_point_wraps_and_validates():
     assert p[sys.slots.phi.start] == pytest.approx(math.pi)
     with pytest.raises(InvalidValue):
         torus_point(spec, [0.1, 0.2])
+
+
+def test_evaluators_reject_a_state_of_another_width():
+    # field once gave the 4 rates of the first 4 of 6 slots
+    sys = make(HAM_UNIQUE, n=1, m=0)
+    for states in (np.full(6, 0.1), np.full((3, 6), 0.1), np.full(3, 0.1),
+                   0.1):
+        for evaluate in (sys.field, sys.hamiltonian, sys.integrals,
+                         sys.integral_gradients, sys.jacobian):
+            with pytest.raises(LayoutMismatch, match="4 slots"):
+                evaluate(states)
+    with pytest.raises(InvalidValue, match="single state"):
+        sys.jacobian(np.full((3, 4), 0.1))
 
 
 def test_layout_mismatch_guard():
