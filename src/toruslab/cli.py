@@ -432,6 +432,7 @@ def _cmd_freq(cfg, run):
     p0 = torus_point(spec, (0.0,) * len(spec.free_slots))
     traj = integrate(sys_, p0, cfg["t"], IntegratorConfig(h=cfg["h"]),
                      cfg["store_every"])
+    run.telemetry = {"steps": traj.n_steps, "rejected_steps": traj.n_rejected}
     meas = measure_frequencies(traj, slots=spec.circulating)
     predicted = np.array(spec.predicted_frequency)
     gaps = np.abs(meas.values - predicted)

@@ -763,10 +763,6 @@ def _tuple(items) -> str:
     return "(" + "".join(f"{x}, " for x in items) + ")"
 
 
-def _largest(items) -> str:
-    return items[0] if len(items) == 1 else f"max({', '.join(items)})"
-
-
 def _numpy_sum(terms: list, add=lambda a, b: f"({a} + {b})"):
     """The sum of terms in the order numpy sums a contiguous float array:
     left to right below 8 terms; else eight interleaved running sums,
@@ -792,7 +788,8 @@ _DP_NAMES = {f"_a{i}_{j}": a for i, row in enumerate(_DP_A)
 _DP_NAMES.update({f"_e{j}": b5 - b4 for j, (b5, b4)
                   in enumerate(zip(_DP_B5, _DP_B4))}, _b6=_DP_B5[6])
 
-_FUNCTIONS = ("field", "rk4_step", "midpoint_step", "dp54_step", "run")
+_FUNCTIONS = ("field", "conserved", "rk4_step", "midpoint_step", "dp54_step",
+              "run")
 
 
 @dataclass(frozen=True)
@@ -803,14 +800,14 @@ class _Rk4Slots:
     taken as the +0.0 of numpy's field. Every stage after the first sees
     such a slot at s + h*0.0 (hh*0.0 is h*0.0 to the bit, the zero of
     h's sign), which is also its next value, so the operations that read
-    zero-rate slots alone, `shared`, are computed once for stages 2-4 of
-    the float step, and once per march for the rows step (see
+    zero-rate slots alone, `shared`, are computed by conserved(s) once
+    per march for every generated fixed step (see `_generate` and
     `_rk4_rows`); `handed` lists, in node order, those that other
-    operations or the moving rates read. const maps the other slots of
-    constant rate c to the name of c, and step maps them to the folded
-    (c + 2c + 2c + c) / 6 by which h is multiplied for their next value.
-    moving lists the rest. A slot outside `read`, which no rate reads,
-    gets no stage states.
+    operations or the moving rates read, which conserved returns. const
+    maps the other slots of constant rate c to the name of c, and step
+    maps them to the folded (c + 2c + 2c + c) / 6 by which h is
+    multiplied for their next value. moving lists the rest. A slot
+    outside `read`, which no rate reads, gets no stage states.
     """
 
     zero: tuple[int, ...]
@@ -850,14 +847,30 @@ class _Rk4Slots:
 def _generate(dag: _Dag, rates: list[int], dim: int,
               functions: Sequence[str] = _FUNCTIONS) -> list[str]:
     """Source of each named function of one state tuple, among field,
-    rk4_step, midpoint_step, dp54_step and run.
+    conserved, rk4_step, midpoint_step, dp54_step and run.
 
     The steps repeat the arithmetic of integrators._rk4_step,
     _batch_midpoint and the adaptive loop's _dp54_step with its error
-    norm on a single state, operation for operation. rk4_step skips what
-    repeats a value already computed (see `_Rk4Slots`): a zero-rate slot
-    advances by h*0.0, a constant-rate one by the folded constant h *
-    ((c + 2c + 2c + c) / 6), and each shares its stage states.
+    norm on a single state, operation for operation. rk4_step and
+    midpoint_step take the protocol of the rows step (see `_rk4_rows`),
+    step(s, h, first, rest): they read the terms that `_Rk4Slots` hands
+    on, the operations that read zero-rate slots alone, from first,
+    conserved(s), at stage 1 and the midpoint's predictor, and from rest,
+    conserved at s + h*0.0, at stages 2-4, every midpoint iteration and
+    its stuck check. conserved(s) returns them as a tuple; where their
+    arithmetic raises, it returns NaN terms, which turn the step's
+    moving slots NaN, as the step itself would give NaN had it computed
+    them. rk4_step skips what repeats a value already computed: a
+    zero-rate slot advances by h*0.0, a constant-rate one by the folded
+    constant h * ((c + 2c + 2c + c) / 6), and each shares its stage
+    states. In midpoint_step, a slot of constant rate c, zero included,
+    has m = s + hh*c and the same update at every iteration; the
+    iteration tests convergence on the other slots by comparison chains,
+    breaking when every update d satisfies -_tol <= d <= _tol, or when
+    one fails -_INF < d < _INF or such a slot's m is not finite, which is
+    _batch_midpoint's going mask on one row. Its stuck check after
+    _MIDPOINT_MAX_ITER updates follows numpy's max of the residuals too:
+    stuck when none is nan and one is above _tol.
 
     run marches a state in a stretch of steps (see `CompiledRates`). Its
     escape test is integrators._escaping as one chain of comparisons
@@ -872,11 +885,25 @@ def _generate(dag: _Dag, rates: list[int], dim: int,
     """
     fresh = itertools.count()
     s = [f"s{i}" for i in range(dim)]
+    slots = _Rk4Slots.of(dag, rates)
+    # the slots of constant rate, zero included, and the code of that rate
+    fixed = dict(sorted({**dict.fromkeys(slots.zero, "0.0"),
+                         **slots.const}.items()))
 
-    def field_at(inputs, lines, indent):
-        names = dag.emit(dag.at(inputs), fresh, lines, indent,
-                         outputs=set(rates))
+    def field_at(inputs, lines, indent, known=()):
+        names = dag.emit({**dict(known), **dag.at(inputs)}, fresh, lines,
+                         indent, outputs=set(rates))
         return [names[r] for r in rates]
+
+    def terms(arg, lines):  # the handed terms, unpacked from arg; the
+        # others are read by conserved terms alone, so no step names them
+        names = dict.fromkeys(slots.shared, "_unread")
+        if slots.handed:
+            names.update({k: f"{arg[0]}{p}"
+                          for p, k in enumerate(slots.handed)})
+            lines.append(f"{body}{_tuple(names[k] for k in slots.handed)}"
+                         f" = {arg}")
+        return names
 
     def shifted(out, k, scale, lines, indent):  # out = s + scale * k
         lines += [f"{indent}{o} = {a} + {scale} * {b}"
@@ -895,28 +922,39 @@ def _generate(dag: _Dag, rates: list[int], dim: int,
         k = field_at(s, lines, body)
         return lines + [f"{body}return {_tuple(k)}"] + tail
 
+    def conserved():
+        if not slots.handed:
+            return ["def conserved(s):", "    return ()", ""]
+        lines = ["def conserved(s):"] + head
+        names = dag.emit(dag.at({i: s[i] for i in slots.zero}), fresh,
+                         lines, body, outputs=set(slots.handed))
+        return lines + [
+            f"{body}return {_tuple(names[k] for k in slots.handed)}",
+            "    except _FAILS:",
+            f"        return {_tuple(['_NAN[0]'] * len(slots.handed))}", ""]
+
     def rk4_step():
-        lines = ["def rk4_step(s, h):"] + head + [f"{body}hh = 0.5 * h"]
-        slots = _Rk4Slots.of(dag, rates)
-        outputs = set(rates).union(slots.handed)
+        lines = ["def rk4_step(s, h, first, rest):"] + head \
+            + [f"{body}hh = 0.5 * h"]
+        first, rest = terms("first", lines), terms("rest", lines)
 
         def assign(code):
             name = f"v{next(fresh)}"
             lines.append(f"{body}{name} = {code}")
             return name
 
-        ks = [dag.emit(dag.at(s), fresh, lines, body, outputs=outputs)]
+        ks = [dag.emit({**first, **dag.at(s)}, fresh, lines, body,
+                       outputs=set(rates))]
         zero = {i: assign(f"{s[i]} + h * 0.0")
                 for i in slots.zero if i in slots.read}
-        shared = dag.emit(dag.at(zero), fresh, lines, body, outputs=outputs)
         half, full = ({i: assign(f"{s[i]} + {scale} * {c}")
                        for i, c in slots.const.items() if i in slots.read}
                       for scale in ("hh", "h"))
         for scale, at in (("hh", half), ("hh", half), ("h", full)):
             moved = {i: assign(f"{s[i]} + {scale} * {ks[-1][rates[i]]}")
                      for i in slots.moving if i in slots.read}
-            ks.append(dag.emit({**shared, **dag.at({**zero, **at, **moved})},
-                               fresh, lines, body, outputs=outputs))
+            ks.append(dag.emit({**rest, **dag.at({**zero, **at, **moved})},
+                               fresh, lines, body, outputs=set(rates)))
         new = []
         for i, x in enumerate(s):
             if i in slots.zero:
@@ -931,32 +969,37 @@ def _generate(dag: _Dag, rates: list[int], dim: int,
 
     def midpoint_step():
         m = [f"m{i}" for i in range(dim)]
+        moving = slots.moving
         loop = body + "    "
-        mid = ["def midpoint_step(s, h):"] + head
+        mid = ["def midpoint_step(s, h, first, rest):"] + head
         mid.append(f"{body}hh = 0.5 * h")
-        k = field_at(s, mid, body)
-        shifted(m, k, "hh", mid, body)
-        mid.append(f"{body}for _ in range(_max_iter):")
-        k = field_at(m, mid, loop)
-        n = [f"n{i}" for i in range(dim)]
-        e = [f"e{i}" for i in range(dim)]
-        shifted(n, k, "hh", mid, loop)
-        mid += [f"{loop}{a} = abs({b} - {c})" for a, b, c in zip(e, n, m)]
-        mid += [f"{loop}{a} = {b}" for a, b in zip(m, n)]
-        # numpy's max over the row is nan when any entry is; the sum
-        # stands in for that test, and only finite rows above _tol keep
-        # iterating
-        mid += [f"{loop}total = {' + '.join(e)}",
-                f"{loop}if not (_tol < {_largest(e)} < _INF"
-                " and total == total):",
-                f"{loop}    break",
-                f"{body}else:"]
-        k = field_at(m, mid, loop)
-        stuck = [f"abs({a} + hh * {b} - {c})" for a, b, c in zip(s, k, m)]
-        mid += [f"{loop}if {_largest(stuck)} > _tol:",
-                f"{loop}    {' = '.join(m)} = _NAN[0]",
-                f"{body}return "
-                + _tuple(f"2.0 * {a} - {b}" for a, b in zip(m, s))]
+        first, rest = terms("first", mid), terms("rest", mid)
+        mid += [f"{body}m{i} = {s[i]} + hh * {c}" for i, c in fixed.items()]
+        if moving:
+            k = field_at(s, mid, body, first)
+            mid += [f"{body}m{i} = {s[i]} + hh * {k[i]}" for i in moving]
+            mid.append(f"{body}for _ in range(_max_iter):")
+            k = field_at(m, mid, loop, rest)
+            mid += [f"{loop}n{i} = {s[i]} + hh * {k[i]}" for i in moving]
+            mid += [f"{loop}d{i} = n{i} - m{i}" for i in moving]
+            mid += [f"{loop}m{i} = n{i}" for i in moving]
+            converged = " and ".join(f"-_tol <= d{i} <= _tol"
+                                     for i in moving)
+            finite = " and ".join([f"-_INF < d{i} < _INF" for i in moving]
+                                  + [f"-_INF < m{i} < _INF" for i in fixed])
+            mid += [f"{loop}if {converged}:", f"{loop}    break",
+                    f"{loop}if not ({finite}):", f"{loop}    break",
+                    f"{body}else:"]
+            # stuck as numpy's max of the residuals says: none nan, and one
+            # above _tol (an infinite one too)
+            k = field_at(m, mid, loop, rest)
+            mid += [f"{loop}d{i} = {s[i]} + hh * {k[i]} - m{i}"
+                    for i in moving]
+            mid += [f"{loop}if not ({converged}) and "
+                    + " and ".join(f"d{i} == d{i}" for i in moving) + ":",
+                    f"{loop}    {' = '.join(m)} = _NAN[0]"]
+        mid.append(f"{body}return "
+                   + _tuple(f"2.0 * {a} - {b}" for a, b in zip(m, s)))
         return mid + tail
 
     def dp54_step():
@@ -998,11 +1041,12 @@ def _generate(dag: _Dag, rates: list[int], dim: int,
 
     def run():
         a = [f"a{i}" for i in range(dim)]
-        return ["def run(step, s, h, n, escape_norm, slot, goal):",
+        return ["def run(step, s, h, n, escape_norm, slot, goal, first, "
+                "rest):",
                 "    low = -escape_norm",
                 "    prev = s",
                 "    for k in range(n):",
-                "        t = step(s, h)",
+                "        t = step(s, h, first, rest)",
                 f"        {_tuple(a)} = t",
                 "        if not ("
                 + " and ".join(f"low <= {x} <= escape_norm" for x in a)
@@ -1014,9 +1058,9 @@ def _generate(dag: _Dag, rates: list[int], dim: int,
                 "            return prev, s, k + 1, 'stop'",
                 "    return prev, s, n, 'end'", ""]
 
-    makers = {"field": field, "rk4_step": rk4_step,
-              "midpoint_step": midpoint_step, "dp54_step": dp54_step,
-              "run": run}
+    makers = {"field": field, "conserved": conserved,
+              "rk4_step": rk4_step, "midpoint_step": midpoint_step,
+              "dp54_step": dp54_step, "run": run}
     return ["\n".join(makers[name]()) for name in functions]
 
 
@@ -1159,25 +1203,32 @@ class CompiledRates:
     """Rate expressions compiled to straight-line code over Python floats.
 
     Every function takes the state as a tuple of floats, one per name, and
-    returns a tuple. field(s) gives the rates; rk4_step(s, h),
-    midpoint_step(s, h) and dp54_step(s, k1, h, abs_tol, rel_tol) repeat
-    the arithmetic of the numpy steps in `integrators` on one state, rates
-    inlined, midpoint_step iterating to _MIDPOINT_TOL and _MIDPOINT_MAX_ITER.
-    dp54_step takes the first stage's rates k1 and returns the 5th-order
-    state, the adaptive loop's error norm and the last stage's rates, the
-    next step's k1. Where that arithmetic raises (sin of inf, a division
-    by zero, an overflowing power) every slot comes back NaN (and the
-    norm inf), as numpy would give inf or nan, so the integrators' escape
-    test sees it either way.
+    returns a tuple. field(s) gives the rates; rk4_step(s, h, first,
+    rest), midpoint_step(s, h, first, rest) and dp54_step(s, k1, h,
+    abs_tol, rel_tol) repeat the arithmetic of the numpy steps in
+    `integrators` on one state, rates inlined, midpoint_step iterating to
+    _MIDPOINT_TOL and _MIDPOINT_MAX_ITER. The two fixed steps take the
+    protocol of the rows step (see `compile_rows`): first =
+    conserved(s) and rest = conserved(s + h*0.0), the terms of the slots
+    with zero rate, which a march computes once (see `integrators._march`)
+    and a step alone computes for itself. dp54_step takes the first
+    stage's rates k1 and returns the 5th-order state, the adaptive loop's
+    error norm and the last stage's rates, the next step's k1. Where that
+    arithmetic raises (sin of inf, a division by zero, an overflowing
+    power) every slot comes back NaN (and the norm inf), as numpy would
+    give inf or nan, so the integrators' escape test sees it either way;
+    a conserved term that raises comes back NaN, and so do the moving
+    slots of a step that reads it.
 
-    run(step, s, h, n, escape_norm, slot, goal) takes a whole stretch of
-    up to n steps s = step(s, h) in one call, one of the steps above, so
-    that the march of one state makes one call per stretch. It ends at
-    the first state that fails the integrators' escape test, or whose
-    entry slot minus goal is >= 0.0 (goal inf never stops), and returns
-    (previous state, state, steps taken, reason): reason 'escape' keeps
-    the last finite state and counts the escaping step, 'stop' and 'end'
-    (n steps taken) give the new state and the one before it.
+    run(step, s, h, n, escape_norm, slot, goal, first, rest) takes a whole
+    stretch of up to n steps s = step(s, h, first, rest) in one call, one
+    of the fixed steps above, so that the march of one state makes one
+    call per stretch. It ends at the first state that fails the
+    integrators' escape test, or whose entry slot minus goal is >= 0.0
+    (goal inf never stops), and returns (previous state, state, steps
+    taken, reason): reason 'escape' keeps the last finite state and
+    counts the escaping step, 'stop' and 'end' (n steps taken) give the
+    new state and the one before it.
     Functions not compiled are None.
 
     moving is empty but for a tangent flow (see `compile_tangent`), whose
@@ -1187,8 +1238,9 @@ class CompiledRates:
 
     source: str
     field: Callable[[tuple], tuple]
-    rk4_step: Callable[[tuple, float], tuple]
-    midpoint_step: Optional[Callable[[tuple, float], tuple]]
+    conserved: Optional[Callable[[tuple], tuple]]
+    rk4_step: Callable[[tuple, float, tuple, tuple], tuple]
+    midpoint_step: Optional[Callable[[tuple, float, tuple, tuple], tuple]]
     dp54_step: Optional[Callable[[tuple, tuple, float, float, float],
                                  tuple]]
     run: Optional[Callable[..., tuple]]
@@ -1210,7 +1262,7 @@ def compile_rates(rates: Sequence[Expr], names: Sequence[str],
                   functions: Sequence[str] = _FUNCTIONS) -> CompiledRates:
     """Compile one rate expression per name, in the order of `names`.
 
-    functions names what to generate among field, rk4_step,
+    functions names what to generate among field, conserved, rk4_step,
     midpoint_step, dp54_step and run; the others are None. The
     generated code names slots s0, s1, ... and constants c0, c1, ...,
     and binds the constants by value, so no identifier or number of the
@@ -1234,7 +1286,7 @@ def compile_rates(rates: Sequence[Expr], names: Sequence[str],
 def compile_tangent(rates: Sequence[Expr],
                     names: Sequence[str]) -> CompiledRates:
     """The tangent flow of the rates from M = I, compiled: field,
-    rk4_step and run.
+    conserved, rk4_step and run.
 
     Its state is the dim slots of `names` followed by the entries of the
     dim x dim tangent matrix M that can move from the identity, listed
@@ -1272,7 +1324,8 @@ def compile_tangent(rates: Sequence[Expr],
         if k == j or (k, j) in m], Const(0.0)) for i, j in moving]
     return replace(compile_rates(list(rates) + products,
                                  names + tuple(v.name for v in m.values()),
-                                 functions=("field", "rk4_step", "run")),
+                                 functions=("field", "conserved",
+                                            "rk4_step", "run")),
                    moving=moving)
 
 

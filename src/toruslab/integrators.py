@@ -33,20 +33,20 @@ A System batch of at most _FLOAT_ROWS (8) rows marches each row alone
 as such a state, and `integrate_batch` assembles the batch's result. A
 larger System batch, and the survey's, takes its rk4 steps through the
 same generated step over the rows of the slot-major array (see
-`dsl.compile_rows`). That step reads the terms of the slots whose rate
-is zero, the first integrals, from two arguments, which _march computes
-once per march and compacts with the rows at each drop. The numpy steps
-on the field remain for plain field callables, for a System's midpoint
-batch of more than _FLOAT_ROWS rows (_batch_midpoint), and for the one
-rk4 step of the Henon landing in `analysis`.
-Every fixed step, on floats, rows or arrays, is step(state, h); one of
-a batch also takes an out array, which it writes the next states into
-and returns, and the rows step takes the two arrays of terms before it,
-step(state, h, first, rest, out). A
-midpoint row iterates until its own update is at most _MIDPOINT_TOL, in
-a batch as alone; one that diverges or is not converged after
-_MIDPOINT_MAX_ITER iterations is reported as an escape. No run takes
-more than _MAX_STEPS steps.
+`dsl.compile_rows`). The numpy steps on the field remain for plain
+field callables, for a System's midpoint batch of more than _FLOAT_ROWS
+rows (_batch_midpoint), and for the one rk4 step of the Henon landing
+in `analysis`.
+The generated fixed steps, on floats or rows, read the terms of the
+slots whose rate is zero, the first integrals, from two arguments,
+step(state, h, first, rest), which _march computes from the step's
+conserved: two or three times a march (see _march), compacted with the
+rows of a batch at each drop. A numpy step is step(state, h). A step of
+a batch also takes an out array last, which it writes the next states
+into and returns. A midpoint row iterates until its own update is at
+most _MIDPOINT_TOL, in a batch as alone; one that diverges or is not
+converged after _MIDPOINT_MAX_ITER iterations is reported as an
+escape. No run takes more than _MAX_STEPS steps.
 
 Angular slots are wrapped only when states are stored, never inside a
 step, so the running state keeps a continuous (unwrapped) angle history.
@@ -313,18 +313,23 @@ def _fixed_step(field, cfg, state):
     (see `dsl.CompiledRates`).
 
     A state with compiled code (see _compiled_for) steps and runs through
-    it and starts as a tuple. A System batch takes rk4 steps through the
-    system's generated code for batches (see `dsl.compile_rows`), which
-    gives _rk4_step's result bit for bit at a fraction of its cost; it
-    also takes the terms of the zero-rate slots, step(state, h, first,
-    rest, out), which _march computes. Any other state steps numpy
-    arrays, and a single one runs through _run.
+    it and starts as a tuple; its runner takes the terms of the zero-rate
+    slots after the others, run(state, h, n, escape_norm, slot, goal,
+    first, rest), and carries the code's conserved, which _march calls to
+    compute them. A System batch takes rk4 steps through the system's
+    generated code for batches (see `dsl.compile_rows`), which gives
+    _rk4_step's result bit for bit at a fraction of its cost; it also
+    takes the terms, step(state, h, first, rest, out), and carries its
+    own conserved. Any other state steps numpy arrays, and a single one
+    runs through _run.
     """
     code = _compiled_for(field, state)
     if code is not None:
         start = tuple(np.asarray(state, dtype=float).tolist())
-        return partial(code.run, code.midpoint_step
-                       if cfg.method == MIDPOINT else code.rk4_step), start
+        run = partial(code.run, code.midpoint_step
+                      if cfg.method == MIDPOINT else code.rk4_step)
+        run.conserved = code.conserved
+        return run, start
     if cfg.method == RK4 and isinstance(field, System) \
             and np.ndim(state) == 2 and len(state) == field.dim:
         return field.compiled("rk4_rows"), state
@@ -388,15 +393,20 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
     (rows,) vector of signed steps. Each row's escape time carries its
     sign.
 
-    A step with a conserved attribute, the rows step of
-    `dsl.compile_rows`, reads the terms of the zero-rate slots from its
-    arguments first and rest. They are computed twice per march, however
-    many rows drop: first = conserved(state) for the first stage of the
-    first step, and rest = conserved(state + h*0.0), the zero of h's
-    sign, for every other stage; from the second step on, first is
-    rest, since a zero-rate slot holds state + h*0.0 after any step.
-    At each drop rest is compacted with cur. The steps are thus the
-    step's own, which computes both at its state, bit for bit.
+    A step or runner with a conserved attribute, the rows step of
+    `dsl.compile_rows` or a runner of compiled floats, reads the terms of
+    the zero-rate slots from its arguments first and rest. For the first
+    step they are first = conserved(state), for its first stage or
+    midpoint predictor, and rest = conserved(state + h*0.0), the zero of
+    h's sign, for the rest of it. After an rk4 step a zero-rate slot
+    holds state + h*0.0, and again after every later step, so a batch's
+    march hands rest as both from the second step on, and compacts it
+    with cur at each drop: two calls per march, however many rows drop.
+    A midpoint step takes such a slot at -0.0 to 2m - s = +0.0, also
+    with h < 0, so a single state's march takes its first step alone
+    and hands conserved(state after it) as both for every later step:
+    for rk4 that is rest to the bit. The steps are thus the step's own,
+    which computes both at its state, bit for bit.
 
     A batch, copied to C order, steps only its live rows, kept dense as
     the columns of cur, in blocks: K steps back to back, each written
@@ -451,19 +461,34 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
     escaped = np.zeros(() if single else state.shape[1], dtype=bool)
     escape_times = np.full(escaped.shape, np.nan)
     stored = []
+    conserved = getattr(step, "conserved", None)
+    terms = ()  # the terms of the zero-rate slots that the step takes
+    if conserved is not None:
+        # the first step's: at the start, and at it plus h*0.0, the zero of
+        # h's sign (see above; the terms read no other slot, so the whole
+        # state is shifted)
+        zero = direction * 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = (conserved(state), conserved(
+                tuple([x + zero for x in state]) if single
+                else state + zero))
     if single:
         slot, goal = (0, math.inf) if stop is None else stop
         cur = prev = state
         k, reason = 0, "end"  # k: the steps taken
         with np.errstate(over="ignore", invalid="ignore"):
             while k < total and reason == "end":
-                # whole steps up to the next store point, of which k is
-                # one here, then the remainder step
-                n, h_k = ((min(n_whole - k, store_every or n_whole), h)
+                # whole steps up to the next store point, then the
+                # remainder step; the first step alone when it takes terms
+                n, h_k = ((min(n_whole - k, store_every - k % store_every
+                               if store_every else n_whole), h)
                           if k < n_whole else (1, remainder))
                 prev, cur, taken, reason = step(
-                    cur, direction * h_k, n, cfg.escape_norm, slot, goal)
+                    cur, direction * h_k, 1 if terms and not k else n,
+                    cfg.escape_norm, slot, goal, *terms)
                 k += taken
+                if terms and k == 1:  # every later step's
+                    terms = (conserved(cur),) * 2
                 elapsed = span if k == total else k * h
                 if reason == "escape":
                     escaped[()] = True
@@ -476,17 +501,8 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
 
     cur, live = state, np.arange(state.shape[1])
     h_whole, h_last = direction * h, direction * remainder
-    conserved = getattr(step, "conserved", None)
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        if conserved is not None:
-            # the terms of the zero-rate slots: at the state for the first
-            # stage of the first step, and for every other stage at the
-            # state plus h*0.0, the zero of h's sign, which such a slot
-            # holds after any step (the terms read no other slot, so the
-            # whole state is shifted)
-            first_terms = conserved(cur)
-            rest_terms = conserved(cur + h_whole * 0.0)
         while k < total:
             # the block's K steps: up to the cap, the next store point and
             # the end; the remainder step may be among them
@@ -498,12 +514,8 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
             trial = cur
             for j in range(n):
                 h_j = h_whole if k + j < n_whole else h_last
-                if conserved is None:
-                    trial = step(trial, h_j, block[j])
-                else:
-                    trial = step(trial, h_j, first_terms, rest_terms,
-                                 block[j])
-                    first_terms = rest_terms
+                trial = step(trial, h_j, *terms, block[j])
+                terms = terms[1:] * 2  # rest, for every later step
             elapsed = np.arange(k + 1, k + n + 1) * h
             if k + n == total:
                 elapsed[-1] = span
@@ -543,8 +555,8 @@ def _march(step, state, t_end, cfg, observe=None, retire=None,
                         v.take(keep) for v in (direction, h_whole, h_last))
                 live = live.take(keep)
                 cur = cur.take(keep, axis=1)
-                if conserved is not None:
-                    first_terms = rest_terms = rest_terms.take(keep, axis=1)
+                if terms:
+                    terms = (terms[1].take(keep, axis=1),) * 2
                 if not len(keep):
                     end = k + int(j.max()) + 1
             if store_every and (end % store_every == 0 or end == total):
@@ -693,18 +705,18 @@ class BatchResult:
 
 # A System batch of 1 to _FLOAT_ROWS rows marches row by row on the
 # compiled float steps. Per step of 0.01 on ham-unique, ham-compact and
-# rev-compact (n = m = 1, states within 1e-3 of 0, 50 steps, Python
-# 3.11, 2 shared cores, best of 10), the float rk4 path costs 1.8-1.9,
-# 2.9-3.0 and 0.9-1.0 us a row, its stretch march included, and the
-# batch march of the generated rows step, in blocks of 16 steps, with
-# the terms of the zero-rate slots computed once per march, a near-flat
-# 37-39, 55-65 and 18-19 us at 2-48 rows: at so few rows the per-call
-# cost of numpy, not the trig the march saves, sets the rows step's
-# cost. The float path is the cheaper up to 16 rows, and the two meet
-# at about 20 rows. For
-# midpoint, the float path costs 1.8-2.4, 2.4-2.6 and 1.3-1.5 us a row
-# against 29-36, 40-48 and 17-20 us a step for _batch_midpoint, which
-# it meets at 13-19 rows. The value is to be re-picked together with a
+# rev-compact (n = m = 1, states within 1e-3 of 0, 50 steps, 1-8 rows,
+# Python 3.11, 2 shared cores, best of 10), the float rk4 path costs
+# 1.8-2.2, 2.8-3.2 and 0.8-1.2 us a row, its stretch march and the
+# conserved terms included, and the batch march of the generated rows
+# step, in blocks of 16 steps, with the terms of the zero-rate slots
+# computed once per march, a near-flat 37-39, 55-65 and 18-19 us at
+# 2-48 rows: at so few rows the per-call cost of numpy, not the trig
+# the march saves, sets the rows step's cost. The float path is the
+# cheaper up to 16 rows, and the two meet at about 20 rows. For
+# midpoint, the float path costs 1.5-1.8, 2.1-2.7 and 0.9-1.2 us a row
+# against 29-36, 40-48 and 17-20 us a step for _batch_midpoint, which it
+# meets at 14-24 rows. The value is to be re-picked together with a
 # generated midpoint step for rows.
 _FLOAT_ROWS = 8
 

@@ -15,6 +15,8 @@ So is the march of a batch one step at a time, the reference for the
 library's march in blocks of steps, with each step as it stands alone:
 the generated rows step computes its conserved terms afresh at every
 step (see `step_alone`), where the library's march computes them once.
+The generated float steps take the same terms, and `float_alone` gives
+them theirs in the same way.
 
 Last come the helpers only claims and tests need: the largest deviation
 between two fields, membership of a point in a `ModularDomain`, and the
@@ -124,7 +126,8 @@ def full_tangent(sys):
         if not dsl._is_const(jac[i, k], 0.0)], Const(0.0))
         for i in range(dim) for j in range(dim)]
     return dsl.compile_rates(rates + products, labels + tuple(
-        v.name for row in m for v in row), functions=("field", "rk4_step"))
+        v.name for row in m for v in row),
+        functions=("field", "conserved", "rk4_step"))
 
 
 def full_state(sys, z):
@@ -150,6 +153,16 @@ def step_alone(step, s, h):
     if not hasattr(step, "conserved"):
         return step(s, h)
     return step(s, h, step.conserved(s), step.conserved(s + h * 0.0))
+
+
+def float_alone(step, conserved):
+    """The float twin of `step_alone`: a step(s, h, first, rest) of
+    dsl.compile_rates as a step(s, h) of one state tuple, given first =
+    conserved(s) and rest = conserved(s + h*0.0) at every step."""
+    def alone(s, h):
+        return step(s, h, conserved(s),
+                    conserved(tuple([x + h * 0.0 for x in s])))
+    return alone
 
 
 def march_per_step(step, state, t_end, cfg, observe=None, retire=None,

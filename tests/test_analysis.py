@@ -415,7 +415,7 @@ def _compiled_and_numpy_tangent(monkeypatch, run):
         def field(s):
             return tuple(moving_state(self, f(full_state(self, s))))
 
-        def rk4_step(s, h):
+        def rk4_step(s, h, first, rest):  # the numpy flow reads no terms
             return tuple(moving_state(
                 self, _rk4_step(f, full_state(self, s), h)))
 

@@ -527,6 +527,17 @@ class TestFreq:
         assert report["parameters"]["tol"] == 1e-4
         assert report["metrics"]["max_gap"] <= 1e-4
 
+    def test_manifest_counts_the_steps(self, tmp_path, capsys):
+        # 1,400 whole rk4 steps of 0.05 and a remainder step of 0.02
+        assert main(["freq", "--system", "rev-compact", "--n", "1",
+                     "--l", "1", "--offset", "pi/2", "--t", "70.02",
+                     "--h", "0.05", "--out", str(tmp_path)]) == 0
+        work = json.loads((tmp_path / "manifest.json").read_text())[
+            "telemetry"]
+        assert work == {"steps": 1401, "rejected_steps": 0}
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert "telemetry" not in report and "steps" not in report
+
     def test_unique_family_rejected(self, tmp_path, capsys):
         rc = main(["freq", "--system", "ham-unique", "--n", "1",
                    "--offset", "pi/2", "--out", str(tmp_path)])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from catalog_oracle import (
     field_deviation,
+    float_alone,
     oracle_field,
     shipped_hamiltonians,
     step_alone,
@@ -492,32 +493,34 @@ def test_compiled_code_never_sees_a_source_identifier():
     assert norm == pytest.approx(float(np.sqrt(np.mean(r * r))), rel=1e-12)
 
 
-@pytest.mark.parametrize("sys, sin, trig, rows_sin, rows_trig", [
+@pytest.mark.parametrize("sys, sin, trig, step_sin, step_trig", [
     (build_system(SystemParams(REV_COMPACT, n=1, l=1, m=1, omega=(1.0,))),
      8, 8, 4, 4),
     (build_system(SystemParams(HAM_COMPACT, n=1, m=1, omega=(1.0,))),
      18, 36, 16, 32),
 ], ids=["rev-compact", "ham-compact"])
 def test_rk4_step_shares_the_terms_of_first_integrals(sys, sin, trig,
-                                                      rows_sin, rows_trig):
+                                                      step_sin, step_trig):
     # four stages evaluate sin(v_1), sin(q_1) of rev-compact and sin(u_1),
     # cos(u_1) of ham-compact twice: at the state, and at the state plus
     # h*0, which stages 2-4 share; 12 sin and 40 trig calls without that.
-    # The rows step reads both from its arguments, which a march computes
-    # once, by two calls of conserved: it holds the rest of the float
-    # step's calls
+    # A step alone makes sin and trig calls. The float and the rows step
+    # read both from their arguments, which a march computes once, by
+    # two calls of conserved: it holds the rest of those calls
     text = sys.compiled().source
     floats = text[text.index("def rk4_step"):text.index("def midpoint")]
+    held_floats = text[text.index("def conserved"):text.index("def rk4")]
     rows = sys.compiled("rk4_rows")
 
     def counts(source):
         return source.count("_sin("), source.count("_cos(")
 
-    assert counts(floats) == (sin, trig - sin)
-    assert counts(rows.source) == (rows_sin, rows_trig - rows_sin)
-    held = counts(rows.conserved.source)
-    assert (rows_sin + 2 * held[0], rows_trig + 2 * sum(held)) \
-        == (sin, trig)
+    for step, held in ((floats, held_floats),
+                       (rows.source, rows.conserved.source)):
+        assert counts(step) == (step_sin, step_trig - step_sin)
+        held = counts(held)
+        assert (step_sin + 2 * held[0], step_trig + 2 * sum(held)) \
+            == (sin, trig)
     if sys.family == REV_COMPACT:
         # phi_1 (slot 0) is read by no rate, so it has no stage states:
         # the float step reads it in its return alone, the batch step in
@@ -542,7 +545,7 @@ def test_rows_step_repeats_the_numpy_step_on_any_rates():
               "cos(0.5)*sin(a)^2")]
     step = dsl.compile_rows(rates, names)
     field = compile_numpy(rates, names)
-    floats = compile_rates(rates, names, functions=("rk4_step",))
+    floats = compile_rates(rates, names, functions=("conserved", "rk4_step"))
     s = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 12))
     s[0, ::3] = -0.0
     for h in (0.1, -0.1):
@@ -550,7 +553,8 @@ def test_rows_step_repeats_the_numpy_step_on_any_rates():
         got = step_alone(step, s, h)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         for row, col in zip(got.T, s.T):
-            new = np.array(floats.rk4_step(tuple(col.tolist()), h))
+            new = np.array(float_alone(floats.rk4_step, floats.conserved)(
+                tuple(col.tolist()), h))
             assert np.array_equal(new.view(np.int64), row.view(np.int64))
 
 

@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 from catalog_oracle import (
+    float_alone,
     full_state,
     full_tangent,
     march_per_step,
@@ -28,6 +29,9 @@ from toruslab.integrators import (
     BatchResult,
     IntegratorConfig,
     Trajectory,
+    MIDPOINT,
+    RK4,
+    _batch_midpoint,
     _escaping,
     _fixed_step,
     _march,
@@ -689,7 +693,8 @@ class TestCompiledStep:
         state[zero_slot] = -0.0
         for h in (1e-2, -1e-2):
             want = _rk4_step(field, state, h)
-            got = rates.rk4_step(tuple(state.tolist()), h)
+            got = float_alone(rates.rk4_step, rates.conserved)(
+                tuple(state.tolist()), h)
             assert same_bits(got, want)
             assert np.signbit(got[zero_slot]) == (h < 0)
             if not sys.is_hamiltonian:
@@ -699,9 +704,9 @@ class TestCompiledStep:
             # alone and marched by the same loop as integrate_variational
             oracle = tangent_field(sys)
             z = _tangent_start(sys, state)
-            assert same_bits(full_state(sys, tangent.rk4_step(
-                tuple(z.tolist()), h)), _rk4_step(oracle, full_state(sys, z),
-                                                  h))
+            assert same_bits(full_state(sys, float_alone(
+                tangent.rk4_step, tangent.conserved)(tuple(z.tolist()), h)),
+                _rk4_step(oracle, full_state(sys, z), h))
             if h > 0:
                 cfg = IntegratorConfig(h=h)
                 got = integrate_variational(
@@ -757,6 +762,14 @@ class TestCompiledStep:
         assert np.array_equal(got.states, want.states)
 
 
+def runner(code, step):
+    """The runner that _fixed_step makes of compiled code and one of its
+    steps, for compiled rates that are no System's."""
+    run = partial(code.run, step)
+    run.conserved = code.conserved
+    return run
+
+
 def one_step_at_a_time(step, state, t_end, cfg, store_every=None,
                        stop=None):
     """_march of one state, as a loop that calls step(state, h) once a
@@ -808,7 +821,8 @@ class TestStretchMarch:
     def _unique(coords=(0.8, 0.0, 0.2, 0.3)):
         # u = 0.8 pins y' >= 0.64 + y^2: escape near t = 1.5
         sys = ham(n=1, m=0)
-        return sys, sys.compiled().rk4_step, tuple(coords)
+        code = sys.compiled()
+        return sys, float_alone(code.rk4_step, code.conserved), tuple(coords)
 
     @pytest.mark.parametrize("store_every", [None, 7])
     def test_escape_inside_a_stretch(self, store_every):
@@ -825,7 +839,8 @@ class TestStretchMarch:
         cfg = IntegratorConfig(method=method, h=1e-2)
         sys, _, start = self._unique()
         code = sys.compiled()
-        step = code.midpoint_step if method == "midpoint" else code.rk4_step
+        step = float_alone(code.midpoint_step if method == "midpoint"
+                           else code.rk4_step, code.conserved)
         # 123 whole steps and one of 0.0045
         t_end = 1.2345
         cfg = replace(cfg, escape_norm=escape_norm_at(step, start, t_end,
@@ -860,11 +875,12 @@ class TestStretchMarch:
         code = compile_rates([parse(texts[x]) for x in order], order)
         cfg = IntegratorConfig(h=1e-2)
         start = (0.0, 0.0, 0.0)
-        got = _march(partial(code.run, code.rk4_step), start, 2.0, cfg,
+        got = _march(runner(code, code.rk4_step), start, 2.0, cfg,
                      store_every=10)
-        want = one_step_at_a_time(code.rk4_step, start, 2.0, cfg, 10)
+        step = float_alone(code.rk4_step, code.conserved)
+        want = one_step_at_a_time(step, start, 2.0, cfg, 10)
         assert want[1] and want[3] == 135
-        trial = code.rk4_step(want[0], 1e-2)
+        trial = step(want[0], 1e-2)
         y = order.index("y")
         assert str(trial[y]) == bad
         assert all(math.isfinite(v) for i, v in enumerate(trial) if i != y)
@@ -898,7 +914,8 @@ class TestStretchMarch:
     def test_tangent_state_of_19_slots(self):
         # 6 slots and the 13 entries of M that move
         sys = ham(n=1, m=1)
-        step = sys.compiled("tangent").rk4_step
+        code = sys.compiled("tangent")
+        step = float_alone(code.rk4_step, code.conserved)
         start = tuple(_tangent_start(
             sys, small_point(sys, 0.5, seed=3).coords).tolist())
         assert len(start) == 19
@@ -922,17 +939,18 @@ class TestStretchMarch:
         start = tuple(_tangent_start(
             sys, small_point(sys, 0.5, seed=3).coords).tolist())
 
-        def step(s, h):
-            t = code.rk4_step(s, h)
+        def step(s, h, first, rest):
+            t = code.rk4_step(s, h, first, rest)
             return t[:9] + (math.nan,) + t[10:] if t[1] > start[1] + 0.3 \
                 else t
 
         cfg = IntegratorConfig(h=1e-2)
-        want = one_step_at_a_time(step, start, 1.0, cfg, 25)
+        alone = float_alone(step, code.conserved)
+        want = one_step_at_a_time(alone, start, 1.0, cfg, 25)
         assert want[1] and 1 < want[3] < 100
-        for run in (_run, code.run):
-            assert_same_march(_march(partial(run, step), start, 1.0, cfg,
-                                     store_every=25), want)
+        for run in (partial(_run, alone), runner(code, step)):
+            assert_same_march(_march(run, start, 1.0, cfg, store_every=25),
+                              want)
 
 
 def drift(s):
@@ -1237,6 +1255,186 @@ class TestConservedTerms:
         assert_same_batch(got, march_per_step(step, states, 2.0, cfg))
 
 
+def float_oracle_march(step, field, start, t_end, cfg, store_every=None,
+                       stop=None):
+    """A march of one state, as a numpy array, by one_step_at_a_time of
+    the numpy step (_rk4_step or _batch_midpoint) on a numpy field."""
+    with np.errstate(all="ignore"):
+        return one_step_at_a_time(partial(step, field), np.array(start),
+                                  t_end, cfg, store_every, stop)
+
+
+def assert_float_march_repeats_numpy(run, step, field, start, t_end, cfg):
+    """The march of one state on a compiled runner against the numpy
+    step: to the end, to an escape and to a section stop on the first
+    step and on a later one, the last two chosen on the numpy march.
+    Returns the numpy march to the end."""
+    want = float_oracle_march(step, field, start, t_end, cfg, store_every=1)
+    states = [s for _, s in want[4]]
+    ends = [(cfg, None, 7)]
+    if len(states) > 1:
+        # an escape norm and a stop that the states pass first at step k
+        tops = [float(np.max(np.abs(s))) for s in [np.array(start)] + states]
+        k = max((j for j in range(2, len(tops))
+                 if tops[j] > max(tops[:j])), default=None)
+        if k is not None:
+            ends.append((replace(cfg, escape_norm=0.5 * (
+                tops[k] + max(tops[:k]))), None, 5))
+        ends.append((cfg, (0, states[0][0]), None))
+        for slot in range(len(start)):
+            series = [s[slot] for s in states]
+            k = max((j for j in range(1, len(series))
+                     if series[j] > max(series[:j])), default=None)
+            if k is not None:
+                ends.append((cfg, (slot, series[k]), None))
+                break
+    for c, stop, every in ends:
+        got = _march(run, start, t_end, c, store_every=every, stop=stop)
+        assert_same_march(got, float_oracle_march(step, field, start, t_end,
+                                                  c, every, stop))
+    return want
+
+
+class TestFloatProtocol:
+    """A single state steps on floats with the terms of its zero-rate
+    slots, which the march computes: at the start for the first step's
+    stage 1 or predictor, and at it plus h*0.0 for the rest of that step;
+    from the second step on, at the state after the first. The march is
+    that of the numpy step on one row, bit for bit, whatever the
+    conserved slots hold."""
+
+    SPECIAL = (-0.0, math.pi, -math.pi, 1e150, math.nan)
+
+    @pytest.mark.parametrize("method", [RK4, MIDPOINT])
+    @pytest.mark.parametrize("sys", [
+        *(ham(n, m) for n in (1, 2) for m in (0, 1)),
+        *(build_system(SystemParams(HAM_COMPACT, n=n, m=m, omega=(
+            1.0, math.sqrt(2.0))[:n])) for n in (1, 2) for m in (0, 1)),
+        build_system(SystemParams(REV_COMPACT, n=1, l=1, m=1,
+                                  omega=(1.0,))),
+        build_control_system(),
+    ], ids=lambda s: f"{s.family}-n{s.params.n}-m{s.params.m}")
+    def test_march_repeats_the_numpy_step(self, sys, method):
+        rng = np.random.default_rng(sys.dim)
+        zero = np.flatnonzero((sys.field(rng.uniform(
+            -0.3, 0.3, (8, sys.dim))) == 0.0).all(axis=0))
+        assert len(zero)
+        numpy_step = _batch_midpoint if method == MIDPOINT else _rk4_step
+        escapes = 0
+        for special, h in itertools.product(self.SPECIAL, (1e-2, -1e-2)):
+            x = rng.uniform(-0.3, 0.3, sys.dim)
+            x[zero] = special
+            cfg = IntegratorConfig(method=method, h=1e-2,
+                                   escape_norm=np.finfo(float).max)
+            start = tuple(x.tolist())
+            run, begin = _fixed_step(sys, cfg, x)
+            assert same_bits(begin, start)
+            want = assert_float_march_repeats_numpy(
+                run, numpy_step, sys.compiled("field"), start,
+                math.copysign(0.3, h), cfg)
+            escapes += want[1]
+            if math.isnan(special):
+                assert want[1] and want[3] == 1
+        assert escapes >= 2
+
+    @pytest.mark.parametrize("method", [RK4, MIDPOINT])
+    @pytest.mark.parametrize("rate", ["1/a", "x*(-a)", "sin(a)*x + a*a"])
+    def test_rates_that_read_the_sign_of_a_zero(self, rate, method):
+        # a is conserved: a step of h takes -0.0 to the zero of h's sign
+        # (rk4) or to +0.0 (midpoint, 2m - s), while the first step's
+        # stage 1 sees the start. 1/a raises on floats where numpy gives
+        # an infinity; either way the march escapes at step 1
+        names = ("a", "b", "x")
+        rates = [parse(r) for r in ("0", rate, "1")]
+        code = compile_rates(rates, names)
+        field = compile_numpy(rates, names)
+        step = code.midpoint_step if method == MIDPOINT else code.rk4_step
+        numpy_step = _batch_midpoint if method == MIDPOINT else _rk4_step
+        cfg = IntegratorConfig(method=method, h=1e-2,
+                               escape_norm=np.finfo(float).max)
+        for a, b, h in itertools.product(
+                (-0.0, 0.0, 1e150, math.pi), (-0.0, 0.5), (1e-2, -1e-2)):
+            start = (a, b, -1e-3)
+            want = assert_float_march_repeats_numpy(
+                runner(code, step), numpy_step, field, start,
+                math.copysign(0.2, h), cfg)
+            if rate == "1/a" and a == 0.0:
+                assert want[1] and want[3] == 1
+            else:
+                assert not want[1]
+
+
+class TestMidpointStop:
+    """The float midpoint iteration stops as _batch_midpoint's going mask
+    does on one row, by comparisons alone."""
+
+    def test_no_builtin_in_the_iteration(self):
+        text = ham(n=1, m=1).compiled().source
+        step = text[text.index("def midpoint_step"):text.index("def dp54")]
+        assert "for _ in range(_max_iter):" in step
+        for name in ("abs(", "max(", "sum(", "min("):
+            assert name not in step
+
+    @pytest.mark.parametrize("rate, x, calls, finite", [
+        # one update, as at the lab's amplitudes: a field call for the
+        # predictor and one for the update
+        ("-x*x*y", 1e-4, 2, True),
+        ("-10*x", 0.5, 9, True),  # a contraction of 0.05 an update
+        # expanding 50 times an update: stuck after _MIDPOINT_MAX_ITER, or
+        # overflowing first (y's rate x*x)
+        ("-1e4*x", 0.5, 52, False),
+        ("-1e4*x", 1e100, 33, False),
+        ("x*x*1e300*1e8", 0.5, 2, False),  # the update turns inf
+        ("x*x*1e300*1e8 - x*x*1e300*1e8", 1e250, 2, False),  # inf - inf
+    ], ids=["one", "several", "stuck", "overflow", "inf", "nan"])
+    def test_each_way_out_of_the_iteration(self, rate, x, calls, finite):
+        # a conserved a, read by y's rate, a conserved b that no rate
+        # reads, and phi of constant rate
+        names = ("a", "b", "phi", "x", "y")
+        rates = [parse(r) for r in ("0", "0", "1", rate, "x*x + a*a")]
+        code = compile_rates(rates, names)
+        numpy_field = compile_numpy(rates, names)
+        counted = []
+
+        def field(s):
+            counted.append(1)
+            return numpy_field(s)
+
+        step = float_alone(code.midpoint_step, code.conserved)
+        for a, b, h, sx in itertools.product(
+                (-0.0, 1e-4, 0.3), (0.5, -math.inf, math.nan),
+                (1e-2, -1e-2), (x, -x)):
+            s = (a, b, 0.1, sx, 0.2)
+            counted.clear()
+            with np.errstate(all="ignore"):
+                want = _batch_midpoint(field, np.array(s), h)
+            got = step(s, h)
+            assert same_bits(got, want), (s, h)
+            if b == 0.5:
+                assert len(counted) == calls
+                assert _escaping(want, 1e8) != finite
+                if calls == 52:  # the stuck check turns every slot nan
+                    assert np.isnan(got).all()
+            else:  # a slot that is not finite ends the iteration at once
+                assert len(counted) == 2 and _escaping(want, 1e8)
+
+    def test_a_nan_residual_is_not_stuck(self):
+        # after _MIDPOINT_MAX_ITER updates that expand x 50 times each,
+        # the stuck check's field makes y's residual inf - inf: numpy's
+        # max of the residuals is then nan, which is not above _tol, so
+        # the step keeps its last iterate
+        names = ("a", "phi", "x", "y")
+        rates = [parse(r) for r in ("0", "1", "-1e4*x", "x*x - x*x + a*a")]
+        code = compile_rates(rates, names)
+        s = (0.3, 0.1, 1e69, 0.2)
+        with np.errstate(all="ignore"):
+            want = _batch_midpoint(compile_numpy(rates, names),
+                                   np.array(s), 1e-2)
+        assert np.isfinite(want).all()
+        assert same_bits(float_alone(code.midpoint_step, code.conserved)(
+            s, 1e-2), want)
+
+
 class TestCsv:
     def test_round_trips_through_loadtxt(self):
         sys = ham(n=1, m=0)
@@ -1366,7 +1564,9 @@ class TestMovingTangent:
         f"-m{s.params.m}" + ("" if s.params.l is None else f"-l{s.params.l}"))
     def test_steps_and_marches_match_the_full_tangent(self, sys):
         full = full_tangent(sys)
-        step = sys.compiled("tangent").rk4_step
+        full_step = float_alone(full.rk4_step, full.conserved)
+        code = sys.compiled("tangent")
+        step = float_alone(code.rk4_step, code.conserved)
         slot = sys.layout.slot_of("phi_1")
         rng = np.random.default_rng(7)
         big = np.finfo(float).max
@@ -1377,7 +1577,7 @@ class TestMovingTangent:
             z = tuple(_tangent_start(sys, x).tolist())
             start = tuple(full_state(sys, z).tolist())
             for h in (1e-2, -1e-2):
-                want = np.array(full.rk4_step(start, h))
+                want = np.array(full_step(start, h))
                 got = full_state(sys, step(z, h))
                 # a term left out is J * +0.0, which is +-0.0 while the
                 # step stays finite; past that, both steps escape
@@ -1394,7 +1594,7 @@ class TestMovingTangent:
                 every = None if stop else 25
                 got = _march(*_fixed_step(sys, cfg, z), t_end, cfg,
                              store_every=every, stop=stop)
-                want = _march(partial(_run, full.rk4_step), start, t_end,
+                want = _march(partial(_run, full_step), start, t_end,
                               cfg, store_every=every, stop=stop)
                 assert_same_march(scattered(sys, got), want)
                 # the escape or the stop ends the march before its end
@@ -1412,7 +1612,9 @@ class TestMovingTangent:
         assert integrators._compiled_for(sys, z) is sys.compiled()
         cfg = IntegratorConfig(h=1e-2)
         got = integrate_variational(sys, p0, 2.0, cfg)
-        want = _march(partial(_run, full_tangent(sys).rk4_step),
+        full = full_tangent(sys)
+        want = _march(partial(_run, float_alone(full.rk4_step,
+                                                full.conserved)),
                       tuple(full_state(sys, z).tolist()), 2.0,
                       replace(cfg, escape_norm=np.finfo(float).max))[0]
         assert same_bits(want[4:], np.eye(4).ravel())
