@@ -14,7 +14,6 @@ parameters, and each docstring states its own.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -153,7 +152,8 @@ class KroneckerReport:
 
 def verify_kronecker(sys: System, spec, horizon: float = 100.0,
                      seed: int = 0,
-                     config: Optional[IntegratorConfig] = None):
+                     config: Optional[IntegratorConfig] = None,
+                     work: Optional[dict] = None):
     """Integrate from three starts on the torus and measure two deviations.
 
     Pinned slots must hold their values and each free angle must follow
@@ -162,6 +162,9 @@ def verify_kronecker(sys: System, spec, horizon: float = 100.0,
     are checked against their actual drift direction. spec may also be a
     list or tuple of TorusSpecs: the starts of all of them then march as
     one batch, and one report per spec comes back, in order.
+
+    work, if given, is updated with the march's work (see
+    BatchResult.work).
     """
     single = not isinstance(spec, (list, tuple))
     specs = [spec] if single else list(spec)
@@ -181,6 +184,8 @@ def verify_kronecker(sys: System, spec, horizon: float = 100.0,
               for s in specs]
     res = integrate_batch(sys, np.concatenate(starts), horizon, cfg,
                           layout=sys.layout, store_every=10)
+    if work is not None:
+        work.update(res.work(horizon, cfg.h))
     if res.escaped.any():
         raise NumericalBlowup("a torus start escaped; the spec is not "
                               "invariant", time=float(horizon))
@@ -619,11 +624,11 @@ _GAIN_TOL = 1e-8
 _GAP_TOL = 1e-3
 _SKIP_TOL = 1e-6
 # The most samples x dim slots one survey takes: its rk4 march holds about
-# a dozen (dim, rows) float arrays at once, 12 x 8 bytes x 10^7 = 1 GB.
-# Its blocks of steps add nothing there: a step of more than
-# integrators._BLOCK_BYTES (256 KiB) is a block of its own, the step's
-# result. Blocks of more steps hold at most that much, and the pass over
-# a block copies it about three times (its abs, and the distances).
+# a dozen (dim, rows) float arrays at once, 12 x 8 bytes x 10^7 = 1 GB,
+# and one block of steps past them, at most integrators._BLOCK_BYTES
+# (1 MiB) unless a single step is larger, when the block is the step's
+# result. The pass over a block copies the slots that move, once (their
+# distances), which is less than a step's temporaries.
 _MAX_SURVEY_SLOTS = 10**7
 
 
@@ -643,7 +648,8 @@ class SurveyReport:
     row_steps, each block's steps times its live rows, skipped ones
     too; of those, row_steps_past_drop, the steps a row took in its
     block past the step it escaped or was retired at, whose results were
-    thrown away; and the escaped and retired rows.
+    thrown away; blocks, the blocks of steps it took (see
+    `integrators._march`); and the escaped and retired rows.
     """
 
     gains: np.ndarray
@@ -737,9 +743,10 @@ def _survey_block(sys: System, states: np.ndarray, domain: ModularDomain,
 
     off_slots = [s for s in range(dim)
                  if not (sys.slots.phi.start <= s < sys.slots.phi.stop)]
-    d0 = component_distances(layout, states, np.zeros(dim))
-    off_dist = np.sqrt((d0[:, off_slots] ** 2).sum(axis=1))
-    skipped = off_dist <= _SKIP_TOL
+    # one expression, so that no (rows, dim) distances outlive it into
+    # the march
+    skipped = np.sqrt((component_distances(layout, states, np.zeros(dim))[
+        :, off_slots] ** 2).sum(axis=1)) <= _SKIP_TOL
 
     # the closest squared return of each row, rooted at the end, and the
     # time it was dropped; origin, slot-major as the march, and gap2
@@ -748,23 +755,18 @@ def _survey_block(sys: System, states: np.ndarray, domain: ModularDomain,
     all_gap2 = np.full(len(states), math.inf)
     exit_t = np.full(len(states), math.nan)
     origin, gap2 = np.ascontiguousarray(states.T), all_gap2
-    angles = [s for s in range(dim) if layout.is_angle(s)]
-    work = {"row_steps": 0, "row_steps_past_drop": 0}
+    step, origin = _fixed_step(sys, _SURVEY_STEP, origin)
+    moving = [s for s in range(dim) if s not in step.zero]
+    work = {"row_steps": 0, "row_steps_past_drop": 0, "blocks": 0}
 
     def track_gaps(t, block, live, first):
         nonlocal origin, gap2
         n = len(t)
         work["row_steps"] += n * len(live)
+        work["blocks"] += 1
         j0 = int(np.searchsorted(t, _T_MIN))  # the steps from t_min on
         if j0 < n:
-            # torus_distance_batch squared, slot by slot, its sum down the
-            # slots in the order numpy sums each state's row; the square
-            # makes the distance's abs needless
-            d = np.subtract(block[j0:], origin)
-            for s in angles:
-                shortest_arcs(d[:, s])
-            d *= d
-            d2 = _numpy_sum([d[:, s] for s in range(dim)], operator.add)
+            d2 = _squared_returns(layout, block[j0:], origin, moving)
             if first is not None:  # no return at or past a row's drop
                 np.copyto(d2, math.inf,
                           where=np.arange(j0, n)[:, None] >= first)
@@ -778,8 +780,8 @@ def _survey_block(sys: System, states: np.ndarray, domain: ModularDomain,
             origin, gap2 = origin.take(keep, axis=1), gap2.take(keep)
 
     final, escaped, _, work["steps"], _ = _march(
-        *_fixed_step(sys, _SURVEY_STEP, origin), horizon, _SURVEY_STEP,
-        track_gaps, _domain_exit(sys, domain.intervals))
+        step, origin, horizon, _SURVEY_STEP, track_gaps,
+        _domain_exit(sys, domain.intervals))
     all_gap2[np.isnan(exit_t)] = gap2
     gaps = np.sqrt(all_gap2)
     # a dropped row that did not escape left the domain; a skipped row
@@ -795,6 +797,34 @@ def _survey_block(sys: System, states: np.ndarray, domain: ModularDomain,
     gains[escaped | retired] = math.inf
     gains[skipped] = gaps[skipped] = np.nan
     return (gains, gaps, escaped, skipped, retired, exit_t), work
+
+
+def _squared_returns(layout, block, origin, moving):
+    """The squared distance of each state of a block (K, dim, rows) of
+    rk4 steps of h > 0 to its row's start, origin (dim, rows): that of
+    torus_distance_batch, slot by slot, summed down the slots in the
+    order numpy sums each state's row. The square makes the distance's
+    abs needless.
+
+    Only the slots in moving are read. After such a step from s, a
+    zero-rate slot holds s + 0.0: its difference to a finite start, that
+    difference's arc and its square are +0.0, which adds nothing to a sum
+    of squares >= +0.0 or nan. The sum leaves those slots out, as None,
+    and keeps numpy's grouping of the others.
+    """
+    squares = [None] * layout.dim
+    for s in moving:
+        d = np.subtract(block[:, s], origin[s])
+        if layout.is_angle(s):
+            shortest_arcs(d)
+        squares[s] = np.multiply(d, d, out=d)
+    return _numpy_sum(squares, _add_into)
+
+
+def _add_into(a, b):
+    """a + b, written into a, which nothing reads again; None is a term
+    left out of the sum."""
+    return b if a is None else a if b is None else np.add(a, b, out=a)
 
 
 def _certificate(sys, states):

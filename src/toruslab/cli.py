@@ -270,9 +270,11 @@ def _cmd_verify_torus(cfg, run):
     if cfg.get("deltas"):
         specs += [(_delta_label(sys_, spec), spec)
                   for spec in delta_tori(sys_)[1:]]
+    run.telemetry = {}
     reports = verify_kronecker(sys_, [spec for _, spec in specs],
                                horizon=cfg["t"], seed=cfg["seed"],
-                               config=IntegratorConfig(h=cfg["h"]))
+                               config=IntegratorConfig(h=cfg["h"]),
+                               work=run.telemetry)
     docs = [_report_doc("torus is invariant and carries linear angle flow",
                         {"horizon": cfg["t"], "tol": rep.tol,
                          "n_starts": rep.n_starts},

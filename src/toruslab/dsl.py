@@ -736,6 +736,8 @@ class _Dag:
                 dead.remove(into)
             if out is not None:
                 code = f"{_UFUNCS[op]}({', '.join(args)}, {out})"
+            elif op == "**":  # a float's overflow gives inf, as numpy's
+                code = f"_intpow({args[0]}, {args[1]})"
             elif len(args) == 2:
                 code = f"{args[0]} {op} {args[1]}"
             elif op == "Neg":
@@ -1214,11 +1216,13 @@ class CompiledRates:
     and a step alone computes for itself. dp54_step takes the first
     stage's rates k1 and returns the 5th-order state, the adaptive loop's
     error norm and the last stage's rates, the next step's k1. Where that
-    arithmetic raises (sin of inf, a division by zero, an overflowing
-    power) every slot comes back NaN (and the norm inf), as numpy would
-    give inf or nan, so the integrators' escape test sees it either way;
-    a conserved term that raises comes back NaN, and so do the moving
-    slots of a step that reads it.
+    arithmetic raises (sin of inf, a division by zero) every slot comes
+    back NaN (and the norm inf), where numpy gives inf or nan, so the
+    integrators' escape test sees it either way, unless a later
+    operation turns numpy's inf finite: x / (1/a) at a = 0 reads 0 in
+    numpy. A conserved term that raises comes back NaN, and so do the
+    moving slots of a step that reads it. An integer power that
+    overflows does not raise: it gives numpy's inf, through `_power`.
 
     run(step, s, h, n, escape_norm, slot, goal, first, rest) takes a whole
     stretch of up to n steps s = step(s, h, first, rest) in one call, one
@@ -1274,7 +1278,8 @@ def compile_rates(rates: Sequence[Expr], names: Sequence[str],
     namespace = {f"c{j}": v for j, v in enumerate(dag.consts)}
     namespace.update(_DP_NAMES, _tol=_MIDPOINT_TOL,
                      _max_iter=_MIDPOINT_MAX_ITER, _sin=math.sin,
-                     _cos=math.cos, _sqrt=math.sqrt, _INF=math.inf,
+                     _cos=math.cos, _sqrt=math.sqrt, _intpow=_power,
+                     _INF=math.inf,
                      _NAN=(math.nan,) * len(names),
                      _FAILS=(ArithmeticError, ValueError))
     for text in sources:  # one at a time: the compiler's peak is per text
@@ -1366,7 +1371,7 @@ def _numpy_function(name: str, entries: dict, shape: tuple,
 # the names numpy code is generated with
 _NUMPY_NAMES = dict(_sin=np.sin, _cos=np.cos, _add=np.add,
                     _subtract=np.subtract, _multiply=np.multiply,
-                    _divide=np.divide, _power=np.power,
+                    _divide=np.divide, _power=np.power, _intpow=operator.pow,
                     _negative=np.negative, _asarray=np.asarray,
                     _zeros=np.zeros, _empty=np.empty,
                     _empty_like=np.empty_like)
@@ -1405,18 +1410,19 @@ def compile_rows(rates: Sequence[Expr], names: Sequence[str]) -> Callable:
     of that shape that is not s, or else into a new one: to the bit what
     integrators._rk4_step gives with the field of compile_numpy, given
     first = rk4_step.conserved(s) and rest = rk4_step.conserved(s + h *
-    0.0), the terms of the slots with zero rate (see `_rk4_rows`). A march
-    computes those two once, so that a step of the shipped families (n =
-    m = l = 1, 25 to 4,096 rows, Python 3.11, best of 15) costs 0.28-0.68
-    of _rk4_step's on rev-compact, whose trig mostly reads first
-    integrals, and 0.43-0.78 on ham-unique and ham-compact. Constants are
-    bound by value as in compile_rates, and each function's text is its
-    `source` attribute.
+    0.0), the terms of the slots with zero rate (see `_rk4_rows`), which
+    rk4_step.zero lists. A march computes those two once, so that a step
+    of the shipped families (n = m = l = 1, 25 to 4,096 rows, Python
+    3.11, best of 15) costs 0.28-0.68 of _rk4_step's on rev-compact,
+    whose trig mostly reads first integrals, and 0.43-0.78 on ham-unique
+    and ham-compact. Constants are bound by value as in compile_rates,
+    and each function's text is its `source` attribute.
     """
     names, dag, outs = _dag_of(rates, names)
     conserved, step = _rk4_rows(dag, outs, len(names))
     fn = _numpy_code("rk4_step", step, dag.consts)
     fn.conserved = _numpy_code("conserved", conserved, dag.consts)
+    fn.zero = _Rk4Slots.of(dag, outs).zero
     return fn
 
 

@@ -18,6 +18,10 @@ import numpy as np
 from .errors import InvalidValue, LayoutMismatch
 
 TWO_PI = 2.0 * math.pi
+# n * TWO_PI is exact for |n| <= 8: the double of 2*pi ends in three zero
+# bits (0x401921FB54442D18), so it times an integer of three bits, or 8,
+# still fits in 53
+_EXACT_TURNS = 8 * TWO_PI
 
 
 def wrap_angle(theta: float) -> float:
@@ -165,13 +169,36 @@ def shortest_arcs(d: np.ndarray) -> np.ndarray:
     """The angle differences d, a float array, wrapped in place to the
     signed shortest arc: pi - remainder(pi - d, 2*pi), bit for bit.
 
-    The remainder, the costly part, is skipped when every pi - d lies in
-    [0, 2*pi), where it returns pi - d itself; a zero of either sign
-    then gives pi, as the remainder's +0 does.
+    numpy's remainder, libm's fmod and then 2*pi added to a negative
+    result, costs some 30 additions an element, so it is taken only
+    where it must be. When every a = pi - d lies in [0, 2*pi) it returns
+    a itself, and is skipped; a zero of either sign then gives pi, as
+    the remainder's +0 does. When every a lies within 8 turns of 0, it
+    is a - floor(a / 2*pi) * 2*pi, to the bit:
+    - q = floor(a / 2*pi) is the true floor n of a / 2*pi. Rounding
+      could carry the quotient up to k = n + 1 only if a lay within pi
+      spacings of the doubles at k of k * 2*pi. But k * 2*pi is a double
+      of a binade 4 or 8 times k's, where doubles lie 4 or 8 such
+      spacings apart, and a is another double. (A subnormal a < 0 would
+      give q = 0 through a quotient of -0.0; pi - d is never one.)
+    - n * 2*pi is exact for |n| <= 8 (see _EXACT_TURNS), so the result is
+      a - n * 2*pi rounded once: for a >= 0, fmod's exact result; for
+      a < 0, the sum numpy rounds when it adds 2*pi to fmod's exact
+      a - (n + 1) * 2*pi, which is 2*pi itself for a tiny negative a,
+      or the +0.0 numpy gives where fmod's is -0.0.
+    An array that reaches past 8 turns, or holds a nan or an inf, takes
+    numpy's remainder.
     """
     a = np.subtract(np.pi, d, out=d)
-    if not (a.min(initial=0.0) >= 0.0 and a.max(initial=0.0) < TWO_PI):
-        np.remainder(a, TWO_PI, out=a)
+    lo, hi = a.min(initial=0.0), a.max(initial=0.0)
+    if not (lo >= 0.0 and hi < TWO_PI):
+        if -_EXACT_TURNS <= lo and hi <= _EXACT_TURNS:
+            q = np.divide(a, TWO_PI)
+            np.floor(q, out=q)
+            q *= TWO_PI
+            a -= q
+        else:
+            np.remainder(a, TWO_PI, out=a)
     return np.subtract(np.pi, a, out=a)
 
 

@@ -16,7 +16,9 @@ library's march in blocks of steps, with each step as it stands alone:
 the generated rows step computes its conserved terms afresh at every
 step (see `step_alone`), where the library's march computes them once.
 The generated float steps take the same terms, and `float_alone` gives
-them theirs in the same way.
+them theirs in the same way. The survey's gap pass is here in its whole
+form, every slot and numpy's remainder, the reference for the library's
+pass over the slots that move.
 
 Last come the helpers only claims and tests need: the largest deviation
 between two fields, membership of a point in a `ModularDomain`, and the
@@ -25,6 +27,7 @@ energy texts installed with the package.
 
 import functools
 import math
+import operator
 from importlib import resources
 
 import numpy as np
@@ -236,6 +239,20 @@ def march_per_step(step, state, t_end, cfg, observe=None, retire=None,
         return cur, escaped, escape_times, k + 1, stored
     state[:, live] = cur
     return state, escaped, escape_times, k + 1, stored
+
+
+def squared_returns_every_slot(layout, block, origin, moving):
+    """analysis._squared_returns over every slot: one (K, dim, rows)
+    difference array, each angle wrapped to pi - remainder(pi - d, 2*pi)
+    by numpy's remainder, squared, and summed down the slots in numpy's
+    order. moving is not read."""
+    d = np.subtract(block, origin)
+    for s in range(layout.dim):
+        if layout.is_angle(s):
+            d[:, s] = np.pi - np.remainder(np.pi - d[:, s], TWO_PI)
+    d *= d
+    return dsl._numpy_sum([d[:, s] for s in range(layout.dim)],
+                          operator.add)
 
 
 def field_deviation(f1, f2, layout, samples, seed):

@@ -1,14 +1,20 @@
 import concurrent.futures
 import math
+import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from catalog_oracle import full_state, moving_state, tangent_field
+from catalog_oracle import (
+    full_state,
+    moving_state,
+    squared_returns_every_slot,
+    tangent_field,
+)
 
-from toruslab import analysis
+from toruslab import analysis, integrators
 from toruslab.analysis import (
     _sample_box,
     _SKIP_TOL,
@@ -841,6 +847,65 @@ class TestSurvey:
         assert np.array_equal(rep.retired, ~np.isnan(exits))
         assert np.array_equal(rep.exit_t, exits, equal_nan=True)
         assert np.array_equal(rep.gaps, gaps)
+
+    @pytest.mark.parametrize("family, n, m", [
+        (HAM_UNIQUE, 1, 1), (HAM_COMPACT, 1, 1), (REV_UNIQUE, 1, 1),
+        (REV_COMPACT, 1, 1), (HAM_COMPACT, 2, 2)],
+        ids=["ham-unique", "ham-compact", "rev-unique", "rev-compact",
+             "ham-compact-n2"])
+    def test_gap_pass_over_the_moving_slots_keeps_every_bit(
+            self, monkeypatch, family, n, m):
+        # the pass leaves the zero-rate slots out and wraps without fmod;
+        # the whole pass, every slot and numpy's remainder, gives the six
+        # arrays of the report and the work counts to the bit. Blocks hold
+        # one step of every row, so they are single steps until rows
+        # drop, or the default, 16 steps at these rows; some starts hold
+        # -0.0, pi or -pi in a zero-rate slot
+        sys = make(family, n=n, m=m, omega=(1.0, SQRT2)[:n])
+        dom = isolation_domain(sys) if sys.is_compact else self.box(sys)
+        zero = sys.compiled("rk4_rows").zero
+        assert zero
+        rows = 60
+        states = _sample_box(sys.layout, dom, 9, rows)
+        for k, value in enumerate((-0.0, math.pi, -math.pi)):
+            states[k::7, zero[k % len(zero)]] = value
+        for cap, blocks in ((8 * sys.dim * rows, "single"),
+                            (integrators._BLOCK_BYTES, "16")):
+            monkeypatch.setattr(integrators, "_BLOCK_BYTES", cap)
+            got, work = _survey_block(sys, states, dom, 5.0)
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis, "_squared_returns",
+                              squared_returns_every_slot)
+                want, want_work = _survey_block(sys, states, dom, 5.0)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            assert work == want_work
+            if blocks == "single":
+                assert work["blocks"] > -(-work["steps"] // 16)
+                # no row drops on rev-compact: every block is one step
+                assert (family != REV_COMPACT
+                        or work["blocks"] == work["steps"] == 500)
+            else:
+                assert work["blocks"] == -(-work["steps"] // 16)
+        assert np.isfinite(got[1]).sum() > rows // 2  # rows past t_min
+
+    def test_large_survey_stays_within_its_memory_model(self):
+        # the model of _MAX_SURVEY_SLOTS' comment: about a dozen (dim,
+        # rows) float arrays and one block of _BLOCK_BYTES. The system
+        # compiles its rows step before the trace starts. The seed-42
+        # survey of the benchmark marches in 143 blocks
+        sys = make(HAM_UNIQUE, n=1, m=1)
+        survey_uniqueness(sys, self.box(sys), samples=10, seed=42)
+        rows = 10_000
+        tracemalloc.start()
+        try:
+            rep = survey_uniqueness(sys, self.box(sys), samples=rows,
+                                    seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.escaped.all()
+        assert rep.telemetry["blocks"] == 143
+        assert peak <= 12 * 8 * sys.dim * rows + integrators._BLOCK_BYTES
 
     @pytest.mark.parametrize("family", [HAM_UNIQUE, HAM_COMPACT])
     def test_gaps_are_the_closest_return_of_each_live_step(self, family):

@@ -429,6 +429,24 @@ class TestVerify:
                                   [5.0] * points + [-5.0] * points)]
         assert (max(taken), sum(taken)) == (steps, row_steps)
 
+    @pytest.mark.parametrize("flags, steps, row_steps", [
+        ((), 20, 60), (("--deltas",), 20, 1920)],
+        ids=["canonical", "deltas"])
+    def test_torus_manifest_counts_the_marchs_work(self, tmp_path, capsys,
+                                                   flags, steps, row_steps):
+        # 3 starts on each torus, the canonical one or the 32 of the delta
+        # lattice (row by row on floats, or as one 96-row batch), 20 steps
+        # of 0.05 each; a start on an invariant torus never escapes. The
+        # report does not carry the counts
+        argv = ["verify", "torus", "--system", "ham-compact", "--n", "1",
+                "--m", "1", "--t", "1", *flags]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        work = json.loads((tmp_path / "manifest.json").read_text())[
+            "telemetry"]
+        assert work == {"steps": steps, "row_steps": row_steps}
+        report = (tmp_path / "report.json").read_text()
+        assert "telemetry" not in report and "row_steps" not in report
+
     @pytest.mark.parametrize("scale, t, rc, steps, row_steps", [
         ("1e-3", "1", 0, 100, 300), ("2", "2", 1, 150, 361)],
         ids=["every-row-lives", "every-row-escapes"])
@@ -630,6 +648,8 @@ class TestSurvey:
         assert work["retired"] == metrics["retired"] > 0
         workers = min(int(jobs), len(os.sched_getaffinity(0)))
         assert work["steps"] == 2000 * workers
+        # at 40 rows or fewer, every block is of 16 steps
+        assert work["blocks"] == 125 * workers
         assert work["row_steps"] - work["row_steps_past_drop"] \
             == lived.sum()
         assert 0 <= work["row_steps_past_drop"] \

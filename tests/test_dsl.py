@@ -52,7 +52,7 @@ from toruslab.errors import (
     SimplifyError,
     UnboundVar,
 )
-from toruslab.integrators import _dp54_step, _rk4_step
+from toruslab.integrators import _batch_midpoint, _dp54_step, _rk4_step
 from toruslab.systems import (
     HAM_COMPACT,
     HAM_UNIQUE,
@@ -583,6 +583,34 @@ def test_rows_step_never_writes_into_its_input(sys, rows):
         want = _rk4_step(sys.compiled("field"), s, h)
         got = step_alone(step, s, h)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_an_overflowing_power_steps_as_numpy_steps():
+    # a^3 and a^5 overflow at a = +-1e150 to numpy's inf of their sign,
+    # so x / a^3 reads 0 and x keeps its value, while z runs off to that
+    # inf; the float steps give numpy's states, where Python's ** raised
+    # and the step came back NaN
+    names = ("a", "x", "z")
+    rates = [parse("0"), parse("x/a^3"), parse("1e-300*a^5")]
+    floats = compile_rates(rates, names)
+    field = compile_numpy(rates, names)
+    for s in ((1e150, 0.5, 0.0), (-1e150, 0.5, 0.0), (2.0, 0.5, 0.0)):
+        state = np.array(s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = {"rk4": _rk4_step(field, state, 0.1),
+                    "midpoint": _batch_midpoint(field, state, 0.1),
+                    "dp54": _dp54_step(field, state, field(state), 0.1)[0]}
+        got = {"rk4": float_alone(floats.rk4_step, floats.conserved)(s, 0.1),
+               "midpoint": float_alone(floats.midpoint_step,
+                                       floats.conserved)(s, 0.1),
+               "dp54": floats.dp54_step(s, floats.field(s), 0.1, 1e-10,
+                                        1e-8)[0]}
+        for method, value in got.items():
+            value = np.array(value)
+            assert np.array_equal(value.view(np.int64),
+                                  want[method].view(np.int64)), method
+        if abs(s[0]) > 1e100:
+            assert got["rk4"] == (s[0], 0.5, math.copysign(math.inf, s[0]))
 
 
 def test_tangent_slots_cannot_meet_a_source_name():

@@ -1108,11 +1108,12 @@ class TestBlockMarch:
         assert final.base is None and final.shape == (sys.dim, 12)
 
     def test_block_holds_at_most_the_cap(self):
-        # 10^4 rows of 6 slots take single steps; fewer rows, longer
-        # blocks, up to the step cap
+        # 12,000 rows of 6 slots take single steps, 10^4 rows blocks of 2;
+        # fewer rows, longer blocks, up to the step cap
         sys = ham(n=1, m=1)
         cfg = IntegratorConfig(h=1e-2)
-        for rows in (10_000, 500, 9):
+        firsts = []
+        for rows in (12_000, 10_000, 500, 9):
             sizes = []
             _march(*_fixed_step(sys, cfg, np.zeros((sys.dim, rows))), 0.5,
                    cfg, lambda t, block, live, first:
@@ -1124,6 +1125,8 @@ class TestBlockMarch:
                                    // (8 * sys.dim * rows)))
             assert n * 8 * sys.dim * rows <= integrators._BLOCK_BYTES \
                 or n == 1
+            firsts.append(n)
+        assert firsts == [1, 2, 16, 16]
 
 
 # the four families at n in {1, 2, 3}, m in {0, 1, 2} and, for the

@@ -175,6 +175,45 @@ def test_shortest_arcs_is_the_remainder_wrap_bit_for_bit(values, in_range):
     assert _same_bits(got, want)
 
 
+def _neighbours(centre, count=60):
+    """centre and the count floats on each side of it."""
+    out, up, down = [centre], centre, centre
+    for _ in range(count):
+        up, down = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+        out += [up, down]
+    return out
+
+
+def test_shortest_arcs_within_eight_turns_is_the_remainder_wrap():
+    # within 8 turns, a = pi - d is wrapped as a - floor(a / 2 pi) * 2 pi:
+    # the remainder's bits on either side of every whole turn of a and of
+    # d and every half turn of d, at signed zeros and subnormals, and at
+    # tiny negative a, where the remainder gives 2 pi itself. Each value
+    # goes alone, then all those within 8 turns together; past them, or
+    # with a nan or an inf, the array takes numpy's remainder
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-17, -1e-17]
+    for k in range(-9, 10):
+        for centre in (k * TWO_PI, k * math.pi, math.pi - k * TWO_PI):
+            values += _neighbours(centre)
+    for edge in (-8 * TWO_PI, 8 * TWO_PI):  # of a, then of d
+        values += _neighbours(edge) + _neighbours(math.pi - edge)
+    for k in (-13, -11, 11, 13):  # where k * 2 pi is inexact
+        values += _neighbours(math.pi - k * TWO_PI)
+    d = np.array(values)
+    inside = np.abs(np.pi - d) <= 8 * TWO_PI
+    assert inside.sum() > 3000 and (~inside).sum() > 100
+    for v in values + [math.nan, math.inf, -math.inf]:
+        with np.errstate(invalid="ignore"):
+            want = _remainder_wrap(np.array([v]))
+            got = shortest_arcs(np.array([v]))
+        assert got.tobytes() == want.tobytes(), v
+    for part in (d[inside], d, np.append(d[inside], math.nan)):
+        want = _remainder_wrap(part)
+        assert shortest_arcs(part.copy()).tobytes() == want.tobytes()
+    # a tiny negative a: a + 2 pi rounds to 2 pi, as the remainder does
+    assert shortest_arcs(np.array([np.nextafter(np.pi, 4.0)]))[0] == -np.pi
+
+
 def test_shortest_arcs_of_the_half_turns():
     for d in ([math.pi], [-math.pi], [-math.pi, 0.5], [math.pi, -0.0]):
         got = shortest_arcs(np.array(d))
