@@ -72,39 +72,14 @@ TWO_PI = 2.0 * math.pi
 # Poisson brackets
 
 
-def _central_differences(fn, x) -> np.ndarray:
-    """(fn(x + h e_i) - fn(x - h e_i)) / 2h, h = 1e-6 (1 + |x_i|), at the
-    states x, shape (..., dim), stacked over the slots i on a new last
-    axis: a scalar fn gives shape (..., dim), a (..., k) one (..., k, dim).
-    """
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i, unit in enumerate(np.eye(x.shape[-1])):
-        h = 1e-6 * (1.0 + np.abs(x[..., i]))
-        e = h[..., None] * unit
-        d = np.asarray(fn(x + e)) - np.asarray(fn(x - e))
-        cols.append(d / (2.0 * h).reshape(h.shape + (1,) * (d.ndim - h.ndim)))
-    return np.stack(cols, axis=-1)
-
-
-def bracket_matrix(sys: System, states: np.ndarray,
-                   scheme: str = "exact") -> np.ndarray:
-    """All pairwise brackets of the first integrals, shape (..., k, k).
-
-    scheme 'exact' contracts the exact gradients; 'fd' rebuilds
-    every gradient by central differences of the integral values, giving
-    an independent route to the same matrix.
-    """
+def bracket_matrix(sys: System, states: np.ndarray) -> np.ndarray:
+    """All pairwise brackets of the first integrals, shape (..., k, k),
+    contracted from their exact gradients."""
     if not sys.is_hamiltonian:
         raise NotHamiltonian(
             f"family {sys.family!r} has no bracket relations to check")
     states = np.asarray(states, dtype=float)
-    if scheme == "exact":
-        G = sys.integral_gradients(states)
-    elif scheme == "fd":
-        G = _central_differences(sys.integrals, states)
-    else:
-        raise InvalidValue(f"unknown scheme {scheme!r}")
+    G = sys.integral_gradients(states)
     pos = [a for a, _ in sys.canonical_pairing]
     mom = [b for _, b in sys.canonical_pairing]
     Gp = G[..., pos]
@@ -462,9 +437,9 @@ class MonodromyResult:
     n_steps: int
 
 
-def monodromy(sys: System, point: Optional[MixedPoint] = None,
+def monodromy(sys: System,
               config: Optional[IntegratorConfig] = None) -> MonodromyResult:
-    """Multipliers of the closed orbit through `point` (canonical default).
+    """Multipliers of the closed orbit on the canonical torus at angle 0.
 
     Integrates the tangent flow over one period, 2 pi / |omega|, and
     takes eigenvalues of the resulting matrix; each eigenpair's residual
@@ -476,8 +451,7 @@ def monodromy(sys: System, point: Optional[MixedPoint] = None,
     w = sys.params.omega[0]
     if w == 0.0:
         raise InvalidValue("zero frequency has no closed orbit")
-    if point is None:
-        point = torus_point(canonical_torus(sys), [0.0])
+    point = torus_point(canonical_torus(sys), [0.0])
     period = TWO_PI / abs(w)
     cfg = config or IntegratorConfig(h=1e-3)
     var = integrate_variational(sys, point, period, cfg)

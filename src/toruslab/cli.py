@@ -62,6 +62,7 @@ from .phase import MixedPoint, ModularDomain
 from .svgplot import PlotStyle, plot_svg, trajectory_series
 from .systems import (
     CONTROL,
+    CONTROL_NU,
     FAMILIES,
     SystemParams,
     build_control_system,
@@ -192,8 +193,7 @@ def _system_from(cfg):
                           l=cfg.get("l"),
                           omega=tuple(cfg.get("omega") or (1.0,) * n))
     if params.family == CONTROL:
-        return build_control_system(omega=params.omega[0],
-                                    nu=cfg.get("nu", 0.3))
+        return build_control_system(omega=params.omega[0])
     return build_system(params)
 
 
@@ -201,8 +201,7 @@ def _initial_point(sys, cfg):
     if cfg.get("point") is not None:
         return MixedPoint.of(sys.layout, np.array(cfg["point"], dtype=float))
     spec = canonical_torus(sys)
-    angles = cfg.get("angles") or (0.0,) * len(spec.free_slots)
-    return torus_point(spec, angles)
+    return torus_point(spec, (0.0,) * len(spec.free_slots))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +218,7 @@ def _cmd_systems(cfg, run):
                        "slots phi_i v_k y q_j"),
         ("rev-compact", "sine-compactified reversible; same slots, "
                         "all angular"),
-        ("control", "integrable comparison fixture (flags --omega, --nu)"),
+        ("control", "integrable comparison fixture (flag --omega)"),
     ]
     for name, text in rows:
         print(f"{name:<12} {text}")
@@ -319,7 +318,7 @@ def _cmd_verify_brackets(cfg, run):
     sys_ = _system_from(cfg)
     rng = np.random.default_rng(cfg["seed"])
     states = rng.uniform(-1.5, 1.5, (cfg["points"], sys_.dim))
-    B = bracket_matrix(sys_, states, scheme=cfg["scheme"])
+    B = bracket_matrix(sys_, states)
     worst = float(np.max(np.abs(B)))
     print(f"brackets: max |{{I_i, I_j}}| = {worst:.3e} "
           f"over {cfg['points']} points")
@@ -378,7 +377,7 @@ def _cmd_monodromy(cfg, run):
     mults = res.multipliers
     if sys_.family == CONTROL:
         w = sys_.params.omega[0]
-        angle = 2.0 * math.pi * cfg.get("nu", 0.3) / w
+        angle = 2.0 * math.pi * CONTROL_NU / w
         predicted = np.array([1.0, 1.0, np.exp(1j * angle),
                               np.exp(-1j * angle)])
         claim = "control multipliers rotate by the secondary frequency"
@@ -566,9 +565,9 @@ _COMMON_SYSTEM = {
     "m": (0, _parse_int),
     "l": (None, _parse_int),
     "omega": (None, _parse_omega),
-    "nu": (0.3, float),
-    "seed": (0, _parse_int),
 }
+# the commands that draw random points take a seed
+_SEED = {"seed": (0, _parse_int)}
 
 # every subcommand: (command, action) or (command,) -> (handler, flags),
 # where each flag maps to (default, converter) or, fixed, to a bare value;
@@ -578,29 +577,28 @@ _COMMANDS = {
     ("simulate",): (_cmd_simulate, {
         **_COMMON_SYSTEM,
         "t": (10.0, float), "method": ("rk4", str), "h": (1e-2, float),
-        "point": (None, _parse_floats), "angles": (None, _parse_angles),
+        "point": (None, _parse_floats),
     }),
     ("verify", "torus"): (_cmd_verify_torus, {
-        **_COMMON_SYSTEM, "t": (100.0, float),
+        **_COMMON_SYSTEM, **_SEED, "t": (100.0, float),
         # on the torus every stage derivative is exact, so the step only
         # paces the sampling grid; 0.05 keeps the sweep cheap
         "h": (0.05, float), "deltas": (None, _parse_switch),
     }),
     ("verify", "invariants"): (_cmd_verify_invariants, {
-        **_COMMON_SYSTEM, "t": (1000.0, float), "h": (1e-2, float),
+        **_COMMON_SYSTEM, **_SEED, "t": (1000.0, float), "h": (1e-2, float),
         "method": ("midpoint", str), "points": (3, _parse_count),
         "scale": (1e-3, float), "tol_h": 1e-8, "tol_i": 1e-6,
     }),
     ("verify", "brackets"): (_cmd_verify_brackets, {
-        **_COMMON_SYSTEM, "points": (1000, _parse_count),
-        "tol": 1e-8, "scheme": "exact",
+        **_COMMON_SYSTEM, **_SEED, "points": (1000, _parse_count), "tol": 1e-8,
     }),
     ("verify", "reversibility"): (_cmd_verify_reversibility, {
-        **_COMMON_SYSTEM, "points": (100, _parse_count), "t": (5.0, float),
-        "scale": (0.05, float), "tol": 1e-6,
+        **_COMMON_SYSTEM, **_SEED, "points": (100, _parse_count),
+        "t": (5.0, float), "scale": (0.05, float), "tol": 1e-6,
     }),
     ("verify", "rank"): (_cmd_verify_rank, {
-        **_COMMON_SYSTEM, "points": (100, _parse_count),
+        **_COMMON_SYSTEM, **_SEED, "points": (100, _parse_count),
     }),
     ("monodromy",): (_cmd_monodromy, {**_COMMON_SYSTEM, "tol": 1e-6}),
     ("fixedpoint",): (_cmd_fixedpoint, {
@@ -608,12 +606,14 @@ _COMMANDS = {
         "guess": (None, _parse_floats),
     }),
     ("freq",): (_cmd_freq, {
-        **_COMMON_SYSTEM, "offset": (None, _parse_angles),
+        # freq reads no seed; the flag stays, as perfbench's orbit
+        # workload passes it
+        **_COMMON_SYSTEM, **_SEED, "offset": (None, _parse_angles),
         "t": (800.0, float), "h": (1e-2, float),
         "store_every": 10, "tol": 1e-4,
     }),
     ("survey",): (_cmd_survey, {
-        **_COMMON_SYSTEM, "samples": (10000, _parse_int),
+        **_COMMON_SYSTEM, **_SEED, "samples": (10000, _parse_int),
         "box": (None, float), "horizon": (20.0, float),
         "jobs": (None, _parse_count),
     }),
@@ -628,8 +628,6 @@ _FLAG_HELP = {
                   help="frequencies; tokens sqrt2, sqrt3, golden allowed"),
     "offset": dict(metavar="A1,A2,...",
                    help="action offsets; pi fractions like pi/2 allowed"),
-    "angles": dict(metavar="A1,A2,...",
-                   help="initial torus angles (pi fractions allowed)"),
     "point": dict(metavar="X1,X2,...", help="full initial state"),
     "guess": dict(metavar="X1,X2,...", help="full starting guess"),
     "file": dict(metavar="PATH", help="hamiltonian text file"),

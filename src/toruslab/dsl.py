@@ -371,6 +371,16 @@ def _power(x, k: int):
         return math.copysign(math.inf, x) if k % 2 else math.inf
 
 
+def _quotient(a: float, b: float) -> float:
+    """a / b of two floats as numpy divides them: a zero divisor gives
+    inf of the quotient's sign, or nan for 0/0, where Python's raises."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.divide(a, b))
+
+
 def _pow(base: Expr, k: int) -> Expr:
     if k == 0:
         return Const(1.0)
@@ -738,6 +748,9 @@ class _Dag:
                 code = f"{_UFUNCS[op]}({', '.join(args)}, {out})"
             elif op == "**":  # a float's overflow gives inf, as numpy's
                 code = f"_intpow({args[0]}, {args[1]})"
+            elif op == "/" and self.nodes[node[2]][0] != "const":
+                # a zero divisor gives numpy's inf or nan, not an error
+                code = f"_div({args[0]}, {args[1]})"
             elif len(args) == 2:
                 code = f"{args[0]} {op} {args[1]}"
             elif op == "Neg":
@@ -1279,6 +1292,7 @@ def compile_rates(rates: Sequence[Expr], names: Sequence[str],
     namespace.update(_DP_NAMES, _tol=_MIDPOINT_TOL,
                      _max_iter=_MIDPOINT_MAX_ITER, _sin=math.sin,
                      _cos=math.cos, _sqrt=math.sqrt, _intpow=_power,
+                     _div=_quotient,
                      _INF=math.inf,
                      _NAN=(math.nan,) * len(names),
                      _FAILS=(ArithmeticError, ValueError))
@@ -1372,6 +1386,7 @@ def _numpy_function(name: str, entries: dict, shape: tuple,
 _NUMPY_NAMES = dict(_sin=np.sin, _cos=np.cos, _add=np.add,
                     _subtract=np.subtract, _multiply=np.multiply,
                     _divide=np.divide, _power=np.power, _intpow=operator.pow,
+                    _div=operator.truediv,
                     _negative=np.negative, _asarray=np.asarray,
                     _zeros=np.zeros, _empty=np.empty,
                     _empty_like=np.empty_like)

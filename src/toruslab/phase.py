@@ -152,13 +152,6 @@ class MixedPoint:
             slot = self.layout.slot_of(slot)
         return float(self.coords[slot])
 
-    def replace(self, slot, value: float) -> "MixedPoint":
-        if isinstance(slot, str):
-            slot = self.layout.slot_of(slot)
-        c = self.coords.copy()
-        c[slot] = value
-        return MixedPoint.of(self.layout, c)
-
     def __repr__(self):
         inner = ", ".join(f"{lab}={v:.6g}"
                           for lab, v in zip(self.layout.labels, self.coords))

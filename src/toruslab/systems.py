@@ -55,8 +55,10 @@ REV_COMPACT = "rev-compact"
 FAMILIES = (HAM_UNIQUE, HAM_COMPACT, REV_UNIQUE, REV_COMPACT)
 
 # decoupled rotator x harmonic oscillator, used as a negative control for
-# the monodromy/fixed-point machinery (multipliers off the unit value 1)
+# the monodromy/fixed-point machinery: the oscillator's frequency,
+# CONTROL_NU, turns its multipliers off the unit value 1
 CONTROL = "control"
+CONTROL_NU = 0.3
 
 _HALF_PI = math.pi / 2
 
@@ -211,20 +213,6 @@ class System:
         """
         return _compiled(kind, self.rates_source, self.integral_texts,
                          self.layout.labels)
-
-    def lyapunov_rate(self, states: np.ndarray) -> np.ndarray:
-        """Time derivative of the escape certificate y + sum(q).
-
-        For ham-unique this equals the squared Euclidean distance of the
-        non-angular part from the canonical torus, so it is positive off
-        the torus; for the compact variants it is non-negative on the
-        isolation domain.
-        """
-        r = self.field(states)
-        out = r[..., self.slots.y]
-        if self.slots.q.stop > self.slots.q.start:
-            out = out + r[..., self.slots.q].sum(axis=-1)
-        return out
 
 
 @dataclass(frozen=True)
@@ -422,19 +410,17 @@ def build_system(params: SystemParams) -> System:
                   integral_texts=tuple(integrals))
 
 
-def build_control_system(omega: float = 1.0, nu: float = 0.3) -> System:
+def build_control_system(omega: float = 1.0) -> System:
     """Decoupled rotator x harmonic oscillator on (u_1, phi_1, x, y).
 
     Every energy level carries a periodic orbit at x = y = 0 whose
-    transverse multipliers are exp(+-i*nu*T), T = 2*pi/omega; used as the
-    control against which degenerate monodromy output is compared.
+    transverse multipliers are exp(+-i*nu*T), nu = CONTROL_NU and
+    T = 2*pi/omega; used as the control against which degenerate
+    monodromy output is compared.
     """
     par = SystemParams(CONTROL, n=1, m=0, omega=(float(omega),))
     layout, sl = _ham_layout(1, 0)
-    nu = float(nu)
-    if not math.isfinite(nu):
-        raise InvalidParams("nu must be finite")
-    energy = f"{par.omega[0]!r}*u_1 + 0.5*{nu!r}*(x^2 + y^2)"
+    energy = f"{par.omega[0]!r}*u_1 + 0.5*{CONTROL_NU!r}*(x^2 + y^2)"
     return System(params=par, layout=layout, slots=sl,
                   canonical_pairing=_ham_pairing(sl, 1, 0),
                   involution_signs=_signs_for(layout, sl),

@@ -21,13 +21,16 @@ form, every slot and numpy's remainder, the reference for the library's
 pass over the slots that move.
 
 Last come the helpers only claims and tests need: the largest deviation
-between two fields, membership of a point in a `ModularDomain`, and the
-energy texts installed with the package.
+between two fields, membership of a point in a `ModularDomain`, the
+energy texts installed with the package, central differences and the
+brackets they give, the rate of the escape certificate, and the control
+fixture at an oscillator frequency of the test's choosing.
 """
 
 import functools
 import math
 import operator
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -37,7 +40,8 @@ from toruslab.dsl import Const, Var
 from toruslab.errors import InvalidValue, LayoutMismatch
 from toruslab.integrators import _tangent_matrix
 from toruslab.phase import TWO_PI
-from toruslab.systems import HAM_COMPACT, HAM_UNIQUE, REV_COMPACT
+from toruslab.systems import (CONTROL_NU, HAM_COMPACT, HAM_UNIQUE,
+                              REV_COMPACT, build_control_system)
 
 
 def _ham_unique(sys):
@@ -302,3 +306,54 @@ def shipped_hamiltonians():
     return {entry.name[:-4]: entry.read_text()
             for entry in sorted(base.iterdir())
             if entry.name.endswith(".ham")}
+
+
+def central_differences(fn, x) -> np.ndarray:
+    """(fn(x + h e_i) - fn(x - h e_i)) / 2h, h = 1e-6 (1 + |x_i|), at the
+    states x, shape (..., dim), stacked over the slots i on a new last
+    axis: a scalar fn gives shape (..., dim), a (..., k) one (..., k, dim).
+    """
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for i, unit in enumerate(np.eye(x.shape[-1])):
+        h = 1e-6 * (1.0 + np.abs(x[..., i]))
+        e = h[..., None] * unit
+        d = np.asarray(fn(x + e)) - np.asarray(fn(x - e))
+        cols.append(d / (2.0 * h).reshape(h.shape + (1,) * (d.ndim - h.ndim)))
+    return np.stack(cols, axis=-1)
+
+
+def fd_bracket_matrix(sys, states):
+    """Every bracket {I_i, I_j} of the first integrals, shape (..., k, k),
+    from gradients rebuilt by central differences of the integral values:
+    a route to `analysis.bracket_matrix` independent of the exact
+    gradients it contracts."""
+    G = central_differences(sys.integrals, states)
+    return sum(G[..., :, a, None] * G[..., None, :, b]
+               - G[..., :, b, None] * G[..., None, :, a]
+               for a, b in sys.canonical_pairing)
+
+
+def certificate_rate(sys, states):
+    """Time derivative of the escape certificate y + sum(q).
+
+    For ham-unique this equals the squared Euclidean distance of the
+    non-angular part from the canonical torus, so it is positive off the
+    torus; for the compact variants it is non-negative on the isolation
+    domain.
+    """
+    r = sys.field(states)
+    out = r[..., sys.slots.y]
+    if sys.slots.q.stop > sys.slots.q.start:
+        out = out + r[..., sys.slots.q].sum(axis=-1)
+    return out
+
+
+def control_system(nu):
+    """The control fixture at omega = 1 with its oscillator at frequency
+    nu, where the library fixes it at CONTROL_NU."""
+    sys = build_control_system()
+    text = sys.rates_source.replace(f"*{CONTROL_NU!r}*", f"*{float(nu)!r}*")
+    if text == sys.rates_source and nu != CONTROL_NU:
+        raise AssertionError("the control's text no longer names its nu")
+    return replace(sys, rates_source=text)

@@ -8,6 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from catalog_oracle import (
+    certificate_rate,
+    control_system,
+    fd_bracket_matrix,
     full_state,
     moving_state,
     squared_returns_every_slot,
@@ -117,21 +120,21 @@ class TestPoissonBracket:
                     make(HAM_COMPACT, n=2, m=1, omega=(1.0, SQRT2))):
             rng = np.random.default_rng(4)
             states = rng.uniform(-1.5, 1.5, (1000, sys.dim))
-            B = bracket_matrix(sys, states, scheme="exact")
+            B = bracket_matrix(sys, states)
             assert np.max(np.abs(B)) <= 1e-12
 
     def test_fd_matrix_vanishes_at_many_points(self):
         sys = make(HAM_UNIQUE, n=1, m=1)
         rng = np.random.default_rng(5)
         states = rng.uniform(-1.0, 1.0, (200, sys.dim))
-        B = bracket_matrix(sys, states, scheme="fd")
+        B = fd_bracket_matrix(sys, states)
         assert np.max(np.abs(B)) <= 1e-8
 
     def test_matrix_is_antisymmetric_bitwise(self):
         sys = make(HAM_COMPACT, n=1, m=1)
         rng = np.random.default_rng(6)
         states = rng.uniform(-2.0, 2.0, (50, sys.dim))
-        B = bracket_matrix(sys, states, scheme="exact")
+        B = bracket_matrix(sys, states)
         assert np.array_equal(B, -np.swapaxes(B, -1, -2))
 
     def test_reversible_family_rejected(self):
@@ -319,7 +322,7 @@ class TestPoincare:
         assert np.max(np.abs(J - np.eye(3))) < 1e-4
 
     @pytest.mark.parametrize("sys, coords", [
-        (build_control_system(omega=1.0, nu=0.3), [0.7, 0.2, 0.3, -0.2]),
+        (build_control_system(omega=1.0), [0.7, 0.2, 0.3, -0.2]),
         (make(HAM_COMPACT, n=1, m=1), [0.2, 0.3, 0.1, -0.1, 0.1, 0.05]),
     ], ids=["control", "ham-compact"])
     def test_return_jacobian_matches_central_differences(self, sys, coords):
@@ -330,8 +333,9 @@ class TestPoincare:
         step = 1e-6
         fd = np.empty_like(J)
         for j, slot in enumerate(slots):
-            up = poincare_map(sys, sec, p.replace(slot, p.coords[slot] + step))
-            dn = poincare_map(sys, sec, p.replace(slot, p.coords[slot] - step))
+            e = step * np.eye(sys.dim)[slot]
+            up = poincare_map(sys, sec, MixedPoint.of(p.layout, p.coords + e))
+            dn = poincare_map(sys, sec, MixedPoint.of(p.layout, p.coords - e))
             # ham-compact wraps every slot, so wrap the differences too
             diff = up.point.coords[slots] - dn.point.coords[slots]
             fd[:, j] = (diff + math.pi) % (2 * math.pi) - math.pi
@@ -359,7 +363,7 @@ class TestFixedPoint:
         assert res.status == "not-found"
 
     def test_control_converges_cleanly(self):
-        sys = build_control_system(omega=1.0, nu=0.3)
+        sys = build_control_system(omega=1.0)
         sec = Section(slot=sys.layout.slot_of("phi_1"), value=0.0)
         guess = MixedPoint.of(sys.layout, [0.0, 0.0, 0.3, -0.2])
         res = find_fixed_point(sys, sec, guess, energy=0.7)
@@ -444,17 +448,19 @@ class TestCompiledTangent:
                              - want.end_point.coords)) <= 1e-12
 
     @pytest.mark.parametrize("sys", [
-        make(HAM_UNIQUE, n=1, m=1), build_control_system(omega=1.0, nu=0.3),
+        make(HAM_UNIQUE, n=1, m=1), build_control_system(omega=1.0),
     ], ids=["ham-unique", "control"])
     def test_monodromy(self, monkeypatch, sys):
+        # the tangent flow over one period, as monodromy marches it, from
+        # a point off the canonical orbit, where M moves from I
         point = small_point(sys, scale=0.2, seed=5)
         got, want = _compiled_and_numpy_tangent(
-            monkeypatch, lambda: monodromy(sys, point,
-                                           config=IntegratorConfig(h=1e-2)))
+            monkeypatch, lambda: integrate_variational(
+                sys, point, 2 * math.pi, IntegratorConfig(h=1e-2)))
         assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-12
 
     @pytest.mark.parametrize("sys, coords, energy", [
-        (build_control_system(omega=1.0, nu=0.3), [0.0, 0.0, 0.3, -0.2],
+        (build_control_system(omega=1.0), [0.0, 0.0, 0.3, -0.2],
          0.7),
         (make(HAM_COMPACT, n=1, m=0), [0.0, 0.0, 0.1, 0.1], 0.2),
     ], ids=["control", "ham-compact"])
@@ -483,7 +489,7 @@ class TestMonodromy:
 
     def test_control_has_rotating_pair(self):
         nu = 0.3
-        sys = build_control_system(omega=1.0, nu=nu)
+        sys = build_control_system(omega=1.0)
         res = monodromy(sys)
         target = np.exp(1j * nu * 2 * math.pi)
         mults = sorted(res.multipliers, key=lambda z: z.imag)
@@ -495,7 +501,7 @@ class TestMonodromy:
 
     def test_multipliers_closed_under_reciprocal(self):
         for sys in (make(HAM_UNIQUE, n=1, m=1),
-                    build_control_system(omega=1.0, nu=0.45)):
+                    control_system(0.45)):
             res = monodromy(sys)
             for lam in res.multipliers:
                 recips = np.abs(res.multipliers - 1.0 / lam)
@@ -627,7 +633,7 @@ class TestCompactCertificate:
                 lo, hi = iv if iv is not None else (-math.pi, math.pi)
                 cols.append(rng.uniform(lo, hi, 100000))
             states = np.stack(cols, axis=1)
-            rates = sys.lyapunov_rate(states)
+            rates = certificate_rate(sys, states)
             assert np.min(rates) >= 0.0
             # a random point is never on a torus, so the rate is
             # strictly positive everywhere in the draw
@@ -639,7 +645,7 @@ class TestCompactCertificate:
             p = torus_point(spec, [0.7])
             # pi-pinned slots leave sin(pi)^2 ~ 1e-32 of float residue,
             # zero-pinned slots contribute exactly nothing
-            rate = sys.lyapunov_rate(p.coords)
+            rate = certificate_rate(sys, p.coords)
             assert rate <= 1e-30
             if all(v == 0.0 for _, v in spec.pinned):
                 assert rate == 0.0
@@ -763,7 +769,7 @@ class TestSurvey:
         def with_rate(z):
             return np.concatenate(
                 [sys.field(z[:, :dim]),
-                 sys.lyapunov_rate(z[:, :dim])[:, None]], axis=1)
+                 certificate_rate(sys, z[:, :dim])[:, None]], axis=1)
 
         res = integrate_batch(with_rate, np.concatenate(
             [starts, np.zeros((40, 1))], axis=1), 20.0,

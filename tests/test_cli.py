@@ -205,6 +205,34 @@ class TestFlagParsing:
                 in capsys.readouterr().err)
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["monodromy", "--system", "control", "--nu", "0.3"],
+        ["simulate", "--system", "ham-unique", "--angles", "pi/2"],
+        ["simulate", "--system", "ham-unique", "--seed", "1"],
+        ["monodromy", "--system", "control", "--seed", "1"],
+        ["fixedpoint", "--system", "control", "--seed", "1"],
+    ], ids=["monodromy-nu", "simulate-angles", "simulate-seed",
+            "monodromy-seed", "fixedpoint-seed"])
+    def test_retired_flag_is_refused(self, tmp_path, capsys, argv):
+        # no caller set these, and the commands read no seed
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert (f"unrecognized arguments: {argv[-2]} {argv[-1]}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_replay_of_a_retired_flag_is_refused(self, tmp_path, capsys):
+        # a manifest written while --nu was a flag carries it in its argv
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({
+            "argv": ["monodromy", "--n", "1", "--m", "0", "--nu", "0.3",
+                     "--system", "control"],
+            "verdicts": {"monodromy": "PASS"}, "outputs": {}}))
+        assert main(["--replay", str(old)]) == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --nu 0.3" in captured.err
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == [old]
+
 
 class TestParser:
     @pytest.mark.parametrize("argv", [
@@ -481,7 +509,7 @@ class TestMonodromy:
             assert abs(complex(*re_im) - 1.0) < 1e-6
 
     def test_control_rotates(self, tmp_path, capsys):
-        rc = main(["monodromy", "--system", "control", "--nu", "0.3",
+        rc = main(["monodromy", "--system", "control",
                    "--out", str(tmp_path)])
         assert rc == 0
         assert "0.951057" in capsys.readouterr().out
@@ -889,7 +917,7 @@ class TestReports:
     @pytest.mark.parametrize("argv, code, verdict, parameters, metrics", [
         (["simulate", "--system", "rev-compact", "--n", "1", "--l", "1",
           "--t", "1"], 0, "completed",
-         {"system", "n", "m", "l", "nu", "seed", "t", "method", "h"},
+         {"system", "n", "m", "l", "t", "method", "h"},
          {"t_final", "n_steps", "escaped", "escape_time"}),
         (["fixedpoint", "--system", "ham-unique", "--n", "1",
           "--energy", "0"], 0, "found", {"iterations"},
@@ -931,7 +959,7 @@ class TestReports:
         (["verify", "invariants", "--system", "ham-unique", "--t", "1"],
          {"tol_h": 1e-8, "tol_i": 1e-6}),
         (["verify", "brackets", "--system", "ham-unique", "--points", "10"],
-         {"tol": 1e-8, "scheme": "exact"}),
+         {"tol": 1e-8}),
         (["verify", "reversibility", "--system", "rev-unique", "--l", "1",
           "--points", "5", "--t", "1"], {"tol": 1e-6}),
         (["monodromy", "--system", "control"], {"tol": 1e-6}),

@@ -446,7 +446,7 @@ def test_all_shipped_texts_reproduce_catalog_fields():
     build_system(SystemParams(REV_COMPACT, n=1, l=1, m=1, omega=(1.0,))),
     build_system(SystemParams(REV_COMPACT, n=2, l=1, m=2,
                               omega=(1.0, math.sqrt(2.0)))),
-    build_control_system(omega=1.0, nu=0.3),
+    build_control_system(omega=1.0),
 ], ids=lambda s: f"{s.family}-{s.dim}")
 def test_compiled_field_matches_system_field(sys):
     rng = np.random.default_rng(12)
@@ -585,32 +585,51 @@ def test_rows_step_never_writes_into_its_input(sys, rows):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def _float_and_numpy_steps(texts, names, s):
+    """One step of 0.1 of each float step of the rates `texts` from the
+    state s, and the same step of numpy's, by method."""
+    rates = [parse(text) for text in texts]
+    floats = compile_rates(rates, names)
+    field = compile_numpy(rates, names)
+    state = np.array(s)
+    with np.errstate(all="ignore"):
+        want = {"rk4": _rk4_step(field, state, 0.1),
+                "midpoint": _batch_midpoint(field, state, 0.1),
+                "dp54": _dp54_step(field, state, field(state), 0.1)[0]}
+    got = {"rk4": float_alone(floats.rk4_step, floats.conserved)(s, 0.1),
+           "midpoint": float_alone(floats.midpoint_step,
+                                   floats.conserved)(s, 0.1),
+           "dp54": floats.dp54_step(s, floats.field(s), 0.1, 1e-10,
+                                    1e-8)[0]}
+    for method, value in got.items():
+        value = np.array(value)
+        assert np.array_equal(value.view(np.int64),
+                              want[method].view(np.int64)), method
+    return got
+
+
 def test_an_overflowing_power_steps_as_numpy_steps():
     # a^3 and a^5 overflow at a = +-1e150 to numpy's inf of their sign,
     # so x / a^3 reads 0 and x keeps its value, while z runs off to that
     # inf; the float steps give numpy's states, where Python's ** raised
     # and the step came back NaN
-    names = ("a", "x", "z")
-    rates = [parse("0"), parse("x/a^3"), parse("1e-300*a^5")]
-    floats = compile_rates(rates, names)
-    field = compile_numpy(rates, names)
     for s in ((1e150, 0.5, 0.0), (-1e150, 0.5, 0.0), (2.0, 0.5, 0.0)):
-        state = np.array(s)
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = {"rk4": _rk4_step(field, state, 0.1),
-                    "midpoint": _batch_midpoint(field, state, 0.1),
-                    "dp54": _dp54_step(field, state, field(state), 0.1)[0]}
-        got = {"rk4": float_alone(floats.rk4_step, floats.conserved)(s, 0.1),
-               "midpoint": float_alone(floats.midpoint_step,
-                                       floats.conserved)(s, 0.1),
-               "dp54": floats.dp54_step(s, floats.field(s), 0.1, 1e-10,
-                                        1e-8)[0]}
-        for method, value in got.items():
-            value = np.array(value)
-            assert np.array_equal(value.view(np.int64),
-                                  want[method].view(np.int64)), method
+        got = _float_and_numpy_steps(("0", "x/a^3", "1e-300*a^5"),
+                                     ("a", "x", "z"), s)
         if abs(s[0]) > 1e100:
             assert got["rk4"] == (s[0], 0.5, math.copysign(math.inf, s[0]))
+
+
+def test_a_zero_divisor_steps_as_numpy_steps():
+    # 1/a is numpy's inf at a = 0, so x/(1/a) reads 0 and x keeps its
+    # value, and (x - x)/a is 0/0, nan; the float steps give numpy's
+    # states, where Python's division raised and the step came back NaN
+    for s in ((0.0, 0.5), (-0.0, 0.5), (2.0, 0.5)):
+        got = _float_and_numpy_steps(("0", "x/(1/a)"), ("a", "x"), s)
+        if s[0] == 0.0:
+            assert got["rk4"] == s
+    got = _float_and_numpy_steps(("0", "(x - x)/a"), ("a", "x"), (0.0, 0.5))
+    assert math.isnan(got["rk4"][1])
 
 
 def test_tangent_slots_cannot_meet_a_source_name():

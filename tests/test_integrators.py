@@ -7,6 +7,8 @@ from functools import partial
 import numpy as np
 import pytest
 from catalog_oracle import (
+    central_differences,
+    control_system,
     float_alone,
     full_state,
     full_tangent,
@@ -15,7 +17,7 @@ from catalog_oracle import (
     tangent_field,
 )
 
-from toruslab.analysis import _central_differences, monodromy
+from toruslab.analysis import monodromy
 from toruslab.dsl import compile_numpy, compile_rates, compile_rows, parse
 from toruslab import integrators
 from toruslab.errors import (
@@ -252,7 +254,7 @@ class TestMidpoint:
         # (x, y) by a right angle without shrinking it, so rows off the
         # torus never settle and turn non-finite at the iteration cap; on
         # the torus the first update is already exact
-        sys = build_control_system(omega=1.0, nu=1.0)
+        sys = control_system(1.0)
         rows = np.array([[0.0, 0.3, 0.0, 0.0], [0.1, 0.0, 0.1, 0.0],
                          [0.02, 1.0, 0.0, -0.05], [0.3, 0.2, 0.2, -0.1]])
         cfg = IntegratorConfig(method="midpoint", h=2.0)
@@ -1490,7 +1492,7 @@ class TestVariational:
             return integrate(sys, MixedPoint.of(sys.layout, s), 0.5,
                              cfg).final_point.coords
 
-        fd = _central_differences(end_state, p0.coords)
+        fd = central_differences(end_state, p0.coords)
         assert np.max(np.abs(exact.matrix - fd)) < 1e-6
         assert np.max(np.abs(exact.end_point.coords
                              - end_state(p0.coords))) < 1e-9
@@ -1534,7 +1536,7 @@ TANGENT_GRID = [
     for m in (0, 1, 2)] + [
     build_system(SystemParams(family, n=1, l=l, m=1, omega=(1.0,)))
     for family in (REV_UNIQUE, REV_COMPACT) for l in (0, 1)] + [
-    build_control_system(omega=1.0, nu=0.3)]
+    build_control_system(omega=1.0)]
 
 
 def scattered(sys, march):
@@ -1551,7 +1553,7 @@ class TestMovingTangent:
 
     @pytest.mark.parametrize("sys, moving", [
         (ham(n=1, m=0), 9), (ham(n=1, m=1), 13), (ham(n=1, m=2), 17),
-        (build_control_system(omega=1.0, nu=0.3), 4),
+        (build_control_system(omega=1.0), 4),
         (build_system(SystemParams(REV_COMPACT, n=1, l=1, m=1,
                                    omega=(1.0,))), 3),
     ], ids=["ham-unique-m0", "ham-unique-m1", "ham-unique-m2", "control",
@@ -1607,7 +1609,7 @@ class TestMovingTangent:
     def test_a_tangent_that_moves_no_entry_is_the_rates_flow(self):
         # nu = 0 leaves every rate constant, so no entry of M moves: the
         # tangent state is the state alone, which marches on the rates
-        sys = build_control_system(omega=1.0, nu=0.0)
+        sys = control_system(0.0)
         assert sys.compiled("tangent").moving == ()
         p0 = MixedPoint.of(sys.layout, [0.3, 0.5, -0.2, 0.1])
         z = _tangent_start(sys, p0.coords)
